@@ -7,6 +7,7 @@
 //! text or machine-readable JSON and decides the process exit code.
 
 use std::fmt::Write as _;
+use xac_obs::json_escape;
 
 /// How bad a finding is. Ordering matters: `Error > Warning > Info`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -263,10 +264,10 @@ impl Report {
     /// `xac_obs::validate_json` in tests and CI).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"policy\": \"{}\",", escape(&self.policy_name));
+        let _ = writeln!(out, "  \"policy\": \"{}\",", json_escape(&self.policy_name));
         match &self.schema_name {
             Some(s) => {
-                let _ = writeln!(out, "  \"schema\": \"{}\",", escape(s));
+                let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(s));
             }
             None => out.push_str("  \"schema\": null,\n"),
         }
@@ -282,7 +283,7 @@ impl Report {
             );
             match &d.rule {
                 Some(r) => {
-                    let _ = write!(out, "\"rule\": \"{}\", ", escape(r));
+                    let _ = write!(out, "\"rule\": \"{}\", ", json_escape(r));
                 }
                 None => out.push_str("\"rule\": null, "),
             }
@@ -298,9 +299,9 @@ impl Report {
                 }
                 None => out.push_str("\"col\": null, "),
             }
-            let _ = write!(out, "\"message\": \"{}\"", escape(&d.message));
+            let _ = write!(out, "\"message\": \"{}\"", json_escape(&d.message));
             if let Some(note) = &d.note {
-                let _ = write!(out, ", \"note\": \"{}\"", escape(note));
+                let _ = write!(out, ", \"note\": \"{}\"", json_escape(note));
             }
             out.push('}');
             if i + 1 < sorted.len() {
@@ -318,7 +319,7 @@ impl Report {
         );
         if let Some(a) = &self.audit {
             let backends: Vec<String> =
-                a.backends.iter().map(|b| format!("\"{}\"", escape(b))).collect();
+                a.backends.iter().map(|b| format!("\"{}\"", json_escape(b))).collect();
             let _ = write!(
                 out,
                 ",\n  \"audit\": {{\"updates\": {}, \"selected\": {}, \"affected\": {}, \
@@ -339,27 +340,6 @@ impl Report {
         out.push_str("\n}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping (the only metacharacters our messages
-/// can contain are quotes and backslashes; control chars are escaped for
-/// completeness).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

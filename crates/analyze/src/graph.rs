@@ -19,22 +19,10 @@
 //! never influence its findings.
 
 use std::collections::BTreeSet;
+use xac_obs::{fnv1a, FNV_OFFSET};
 use xac_policy::Policy;
 use xac_xml::Schema;
 use xac_xpath::ContainmentOracle;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, chained from `state` so multi-field
-/// fingerprints compose without intermediate allocation.
-pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// Fingerprint of one value from scratch.
 fn fp(bytes: &[u8]) -> u64 {

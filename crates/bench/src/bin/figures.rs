@@ -367,24 +367,23 @@ fn summary(data: &[Fig12Row]) {
 }
 
 // ---------------------------------------------------------------------
-// Annotation write modes — paper-faithful per-tuple UPDATEs vs batched
+// Annotation modes — paper-faithful per-tuple UPDATEs vs compiled
 // ---------------------------------------------------------------------
 
-/// Benchmark the annotation write path across all three modes:
-/// `PaperFaithful` (one parsed `UPDATE … WHERE id = …` statement per
-/// tuple, as the paper's Figure 6 scripts do), `Batched` (one indexed
-/// bulk write per table) and `Compiled` (the `xac-vmc` bytecode VM —
-/// fused scan+filter+sign-write over the columnar document index,
-/// skipping per-document XPath interpretation entirely). The native
-/// store is reported under interpreted (`none`) and `compiled` rows.
-/// Emits `BENCH_annotation_modes.json` so the perf trajectory is
-/// tracked across revisions.
+/// Benchmark annotation in both modes: `PaperFaithful` (one parsed
+/// `UPDATE … WHERE id = …` statement per tuple, as the paper's Figure 6
+/// scripts do) and `Compiled` (the `xac-vmc` bytecode VM — fused
+/// scan+filter+sign-write over the columnar document index, skipping
+/// per-document XPath interpretation, with one indexed bulk sign write
+/// per table). The native store is reported under interpreted (`none`)
+/// and `compiled` rows. Emits `BENCH_annotation_modes.json` so the perf
+/// trajectory is tracked across revisions.
 fn annotate_modes(factors: &[f64]) {
     use xac_core::{AnnotateMode, NativeXmlBackend, RelationalBackend};
     use xac_reldb::StorageKind;
 
-    banner("Annotation write modes — per-tuple UPDATE vs batched sign writes");
-    let t = TablePrinter::new(vec![10, 10, 16, 12, 12, 12, 10]);
+    banner("Annotation modes — per-tuple UPDATE vs compiled sign writes");
+    let t = TablePrinter::new(vec![10, 10, 16, 12, 12, 12, 10, 10]);
     t.row(&[
         "factor".into(),
         "backend".into(),
@@ -392,7 +391,8 @@ fn annotate_modes(factors: &[f64]) {
         "annotate".into(),
         "signwrite".into(),
         "writes".into(),
-        "speedup".into(),
+        "write ×".into(),
+        "annot ×".into(),
     ]);
     t.rule();
 
@@ -450,6 +450,7 @@ fn annotate_modes(factors: &[f64]) {
             String::new(),
             writes.to_string(),
             String::new(),
+            String::new(),
         ]);
         record(f, "native", "none", d.as_secs_f64(), None, writes, accessible);
 
@@ -467,7 +468,8 @@ fn annotate_modes(factors: &[f64]) {
             fmt_duration(vm_d),
             String::new(),
             vm_writes.to_string(),
-            format!("{:.1}x", d.as_secs_f64() / vm_d.as_secs_f64().max(1e-12)),
+            String::new(),
+            speedup(d, vm_d),
         ]);
         record(
             f,
@@ -483,7 +485,6 @@ fn annotate_modes(factors: &[f64]) {
             let mut per_mode = Vec::new();
             for (mode, label) in [
                 (AnnotateMode::PaperFaithful, "paper-faithful"),
-                (AnnotateMode::Batched, "batched"),
                 (AnnotateMode::Compiled, "compiled"),
             ] {
                 let mut b = RelationalBackend::with_mode(kind, mode);
@@ -494,15 +495,17 @@ fn annotate_modes(factors: &[f64]) {
                 record(f, name, label, d.as_secs_f64(), Some(wd.as_secs_f64()), writes, accessible);
                 per_mode.push((label, d, wd, writes, accessible));
             }
-            // All modes must write the same signs — same tuples touched,
+            // Both modes must write the same signs — same tuples touched,
             // same accessible set afterwards.
-            for m in &per_mode[1..] {
-                assert_eq!(per_mode[0].3, m.3, "write counts diverge on {name} ({})", m.0);
-                assert_eq!(per_mode[0].4, m.4, "accessible sets diverge on {name} ({})", m.0);
-            }
-            let paper_wd = per_mode[0].2;
-            let batched_d = per_mode[1].1;
+            let (paper, compiled) = (&per_mode[0], &per_mode[1]);
+            assert_eq!(paper.3, compiled.3, "write counts diverge on {name}");
+            assert_eq!(paper.4, compiled.4, "accessible sets diverge on {name}");
             for &(label, d, wd, writes, _) in &per_mode {
+                let (write_x, annot_x) = if label == "compiled" {
+                    (speedup(paper.2, wd), speedup(paper.1, d))
+                } else {
+                    (String::new(), String::new())
+                };
                 t.row(&[
                     format!("{f}"),
                     name.into(),
@@ -510,19 +513,8 @@ fn annotate_modes(factors: &[f64]) {
                     fmt_duration(d),
                     fmt_duration(wd),
                     writes.to_string(),
-                    match label {
-                        // sign-write path speedup vs per-tuple SQL
-                        "batched" => format!(
-                            "{:.1}x",
-                            paper_wd.as_secs_f64() / wd.as_secs_f64().max(1e-12)
-                        ),
-                        // end-to-end annotate speedup vs batched
-                        "compiled" => format!(
-                            "{:.1}x",
-                            batched_d.as_secs_f64() / d.as_secs_f64().max(1e-12)
-                        ),
-                        _ => String::new(),
-                    },
+                    write_x,
+                    annot_x,
                 ]);
             }
         }
@@ -532,14 +524,18 @@ fn annotate_modes(factors: &[f64]) {
     std::fs::write("BENCH_annotation_modes.json", &json).expect("write json");
     println!("  [json -> BENCH_annotation_modes.json]");
     println!(
-        "(the `batched` speedup cell compares the sign-write path alone\n \
-         against per-tuple SQL; the `compiled` cell compares END-TO-END\n \
-         annotate time against batched — the VM fuses annotation-query\n \
-         evaluation and sign writes over the columnar document index, so\n \
-         the per-document XPath interpretation that dominates the other\n \
-         modes disappears; final database state is identical in all\n \
-         modes, as asserted above)"
+        "(write × compares the sign-write path alone against per-tuple SQL;\n \
+         annot × compares END-TO-END annotate time against per-tuple SQL\n \
+         (native: against the interpreted tree walk) — the VM fuses\n \
+         annotation-query evaluation and sign writes over the columnar\n \
+         document index; final database state is identical in both modes,\n \
+         as asserted above)"
     );
+}
+
+/// `base / x` rendered as a speedup cell.
+fn speedup(base: Duration, x: Duration) -> String {
+    format!("{:.1}x", base.as_secs_f64() / x.as_secs_f64().max(1e-12))
 }
 
 // ---------------------------------------------------------------------
@@ -812,13 +808,13 @@ fn ablation_cam() {
 }
 
 /// Serving-engine throughput: concurrent readers over epoch snapshots
-/// while a writer applies guarded deletes, per backend × annotate mode
-/// (the deployment shape the paper's evaluation implies). The compiled
-/// mode additionally reports a single-threaded decide-path micro-sweep —
-/// per-request latency of the interpreted snapshot walk vs the bytecode
-/// VM (`query_compiled`) over the same published snapshot. Emits
-/// `BENCH_serve.json` so the serving perf trajectory is tracked across
-/// revisions.
+/// while a writer applies guarded deletes, per backend, in the compiled
+/// mode everything that serves runs (the deployment shape the paper's
+/// evaluation implies). Each row also reports a single-threaded
+/// decide-path micro-sweep — per-request latency of the interpreted
+/// snapshot walk vs the bytecode VM (`query_compiled`) over the same
+/// published snapshot. Emits `BENCH_serve.json` so the serving perf
+/// trajectory is tracked across revisions.
 fn serve(factors: &[f64]) {
     use std::sync::Arc;
     use xac_core::AnnotateMode;
@@ -857,113 +853,102 @@ fn serve(factors: &[f64]) {
     let mut json = String::from("[\n");
     let mut first = true;
 
+    let mode_label = AnnotateMode::Compiled.name();
     for &f in factors {
-        for (mode, mode_label) in [
-            (AnnotateMode::Batched, "batched"),
-            (AnnotateMode::Compiled, "compiled"),
-        ] {
-            let system = Arc::new(xmark_system_with_mode(f, 0.5, 1, mode));
-            for kind in BackendKind::ALL {
-                let engine =
-                    Arc::new(ServeEngine::for_kind(Arc::clone(&system), kind).expect("engine"));
-                let (_, wall) = time(|| {
-                    std::thread::scope(|scope| {
-                        for reader in 0..READERS {
-                            let engine = Arc::clone(&engine);
-                            let queries = &queries;
-                            scope.spawn(move || {
-                                for i in 0..READS_PER_READER {
-                                    engine.query(&queries[(i + reader) % queries.len()]);
-                                }
-                            });
-                        }
-                        for u in &updates {
-                            engine.guarded_delete(u).expect("guarded delete");
-                        }
-                    });
-                });
-                // Decide-path micro-sweep (compiled-mode rows only): both
-                // entry points run against the same published snapshot, so
-                // the delta is pure dispatch — interpreted document walk
-                // vs bytecode VM over the cached columnar index.
-                let micro = (mode == AnnotateMode::Compiled).then(|| {
-                    let snap = engine.snapshot();
-                    let measure = |compiled: bool| -> f64 {
-                        let (_, d) = time(|| {
-                            for _ in 0..MICRO_REPS {
-                                for q in &queries {
-                                    if compiled {
-                                        std::hint::black_box(snap.query_compiled(q));
-                                    } else {
-                                        std::hint::black_box(snap.query(q));
-                                    }
-                                }
+        let system = Arc::new(xmark_system_with_mode(f, 0.5, 1, AnnotateMode::Compiled));
+        for kind in BackendKind::ALL {
+            let engine =
+                Arc::new(ServeEngine::for_kind(Arc::clone(&system), kind).expect("engine"));
+            let (_, wall) = time(|| {
+                std::thread::scope(|scope| {
+                    for reader in 0..READERS {
+                        let engine = Arc::clone(&engine);
+                        let queries = &queries;
+                        scope.spawn(move || {
+                            for i in 0..READS_PER_READER {
+                                engine.query(&queries[(i + reader) % queries.len()]);
                             }
                         });
-                        d.as_secs_f64() * 1e6 / (MICRO_REPS * queries.len()) as f64
-                    };
-                    (measure(false), measure(true))
+                    }
+                    for u in &updates {
+                        engine.guarded_delete(u).expect("guarded delete");
+                    }
                 });
-                let m = engine.metrics();
-                let reads_per_s = m.reads_issued() as f64 / wall.as_secs_f64().max(1e-9);
-                let name = engine.backend_name();
-                t.row(&[
-                    format!("{f}"),
-                    name.into(),
-                    mode_label.into(),
-                    format!("{reads_per_s:.0}"),
-                    format!("{:.1}", m.read_latency.mean_us()),
-                    m.read_latency.quantile_us(0.5).to_string(),
-                    m.read_latency.quantile_us(0.99).to_string(),
-                    m.updates_applied.to_string(),
-                    m.updates_denied.to_string(),
-                    m.epochs_published.to_string(),
-                    micro.map_or(String::new(), |(i, _)| format!("{i:.1}")),
-                    micro.map_or(String::new(), |(_, c)| format!("{c:.1}")),
-                ]);
-                let (mi_csv, mc_csv) = micro.map_or((String::new(), String::new()), |(i, c)| {
-                    (i.to_string(), c.to_string())
-                });
-                let _ = writeln!(
-                    csv,
-                    "{f},{name},{mode_label},{READERS},{},{reads_per_s},{},{},{},{},{},{},{},\
-                     {mi_csv},{mc_csv}",
-                    m.reads_issued(),
-                    m.read_latency.mean_us(),
-                    m.read_latency.quantile_us(0.5),
-                    m.read_latency.quantile_us(0.99),
-                    m.updates_applied,
-                    m.updates_denied,
-                    m.epochs_published,
-                    m.full_fallbacks,
-                );
-                if !first {
-                    json.push_str(",\n");
-                }
-                first = false;
-                let (mi_json, mc_json) =
-                    micro.map_or(("null".into(), "null".into()), |(i, c)| {
-                        (i.to_string(), c.to_string())
+            });
+            // Decide-path micro-sweep: both entry points run against
+            // the same published snapshot, so the delta is pure
+            // dispatch — interpreted document walk vs bytecode VM over
+            // the cached columnar index.
+            let (micro_i, micro_c) = {
+                let snap = engine.snapshot();
+                let measure = |compiled: bool| -> f64 {
+                    let (_, d) = time(|| {
+                        for _ in 0..MICRO_REPS {
+                            for q in &queries {
+                                if compiled {
+                                    std::hint::black_box(snap.query_compiled(q));
+                                } else {
+                                    std::hint::black_box(snap.query(q));
+                                }
+                            }
+                        }
                     });
-                let _ = write!(
-                    json,
-                    "  {{\"factor\": {f}, \"backend\": \"{name}\", \"mode\": \"{mode_label}\", \
-                     \"readers\": {READERS}, \
-                     \"reads\": {}, \"reads_per_s\": {reads_per_s}, \
-                     \"read_mean_us\": {}, \"read_p50_us\": {}, \"read_p99_us\": {}, \
-                     \"updates_applied\": {}, \"updates_denied\": {}, \
-                     \"epochs_published\": {}, \"full_fallbacks\": {}, \
-                     \"decide_interp_us\": {mi_json}, \"decide_compiled_us\": {mc_json}}}",
-                    m.reads_issued(),
-                    m.read_latency.mean_us(),
-                    m.read_latency.quantile_us(0.5),
-                    m.read_latency.quantile_us(0.99),
-                    m.updates_applied,
-                    m.updates_denied,
-                    m.epochs_published,
-                    m.full_fallbacks,
-                );
+                    d.as_secs_f64() * 1e6 / (MICRO_REPS * queries.len()) as f64
+                };
+                (measure(false), measure(true))
+            };
+            let m = engine.metrics();
+            let reads_per_s = m.reads_issued() as f64 / wall.as_secs_f64().max(1e-9);
+            let name = engine.backend_name();
+            t.row(&[
+                format!("{f}"),
+                name.into(),
+                mode_label.into(),
+                format!("{reads_per_s:.0}"),
+                format!("{:.1}", m.read_latency.mean_us()),
+                m.read_latency.quantile_us(0.5).to_string(),
+                m.read_latency.quantile_us(0.99).to_string(),
+                m.updates_applied.to_string(),
+                m.updates_denied.to_string(),
+                m.epochs_published.to_string(),
+                format!("{micro_i:.1}"),
+                format!("{micro_c:.1}"),
+            ]);
+            let _ = writeln!(
+                csv,
+                "{f},{name},{mode_label},{READERS},{},{reads_per_s},{},{},{},{},{},{},{},\
+                 {micro_i},{micro_c}",
+                m.reads_issued(),
+                m.read_latency.mean_us(),
+                m.read_latency.quantile_us(0.5),
+                m.read_latency.quantile_us(0.99),
+                m.updates_applied,
+                m.updates_denied,
+                m.epochs_published,
+                m.full_fallbacks,
+            );
+            if !first {
+                json.push_str(",\n");
             }
+            first = false;
+            let _ = write!(
+                json,
+                "  {{\"factor\": {f}, \"backend\": \"{name}\", \"mode\": \"{mode_label}\", \
+                 \"readers\": {READERS}, \
+                 \"reads\": {}, \"reads_per_s\": {reads_per_s}, \
+                 \"read_mean_us\": {}, \"read_p50_us\": {}, \"read_p99_us\": {}, \
+                 \"updates_applied\": {}, \"updates_denied\": {}, \
+                 \"epochs_published\": {}, \"full_fallbacks\": {}, \
+                 \"decide_interp_us\": {micro_i}, \"decide_compiled_us\": {micro_c}}}",
+                m.reads_issued(),
+                m.read_latency.mean_us(),
+                m.read_latency.quantile_us(0.5),
+                m.read_latency.quantile_us(0.99),
+                m.updates_applied,
+                m.updates_denied,
+                m.epochs_published,
+                m.full_fallbacks,
+            );
         }
     }
     json.push_str("\n]\n");

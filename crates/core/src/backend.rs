@@ -185,27 +185,23 @@ pub enum AnnotateMode {
     /// what the paper measures, and the default.
     #[default]
     PaperFaithful,
-    /// Engine-level batched writes ([`Database::update_signs`]): the whole
-    /// target-id set goes to each table's primary-key index in one call.
-    /// Byte-identical final table state, none of the per-statement
-    /// overhead — an extension over the paper, reported separately by the
-    /// `figures annotate-modes` benchmark.
-    Batched,
     /// Bytecode execution (`xac-vmc`): the annotation query compiles once
     /// into a register program per (policy, schema) fingerprint and runs
     /// as fused scan+filter+sign-write ops over a columnar document
     /// index, skipping SQL translation/parsing/planning on the relational
-    /// backends and the tree-walk evaluator on the native one. Writes go
-    /// through the same batched engine path, so the final sign state is
-    /// byte-identical to [`AnnotateMode::Batched`]. Queries the compiler
-    /// cannot express fall back to the interpreted path per call.
+    /// backends and the tree-walk evaluator on the native one. Relational
+    /// writes go to each table's primary-key index in one engine call
+    /// ([`Database::update_signs`]) instead of one `UPDATE` per tuple;
+    /// the final sign state is byte-identical to
+    /// [`AnnotateMode::PaperFaithful`]. Queries the compiler cannot
+    /// express fall back to the interpreted path per call.
     Compiled,
 }
 
 impl AnnotateMode {
     /// The accepted command-line spellings, in [`AnnotateMode::parse`]
     /// order.
-    pub const VALID_NAMES: [&'static str; 3] = ["paper", "batched", "compiled"];
+    pub const VALID_NAMES: [&'static str; 2] = ["paper", "compiled"];
 
     /// Parse a command-line spelling. Unknown input yields the
     /// structured [`Error::UnknownAnnotateMode`] so callers can report
@@ -213,7 +209,6 @@ impl AnnotateMode {
     pub fn parse(input: &str) -> Result<AnnotateMode> {
         match input {
             "paper" => Ok(AnnotateMode::PaperFaithful),
-            "batched" => Ok(AnnotateMode::Batched),
             "compiled" => Ok(AnnotateMode::Compiled),
             other => Err(Error::UnknownAnnotateMode(other.to_string())),
         }
@@ -223,7 +218,6 @@ impl AnnotateMode {
     pub fn name(&self) -> &'static str {
         match self {
             AnnotateMode::PaperFaithful => "paper",
-            AnnotateMode::Batched => "batched",
             AnnotateMode::Compiled => "compiled",
         }
     }
@@ -252,10 +246,10 @@ pub(crate) struct RelationalState {
     shredded: ShreddedDocument,
     default_sign: char,
     /// Universal id → position in `mapping.tables()`, built at load and
-    /// extended on insert. Lets the batched write path hand each table
+    /// extended on insert. Lets the compiled write path hand each table
     /// only its own ids instead of probing every table's primary-key
     /// index with the full target set. Entries for deleted rows linger
-    /// harmlessly (their point writes miss the index, as before).
+    /// harmlessly (their point writes miss the index).
     table_of: HashMap<i64, usize>,
 }
 
@@ -335,11 +329,6 @@ impl RelationalBackend {
         self.mode
     }
 
-    /// Switch the annotation write mode (affects future writes only).
-    pub fn set_annotate_mode(&mut self, mode: AnnotateMode) {
-        self.mode = mode;
-    }
-
     /// Row-store backend (PostgreSQL stand-in).
     pub fn row() -> RelationalBackend {
         RelationalBackend::new(StorageKind::Row)
@@ -390,62 +379,37 @@ impl RelationalBackend {
         Ok(self.db.query(&sql)?.column_as_int_set(0))
     }
 
-    /// Per-table two-phase sign write, dispatching on the annotation
-    /// mode. Both modes leave identical table state; they differ only in
-    /// how the writes reach the engine. Public so benches and equivalence
-    /// tests can measure the write path in isolation from annotation-query
-    /// evaluation (which is mode-independent and dominates `annotate`).
+    /// Per-table sign write, dispatching on the annotation mode. Both
+    /// modes leave identical table state; they differ only in how the
+    /// writes reach the engine. Public so benches and equivalence tests
+    /// can measure the write path in isolation from annotation-query
+    /// evaluation (which dominates `annotate`).
     pub fn write_signs(&mut self, targets: &BTreeSet<i64>, sign: char) -> Result<usize> {
         let _span = xac_obs::span("backend.write_signs");
         self.mutated();
+        if self.mode == AnnotateMode::Compiled {
+            self.state()?;
+            let state = self.state.as_ref().expect("state checked above");
+            return Ok(state.write_signs(&mut self.db, targets.iter().copied(), sign)?);
+        }
+        // Fig. 6's inner loop as published: fetch each table's ids,
+        // intersect with the target set, one UPDATE statement per
+        // affected tuple.
         let tables: Vec<String> =
             self.state()?.mapping.tables().iter().map(|t| t.name.clone()).collect();
         let mut updated = 0usize;
-        match self.mode {
-            // Fig. 6's inner loop as published: fetch each table's ids,
-            // intersect with the target set, one UPDATE statement per
-            // affected tuple.
-            AnnotateMode::PaperFaithful => {
-                for table in tables {
-                    let ids = self.db.query(&format!("SELECT id FROM {table}"))?;
-                    let upids: Vec<i64> = ids
-                        .column_as_ints(0)
-                        .into_iter()
-                        .filter(|id| targets.contains(id))
-                        .collect();
-                    for id in upids {
-                        self.db.execute(&format!(
-                            "UPDATE {table} SET s = '{sign}' WHERE id = {id}"
-                        ))?;
-                        updated += 1;
-                    }
-                }
-            }
-            // Batched and compiled: partition the target set by owning
-            // table (via the id→table map maintained since load), then
-            // one engine call per table with exactly its own ids. Ids
-            // the map does not know (none today; defensive) go to every
-            // table and simply miss the foreign primary-key indexes.
-            // The compiled mode shares this write engine — it differs
-            // upstream, in how the target set is computed.
-            AnnotateMode::Batched | AnnotateMode::Compiled => {
-                let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); tables.len()];
-                let mut unknown: Vec<i64> = Vec::new();
-                {
-                    let state = self.state()?;
-                    for &id in targets {
-                        match state.table_of.get(&id) {
-                            Some(&i) => buckets[i].push(id),
-                            None => unknown.push(id),
-                        }
-                    }
-                }
-                for (table, mut ids) in tables.into_iter().zip(buckets) {
-                    ids.extend_from_slice(&unknown);
-                    if !ids.is_empty() {
-                        updated += self.db.update_signs(&table, &ids, sign)?;
-                    }
-                }
+        for table in tables {
+            let ids = self.db.query(&format!("SELECT id FROM {table}"))?;
+            let upids: Vec<i64> = ids
+                .column_as_ints(0)
+                .into_iter()
+                .filter(|id| targets.contains(id))
+                .collect();
+            for id in upids {
+                self.db.execute(&format!(
+                    "UPDATE {table} SET s = '{sign}' WHERE id = {id}"
+                ))?;
+                updated += 1;
             }
         }
         Ok(updated)
@@ -498,7 +462,7 @@ impl RelationalBackend {
 
     /// Compiled annotation: fetch (or compile) the query's bytecode
     /// program, execute it over the columnar document index, and stream
-    /// the selected set into the batched column/row-store sign write.
+    /// the selected set into [`RelationalState::write_signs`].
     /// Returns `None` when the query is outside the compilable fragment,
     /// in which case the caller falls back to the SQL interpreter.
     fn annotate_compiled(&mut self, query: &AnnotationQuery) -> Result<Option<usize>> {
@@ -511,51 +475,57 @@ impl RelationalBackend {
         };
         let index = self.doc_index()?;
         self.mutated();
-        let state = self.state.as_mut().expect("state checked by doc_index");
-        let mut sink = RelationalSignSink {
-            db: &mut self.db,
-            shredded: &state.shredded,
-            table_of: &state.table_of,
-            tables: state.mapping.tables(),
-        };
+        let state = self.state.as_ref().expect("state checked by doc_index");
+        let mut sink = RelationalSignSink { db: &mut self.db, state };
         let written = xac_vmc::execute(&program, &index, &mut sink)
             .map_err(Error::System)?;
         Ok(Some(written))
     }
 }
 
-/// The VM's fused sign sink over the relational engine: buckets the
-/// selected nodes' universal ids by owning table and issues one batched
-/// [`Database::update_signs`] per table — the same write the batched
-/// mode performs, fed from the VM instead of a SQL result set.
+impl RelationalState {
+    /// The compiled relational sign write: bucket `ids` by owning table
+    /// (via `table_of`) and issue one [`Database::update_signs`] per
+    /// table with exactly its own ids. An id `table_of` does not know
+    /// belongs to no loaded or inserted row, so it is skipped.
+    fn write_signs(
+        &self,
+        db: &mut Database,
+        ids: impl IntoIterator<Item = i64>,
+        sign: char,
+    ) -> xac_reldb::Result<usize> {
+        let tables = self.mapping.tables();
+        let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); tables.len()];
+        for id in ids {
+            if let Some(&i) = self.table_of.get(&id) {
+                buckets[i].push(id);
+            }
+        }
+        let mut updated = 0usize;
+        for (table, ids) in tables.iter().zip(buckets) {
+            if !ids.is_empty() {
+                updated += db.update_signs(&table.name, &ids, sign)?;
+            }
+        }
+        Ok(updated)
+    }
+}
+
+/// The VM's fused sign sink over the relational engine: the compiled
+/// write of [`RelationalState::write_signs`], fed from the VM's node set
+/// instead of a SQL result set.
 struct RelationalSignSink<'a> {
     db: &'a mut Database,
-    shredded: &'a ShreddedDocument,
-    table_of: &'a HashMap<i64, usize>,
-    tables: &'a [xac_shrex::mapping::MappedTable],
+    state: &'a RelationalState,
 }
 
 impl xac_vmc::SignSink for RelationalSignSink<'_> {
     fn write(&mut self, nodes: &[xac_xml::NodeId], sign: char) -> std::result::Result<usize, String> {
         let _span = xac_obs::span("backend.write_signs");
-        let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); self.tables.len()];
-        for &n in nodes {
-            if let Some(id) = self.shredded.id_of(n) {
-                if let Some(&i) = self.table_of.get(&id) {
-                    buckets[i].push(id);
-                }
-            }
-        }
-        let mut updated = 0usize;
-        for (table, ids) in self.tables.iter().zip(buckets) {
-            if !ids.is_empty() {
-                updated += self
-                    .db
-                    .update_signs(&table.name, &ids, sign)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(updated)
+        let state = self.state;
+        state
+            .write_signs(self.db, nodes.iter().filter_map(|&n| state.shredded.id_of(n)), sign)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -813,8 +783,8 @@ impl Backend for RelationalBackend {
 
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
         // `signs` is a complete `sign_state` image (every live tuple
-        // carries a sign in the relational encoding), so two batched
-        // partitioned writes cover the whole map.
+        // carries a sign in the relational encoding), so two writes,
+        // one per sign, cover the whole map.
         let mut plus = BTreeSet::new();
         let mut minus = BTreeSet::new();
         for (&id, &sign) in signs {
@@ -899,9 +869,9 @@ impl NativeXmlBackend {
     }
 
     /// An empty native backend in the given annotation mode. The native
-    /// store has no SQL layer, so `PaperFaithful` and `Batched` behave
-    /// identically here; `Compiled` routes annotation through the
-    /// bytecode VM.
+    /// store has no SQL layer, so `PaperFaithful` is its plain
+    /// tree-walk path; `Compiled` routes annotation through the bytecode
+    /// VM.
     pub fn with_mode(mode: AnnotateMode) -> NativeXmlBackend {
         let mut b = NativeXmlBackend::new();
         b.mode = mode;
@@ -1250,50 +1220,46 @@ mod tests {
         let query = AnnotationQuery::from_policy(&hospital_policy());
         for kind in [StorageKind::Row, StorageKind::Column] {
             let mut faithful = RelationalBackend::new(kind);
-            let mut batched = RelationalBackend::with_mode(kind, AnnotateMode::Batched);
             let mut compiled = RelationalBackend::with_mode(kind, AnnotateMode::Compiled);
             assert_eq!(faithful.annotate_mode(), AnnotateMode::PaperFaithful);
             faithful.load(&p).unwrap();
-            batched.load(&p).unwrap();
             compiled.load(&p).unwrap();
             let w1 = faithful.annotate(&query).unwrap();
-            let w2 = batched.annotate(&query).unwrap();
-            let w3 = compiled.annotate(&query).unwrap();
-            assert_eq!(w1, w2, "{kind:?}: same number of sign writes");
-            assert_eq!(w2, w3, "{kind:?}: compiled writes the same rows");
+            let w2 = compiled.annotate(&query).unwrap();
+            assert_eq!(w1, w2, "{kind:?}: compiled writes the same rows");
             assert_eq!(
                 faithful.accessible_ids().unwrap(),
-                batched.accessible_ids().unwrap(),
+                compiled.accessible_ids().unwrap(),
                 "{kind:?}: identical sign outcome"
             );
             assert_eq!(
-                batched.sign_map().unwrap(),
+                faithful.sign_map().unwrap(),
                 compiled.sign_map().unwrap(),
                 "{kind:?}: compiled sign state byte-identical"
             );
             // Re-annotation after an update agrees too.
             let u = xac_xpath::parse("//patient/treatment").unwrap();
             let scope = vec![xac_xpath::parse("//patient").unwrap()];
-            for b in [&mut faithful, &mut batched, &mut compiled] {
+            for b in [&mut faithful, &mut compiled] {
                 b.delete(&u).unwrap();
                 b.reannotate(&scope, &query).unwrap();
             }
             assert_eq!(
                 faithful.accessible_ids().unwrap(),
-                batched.accessible_ids().unwrap(),
+                compiled.accessible_ids().unwrap(),
                 "{kind:?}: identical after reannotation"
             );
             assert_eq!(
-                batched.sign_map().unwrap(),
+                faithful.sign_map().unwrap(),
                 compiled.sign_map().unwrap(),
                 "{kind:?}: compiled identical after reannotation"
             );
             // Full reset sweeps agree as well.
-            let rb = batched.reset_annotations().unwrap();
+            let rf = faithful.reset_annotations().unwrap();
             let rc = compiled.reset_annotations().unwrap();
-            assert_eq!(rb, rc, "{kind:?}: reset touches the same rows");
+            assert_eq!(rf, rc, "{kind:?}: reset touches the same rows");
             assert_eq!(
-                batched.sign_map().unwrap(),
+                faithful.sign_map().unwrap(),
                 compiled.sign_map().unwrap(),
                 "{kind:?}: compiled identical after reset"
             );
@@ -1360,8 +1326,7 @@ mod tests {
     #[test]
     fn annotate_mode_display_round_trips_through_parse() {
         use std::str::FromStr;
-        let modes =
-            [AnnotateMode::PaperFaithful, AnnotateMode::Batched, AnnotateMode::Compiled];
+        let modes = [AnnotateMode::PaperFaithful, AnnotateMode::Compiled];
         // Exhaustive: every canonical spelling parses back to its mode.
         for mode in modes {
             assert_eq!(AnnotateMode::parse(&mode.to_string()).unwrap(), mode);

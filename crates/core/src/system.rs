@@ -66,10 +66,10 @@ impl GuardedUpdate {
 ///      </patients><staffinfo/></dept></hospital>").unwrap();
 /// let system = System::builder(schema, hospital_policy(), doc)
 ///     .schema_aware(true)
-///     .annotate_mode(AnnotateMode::Batched)
+///     .annotate_mode(AnnotateMode::Compiled)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(system.annotate_mode(), AnnotateMode::Batched);
+/// assert_eq!(system.annotate_mode(), AnnotateMode::Compiled);
 /// ```
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct SystemBuilder {
@@ -158,21 +158,6 @@ impl System {
             schema_aware: false,
             annotate_mode: AnnotateMode::default(),
         }
-    }
-
-    /// Assemble a system with the default (paper-faithful) configuration.
-    #[deprecated(since = "0.1.0", note = "use `System::builder(schema, policy, doc).build()`")]
-    pub fn new(schema: Schema, policy: Policy, doc: Document) -> Result<System> {
-        Self::builder(schema, policy, doc).build()
-    }
-
-    /// Assemble a system using schema-aware containment.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `System::builder(schema, policy, doc).schema_aware(true).build()`"
-    )]
-    pub fn new_schema_aware(schema: Schema, policy: Policy, doc: Document) -> Result<System> {
-        Self::builder(schema, policy, doc).schema_aware(true).build()
     }
 
     /// The XML schema.
@@ -384,26 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructors_still_assemble() {
-        // The pre-builder API stays as thin wrappers; equivalence with
-        // the builder keeps old downstream code working.
-        #[allow(deprecated)]
-        let old = System::new(crate::hospital_schema_for_docs(), hospital_policy(), figure2())
-            .unwrap();
-        let new = system();
-        assert_eq!(old.policy().len(), new.policy().len());
-        assert_eq!(old.reference_accessible(), new.reference_accessible());
-        #[allow(deprecated)]
-        let old_aware = System::new_schema_aware(
-            crate::hospital_schema_for_docs(),
-            hospital_policy(),
-            figure2(),
-        )
-        .unwrap();
-        assert_eq!(old_aware.reference_accessible(), new.reference_accessible());
-    }
-
-    #[test]
     fn compiled_accessible_set_and_view_match_reference() {
         let compiled =
             System::builder(crate::hospital_schema_for_docs(), hospital_policy(), figure2())
@@ -428,10 +393,10 @@ mod tests {
     #[test]
     fn builder_records_annotate_mode() {
         let s = System::builder(crate::hospital_schema_for_docs(), hospital_policy(), figure2())
-            .annotate_mode(crate::AnnotateMode::Batched)
+            .annotate_mode(crate::AnnotateMode::Compiled)
             .build()
             .unwrap();
-        assert_eq!(s.annotate_mode(), crate::AnnotateMode::Batched);
+        assert_eq!(s.annotate_mode(), crate::AnnotateMode::Compiled);
         assert_eq!(system().annotate_mode(), crate::AnnotateMode::PaperFaithful);
     }
 

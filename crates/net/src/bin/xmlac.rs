@@ -142,7 +142,7 @@ fn parse_args() -> CliResult<Args> {
 fn usage() -> String {
     "usage: xmlac <check|optimize|shred|annotate|query|update|view|audit|analyze|serve|client|top|serve-bench|obs|vm> \
      [--schema F] [--policy F] [--doc F] [--backend native|row|column] \
-     [--annotate-mode paper|batched|compiled] \
+     [--annotate-mode paper|compiled] \
      [--query XPATH]... [--delete XPATH] [--insert PARENT:NAME[:TEXT]] \
      [--mode prune|promote] [--readers N] [--reads N] [--out F] \
      [--fault-plan SPEC|seed:N[xK]] \

@@ -1,7 +1,8 @@
 //! `xac-obs`: the dependency-free observability substrate for the
 //! xmlac workspace.
 //!
-//! Three pieces:
+//! Three pieces, plus the shared [`mix`] primitives (FNV-1a, the
+//! splitmix64 step):
 //!
 //! - [`trace`] — hierarchical span tracing: a thread-local span stack,
 //!   monotonic-clock timings, and a bounded ring-buffer event log.
@@ -19,16 +20,18 @@
 pub mod export;
 pub mod flight;
 pub mod metrics;
+pub mod mix;
 pub mod trace;
 
 pub use export::{
-    chrome_trace, prometheus_render, sample_key, validate_flow_pairing, validate_json,
-    validate_prometheus,
+    chrome_trace, json_escape, prometheus_render, sample_key, validate_flow_pairing,
+    validate_json, validate_prometheus,
 };
 pub use flight::{flight_recorder, FlightRecord, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{
     bucket_index, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Registry, BUCKETS,
 };
+pub use mix::{fnv1a, splitmix64, FNV_OFFSET};
 pub use trace::{
     instant, span, span_stats, take_events, SpanGuard, SpanStat, TraceBuffer, TraceContext,
     TraceEvent, TraceKind,

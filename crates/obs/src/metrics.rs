@@ -427,7 +427,7 @@ mod tests {
         let h = Histogram::new();
         let mut samples: Vec<u64> = Vec::new();
         for _ in 0..10_000 {
-            let v = crate::trace::splitmix64(&mut state) % (1 << 20);
+            let v = crate::splitmix64(&mut state) % (1 << 20);
             h.observe(v);
             samples.push(v);
         }

@@ -30,6 +30,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::mix::{splitmix64, GOLDEN_GAMMA};
+
 /// Capacity of the global event ring buffer.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
@@ -46,17 +48,6 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// The request context entered on this thread (0 = none).
     static CONTEXT: Cell<(u128, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// One splitmix64 step (Steele, Lea & Flood, OOPSLA 2014) — the same
-/// mixer the workload generators use, inlined here so the substrate
-/// crate stays dependency-free.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Entropy pool for [`TraceContext::mint`]: seeded once from the wall
@@ -96,7 +87,7 @@ impl TraceContext {
                 Ordering::Relaxed,
             );
         }
-        let mut s = MINT_STATE.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
+        let mut s = MINT_STATE.fetch_add(GOLDEN_GAMMA, Ordering::Relaxed);
         loop {
             let hi = splitmix64(&mut s);
             let lo = splitmix64(&mut s);

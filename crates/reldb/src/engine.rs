@@ -17,7 +17,7 @@ fn statements_total() -> &'static Arc<Counter> {
     C.get_or_init(|| xac_obs::counter("xac_reldb_statements_total"))
 }
 
-/// Rows signed through the batched write path, process-wide.
+/// Rows signed through [`Database::update_signs`], process-wide.
 fn batch_sign_rows_total() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| xac_obs::counter("xac_reldb_batch_sign_rows_total"))
@@ -265,7 +265,7 @@ impl Database {
     /// Batched sign write: set the `s` column of every row whose `id` is
     /// in `ids` to `sign`, in one engine call.
     ///
-    /// This is the write path behind the *batched* annotation mode: the
+    /// This is the write path behind the *compiled* annotation mode: the
     /// per-tuple Fig. 6 loop issues one `UPDATE … WHERE id = k` string per
     /// tuple, paying SQL parsing, planning and condition evaluation each
     /// time. Here the ids go straight to the primary-key hash index and

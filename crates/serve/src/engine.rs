@@ -856,43 +856,6 @@ impl ServeEngine {
     }
 }
 
-/// One engine per configured storage kind over a shared [`System`] —
-/// the deployment shape of the paper's evaluation (three systems, one
-/// document, one policy), ready to serve traffic on each.
-pub struct ServeCluster {
-    system: Arc<System>,
-    engines: Vec<Arc<ServeEngine>>,
-}
-
-impl ServeCluster {
-    /// Stand up one engine per kind. The system is built once (policy
-    /// optimization, dependency graph, shredding) and shared; each
-    /// backend loads and annotates its own copy of the document.
-    pub fn new(system: System, kinds: &[BackendKind]) -> Result<ServeCluster> {
-        let system = Arc::new(system);
-        let mut engines = Vec::with_capacity(kinds.len());
-        for &kind in kinds {
-            engines.push(Arc::new(ServeEngine::for_kind(system.clone(), kind)?));
-        }
-        Ok(ServeCluster { system, engines })
-    }
-
-    /// The shared system.
-    pub fn system(&self) -> &Arc<System> {
-        &self.system
-    }
-
-    /// The engines, in construction order.
-    pub fn engines(&self) -> &[Arc<ServeEngine>] {
-        &self.engines
-    }
-
-    /// Find an engine by its backend name (e.g. `"native/xml"`).
-    pub fn engine(&self, backend_name: &str) -> Option<&Arc<ServeEngine>> {
-        self.engines.iter().find(|e| e.backend_name() == backend_name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,7 +887,6 @@ mod tests {
     fn engine_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServeEngine>();
-        assert_send_sync::<ServeCluster>();
     }
 
     /// Serve a query and return (granted, nodes, epoch).
@@ -937,9 +899,9 @@ mod tests {
 
     #[test]
     fn serves_reads_on_every_kind() {
-        let cluster = ServeCluster::new(system(), &BackendKind::ALL).unwrap();
-        assert_eq!(cluster.engines().len(), 3);
-        for engine in cluster.engines() {
+        let system = Arc::new(system());
+        for kind in BackendKind::ALL {
+            let engine = &ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
             assert!(served(engine, "//patient/name").0);
             assert!(!served(engine, "//patient").0);
             let err = engine.serve(&Request::query("//bad["));
@@ -949,8 +911,6 @@ mod tests {
             assert_eq!(m.read_errors, 1);
             assert_eq!(m.epochs_published, 1);
         }
-        assert!(cluster.engine("native/xml").is_some());
-        assert!(cluster.engine("no/such").is_none());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod request;
 pub use durable::{
     split_storage_plan, Durability, DurabilityConfig, LoggedOp, RecoveryReport, SignDiff,
 };
-pub use engine::{BackendKind, ServeCluster, ServeEngine};
+pub use engine::{BackendKind, ServeEngine};
 pub use faults::seeded_fault_plan;
 pub use metrics::{LatencyHistogram, LatencySummary, Metrics, MetricsSnapshot};
 pub use request::{ErrorKind, Request, Response, Role};

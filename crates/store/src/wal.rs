@@ -459,7 +459,7 @@ mod tests {
 
     fn sample_txn() -> Vec<WalRecord> {
         vec![
-            WalRecord::Meta { backend: "relational/column".into(), mode: "batched".into() },
+            WalRecord::Meta { backend: "relational/column".into(), mode: "compiled".into() },
             WalRecord::SignSet { id: 1, sign: '+' },
             WalRecord::SignSet { id: 2, sign: '-' },
             WalRecord::Commit { epoch: 1 },

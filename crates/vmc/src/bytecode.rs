@@ -127,15 +127,3 @@ impl Program {
         }
     }
 }
-
-/// FNV-1a, the repo's stable dependency-free hash (fingerprints must not
-/// vary across runs, unlike `std`'s randomized hasher).
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -12,8 +12,9 @@
 //! the *only* include) reports [`CompileError`] and callers fall back to
 //! the interpreted `AnnotationQuery::evaluate` path.
 
-use crate::bytecode::{fnv1a, Inst, NameSel, Pred, Program, RelStep, FNV_OFFSET};
+use crate::bytecode::{Inst, NameSel, Pred, Program, RelStep};
 use std::fmt;
+use xac_obs::{fnv1a, FNV_OFFSET};
 use xac_policy::AnnotationQuery;
 use xac_xml::Schema;
 use xac_xpath::{Axis, NodeTest, Path, Qualifier};
@@ -151,13 +152,13 @@ impl Compiler {
 /// Stable fingerprint of a (source, mark, schema) triple — the cache
 /// key a compiled program is stored under.
 pub(crate) fn fingerprint(source: &str, mark: char, schema: Option<&Schema>) -> u64 {
-    let mut h = fnv1a(source.as_bytes(), FNV_OFFSET);
-    h = fnv1a(&[mark as u8], h);
+    let mut h = fnv1a(FNV_OFFSET, source.as_bytes());
+    h = fnv1a(h, &[mark as u8]);
     if let Some(s) = schema {
-        h = fnv1a(s.root().as_bytes(), h);
+        h = fnv1a(h, s.root().as_bytes());
         for t in s.type_names() {
-            h = fnv1a(t.as_bytes(), h);
-            h = fnv1a(b"|", h);
+            h = fnv1a(h, t.as_bytes());
+            h = fnv1a(h, b"|");
         }
     }
     h

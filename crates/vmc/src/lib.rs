@@ -14,8 +14,8 @@
 //!    [`compile_path`]);
 //! 2. **executes** programs with a small VM over a columnar
 //!    [`DocIndex`], with fused scan+filter+sign-write ops streaming the
-//!    result into a [`SignSink`] (the relational backends' batched
-//!    column write, or the native element arena) ([`execute`],
+//!    result into a [`SignSink`] (the relational backends' per-table
+//!    bulk sign write, or the native element arena) ([`execute`],
 //!    [`execute_select`]);
 //! 3. **caches** compiled programs in a bounded map keyed on the
 //!    (policy, schema) fingerprint ([`cached_query_program`],

@@ -23,7 +23,7 @@ fn instructions_executed_total() -> &'static Arc<Counter> {
 }
 
 /// Receives the node set a terminal [`Inst::SignWrite`] produces. The
-/// relational backends stream it into a batched column-store write, the
+/// relational backends stream it into a per-table bulk sign write, the
 /// native backend into arena sign attributes, and the decide path into a
 /// plain collector.
 pub trait SignSink {

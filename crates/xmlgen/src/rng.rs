@@ -4,8 +4,10 @@
 //! produce the same document — not cryptographic quality, so a splitmix64
 //! stream (Steele, Lea & Flood, *Fast Splittable Pseudorandom Number
 //! Generators*, OOPSLA 2014) is plenty: one 64-bit state word, full
-//! period, and it passes BigCrush. Keeping it in-repo keeps the workspace
-//! free of external crates, which is what makes the offline build work.
+//! period, and it passes BigCrush. The step itself is
+//! [`xac_obs::splitmix64`], shared with trace-id minting; keeping it
+//! in-repo keeps the workspace free of external crates, which is what
+//! makes the offline build work.
 //!
 //! Range sampling uses simple modulo reduction. The bias is at most
 //! `span / 2^64`, far below anything a test-data generator can observe,
@@ -32,11 +34,7 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        xac_obs::splitmix64(&mut self.state)
     }
 
     /// Uniform draw from a half-open or inclusive integer range.

@@ -5,16 +5,12 @@
 //! the same inputs, and a failure message carries the seed-derived input
 //! so it reproduces directly.
 
-/// Tiny splitmix64 stream keeping this test self-contained and offline.
+/// Seeded splitmix64 stream over the shared [`xac_obs::splitmix64`] step.
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        xac_obs::splitmix64(&mut self.0)
     }
 
     fn below(&mut self, n: usize) -> usize {

@@ -412,23 +412,25 @@ fn annotate_mode_compiled_accepted_and_unknown_rejected() {
         assert!(text.contains("GRANTED //patient/name (3 nodes)"), "{backend}: {text}");
         assert!(text.contains("DENIED  //patient (3 nodes)"), "{backend}: {text}");
     }
-    let out = xmlac(&[
-        "query",
-        "--schema",
-        &data("hospital.dtd"),
-        "--policy",
-        &data("hospital.pol"),
-        "--doc",
-        &data("figure2.xml"),
-        "--annotate-mode",
-        "vectorised",
-        "--query",
-        "//patient",
-    ]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("unknown annotate mode `vectorised`"), "{err}");
-    assert!(err.contains("paper, batched, compiled"), "{err}");
+    for rejected in ["vectorised", "batched"] {
+        let out = xmlac(&[
+            "query",
+            "--schema",
+            &data("hospital.dtd"),
+            "--policy",
+            &data("hospital.pol"),
+            "--doc",
+            &data("figure2.xml"),
+            "--annotate-mode",
+            rejected,
+            "--query",
+            "//patient",
+        ]);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown annotate mode `{rejected}`")), "{err}");
+        assert!(err.contains("(valid modes: paper, compiled)"), "{err}");
+    }
 }
 
 #[test]

@@ -14,24 +14,39 @@
 //! the counting allocator wraps only these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// System allocator with a global allocation counter.
+/// System allocator that counts the allocations of armed threads.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only on the measuring thread inside [`allocs_during`], so
+    /// allocations by the test harness's own threads (spawning the next
+    /// test, capturing output) never land in the measured window. A
+    /// `const` initialiser keeps the lookup itself allocation-free.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,12 +54,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by `f`, measured on this thread with no other
-/// instrumented work in flight. The counter is global, so the tests
-/// below serialize through a lock to keep cross-test noise out.
+/// Allocations performed by `f` on this thread. The tests below still
+/// serialize through a lock so each owns the shared counter while
+/// armed.
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
+    ARMED.with(|a| a.set(true));
     f();
+    ARMED.with(|a| a.set(false));
     ALLOCS.load(Ordering::Relaxed) - before
 }
 

@@ -7,7 +7,7 @@
 //! SplitMix64 — fully deterministic) and holds, for every backend:
 //!
 //! 1. `sign_state()` after compiled annotation is byte-identical to the
-//!    interpreted (batched) annotation of the same system;
+//!    interpreted (paper-faithful) annotation of the same system;
 //! 2. every request `decide()`s the same under both modes, live and
 //!    against published snapshots (the compiled read path);
 //! 3. the equality survives structural updates + partial re-annotation;
@@ -79,11 +79,11 @@ fn signs(b: &mut (dyn Backend + '_)) -> BTreeMap<i64, char> {
 #[test]
 fn compiled_matches_interpreted_on_generated_workloads() {
     for sc in scenarios() {
-        let system = build(&sc, AnnotateMode::Batched);
+        let system = build(&sc, AnnotateMode::PaperFaithful);
         let queries = query_workload(&sc.schema, 12, sc.seed);
         let updates = delete_updates(&sc.schema, 2, sc.seed ^ 0xdead_beef);
         for kind in BackendKind::ALL {
-            let mut interp = kind.make(AnnotateMode::Batched);
+            let mut interp = kind.make(AnnotateMode::PaperFaithful);
             let mut comp = kind.make(AnnotateMode::Compiled);
             for b in [&mut interp, &mut comp] {
                 system.load(b.as_mut()).unwrap();
@@ -133,7 +133,7 @@ fn compiled_matches_interpreted_on_generated_workloads() {
 #[test]
 fn compiled_serve_reads_match_interpreted_engine() {
     for sc in scenarios().into_iter().take(3) {
-        let interp_system = std::sync::Arc::new(build(&sc, AnnotateMode::Batched));
+        let interp_system = std::sync::Arc::new(build(&sc, AnnotateMode::PaperFaithful));
         let comp_system = std::sync::Arc::new(build(&sc, AnnotateMode::Compiled));
         let queries = query_workload(&sc.schema, 16, sc.seed.wrapping_mul(3));
         for kind in BackendKind::ALL {
@@ -171,8 +171,8 @@ fn compiled_engine_recovers_from_seeded_faults() {
     // The guard only reaches the faultable delete when every designated
     // node is accessible, so pick the first generated update a live
     // annotated backend would actually grant (and that selects nodes).
-    let system = build(sc, AnnotateMode::Batched);
-    let mut probe_backend = BackendKind::Native.make(AnnotateMode::Batched);
+    let system = build(sc, AnnotateMode::PaperFaithful);
+    let mut probe_backend = BackendKind::Native.make(AnnotateMode::PaperFaithful);
     system.load(probe_backend.as_mut()).unwrap();
     system.annotate(probe_backend.as_mut()).unwrap();
     let update = delete_updates(&sc.schema, 24, sc.seed)
@@ -186,9 +186,11 @@ fn compiled_engine_recovers_from_seeded_faults() {
     let probe = &query_workload(&sc.schema, 1, sc.seed)[0];
     for kind in BackendKind::ALL {
         // Reference: interpreted engine, no faults.
-        let ref_engine =
-            ServeEngine::for_kind(std::sync::Arc::new(build(sc, AnnotateMode::Batched)), kind)
-                .unwrap();
+        let ref_engine = ServeEngine::for_kind(
+            std::sync::Arc::new(build(sc, AnnotateMode::PaperFaithful)),
+            kind,
+        )
+        .unwrap();
         let ref_outcome = ref_engine.guarded_delete(update).unwrap();
         let ref_signs = ref_engine.with_writer(|b| b.sign_state().unwrap()).unwrap();
 
