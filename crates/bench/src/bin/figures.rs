@@ -960,9 +960,7 @@ fn serve(factors: &[f64]) {
          writer re-annotates; applied+denied reflects which of the {UPDATES} guarded\n \
          deletes the access check allowed; epochs = snapshots published;\n \
          dec-i/dec-vm = single-threaded per-request decide latency of the\n \
-         interpreted snapshot walk vs the bytecode VM on the same snapshot —\n \
-         paths outside the compilable fragment fall back to the interpreter,\n \
-         so dec-vm bounds above the true VM-only latency)"
+         interpreted snapshot walk vs the bytecode VM on the same snapshot)"
     );
 }
 

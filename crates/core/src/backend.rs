@@ -193,8 +193,9 @@ pub enum AnnotateMode {
     /// writes go to each table's primary-key index in one engine call
     /// ([`Database::update_signs`]) instead of one `UPDATE` per tuple;
     /// the final sign state is byte-identical to
-    /// [`AnnotateMode::PaperFaithful`]. Queries the compiler cannot
-    /// express fall back to the interpreted path per call.
+    /// [`AnnotateMode::PaperFaithful`]. Every policy query compiles
+    /// (rule resources are absolute), so this mode has no interpreted
+    /// fallback: a compile error is an [`Error::XPath`].
     Compiled,
 }
 
@@ -263,9 +264,10 @@ pub struct RelationalBackend {
     /// Accessible-id set cached per annotation epoch; any sign write or
     /// document mutation invalidates it.
     accessible_cache: Option<BTreeSet<i64>>,
-    /// Columnar document index for the compiled mode, cached per
-    /// *structural* epoch: sign writes leave it valid, document
-    /// mutations (load/insert/delete/restore) drop it.
+    /// Columnar document index, cached per *structural* epoch: sign
+    /// writes leave it valid, document mutations
+    /// (load/insert/delete/restore) drop it. Compiled annotation runs
+    /// on it and every published snapshot shares it.
     doc_index: Option<std::sync::Arc<xac_vmc::DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
@@ -463,23 +465,13 @@ impl RelationalBackend {
     /// Compiled annotation: fetch (or compile) the query's bytecode
     /// program, execute it over the columnar document index, and stream
     /// the selected set into [`RelationalState::write_signs`].
-    /// Returns `None` when the query is outside the compilable fragment,
-    /// in which case the caller falls back to the SQL interpreter.
-    fn annotate_compiled(&mut self, query: &AnnotationQuery) -> Result<Option<usize>> {
-        let program = {
-            let state = self.state()?;
-            match xac_vmc::cached_query_program(query, Some(state.mapping.schema())) {
-                Ok(p) => p,
-                Err(_) => return Ok(None),
-            }
-        };
+    fn annotate_compiled(&mut self, query: &AnnotationQuery) -> Result<usize> {
+        let program = xac_vmc::cached_query_program(query, Some(self.state()?.mapping.schema()))?;
         let index = self.doc_index()?;
         self.mutated();
         let state = self.state.as_ref().expect("state checked by doc_index");
         let mut sink = RelationalSignSink { db: &mut self.db, state };
-        let written = xac_vmc::execute(&program, &index, &mut sink)
-            .map_err(Error::System)?;
-        Ok(Some(written))
+        xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System)
     }
 }
 
@@ -574,10 +566,7 @@ impl Backend for RelationalBackend {
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
         let _span = xac_obs::span("backend.annotate");
         if self.mode == AnnotateMode::Compiled {
-            if let Some(written) = self.annotate_compiled(query)? {
-                return Ok(written);
-            }
-            // Outside the compilable fragment: interpreted fallback.
+            return self.annotate_compiled(query);
         }
         let sql = self.render_annotation_sql(query)?;
         let targets = self.db.query(&sql)?.column_as_int_set(0);
@@ -727,24 +716,19 @@ impl Backend for RelationalBackend {
 
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
         // Phase 1: reset the triggered scopes to the default sign. In
-        // compiled mode the scope paths run on the VM too (falling back
-        // to XPath→SQL per path outside the fragment).
+        // compiled mode the scope paths run on the VM, otherwise through
+        // XPath→SQL.
         let default = self.state()?.default_sign;
         let mut scope_ids: BTreeSet<i64> = BTreeSet::new();
         for p in scope {
-            let compiled = if self.mode == AnnotateMode::Compiled {
-                xac_vmc::cached_path_program(p).ok()
+            if self.mode == AnnotateMode::Compiled {
+                let program = xac_vmc::cached_path_program(p)?;
+                let index = self.doc_index()?;
+                let nodes = xac_vmc::execute_select(&program, &index);
+                let shredded = &self.state()?.shredded;
+                scope_ids.extend(nodes.iter().filter_map(|&n| shredded.id_of(n)));
             } else {
-                None
-            };
-            match compiled {
-                Some(program) => {
-                    let index = self.doc_index()?;
-                    let nodes = xac_vmc::execute_select(&program, &index);
-                    let shredded = &self.state()?.shredded;
-                    scope_ids.extend(nodes.iter().filter_map(|&n| shredded.id_of(n)));
-                }
-                None => scope_ids.extend(self.path_ids(p)?),
+                scope_ids.extend(self.path_ids(p)?);
             }
         }
         let reset = self.write_signs(&scope_ids, default)?;
@@ -760,6 +744,7 @@ impl Backend for RelationalBackend {
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
         let epoch = self.epoch;
         let ids = self.accessible_ids_cached()?.clone();
+        let index = self.doc_index()?;
         let state = self.state()?;
         // Node ids survive the document clone unchanged (the arena is
         // copied slot for slot), so membership can be decided here and
@@ -774,6 +759,7 @@ impl Backend for RelationalBackend {
             Self::static_name(self.kind),
             StoredDocument::new(state.doc.clone()),
             accessible,
+            index,
         ))
     }
 
@@ -848,8 +834,9 @@ pub struct NativeXmlBackend {
     sdoc: Option<StoredDocument>,
     default_sign: char,
     mode: AnnotateMode,
-    /// Columnar document index for the compiled mode, cached across sign
-    /// writes and dropped on structural mutations — same discipline as
+    /// Columnar document index for compiled annotation and published
+    /// snapshots, cached across sign writes and dropped on structural
+    /// mutations — same discipline as
     /// [`RelationalBackend::structure_changed`].
     index: Option<std::sync::Arc<xac_vmc::DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
@@ -980,13 +967,10 @@ impl Backend for NativeXmlBackend {
             if query.include.is_empty() {
                 return Ok(0);
             }
-            if let Ok(program) = xac_vmc::cached_query_program(query, None) {
-                let index = self.native_index()?;
-                let sdoc = self.sdoc_mut()?;
-                let mut sink = NativeSignSink { sdoc };
-                return xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System);
-            }
-            // Outside the compilable fragment: interpreted fallback.
+            let program = xac_vmc::cached_query_program(query, None)?;
+            let index = self.native_index()?;
+            let mut sink = NativeSignSink { sdoc: self.sdoc_mut()? };
+            return xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System);
         }
         let Some(expr) = Self::expr_of(query) else {
             return Ok(0);
@@ -1042,17 +1026,12 @@ impl Backend for NativeXmlBackend {
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
         let mut scope_nodes: BTreeSet<xac_xml::NodeId> = BTreeSet::new();
         for p in scope {
-            let compiled = if self.mode == AnnotateMode::Compiled {
-                xac_vmc::cached_path_program(p).ok()
+            if self.mode == AnnotateMode::Compiled {
+                let program = xac_vmc::cached_path_program(p)?;
+                let index = self.native_index()?;
+                scope_nodes.extend(xac_vmc::execute_select(&program, &index));
             } else {
-                None
-            };
-            match compiled {
-                Some(program) => {
-                    let index = self.native_index()?;
-                    scope_nodes.extend(xac_vmc::execute_select(&program, &index));
-                }
-                None => scope_nodes.extend(self.sdoc()?.eval(p)),
+                scope_nodes.extend(self.sdoc()?.eval(p));
             }
         }
         let reset = self.sdoc_mut()?.clear_signs(scope_nodes);
@@ -1067,6 +1046,7 @@ impl Backend for NativeXmlBackend {
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
         let epoch = self.epoch;
         let default_accessible = self.default_sign == '+';
+        let index = self.native_index()?;
         let sdoc = self.sdoc()?;
         let accessible: BTreeSet<xac_xml::NodeId> = sdoc
             .doc()
@@ -1081,6 +1061,7 @@ impl Backend for NativeXmlBackend {
             "native/xml",
             StoredDocument::new(sdoc.doc().clone()),
             accessible,
+            index,
         ))
     }
 

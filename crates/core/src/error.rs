@@ -130,6 +130,12 @@ impl From<xac_xpath::Error> for Error {
     }
 }
 
+impl From<xac_vmc::CompileError> for Error {
+    fn from(e: xac_vmc::CompileError) -> Self {
+        Error::XPath(e.to_string())
+    }
+}
+
 impl From<xac_policy::Error> for Error {
     fn from(e: xac_policy::Error) -> Self {
         Error::Policy(e.to_string())

@@ -38,9 +38,9 @@ pub fn request(backend: &mut dyn Backend, path: &Path) -> Result<Decision> {
     Ok(if allowed { Decision::Granted { nodes } } else { Decision::Denied { nodes } })
 }
 
-/// Parse and evaluate a user request.
+/// Parse and evaluate a user request. A relative path is a parse error.
 pub fn request_str(backend: &mut dyn Backend, query: &str) -> Result<Decision> {
-    let path = xac_xpath::parse(query)?;
+    let path = xac_xpath::parse_absolute(query)?;
     request(backend, &path)
 }
 
@@ -98,5 +98,8 @@ mod tests {
     fn malformed_query_errors() {
         let mut b = annotated_backend();
         assert!(request_str(&mut b, "//bad[").is_err());
+        for relative in ["patient", ".//patient", "."] {
+            assert!(matches!(request_str(&mut b, relative), Err(crate::Error::XPath(_))));
+        }
     }
 }

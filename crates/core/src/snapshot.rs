@@ -11,17 +11,17 @@
 //! readers keep serving an old epoch while the writer re-annotates and
 //! publishes the next one.
 
-use crate::error::Result;
 use crate::requester::Decision;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use xac_vmc::DocIndex;
 use xac_xml::NodeId;
 use xac_xmlstore::StoredDocument;
 use xac_xpath::Path;
 
 /// One published accessibility state: everything needed to answer
-/// read-only requests (`query`, `accessible_count`) without touching
-/// the backend that produced it.
+/// read-only requests (`query_compiled`, `accessible_count`) without
+/// touching the backend that produced it.
 ///
 /// Construction is the backend's job ([`crate::Backend::snapshot`]);
 /// the snapshot itself is plain immutable data and therefore
@@ -32,27 +32,29 @@ pub struct AccessSnapshot {
     backend: &'static str,
     store: Arc<StoredDocument>,
     accessible: Arc<BTreeSet<NodeId>>,
-    /// Columnar index for the compiled read path, built on first use.
-    /// The snapshot is immutable, so the index stays valid for its whole
-    /// lifetime — one build per published epoch.
-    index: std::sync::OnceLock<Arc<xac_vmc::DocIndex>>,
+    /// The writer's columnar index of this document. Sign writes leave
+    /// an index valid, so every snapshot of one structural epoch shares
+    /// the index the writer built for it.
+    index: Arc<DocIndex>,
 }
 
 impl AccessSnapshot {
     /// Assemble a snapshot (backends call this; see
-    /// [`crate::Backend::snapshot`]).
+    /// [`crate::Backend::snapshot`]). `index` must describe `store`'s
+    /// document.
     pub fn new(
         epoch: u64,
         backend: &'static str,
         store: StoredDocument,
         accessible: BTreeSet<NodeId>,
+        index: Arc<DocIndex>,
     ) -> AccessSnapshot {
         AccessSnapshot {
             epoch,
             backend,
             store: Arc::new(store),
             accessible: Arc::new(accessible),
-            index: std::sync::OnceLock::new(),
+            index,
         }
     }
 
@@ -66,42 +68,28 @@ impl AccessSnapshot {
         self.backend
     }
 
-    /// Answer a user request against this snapshot with the paper's
-    /// all-or-nothing semantics (§4), exactly like
-    /// [`crate::requester::request`] against a live backend.
+    /// The interpreted reference for [`Self::query_compiled`]: the
+    /// paper's all-or-nothing semantics (§4) over the tree-walking
+    /// evaluator, exactly like [`crate::requester::request`] against a
+    /// live backend. `path` must be absolute. The equivalence suites
+    /// compare the two entry points; serving reads use the compiled one.
     pub fn query(&self, path: &Path) -> Decision {
-        let nodes = self.store.eval(path);
-        let allowed = nodes.iter().all(|n| self.accessible.contains(n));
-        if allowed {
-            Decision::Granted { nodes: nodes.len() }
-        } else {
-            Decision::Denied { nodes: nodes.len() }
+        self.decide(&self.store.eval(path))
+    }
+
+    /// Answer a user request: the path runs as VM bytecode over the
+    /// snapshot's columnar index. Decisions are identical to
+    /// [`Self::query`] — the VM selects the same node set in the same
+    /// order. A path the VM cannot compile (a relative one) is denied.
+    pub fn query_compiled(&self, path: &Path) -> Decision {
+        match xac_vmc::cached_path_program(path) {
+            Ok(program) => self.decide(&xac_vmc::execute_select(&program, &self.index)),
+            Err(_) => Decision::Denied { nodes: 0 },
         }
     }
 
-    /// Parse and answer a user request.
-    pub fn query_str(&self, query: &str) -> Result<Decision> {
-        let path = xac_xpath::parse(query)?;
-        Ok(self.query(&path))
-    }
-
-    /// Answer a user request on the compiled read path: the path runs
-    /// as VM bytecode over the snapshot's columnar index instead of the
-    /// tree-walking evaluator. Decisions are identical to
-    /// [`Self::query`] — the VM selects the same node set in the same
-    /// order — and paths outside the compilable fragment silently use
-    /// the interpreter. The serving engine routes reads here when the
-    /// system is configured with `AnnotateMode::Compiled`.
-    pub fn query_compiled(&self, path: &Path) -> Decision {
-        let Ok(program) = xac_vmc::cached_path_program(path) else {
-            return self.query(path);
-        };
-        let index = self
-            .index
-            .get_or_init(|| Arc::new(xac_vmc::DocIndex::build(self.store.doc())));
-        let nodes = xac_vmc::execute_select(&program, index);
-        let allowed = nodes.iter().all(|n| self.accessible.contains(n));
-        if allowed {
+    fn decide(&self, nodes: &[NodeId]) -> Decision {
+        if nodes.iter().all(|n| self.accessible.contains(n)) {
             Decision::Granted { nodes: nodes.len() }
         } else {
             Decision::Denied { nodes: nodes.len() }
@@ -222,5 +210,8 @@ mod tests {
             assert_eq!(compiled.node_count(), interpreted.node_count(), "{query}");
             assert_eq!(compiled.granted(), interpreted.granted(), "{query}");
         }
+        // A path the VM cannot compile is denied, not interpreted.
+        let relative = xac_xpath::parse("patient").unwrap();
+        assert_eq!(snap.query_compiled(&relative), crate::Decision::Denied { nodes: 0 });
     }
 }

@@ -306,31 +306,24 @@ impl System {
     /// The accessible node set, computed the way the configured
     /// [`AnnotateMode`] would: under [`AnnotateMode::Compiled`] the
     /// policy's annotation query runs as VM bytecode
-    /// ([`crate::view::compiled_accessible`], falling back to the
-    /// interpreter outside the compilable fragment); otherwise the
+    /// ([`crate::view::compiled_accessible`]); otherwise the
     /// interpreted Table 2 reference. Always equal to
     /// [`Self::reference_accessible`] — the equivalence suite holds the
     /// two paths byte-identical.
-    pub fn accessible_set(&self) -> BTreeSet<NodeId> {
+    pub fn accessible_set(&self) -> Result<BTreeSet<NodeId>> {
         if self.annotate_mode == AnnotateMode::Compiled {
             let query = xac_policy::AnnotationQuery::from_policy(&self.policy);
-            if let Some(set) = crate::view::compiled_accessible(
-                &self.prepared.doc,
-                &query,
-                Some(&self.schema),
-            ) {
-                return set;
-            }
+            return crate::view::compiled_accessible(&self.prepared.doc, &query, Some(&self.schema));
         }
-        self.reference_accessible()
+        Ok(self.reference_accessible())
     }
 
     /// Derive the security view of the prepared document: the
     /// accessible-only sub-document a reader may see (see
     /// [`crate::view`]). Under [`AnnotateMode::Compiled`] the accessible
     /// set feeding the pruning pass comes from the bytecode VM.
-    pub fn security_view(&self, mode: crate::view::ViewMode) -> Document {
-        crate::view::security_view(&self.prepared.doc, &self.accessible_set(), mode)
+    pub fn security_view(&self, mode: crate::view::ViewMode) -> Result<Document> {
+        Ok(crate::view::security_view(&self.prepared.doc, &self.accessible_set()?, mode))
     }
 }
 
@@ -376,15 +369,15 @@ mod tests {
                 .build()
                 .unwrap();
         assert_eq!(
-            compiled.accessible_set(),
+            compiled.accessible_set().unwrap(),
             compiled.reference_accessible(),
             "VM accessible set equals Table 2 reference"
         );
         let reference = system();
         for mode in [crate::view::ViewMode::Prune, crate::view::ViewMode::Promote] {
             assert_eq!(
-                compiled.security_view(mode).to_xml(),
-                reference.security_view(mode).to_xml(),
+                compiled.security_view(mode).unwrap().to_xml(),
+                reference.security_view(mode).unwrap().to_xml(),
                 "{mode:?}"
             );
         }

@@ -16,6 +16,7 @@
 //! Both flavours keep the document root unconditionally (a document needs
 //! a root; its label is schema information, not data).
 
+use crate::error::Result;
 use std::collections::BTreeSet;
 use xac_policy::AnnotationQuery;
 use xac_xml::{Document, NodeId, Schema};
@@ -25,19 +26,17 @@ use xac_xml::{Document, NodeId, Schema};
 /// read-side twin of [`AnnotateMode::Compiled`](crate::AnnotateMode)
 /// annotation. The program marks the nodes whose sign differs from the
 /// policy default, so the accessible set is the marked set itself (mark
-/// `'+'`) or its complement over the elements (mark `'-'`). Returns
-/// `None` when the query falls outside the compilable fragment; callers
-/// fall back to the interpreted Table 2 evaluation.
+/// `'+'`) or its complement over the elements (mark `'-'`).
 pub fn compiled_accessible(
     doc: &Document,
     query: &AnnotationQuery,
     schema: Option<&Schema>,
-) -> Option<BTreeSet<NodeId>> {
-    let program = xac_vmc::cached_query_program(query, schema).ok()?;
+) -> Result<BTreeSet<NodeId>> {
+    let program = xac_vmc::cached_query_program(query, schema)?;
     let index = xac_vmc::DocIndex::build(doc);
     let marked: BTreeSet<NodeId> =
         xac_vmc::execute_select(&program, &index).into_iter().collect();
-    Some(if query.mark.sign() == '+' {
+    Ok(if query.mark.sign() == '+' {
         marked
     } else {
         doc.all_elements().filter(|n| !marked.contains(n)).collect()

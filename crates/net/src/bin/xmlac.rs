@@ -387,7 +387,7 @@ fn query(args: &Args) -> CliResult<()> {
 fn update(args: &Args) -> CliResult<()> {
     let (system, mut backend) = build_system(args)?;
     if let Some(expr) = args.options.get("delete") {
-        let path = xac_xpath::parse(expr).map_err(|e| e.to_string())?;
+        let path = xac_xpath::parse_absolute(expr).map_err(xac_core::Error::from)?;
         let outcome = system
             .apply_update(backend.as_mut(), &path)
             .map_err(|e| e.to_string())?;
@@ -400,7 +400,7 @@ fn update(args: &Args) -> CliResult<()> {
     }
     if let Some(spec) = args.options.get("insert") {
         let (parent, name, text) = parse_insert_spec(spec)?;
-        let path = xac_xpath::parse(parent).map_err(|e| e.to_string())?;
+        let path = xac_xpath::parse_absolute(parent).map_err(xac_core::Error::from)?;
         let outcome = system
             .apply_insert(backend.as_mut(), &path, name, text)
             .map_err(|e| e.to_string())?;
@@ -448,7 +448,7 @@ fn view(args: &Args) -> CliResult<()> {
         "promote" => xac_core::ViewMode::Promote,
         other => return Err(format!("unknown view mode `{other}` (prune|promote)").into()),
     };
-    let view = system.security_view(mode);
+    let view = system.security_view(mode)?;
     let xml = view.to_pretty_xml();
     match args.options.get("out") {
         Some(path) => {
@@ -694,7 +694,7 @@ fn obs_dump(args: &Args) -> CliResult<()> {
         system.request(backend.as_mut(), q).map_err(|e| e.to_string())?;
     }
     if let Some(expr) = args.options.get("delete") {
-        let path = xac_xpath::parse(expr).map_err(|e| e.to_string())?;
+        let path = xac_xpath::parse_absolute(expr).map_err(xac_core::Error::from)?;
         system
             .apply_update(backend.as_mut(), &path)
             .map_err(|e| e.to_string())?;
@@ -1306,10 +1306,10 @@ fn serve_bench(args: &Args) -> CliResult<()> {
     let paths: Vec<xac_xpath::Path> = args
         .queries
         .iter()
-        .map(|q| xac_xpath::parse(q).map_err(|e| format!("--query `{q}`: {e}").into()))
+        .map(|q| xac_xpath::parse_absolute(q).map_err(|e| format!("--query `{q}`: {e}").into()))
         .collect::<CliResult<_>>()?;
     let delete = match args.options.get("delete") {
-        Some(expr) => Some(xac_xpath::parse(expr).map_err(|e| e.to_string())?),
+        Some(expr) => Some(xac_xpath::parse_absolute(expr).map_err(xac_core::Error::from)?),
         None => None,
     };
     let mut writer_error: Option<xac_core::Error> = None;

@@ -68,13 +68,7 @@ impl Rule {
         resource: &str,
         effect: Effect,
     ) -> crate::error::Result<Self> {
-        let path = xac_xpath::parse(resource)?;
-        if !path.absolute {
-            return Err(crate::error::Error::Invalid(format!(
-                "rule resource `{resource}` must be absolute"
-            )));
-        }
-        Ok(Rule::new(id, path, effect))
+        Ok(Rule::new(id, xac_xpath::parse_absolute(resource)?, effect))
     }
 
     /// True when this rule is contained in `other` per the paper's §5.1

@@ -143,10 +143,10 @@ impl LoggedOp {
     fn replay(&self, b: &mut dyn Backend) -> Result<()> {
         match self {
             LoggedOp::Delete { path } => {
-                b.delete(&xac_xpath::parse(path)?)?;
+                b.delete(&xac_xpath::parse_absolute(path)?)?;
             }
             LoggedOp::Insert { parent, name, text } => {
-                b.insert(&xac_xpath::parse(parent)?, name, text.as_deref())?;
+                b.insert(&xac_xpath::parse_absolute(parent)?, name, text.as_deref())?;
             }
         }
         Ok(())

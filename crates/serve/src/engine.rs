@@ -399,7 +399,7 @@ impl ServeEngine {
     pub fn serve(&self, req: &Request) -> Response {
         use std::sync::atomic::Ordering::Relaxed;
         match req {
-            Request::Query { query } => match xac_xpath::parse(query) {
+            Request::Query { query } => match xac_xpath::parse_absolute(query) {
                 Ok(path) => {
                     let (decision, epoch) = self.read_observed(&path);
                     Response::Decision {
@@ -409,18 +409,18 @@ impl ServeEngine {
                     }
                 }
                 Err(e) => {
-                    // Same accounting as the historical `query_str`:
-                    // a malformed read is a read error with zero cost.
+                    // A malformed or relative read is a read error
+                    // with zero cost; no snapshot is taken.
                     self.metrics.read_errors.fetch_add(1, Relaxed);
                     self.metrics.read_latency.record(std::time::Duration::ZERO);
                     Response::from_error(&e.into())
                 }
             },
-            Request::Delete { path } => match xac_xpath::parse(path) {
+            Request::Delete { path } => match xac_xpath::parse_absolute(path) {
                 Ok(p) => self.update_response(self.guarded(UpdateOp::Delete(&p))),
                 Err(e) => Response::from_error(&e.into()),
             },
-            Request::Insert { parent, name, text } => match xac_xpath::parse(parent) {
+            Request::Insert { parent, name, text } => match xac_xpath::parse_absolute(parent) {
                 Ok(p) => self.update_response(self.guarded(UpdateOp::Insert {
                     parent: &p,
                     name,
@@ -525,14 +525,10 @@ impl ServeEngine {
         let _span = xac_obs::span("serve.read");
         let start = Instant::now();
         let snap = self.snapshot();
-        // Compiled deployments answer reads on the bytecode VM against
-        // the snapshot's columnar index; decisions are identical to the
-        // interpreted path (the equivalence suite holds them so).
-        let decision = if self.system.annotate_mode() == AnnotateMode::Compiled {
-            snap.query_compiled(path)
-        } else {
-            snap.query(path)
-        };
+        // Every read runs on the bytecode VM against the snapshot's
+        // columnar index, whatever the annotation mode: the decision
+        // depends only on the published accessible set.
+        let decision = snap.query_compiled(path);
         self.metrics.read_latency.record(start.elapsed());
         if decision.granted() {
             self.metrics.reads_allowed.fetch_add(1, Relaxed);
@@ -910,6 +906,41 @@ mod tests {
             assert_eq!(m.reads_issued(), 3, "{}", engine.backend_name());
             assert_eq!(m.read_errors, 1);
             assert_eq!(m.epochs_published, 1);
+        }
+    }
+
+    /// A relative path is a parse error at the text boundary on every
+    /// backend and mode, for reads and updates alike: no snapshot, no
+    /// writer work, no rollback.
+    #[test]
+    fn relative_paths_are_parse_errors_everywhere() {
+        for mode in [AnnotateMode::PaperFaithful, AnnotateMode::Compiled] {
+            let system = Arc::new(
+                System::builder(xac_core::hospital_schema_for_docs(), hospital_policy(), figure2())
+                    .annotate_mode(mode)
+                    .build()
+                    .unwrap(),
+            );
+            for kind in BackendKind::ALL {
+                let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
+                let epoch = engine.epoch();
+                let mut reads = 0;
+                for path in ["patient", "hospital/dept", ".//patient", "."] {
+                    for req in [
+                        Request::query(path),
+                        Request::delete(path),
+                        Request::insert(path, "psn", None),
+                    ] {
+                        reads += u64::from(matches!(req, Request::Query { .. }));
+                        let kind_of = engine.serve(&req).error_kind();
+                        assert_eq!(kind_of, Some(ErrorKind::Parse), "{mode}/{kind}: {req:?}");
+                    }
+                }
+                let m = engine.metrics();
+                assert_eq!(engine.epoch(), epoch, "{mode}/{kind}");
+                assert_eq!((m.rollbacks, m.update_errors), (0, 0), "{mode}/{kind}");
+                assert_eq!((m.read_errors, m.reads_issued()), (reads, reads), "{mode}/{kind}");
+            }
         }
     }
 

@@ -7,10 +7,11 @@
 //! single fused `SignWrite` terminates the program. Qualifiers compile
 //! to [`Pred`] scalar programs.
 //!
-//! Compilation is total over the repo's XPath fragment; anything outside
-//! it (an absolute path inside a qualifier, an empty absolute path as
-//! the *only* include) reports [`CompileError`] and callers fall back to
-//! the interpreted `AnnotationQuery::evaluate` path.
+//! Compilation is total over the absolute paths the parser produces:
+//! qualifier paths are relative by construction and an empty absolute
+//! path selects nothing. The two shapes outside it — a relative main
+//! path and an absolute path inside a qualifier — can only be built by
+//! hand, and report [`CompileError`]; there is no interpreter fallback.
 
 use crate::bytecode::{Inst, NameSel, Pred, Program, RelStep};
 use std::fmt;

@@ -28,9 +28,12 @@
 //! exactly the node set `AnnotationQuery::evaluate` returns, in the same
 //! (document/arena) order — the differential harnesses in core and serve
 //! assert byte-identical `sign_state` against the interpreted path.
-//! Compilation is total over the repo's XPath fragment; the few shapes
-//! outside it surface [`CompileError`] and callers fall back to the
-//! interpreter.
+//! Compilation is total over the absolute paths of the repo's XPath
+//! fragment, which is every rule resource, request and update path
+//! (`xac_xpath::parse_absolute` rejects relative ones at the text
+//! boundary). A path outside it surfaces [`CompileError`]; callers
+//! report it as an error or deny the request, and never fall back to
+//! the interpreter.
 
 mod bytecode;
 mod cache;

@@ -61,7 +61,7 @@ pub use error::{Error, Result};
 pub use eval::{eval, eval_from};
 pub use expand::expand;
 pub use oracle::{ContainmentOracle, OracleStats};
-pub use parser::parse;
+pub use parser::{parse, parse_absolute};
 pub use pattern::TreePattern;
 pub use specialize::{contained_in_with_schema, disjoint_with_schema, schema_variants};
 

@@ -24,6 +24,19 @@ pub fn parse(input: &str) -> Result<Path> {
     Ok(path)
 }
 
+/// Parse a top-level path: a policy rule's resource, a user request, or
+/// an update target. The fragment (§2.2) evaluates these from the
+/// document root, so a relative path (`patient`, `.//patient`, `.`) is
+/// rejected here with a parse error instead of reaching an evaluator
+/// that has no context node to start from.
+pub fn parse_absolute(input: &str) -> Result<Path> {
+    let path = parse(input)?;
+    if !path.absolute {
+        return Err(Error::parse(0, format!("path `{}` must be absolute", input.trim())));
+    }
+    Ok(path)
+}
+
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
@@ -278,6 +291,22 @@ mod tests {
         roundtrip("//regular");
         roundtrip("//regular[med = \"celecoxib\"]");
         roundtrip("//regular[bill > 1000]");
+    }
+
+    #[test]
+    fn parse_absolute_rejects_relative_paths() {
+        assert!(parse_absolute("//patient").unwrap().absolute);
+        assert!(parse_absolute(" /hospital/dept ").unwrap().absolute);
+        for src in ["patient", "hospital/dept", ".//patient", "./patient", "."] {
+            assert!(parse(src).is_ok(), "`{src}` is in the fragment");
+            match parse_absolute(src) {
+                Err(Error::Parse { message, .. }) => {
+                    assert!(message.contains("must be absolute"), "{src}: {message}")
+                }
+                other => panic!("{src}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(parse_absolute("//bad[").is_err());
     }
 
     #[test]

@@ -18,6 +18,9 @@ cargo clippy --workspace -- -D warnings
 echo "== bench targets compile (in-repo harness) =="
 cargo bench --no-run -q
 
+echo "== benchmark: xacbench builds against the crates and passes its smoke test =="
+cargo test --release --offline --manifest-path xacbench/Cargo.toml
+
 echo "== figures smoke: table3 =="
 cargo run --release -q -p xac-bench --bin figures -- table3
 

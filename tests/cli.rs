@@ -444,4 +444,19 @@ fn errors_are_reported_with_nonzero_exit() {
 
     let out = xmlac(&["query", "--schema", &data("hospital.dtd"), "--policy", &data("hospital.pol"), "--doc", &data("figure2.xml")]);
     assert!(!out.status.success(), "query without --query must fail");
+
+    // A relative request or update path is an xpath error (exit 2)
+    // before any backend evaluates it.
+    let (schema, policy, doc) = (data("hospital.dtd"), data("hospital.pol"), data("figure2.xml"));
+    for extra in [
+        &["query", "--backend", "native", "--query", "patient"][..],
+        &["query", "--backend", "row", "--query", "patient"],
+        &["update", "--delete", "patient"],
+    ] {
+        let mut args = vec![extra[0], "--schema", &schema, "--policy", &policy, "--doc", &doc];
+        args.extend_from_slice(&extra[1..]);
+        let out = xmlac(&args);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("xpath error"), "{extra:?}: {}", stderr(&out));
+    }
 }

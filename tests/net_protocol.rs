@@ -313,6 +313,50 @@ fn admission_control_refuses_connections_beyond_the_cap() {
     server.shutdown();
 }
 
+/// A relative request path is a typed parse error on the wire, and the
+/// sessions that sent it give their admission slots back: two readers
+/// fill a two-slot server with `patient`, then a third client is
+/// admitted.
+#[test]
+fn relative_read_is_a_parse_error_and_frees_its_slot() {
+    let server = server_with(ServerConfig {
+        max_connections: 2,
+        read_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
+    });
+    let mut clients: Vec<NetClient> = (0..2)
+        .map(|_| NetClient::connect(server.local_addr(), Role::Reader).unwrap())
+        .collect();
+    for client in &mut clients {
+        match client.query("patient") {
+            Ok(Response::Error { kind: ErrorKind::Parse, message }) => {
+                assert!(message.contains("must be absolute"), "got: {message}")
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+    for client in clients {
+        client.close();
+    }
+    let mut third = None;
+    for _ in 0..500 {
+        match NetClient::connect(server.local_addr(), Role::Reader) {
+            Ok(c) => {
+                third = Some(c);
+                break;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+    let mut third = third.expect("both slots must free once their sessions close");
+    assert!(matches!(
+        third.query("//patient").unwrap(),
+        Response::Decision { nodes: 3, .. }
+    ));
+    third.close();
+    server.shutdown();
+}
+
 #[test]
 fn rate_limit_refuses_the_burst_overflow_but_keeps_the_session() {
     let server = server_with(ServerConfig {

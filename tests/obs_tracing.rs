@@ -8,13 +8,15 @@
 //! 2. fault-injection events show up in the trace as instants named
 //!    after the fired fault point;
 //! 3. the bounded ring buffer drops oldest-first without reordering the
-//!    survivors.
+//!    survivors;
+//! 4. an applied update builds one columnar document index, which the
+//!    published snapshot shares with the reads that follow.
 //!
 //! The trace buffer and the enabled flag are process-global, so every
 //! test that touches them holds `TRACE_LOCK` and resets the state first.
 
 use std::sync::{Arc, Barrier, Mutex};
-use xac_core::{FaultPlan, System};
+use xac_core::{AnnotateMode, FaultPlan, System};
 use xac_obs::trace;
 use xac_obs::{TraceBuffer, TraceEvent, TraceKind};
 use xac_policy::policy::hospital_policy;
@@ -184,6 +186,38 @@ fn fault_events_appear_at_named_point() {
             .collect::<Vec<_>>()
     );
     assert_eq!(engine.metrics().faults_injected, 1);
+}
+
+/// One index build per structural epoch: after an applied delete the
+/// writer's re-annotation builds the new document's columnar index and
+/// the published snapshot shares it, so the reads that follow build
+/// none.
+#[test]
+fn applied_update_builds_one_doc_index_shared_with_reads() {
+    let _g = lock();
+    let system = Arc::new(
+        System::builder(hospital_schema(), hospital_policy(), figure2_document())
+            .annotate_mode(AnnotateMode::Compiled)
+            .build()
+            .unwrap(),
+    );
+    let regular = xac_xpath::parse("//regular").unwrap();
+    let names = xac_xpath::parse("//patient/name").unwrap();
+    for kind in BackendKind::ALL {
+        let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
+        trace::reset();
+        trace::set_enabled(true);
+        assert!(engine.guarded_delete(&regular).unwrap().applied(), "{kind:?}");
+        engine.query(&names);
+        engine.query(&names);
+        trace::set_enabled(false);
+        let builds = trace::span_stats()
+            .iter()
+            .find(|s| s.name == "vm.index")
+            .map_or(0, |s| s.count);
+        assert_eq!(builds, 1, "{kind:?}: vm.index spans");
+    }
+    trace::reset();
 }
 
 #[test]

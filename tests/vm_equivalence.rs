@@ -126,10 +126,12 @@ fn compiled_matches_interpreted_on_generated_workloads() {
     }
 }
 
-/// Invariant 2 on the serving read path: a compiled-mode engine answers
-/// every workload query exactly like an interpreted-mode engine at the
-/// same epoch, and its snapshot's compiled and interpreted entry points
-/// agree with each other.
+/// Invariant 2 on the serving read path: both engines read through the
+/// VM, so a compiled-mode engine answering every workload query exactly
+/// like a paper-mode engine at the same epoch checks that the two
+/// annotation paths publish the same accessible set. The snapshot's
+/// `query` (interpreter) vs `query_compiled` (VM) pair is the check of
+/// the VM against the interpreter.
 #[test]
 fn compiled_serve_reads_match_interpreted_engine() {
     for sc in scenarios().into_iter().take(3) {
