@@ -1050,9 +1050,8 @@ fn fault_recovery(factors: &[f64]) {
 
             // The durable engine's counterpart: committing one guarded
             // update through the WAL (op record + sign diff + fsync +
-            // dirty-page writeback) replaces the clone checkpoint
-            // entirely. O(diff) work, not O(document) — flat where the
-            // clone rows above grow with the element count.
+            // dirty-page writeback) replaces the checkpoint entirely.
+            // O(diff) work, dominated by the fsync.
             let ddir = std::env::temp_dir()
                 .join(format!("xac_bench_wal_{}_{f}_{name}", std::process::id()));
             let _ = std::fs::remove_dir_all(&ddir);
@@ -1123,9 +1122,11 @@ fn fault_recovery(factors: &[f64]) {
     std::fs::write("BENCH_fault_recovery.json", &json).expect("write json");
     println!("  [json -> BENCH_fault_recovery.json]");
     println!(
-        "(checkpoint/restore = the fixed per-rollback costs of the clone\n \
-         image, growing with document size; checkpoint_wal = the durable\n \
-         engine's per-update commit — O(sign diff), flat across sizes;\n \
+        "(checkpoint/restore = the fixed per-rollback costs of the\n \
+         copy-on-write image: O(tables), since the image shares the\n \
+         document and every table, and the next write copies only what it\n \
+         touches; checkpoint_wal = the durable engine's per-update commit\n \
+         — O(sign diff) plus an fsync, flat across sizes;\n \
          recover_* rows time the guarded update on which the armed fault\n \
          fired — the full-fallback rung re-annotates in place, the\n \
          rollback rung additionally restores the checkpoint and\n \

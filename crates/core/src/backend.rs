@@ -21,9 +21,11 @@ use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
 use crate::snapshot::AccessSnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 use xac_policy::{AnnotationQuery, Effect};
 use xac_reldb::{Database, StorageKind};
 use xac_shrex::{translate, Mapping, ShreddedDocument};
+use xac_vmc::{Bitset, DocIndex};
 use xac_xml::Document;
 use xac_xmlstore::{NodeSetExpr, StoredDocument};
 use xac_xpath::Path;
@@ -104,8 +106,11 @@ pub trait Backend {
 
     /// Capture a complete state image at the current epoch: document +
     /// sign map for the native store, table image + shredding state for
-    /// the relational ones. Deep copy — cost is linear in document size
-    /// (the `fault-recovery` benchmark measures it per backend).
+    /// the relational ones. The image shares the backend's copy-on-write
+    /// parts (the document, each table) instead of copying them, so a
+    /// checkpoint costs O(tables) and the backend's next write copies
+    /// only the part it touches (the `fault-recovery` benchmark measures
+    /// capture and restore per backend).
     fn checkpoint(&mut self) -> Result<Checkpoint>;
 
     /// Replace the current state wholesale with a checkpointed image
@@ -240,18 +245,27 @@ impl std::str::FromStr for AnnotateMode {
     }
 }
 
+/// The shredding state of a loaded relational document. Every part sits
+/// behind an `Arc`, so a clone (a checkpoint) copies none of them; an
+/// insert or delete copies the parts it writes, once per structural
+/// epoch ([`Arc::make_mut`]).
 #[derive(Clone)]
 pub(crate) struct RelationalState {
-    mapping: Mapping,
-    doc: Document,
-    shredded: ShreddedDocument,
+    mapping: Arc<Mapping>,
+    /// The mapped tree behind its element-name index. Published
+    /// snapshots share it until the next structural write; inserts keep
+    /// the index current and deleted nodes are filtered lazily.
+    sdoc: Arc<StoredDocument>,
+    /// Node ↔ universal-id correspondence: the shredding without its
+    /// tuple list, which only the load reads.
+    shredded: Arc<ShreddedDocument>,
     default_sign: char,
     /// Universal id → position in `mapping.tables()`, built at load and
     /// extended on insert. Lets the compiled write path hand each table
     /// only its own ids instead of probing every table's primary-key
     /// index with the full target set. Entries for deleted rows linger
     /// harmlessly (their point writes miss the index).
-    table_of: HashMap<i64, usize>,
+    table_of: Arc<HashMap<i64, usize>>,
 }
 
 /// XML access control over a relational database (row layout = the
@@ -261,14 +275,15 @@ pub struct RelationalBackend {
     db: Database,
     state: Option<RelationalState>,
     mode: AnnotateMode,
-    /// Accessible-id set cached per annotation epoch; any sign write or
-    /// document mutation invalidates it.
-    accessible_cache: Option<BTreeSet<i64>>,
+    /// Accessible universal ids (sign `'+'`) as a bitset keyed by id,
+    /// cached per annotation epoch; any sign write or document mutation
+    /// invalidates it.
+    accessible_cache: Option<Bitset>,
     /// Columnar document index, cached per *structural* epoch: sign
     /// writes leave it valid, document mutations
     /// (load/insert/delete/restore) drop it. Compiled annotation runs
     /// on it and every published snapshot shares it.
-    doc_index: Option<std::sync::Arc<xac_vmc::DocIndex>>,
+    doc_index: Option<Arc<DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
 }
@@ -304,12 +319,12 @@ impl RelationalBackend {
 
     /// The columnar index over the loaded document, built lazily and
     /// reused until the structure changes.
-    fn doc_index(&mut self) -> Result<std::sync::Arc<xac_vmc::DocIndex>> {
+    fn doc_index(&mut self) -> Result<Arc<DocIndex>> {
         if self.doc_index.is_none() {
             let state = self.state()?;
-            self.doc_index = Some(std::sync::Arc::new(xac_vmc::DocIndex::build(&state.doc)));
+            self.doc_index = Some(Arc::new(DocIndex::build(state.sdoc.doc())));
         }
-        Ok(std::sync::Arc::clone(self.doc_index.as_ref().expect("just populated")))
+        Ok(Arc::clone(self.doc_index.as_ref().expect("just populated")))
     }
 
     fn static_name(kind: StorageKind) -> &'static str {
@@ -417,23 +432,35 @@ impl RelationalBackend {
         Ok(updated)
     }
 
-    /// The set of accessible universal ids (sign `'+'`), cached per
-    /// annotation epoch: repeated requests between sign writes reuse the
-    /// same set instead of re-running one `SELECT` per table.
+    /// The set of accessible universal ids (sign `'+'`), read from the
+    /// per-epoch cache that snapshots and `query_nodes_allowed` decide
+    /// against.
     pub fn accessible_ids(&mut self) -> Result<BTreeSet<i64>> {
-        Ok(self.accessible_ids_cached()?.clone())
+        Ok(self.accessible_bits()?.ones().into_iter().map(i64::from).collect())
     }
 
-    fn accessible_ids_cached(&mut self) -> Result<&BTreeSet<i64>> {
+    /// The accessible universal ids as a bitset keyed by id, cached per
+    /// annotation epoch: repeated requests between sign writes reuse it.
+    /// Rebuilt by a SQL-free scan of each table's `id`/`s` columns
+    /// ([`Database::scan_signs`]).
+    fn accessible_bits(&mut self) -> Result<&Bitset> {
         if self.accessible_cache.is_none() {
-            let tables: Vec<String> =
-                self.state()?.mapping.tables().iter().map(|t| t.name.clone()).collect();
-            let mut out = BTreeSet::new();
-            for table in tables {
-                let rs = self.db.query(&format!("SELECT id FROM {table} WHERE s = '+'"))?;
-                out.extend(rs.column_as_ints(0));
+            let state = self.state()?;
+            let width = usize::try_from(state.shredded.id_bound()).unwrap_or(0);
+            let mut bits = Bitset::new(width);
+            let mut stray = None;
+            for table in state.mapping.tables() {
+                self.db.scan_signs(&table.name, '+', |id| match u32::try_from(id) {
+                    Ok(pos) if (pos as usize) < width => bits.set(pos),
+                    _ => stray = Some(id),
+                })?;
             }
-            self.accessible_cache = Some(out);
+            if let Some(id) = stray {
+                return Err(Error::System(format!(
+                    "universal id {id} lies outside the shredding's id range"
+                )));
+            }
+            self.accessible_cache = Some(bits);
         }
         Ok(self.accessible_cache.as_ref().expect("just populated"))
     }
@@ -455,11 +482,6 @@ impl RelationalBackend {
             }
         }
         Ok(out)
-    }
-
-    /// The node↔universal-id mapping of the loaded document.
-    pub fn shredded(&self) -> Result<&ShreddedDocument> {
-        Ok(&self.state()?.shredded)
     }
 
     /// Compiled annotation: fetch (or compile) the query's bytecode
@@ -550,11 +572,11 @@ impl Backend for RelationalBackend {
             .filter_map(|r| table_index.get(r.table.as_str()).map(|&i| (r.id, i)))
             .collect();
         self.state = Some(RelationalState {
-            mapping: prepared.mapping.clone(),
-            doc: prepared.doc.clone(),
-            shredded: prepared.shredded.clone(),
+            mapping: Arc::new(prepared.mapping.clone()),
+            sdoc: Arc::new(StoredDocument::new(prepared.doc.clone())),
+            shredded: Arc::new(prepared.shredded.id_map()),
             default_sign: prepared.default_sign,
-            table_of,
+            table_of: Arc::new(table_of),
         });
         Ok(())
     }
@@ -605,23 +627,15 @@ impl Backend for RelationalBackend {
         if requested.is_empty() {
             return Ok((0, true));
         }
-        let accessible = self.accessible_ids_cached()?;
-        let allowed = requested.iter().all(|id| accessible.contains(id));
+        let accessible = self.accessible_bits()?;
+        let allowed = requested
+            .iter()
+            .all(|&id| u32::try_from(id).is_ok_and(|pos| accessible.test(pos)));
         Ok((requested.len(), allowed))
     }
 
     fn accessible_count(&mut self) -> Result<usize> {
-        // One `SELECT COUNT(*)` per table — ids never leave the engine.
-        let tables: Vec<String> =
-            self.state()?.mapping.tables().iter().map(|t| t.name.clone()).collect();
-        let mut total = 0usize;
-        for table in tables {
-            let rs = self
-                .db
-                .query(&format!("SELECT COUNT(*) FROM {table} WHERE s = '+'"))?;
-            total += rs.column_as_ints(0).first().copied().unwrap_or(0) as usize;
-        }
-        Ok(total)
+        Ok(self.accessible_bits()?.len())
     }
 
     fn delete(&mut self, path: &Path) -> Result<usize> {
@@ -630,20 +644,19 @@ impl Backend for RelationalBackend {
         // removed tuple by tuple through SQL point deletes on the id index.
         let targets = {
             let state = self.state()?;
-            xac_xpath::eval(&state.doc, path)
+            xac_xpath::eval(state.sdoc.doc(), path)
         };
         let mut removed = 0usize;
         for target in targets {
             let rows: Vec<(String, i64)> = {
                 let state = self.state()?;
-                if !state.doc.is_alive(target) {
+                let doc = state.sdoc.doc();
+                if !doc.is_alive(target) {
                     continue;
                 }
-                state
-                    .doc
-                    .subtree(target)
+                doc.subtree(target)
                     .filter_map(|n| {
-                        let name = state.doc.name(n)?;
+                        let name = doc.name(n)?;
                         Some((name.to_string(), state.shredded.id_of(n)?))
                     })
                     .collect()
@@ -654,7 +667,7 @@ impl Backend for RelationalBackend {
             }
             let state =
                 self.state.as_mut().expect("state checked above");
-            state.doc.remove_subtree(target).map_err(Error::from)?;
+            Arc::make_mut(&mut state.sdoc).remove_subtree(target)?;
         }
         Ok(removed)
     }
@@ -668,7 +681,7 @@ impl Backend for RelationalBackend {
                     "element `{name}` is not part of the mapped schema"
                 )));
             }
-            xac_xpath::eval(&state.doc, parent_path)
+            xac_xpath::eval(state.sdoc.doc(), parent_path)
         };
         let has_value = self
             .state()?
@@ -687,15 +700,17 @@ impl Backend for RelationalBackend {
         for parent in parents {
             let (id, pid) = {
                 let state = self.state.as_mut().expect("state checked above");
-                let node = state.doc.add_element(parent, name);
+                let sdoc = Arc::make_mut(&mut state.sdoc);
+                let node = sdoc.insert_element(parent, name);
                 if let Some(t) = text {
-                    state.doc.add_text(node, t);
+                    sdoc.insert_text(node, t);
                 }
-                let id = state.shredded.register_insert(node);
+                let shredded = Arc::make_mut(&mut state.shredded);
+                let id = shredded.register_insert(node);
                 if let Some(i) = table_idx {
-                    state.table_of.insert(id, i);
+                    Arc::make_mut(&mut state.table_of).insert(id, i);
                 }
-                let pid = state.shredded.id_of(parent).ok_or_else(|| {
+                let pid = shredded.id_of(parent).ok_or_else(|| {
                     Error::System("insert parent has no universal id".into())
                 })?;
                 (id, pid)
@@ -743,21 +758,23 @@ impl Backend for RelationalBackend {
 
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
         let epoch = self.epoch;
-        let ids = self.accessible_ids_cached()?.clone();
         let index = self.doc_index()?;
+        self.accessible_bits()?;
+        let ids = self.accessible_cache.as_ref().expect("populated above");
         let state = self.state()?;
-        // Node ids survive the document clone unchanged (the arena is
-        // copied slot for slot), so membership can be decided here and
-        // used against the snapshot's own tree.
-        let accessible: BTreeSet<xac_xml::NodeId> = state
-            .doc
-            .all_elements()
-            .filter(|&n| state.shredded.id_of(n).is_some_and(|id| ids.contains(&id)))
-            .collect();
+        // One pass over the node → id vector maps the id-keyed set onto
+        // arena slots. A deleted node keeps its id but no longer has a
+        // row, so it never maps into the set.
+        let mut accessible = Bitset::new(state.sdoc.doc().arena_len());
+        for (slot, id) in state.shredded.ids() {
+            if u32::try_from(id).is_ok_and(|pos| ids.test(pos)) {
+                accessible.set(slot as u32);
+            }
+        }
         Ok(AccessSnapshot::new(
             epoch,
             Self::static_name(self.kind),
-            StoredDocument::new(state.doc.clone()),
+            Arc::clone(&state.sdoc),
             accessible,
             index,
         ))
@@ -831,14 +848,17 @@ impl Backend for RelationalBackend {
 /// XML access control over the native XML store (the MonetDB/XQuery
 /// stand-in).
 pub struct NativeXmlBackend {
-    sdoc: Option<StoredDocument>,
+    /// The document behind its element-name index, carrying the sign
+    /// attributes. Snapshots and checkpoints share it; the first write
+    /// after one copies it ([`Arc::make_mut`]).
+    sdoc: Option<Arc<StoredDocument>>,
     default_sign: char,
     mode: AnnotateMode,
     /// Columnar document index for compiled annotation and published
     /// snapshots, cached across sign writes and dropped on structural
     /// mutations — same discipline as
     /// [`RelationalBackend::structure_changed`].
-    index: Option<std::sync::Arc<xac_vmc::DocIndex>>,
+    index: Option<Arc<DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
 }
@@ -872,32 +892,34 @@ impl NativeXmlBackend {
 
     /// The columnar index over the stored document, built lazily and
     /// reused until the structure changes.
-    fn native_index(&mut self) -> Result<std::sync::Arc<xac_vmc::DocIndex>> {
+    fn native_index(&mut self) -> Result<Arc<DocIndex>> {
         if self.index.is_none() {
             let sdoc = self.sdoc()?;
-            self.index = Some(std::sync::Arc::new(xac_vmc::DocIndex::build(sdoc.doc())));
+            self.index = Some(Arc::new(DocIndex::build(sdoc.doc())));
         }
-        Ok(std::sync::Arc::clone(self.index.as_ref().expect("just populated")))
+        Ok(Arc::clone(self.index.as_ref().expect("just populated")))
     }
 
-    fn sdoc(&self) -> Result<&StoredDocument> {
+    fn sdoc(&self) -> Result<&Arc<StoredDocument>> {
         self.sdoc
             .as_ref()
             .ok_or(Error::BackendNotLoaded { backend: "native/xml" })
     }
 
     /// Mutable access to the store; every caller is a state mutation,
-    /// so the epoch advances here.
+    /// so the epoch advances here. Copies the document first when a
+    /// snapshot or checkpoint still shares it.
     fn sdoc_mut(&mut self) -> Result<&mut StoredDocument> {
         self.epoch += 1;
         self.sdoc
             .as_mut()
+            .map(Arc::make_mut)
             .ok_or(Error::BackendNotLoaded { backend: "native/xml" })
     }
 
     /// The stored document (for inspection in tests and examples).
     pub fn stored(&self) -> Option<&StoredDocument> {
-        self.sdoc.as_ref()
+        self.sdoc.as_deref()
     }
 
     fn is_accessible(&self, sdoc: &StoredDocument, node: xac_xml::NodeId) -> bool {
@@ -947,7 +969,7 @@ impl Backend for NativeXmlBackend {
         // the measured work, exactly like shipping the XML file to the
         // XQuery database.
         let doc = Document::parse_str(&prepared.xml_text)?;
-        self.sdoc = Some(StoredDocument::new(doc));
+        self.sdoc = Some(Arc::new(StoredDocument::new(doc)));
         self.default_sign = prepared.default_sign;
         self.index = None;
         self.epoch += 1;
@@ -1048,21 +1070,17 @@ impl Backend for NativeXmlBackend {
         let default_accessible = self.default_sign == '+';
         let index = self.native_index()?;
         let sdoc = self.sdoc()?;
-        let accessible: BTreeSet<xac_xml::NodeId> = sdoc
-            .doc()
-            .all_elements()
-            .filter(|&n| match sdoc.sign_of(n) {
+        let mut accessible = Bitset::new(sdoc.doc().arena_len());
+        for n in sdoc.doc().all_elements() {
+            let granted = match sdoc.sign_of(n) {
                 Some(sign) => sign == '+',
                 None => default_accessible,
-            })
-            .collect();
-        Ok(AccessSnapshot::new(
-            epoch,
-            "native/xml",
-            StoredDocument::new(sdoc.doc().clone()),
-            accessible,
-            index,
-        ))
+            };
+            if granted {
+                accessible.set(n.index() as u32);
+            }
+        }
+        Ok(AccessSnapshot::new(epoch, "native/xml", Arc::clone(sdoc), accessible, index))
     }
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
@@ -1359,6 +1377,116 @@ mod tests {
             after_delete.len() < annotated.len(),
             "deleting annotated rows shrinks the accessible set immediately"
         );
+    }
+
+    const MODES: [AnnotateMode; 2] = [AnnotateMode::PaperFaithful, AnnotateMode::Compiled];
+
+    fn system(mode: AnnotateMode) -> crate::System {
+        crate::System::builder(crate::hospital_schema_for_docs(), hospital_policy(), prepared().doc)
+            .annotate_mode(mode)
+            .build()
+            .unwrap()
+    }
+
+    /// Publish a snapshot and check its bitset against the Table 2
+    /// reference evaluated on the snapshot's own document.
+    fn assert_snapshot_is_reference(b: &mut dyn Backend, system: &crate::System, step: &str) {
+        let snap = b.snapshot().unwrap();
+        let expected: Vec<u32> = xac_policy::accessible_nodes(snap.store().doc(), system.policy())
+            .iter()
+            .map(|n| n.index() as u32)
+            .collect();
+        let who = format!("{} ({}) after {step}", b.name(), system.annotate_mode());
+        assert_eq!(snap.accessible().ones(), expected, "{who}");
+        assert_eq!(snap.accessible_count(), expected.len(), "{who}");
+    }
+
+    /// Every writer in turn, each followed by a published snapshot that
+    /// must hold exactly the reference's accessible nodes; `oracle`
+    /// adds backend-specific checks after each step.
+    fn walk_every_writer<B: Backend>(b: &mut B, system: &crate::System, oracle: fn(&mut B)) {
+        let regular = xac_xpath::parse("//regular").unwrap();
+        let joy = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+        system.load(b).unwrap();
+        system.annotate(b).unwrap();
+        assert_snapshot_is_reference(b, system, "annotate");
+        oracle(b);
+        assert!(system.guarded_delete(b, &regular).unwrap().applied());
+        assert_snapshot_is_reference(b, system, "guarded delete");
+        oracle(b);
+        assert!(system.guarded_insert(b, &joy, "treatment", None).unwrap().applied());
+        assert_snapshot_is_reference(b, system, "guarded insert");
+        oracle(b);
+        let signs = b.sign_state().unwrap();
+        b.reset_annotations().unwrap();
+        assert!(b.snapshot().unwrap().accessible().is_empty(), "{}: reset to deny", b.name());
+        oracle(b);
+        let epoch = b.epoch();
+        b.apply_sign_state(&signs, epoch).unwrap();
+        assert_snapshot_is_reference(b, system, "apply_sign_state");
+        oracle(b);
+        let checkpoint = b.checkpoint().unwrap();
+        assert!(b.delete(&joy).unwrap() > 0);
+        b.reset_annotations().unwrap();
+        b.restore(&checkpoint).unwrap();
+        assert_snapshot_is_reference(b, system, "checkpoint, mutate, restore");
+        assert_eq!(b.sign_state().unwrap(), signs, "{}: restore is byte-identical", b.name());
+        oracle(b);
+    }
+
+    /// The per-table SQL the accessible-id cache ran before its SQL-free
+    /// scan, kept as that scan's oracle.
+    fn sql_accessible_ids(b: &mut RelationalBackend) -> BTreeSet<i64> {
+        let tables: Vec<String> =
+            b.state().unwrap().mapping.tables().iter().map(|t| t.name.clone()).collect();
+        let mut out = BTreeSet::new();
+        for table in tables {
+            let rs = b.db.query(&format!("SELECT id FROM {table} WHERE s = '+'")).unwrap();
+            out.extend(rs.column_as_ints(0));
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_bitsets_match_the_reference_after_every_writer() {
+        for mode in MODES {
+            let system = system(mode);
+            for kind in [StorageKind::Row, StorageKind::Column] {
+                walk_every_writer(&mut RelationalBackend::with_mode(kind, mode), &system, |b| {
+                    let sql = sql_accessible_ids(b);
+                    assert_eq!(b.accessible_ids().unwrap(), sql, "{}: id cache = SQL", b.name());
+                });
+            }
+            walk_every_writer(&mut NativeXmlBackend::with_mode(mode), &system, |_| {});
+        }
+    }
+
+    #[test]
+    fn relational_snapshots_share_the_document_until_a_structural_write() {
+        for mode in MODES {
+            let system = system(mode);
+            for kind in [StorageKind::Row, StorageKind::Column] {
+                let mut b = RelationalBackend::with_mode(kind, mode);
+                system.load(&mut b).unwrap();
+                system.annotate(&mut b).unwrap();
+                let first = b.snapshot().unwrap();
+                system.full_reannotate(&mut b).unwrap();
+                let signed = b.snapshot().unwrap();
+                assert!(signed.epoch() > first.epoch());
+                assert!(std::ptr::eq(first.store(), signed.store()), "{kind:?}: sign writes share");
+                let checkpoint = b.checkpoint().unwrap();
+                b.delete(&xac_xpath::parse("//regular").unwrap()).unwrap();
+                let deleted = b.snapshot().unwrap();
+                assert!(!std::ptr::eq(signed.store(), deleted.store()), "{kind:?}: delete copies");
+                assert!(
+                    signed.store().doc().element_count() > deleted.store().doc().element_count(),
+                    "{kind:?}: the published document keeps its value"
+                );
+                b.restore(&checkpoint).unwrap();
+                let restored = b.snapshot().unwrap();
+                assert!(std::ptr::eq(signed.store(), restored.store()), "{kind:?}: restore shares");
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Backend checkpoints: complete state images for transactional updates.
 //!
 //! A [`Checkpoint`] is everything a backend needs to return to an earlier
-//! state byte for byte: the native store clones its document plus sign
-//! map, the relational backends clone the whole database table image
-//! (catalog + every table's storage) together with the shredding state.
-//! The serving engine captures one after every successful publication and
-//! restores it when an update fails past the point the existing
-//! full-re-annotation fallback can repair — see `xac-serve`'s
-//! degradation ladder and DESIGN.md §4d.
+//! state byte for byte: the native store's document plus sign map, or
+//! the relational backends' whole database (catalog + every table's
+//! storage) together with the shredding state. The serving engine
+//! captures one after every successful publication and restores it when
+//! an update fails past the point the existing full-re-annotation
+//! fallback can repair — see `xac-serve`'s degradation ladder and
+//! DESIGN.md §4d.
 //!
-//! Checkpoints are deliberately deep copies rather than logs: the paper's
-//! stores are in-memory and the capture cost (measured by the
-//! `fault-recovery` benchmark) is linear in document size, which keeps
-//! restore trivially correct — no replay, no partial undo.
+//! Checkpoints are images rather than logs, with value semantics, but
+//! they copy nothing: the document, each table and the shredding state
+//! sit behind `Arc`s that the checkpoint shares with the backend and the
+//! published snapshot. Capture and restore cost O(tables); the backend's
+//! first write after a capture copies only the part it touches (one
+//! table, or the document on a structural update). Restore stays a
+//! wholesale replacement — no replay, no partial undo.
 
 use crate::backend::RelationalState;
+use std::sync::Arc;
 use xac_reldb::Database;
 use xac_xmlstore::StoredDocument;
 
@@ -35,14 +39,14 @@ pub struct Checkpoint {
 /// checkpointed one (modulo the epoch, which strictly advances).
 #[derive(Clone)]
 pub(crate) enum CheckpointData {
-    /// Native store: the document behind its element-name index (which
-    /// carries the sign map) plus the default sign.
+    /// Native store: the shared document behind its element-name index
+    /// (which carries the sign map) plus the default sign.
     Native {
-        sdoc: Option<StoredDocument>,
+        sdoc: Option<Arc<StoredDocument>>,
         default_sign: char,
     },
-    /// Relational store: the full table image plus the shredding state
-    /// (mapping, document tree, id bookkeeping).
+    /// Relational store: the table image plus the shredding state
+    /// (mapping, document tree, id bookkeeping), each part shared.
     Relational {
         db: Database,
         state: Option<RelationalState>,

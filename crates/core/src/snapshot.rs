@@ -12,9 +12,8 @@
 //! publishes the next one.
 
 use crate::requester::Decision;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use xac_vmc::DocIndex;
+use xac_vmc::{Bitset, DocIndex};
 use xac_xml::NodeId;
 use xac_xmlstore::StoredDocument;
 use xac_xpath::Path;
@@ -30,8 +29,10 @@ use xac_xpath::Path;
 pub struct AccessSnapshot {
     epoch: u64,
     backend: &'static str,
+    /// The writer's document, shared until its next write copies it.
     store: Arc<StoredDocument>,
-    accessible: Arc<BTreeSet<NodeId>>,
+    /// The accessible element slots of `store`'s arena.
+    accessible: Bitset,
     /// The writer's columnar index of this document. Sign writes leave
     /// an index valid, so every snapshot of one structural epoch shares
     /// the index the writer built for it.
@@ -40,22 +41,17 @@ pub struct AccessSnapshot {
 
 impl AccessSnapshot {
     /// Assemble a snapshot (backends call this; see
-    /// [`crate::Backend::snapshot`]). `index` must describe `store`'s
-    /// document.
+    /// [`crate::Backend::snapshot`]). `store` is the writer's shared
+    /// document, `accessible` holds the accessible arena slots of it,
+    /// and `index` must describe it.
     pub fn new(
         epoch: u64,
         backend: &'static str,
-        store: StoredDocument,
-        accessible: BTreeSet<NodeId>,
+        store: Arc<StoredDocument>,
+        accessible: Bitset,
         index: Arc<DocIndex>,
     ) -> AccessSnapshot {
-        AccessSnapshot {
-            epoch,
-            backend,
-            store: Arc::new(store),
-            accessible: Arc::new(accessible),
-            index,
-        }
+        AccessSnapshot { epoch, backend, store, accessible, index }
     }
 
     /// The backend annotation epoch this snapshot was taken at.
@@ -106,9 +102,9 @@ impl AccessSnapshot {
         self.store.doc().element_count()
     }
 
-    /// The accessible node set (node ids are in the snapshot document's
-    /// arena space).
-    pub fn accessible(&self) -> &BTreeSet<NodeId> {
+    /// The accessible node set, a bitset over the snapshot document's
+    /// arena slots.
+    pub fn accessible(&self) -> &Bitset {
         &self.accessible
     }
 

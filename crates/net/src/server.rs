@@ -76,13 +76,45 @@ struct Shared {
     engine: Arc<ServeEngine>,
     config: ServerConfig,
     shutdown: AtomicBool,
-    active: AtomicUsize,
     next_session: AtomicU64,
-    /// Socket clones of live sessions, for the drain's read-side
-    /// half-close.
-    sessions: Mutex<HashMap<u64, TcpStream>>,
+    sessions: Arc<Sessions>,
     /// Per-role token buckets (present iff rate limiting is on).
     buckets: Mutex<HashMap<&'static str, TokenBucket>>,
+}
+
+/// Live sessions: the admission count, plus a socket clone per session
+/// for the drain's read-side half-close.
+#[derive(Default)]
+struct Sessions {
+    active: AtomicUsize,
+    streams: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// One admitted session's registration in [`Sessions`]. Dropping it
+/// releases the admission slot and the socket clone: when the session
+/// returns, when its thread unwinds from a panic, and when the thread
+/// never spawns (the spawn drops the closure that owns the slot).
+struct SessionSlot {
+    sessions: Arc<Sessions>,
+    id: u64,
+}
+
+impl SessionSlot {
+    fn register(sessions: &Arc<Sessions>, id: u64, stream: &TcpStream) -> SessionSlot {
+        sessions.active.fetch_add(1, Ordering::AcqRel);
+        if let Ok(clone) = stream.try_clone() {
+            sessions.streams.lock().unwrap_or_else(|e| e.into_inner()).insert(id, clone);
+        }
+        SessionSlot { sessions: Arc::clone(sessions), id }
+    }
+}
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        let sessions = &self.sessions;
+        sessions.streams.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.id);
+        sessions.active.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl Shared {
@@ -121,9 +153,8 @@ impl NetServer {
             engine,
             config,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             next_session: AtomicU64::new(0),
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Arc::default(),
             buckets: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -140,7 +171,7 @@ impl NetServer {
 
     /// Live session count.
     pub fn active_sessions(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.sessions.active.load(Ordering::Acquire)
     }
 
     /// Graceful shutdown: stop accepting, half-close every session's
@@ -156,7 +187,8 @@ impl NetServer {
             let _ = t.join();
         }
         {
-            let sessions = self.shared.sessions.lock().unwrap_or_else(|e| e.into_inner());
+            let sessions =
+                self.shared.sessions.streams.lock().unwrap_or_else(|e| e.into_inner());
             for stream in sessions.values() {
                 // Read side only: a session blocked in read wakes with
                 // EOF; one mid-serve still writes its response.
@@ -165,7 +197,8 @@ impl NetServer {
         }
         let deadline =
             Instant::now() + self.shared.config.read_timeout + Duration::from_secs(1);
-        while self.shared.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+        while self.shared.sessions.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -184,41 +217,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 Shared::counter("xac_net_connections_total");
-                if shared.active.load(Ordering::Acquire) >= shared.config.max_connections {
+                if shared.sessions.active.load(Ordering::Acquire) >= shared.config.max_connections
+                {
                     Shared::counter("xac_net_rejected_total{reason=\"admission\"}");
                     refuse(stream, "connection limit reached, try again later");
                     continue;
                 }
                 let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                shared.active.fetch_add(1, Ordering::AcqRel);
-                if let Ok(clone) = stream.try_clone() {
-                    shared
-                        .sessions
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(id, clone);
-                }
+                let slot = SessionSlot::register(&shared.sessions, id, &stream);
                 let session_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
+                // The thread owns the slot, so a normal return, a panic
+                // and a failed spawn all release it.
+                let _ = std::thread::Builder::new()
                     .name(format!("xac-net-session-{id}"))
                     .spawn(move || {
+                        let _slot = slot;
                         session(stream, &session_shared);
-                        session_shared
-                            .sessions
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .remove(&id);
-                        session_shared.active.fetch_sub(1, Ordering::AcqRel);
                     });
-                if spawned.is_err() {
-                    // Thread spawn failed: undo the registration.
-                    shared
-                        .sessions
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&id);
-                    shared.active.fetch_sub(1, Ordering::AcqRel);
-                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -452,5 +467,27 @@ fn run_session(stream: &mut TcpStream, shared: &Shared) {
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_slot_is_released_when_its_session_unwinds() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let sessions = Arc::new(Sessions::default());
+        let slot = SessionSlot::register(&sessions, 7, &stream);
+        assert_eq!(sessions.active.load(Ordering::Acquire), 1);
+        assert!(sessions.streams.lock().unwrap().contains_key(&7));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("session panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(sessions.active.load(Ordering::Acquire), 0, "admission slot released");
+        assert!(sessions.streams.lock().unwrap().is_empty(), "session entry removed");
     }
 }

@@ -5,7 +5,7 @@ use crate::error::{Error, Result};
 use crate::exec::{col_exec, row_exec, ResultSet};
 use crate::plan::plan_query;
 use crate::sql::{parse_script, parse_statement, Condition, Operand, SqlCmpOp, Statement};
-use crate::storage::{ColTable, RowTable};
+use crate::storage::{ColTable, ColumnData, RowTable};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -42,10 +42,61 @@ impl StorageKind {
     }
 }
 
+/// Table storage. Every table sits behind its own `Arc`: cloning a
+/// [`Database`] shares each table image, and the first write to a
+/// shared table copies that table alone ([`Arc::make_mut`]). Readers and
+/// the executors only dereference.
 #[derive(Clone)]
 enum Store {
-    Row(BTreeMap<String, RowTable>),
-    Col(BTreeMap<String, ColTable>),
+    Row(BTreeMap<String, Arc<RowTable>>),
+    Col(BTreeMap<String, Arc<ColTable>>),
+}
+
+fn missing_table(name: &str) -> Error {
+    Error::exec(format!("missing table `{name}`"))
+}
+
+/// Read access to one table.
+fn table_ref<'a, T>(tables: &'a BTreeMap<String, Arc<T>>, name: &str) -> Result<&'a T> {
+    tables.get(name).map(|t| &**t).ok_or_else(|| missing_table(name))
+}
+
+/// Write access to one table, copying it first when a clone of the
+/// database still shares it.
+fn table_mut<'a, T: Clone>(
+    tables: &'a mut BTreeMap<String, Arc<T>>,
+    name: &str,
+) -> Result<&'a mut T> {
+    tables.get_mut(name).map(Arc::make_mut).ok_or_else(|| missing_table(name))
+}
+
+/// Evaluate `$body` with `$t` bound to table `$name` of either layout
+/// (`ref`: read-only; `mut`: copy-on-write).
+macro_rules! on_table {
+    (ref $store:expr, $name:expr, |$t:ident| $body:expr) => {
+        match $store {
+            Store::Row(m) => {
+                let $t = table_ref(m, $name)?;
+                $body
+            }
+            Store::Col(m) => {
+                let $t = table_ref(m, $name)?;
+                $body
+            }
+        }
+    };
+    (mut $store:expr, $name:expr, |$t:ident| $body:expr) => {
+        match $store {
+            Store::Row(m) => {
+                let $t = table_mut(m, $name)?;
+                $body
+            }
+            Store::Col(m) => {
+                let $t = table_mut(m, $name)?;
+                $body
+            }
+        }
+    };
 }
 
 /// Result of executing one statement.
@@ -77,9 +128,11 @@ impl QueryResult {
 
 /// An in-memory SQL database.
 ///
-/// `Clone` produces a full table-image snapshot (catalog + every table's
-/// storage): the relational half of `Backend::checkpoint`. Cost is linear
-/// in the stored data, which the `fault-recovery` benchmark measures.
+/// `Clone` has value semantics at O(tables) cost: the clone shares every
+/// table image with the original, and whichever side writes a table
+/// first copies that one table. This is the relational half of
+/// `Backend::checkpoint`, which therefore costs nothing per row; a
+/// guarded update then copies only the tables it writes.
 #[derive(Clone)]
 pub struct Database {
     kind: StorageKind,
@@ -163,10 +216,10 @@ impl Database {
                 self.catalog.add_table(schema.clone())?;
                 match &mut self.store {
                     Store::Row(m) => {
-                        m.insert(name.clone(), RowTable::new(schema));
+                        m.insert(name.clone(), Arc::new(RowTable::new(schema)));
                     }
                     Store::Col(m) => {
-                        m.insert(name.clone(), ColTable::new(schema));
+                        m.insert(name.clone(), Arc::new(ColTable::new(schema)));
                     }
                 }
                 Ok(QueryResult::Count(0))
@@ -218,30 +271,26 @@ impl Database {
                     })
                     .collect::<Result<_>>()?;
                 let targets = self.matching_rows(table, &schema, conditions)?;
-                for &slot in &targets {
-                    for (col, value) in &sets {
-                        match &mut self.store {
-                            Store::Row(m) => m
-                                .get_mut(table)
-                                .expect("checked")
-                                .update_cell(slot, *col, value.clone())?,
-                            Store::Col(m) => m
-                                .get_mut(table)
-                                .expect("checked")
-                                .update_cell(slot, *col, value.clone())?,
+                if !targets.is_empty() {
+                    on_table!(mut &mut self.store, table, |t| {
+                        for &slot in &targets {
+                            for (col, value) in &sets {
+                                t.update_cell(slot, *col, value.clone())?;
+                            }
                         }
-                    }
+                    });
                 }
                 Ok(QueryResult::Count(targets.len()))
             }
             Statement::Delete { table, conditions } => {
                 let schema = self.catalog.require_table(table)?.clone();
                 let targets = self.matching_rows(table, &schema, conditions)?;
-                for &slot in &targets {
-                    match &mut self.store {
-                        Store::Row(m) => m.get_mut(table).expect("checked").delete_row(slot)?,
-                        Store::Col(m) => m.get_mut(table).expect("checked").delete_row(slot)?,
-                    }
+                if !targets.is_empty() {
+                    on_table!(mut &mut self.store, table, |t| {
+                        for &slot in &targets {
+                            t.delete_row(slot)?;
+                        }
+                    });
                 }
                 Ok(QueryResult::Count(targets.len()))
             }
@@ -250,16 +299,7 @@ impl Database {
 
     /// Append a pre-built row (fast path used by bulk loaders and tests).
     pub fn append_row(&mut self, table: &str, row: Vec<Value>) -> Result<usize> {
-        match &mut self.store {
-            Store::Row(m) => m
-                .get_mut(table)
-                .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?
-                .append(row),
-            Store::Col(m) => m
-                .get_mut(table)
-                .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?
-                .append(row),
-        }
+        on_table!(mut &mut self.store, table, |t| t.append(row))
     }
 
     /// Batched sign write: set the `s` column of every row whose `id` is
@@ -270,49 +310,20 @@ impl Database {
     /// tuple, paying SQL parsing, planning and condition evaluation each
     /// time. Here the ids go straight to the primary-key hash index and
     /// the cell writes happen in place — same final table state, same
-    /// per-row index maintenance, none of the per-statement overhead.
+    /// per-row index maintenance, none of the per-statement overhead. A
+    /// call that matches no live row leaves a shared table shared.
     pub fn update_signs(&mut self, table: &str, ids: &[i64], sign: char) -> Result<usize> {
-        let schema = self.catalog.require_table(table)?;
-        let id_col = schema
-            .column_index("id")
-            .ok_or_else(|| Error::plan(format!("table `{table}` has no `id` column")))?;
-        let s_col = schema
-            .column_index("s")
-            .ok_or_else(|| Error::plan(format!("table `{table}` has no `s` column")))?;
+        let (id_col, s_col) = self.id_and_sign_columns(table)?;
         if !self.has_index(table, id_col) {
             return Err(Error::exec(format!("`{table}.id` is not indexed")));
         }
-        let value = Value::Text(sign.to_string());
-        let mut updated = 0usize;
-        macro_rules! write_batch {
-            ($t:expr) => {{
-                for &id in ids {
-                    let slots = $t.index_lookup(id_col, &Value::Int(id)).to_vec();
-                    for slot in slots {
-                        if $t.is_live(slot) {
-                            $t.update_cell(slot, s_col, value.clone())?;
-                            updated += 1;
-                        }
-                    }
-                }
-            }};
-        }
-        match &mut self.store {
-            Store::Row(m) => {
-                let t = m
-                    .get_mut(table)
-                    .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
-                write_batch!(t)
-            }
-            Store::Col(m) => {
-                let t = m
-                    .get_mut(table)
-                    .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
-                write_batch!(t)
-            }
-        }
-        batch_sign_rows_total().add(updated as u64);
-        Ok(updated)
+        let slots: Vec<usize> = on_table!(ref &self.store, table, |t| ids
+            .iter()
+            .flat_map(|&id| t.index_lookup(id_col, &Value::Int(id)))
+            .copied()
+            .filter(|&slot| t.is_live(slot))
+            .collect());
+        self.write_sign_cells(table, s_col, &slots, sign)
     }
 
     /// Vectorized sign reset: set the `s` column of every live row of
@@ -321,51 +332,86 @@ impl Database {
     /// this; final table state is byte-identical to
     /// `UPDATE {table} SET s = '{sign}'`.
     pub fn reset_signs(&mut self, table: &str, sign: char) -> Result<usize> {
+        let (_, s_col) = self.id_and_sign_columns(table)?;
+        let slots: Vec<usize> = on_table!(ref &self.store, table, |t| t.live_rows().collect());
+        self.write_sign_cells(table, s_col, &slots, sign)
+    }
+
+    /// The read counterpart of [`Database::update_signs`]: call `visit`
+    /// with the `id` of every live row of `table` whose `s` column holds
+    /// exactly `sign`, reading the two columns in place — no SQL, no
+    /// per-row allocation. Visits the ids
+    /// `SELECT id FROM {table} WHERE s = '{sign}'` returns.
+    pub fn scan_signs(&self, table: &str, sign: char, mut visit: impl FnMut(i64)) -> Result<()> {
+        let (id_col, s_col) = self.id_and_sign_columns(table)?;
+        let mut buf = [0u8; 4];
+        let sign: &str = sign.encode_utf8(&mut buf);
+        match &self.store {
+            Store::Row(m) => {
+                let t = table_ref(m, table)?;
+                for slot in t.live_rows() {
+                    let row = t.row(slot);
+                    if let (Value::Int(id), Value::Text(s)) = (&row[id_col], &row[s_col]) {
+                        if s == sign {
+                            visit(*id);
+                        }
+                    }
+                }
+            }
+            Store::Col(m) => {
+                let t = table_ref(m, table)?;
+                if let (ColumnData::Int(ids), ColumnData::Text(signs)) =
+                    (t.column(id_col), t.column(s_col))
+                {
+                    for ((id, s), &live) in ids.iter().zip(signs).zip(t.live_bitmap()) {
+                        if let (true, Some(id), Some(s)) = (live, id, s) {
+                            if s == sign {
+                                visit(*id);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Positions of the `id` and `s` columns of a sign-carrying table.
+    fn id_and_sign_columns(&self, table: &str) -> Result<(usize, usize)> {
         let schema = self.catalog.require_table(table)?;
+        let id_col = schema
+            .column_index("id")
+            .ok_or_else(|| Error::plan(format!("table `{table}` has no `id` column")))?;
         let s_col = schema
             .column_index("s")
             .ok_or_else(|| Error::plan(format!("table `{table}` has no `s` column")))?;
-        let value = Value::Text(sign.to_string());
-        let mut updated = 0usize;
-        macro_rules! sweep {
-            ($t:expr) => {{
-                let rows: Vec<usize> = $t.live_rows().collect();
-                for row in rows {
-                    $t.update_cell(row, s_col, value.clone())?;
-                    updated += 1;
+        Ok((id_col, s_col))
+    }
+
+    /// Write `sign` into column `s_col` of the given live slots. Copies
+    /// a shared table only when there is something to write.
+    fn write_sign_cells(
+        &mut self,
+        table: &str,
+        s_col: usize,
+        slots: &[usize],
+        sign: char,
+    ) -> Result<usize> {
+        if !slots.is_empty() {
+            let value = Value::Text(sign.to_string());
+            on_table!(mut &mut self.store, table, |t| {
+                for &slot in slots {
+                    t.update_cell(slot, s_col, value.clone())?;
                 }
-            }};
+            });
         }
-        match &mut self.store {
-            Store::Row(m) => {
-                let t = m
-                    .get_mut(table)
-                    .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
-                sweep!(t)
-            }
-            Store::Col(m) => {
-                let t = m
-                    .get_mut(table)
-                    .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
-                sweep!(t)
-            }
-        }
-        batch_sign_rows_total().add(updated as u64);
-        Ok(updated)
+        batch_sign_rows_total().add(slots.len() as u64);
+        Ok(slots.len())
     }
 
     /// Live row count of a table.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        match &self.store {
-            Store::Row(m) => m
-                .get(table)
-                .map(|t| t.row_count())
-                .ok_or_else(|| Error::exec(format!("missing table `{table}`"))),
-            Store::Col(m) => m
-                .get(table)
-                .map(|t| t.row_count())
-                .ok_or_else(|| Error::exec(format!("missing table `{table}`"))),
-        }
+        on_table!(ref &self.store, table, |t| Ok(t.row_count()))
     }
 
     /// All live values of one column (used by the annotation loop that
@@ -375,17 +421,7 @@ impl Database {
         let col = schema
             .column_index(column)
             .ok_or_else(|| Error::plan(format!("unknown column `{column}`")))?;
-        let out = match &self.store {
-            Store::Row(m) => {
-                let t = m.get(table).ok_or_else(|| Error::exec("missing table"))?;
-                t.live_rows().map(|r| t.cell(r, col)).collect()
-            }
-            Store::Col(m) => {
-                let t = m.get(table).ok_or_else(|| Error::exec("missing table"))?;
-                t.live_rows().map(|r| t.cell(r, col)).collect()
-            }
-        };
-        Ok(out)
+        on_table!(ref &self.store, table, |t| Ok(t.live_rows().map(|r| t.cell(r, col)).collect()))
     }
 
     /// Slots of live rows matching all conditions in one table, with an
@@ -427,57 +463,31 @@ impl Database {
         }
 
         // Candidate slots: index bucket when possible, else all live rows.
-        let candidates: Vec<usize> = {
-            let index_hit = resolved.iter().find_map(|(col, op, rhs)| match rhs {
-                Rhs::Lit(v) if *op == SqlCmpOp::Eq && self.has_index(table, *col) => {
-                    Some((*col, v.clone()))
-                }
-                _ => None,
-            });
-            match (&self.store, index_hit) {
-                (Store::Row(m), Some((col, key))) => {
-                    let t = m.get(table).ok_or_else(|| Error::exec("missing table"))?;
-                    t.index_lookup(col, &key).to_vec()
-                }
-                (Store::Col(m), Some((col, key))) => {
-                    let t = m.get(table).ok_or_else(|| Error::exec("missing table"))?;
-                    t.index_lookup(col, &key).to_vec()
-                }
-                (Store::Row(m), None) => {
-                    m.get(table).ok_or_else(|| Error::exec("missing table"))?.live_rows().collect()
-                }
-                (Store::Col(m), None) => {
-                    m.get(table).ok_or_else(|| Error::exec("missing table"))?.live_rows().collect()
-                }
+        let index_hit = resolved.iter().find_map(|(col, op, rhs)| match rhs {
+            Rhs::Lit(v) if *op == SqlCmpOp::Eq && self.has_index(table, *col) => {
+                Some((*col, v.clone()))
             }
-        };
-
-        let cell = |slot: usize, col: usize| -> Value {
-            match &self.store {
-                Store::Row(m) => m.get(table).expect("checked").cell(slot, col),
-                Store::Col(m) => m.get(table).expect("checked").cell(slot, col),
-            }
-        };
-        let live = |slot: usize| -> bool {
-            match &self.store {
-                Store::Row(m) => m.get(table).expect("checked").is_live(slot),
-                Store::Col(m) => m.get(table).expect("checked").is_live(slot),
-            }
-        };
-
-        Ok(candidates
-            .into_iter()
-            .filter(|&slot| live(slot))
-            .filter(|&slot| {
-                resolved.iter().all(|(col, op, rhs)| {
-                    let lhs = cell(slot, *col);
-                    match rhs {
-                        Rhs::Lit(v) => op.compare(&lhs, v),
-                        Rhs::Col(rc) => op.compare(&lhs, &cell(slot, *rc)),
-                    }
+            _ => None,
+        });
+        on_table!(ref &self.store, table, |t| {
+            let candidates: Vec<usize> = match index_hit {
+                Some((col, key)) => t.index_lookup(col, &key).to_vec(),
+                None => t.live_rows().collect(),
+            };
+            Ok(candidates
+                .into_iter()
+                .filter(|&slot| t.is_live(slot))
+                .filter(|&slot| {
+                    resolved.iter().all(|(col, op, rhs)| {
+                        let lhs = t.cell(slot, *col);
+                        match rhs {
+                            Rhs::Lit(v) => op.compare(&lhs, v),
+                            Rhs::Col(rc) => op.compare(&lhs, &t.cell(slot, *rc)),
+                        }
+                    })
                 })
-            })
-            .collect())
+                .collect())
+        })
     }
 
     fn resolve_local(&self, schema: &TableSchema, c: &crate::sql::ColRef) -> Result<usize> {
@@ -496,8 +506,19 @@ impl Database {
 
     fn has_index(&self, table: &str, col: usize) -> bool {
         match &self.store {
-            Store::Row(m) => m.get(table).map(|t| t.has_index(col)).unwrap_or(false),
-            Store::Col(m) => m.get(table).map(|t| t.has_index(col)).unwrap_or(false),
+            Store::Row(m) => m.get(table).is_some_and(|t| t.has_index(col)),
+            Store::Col(m) => m.get(table).is_some_and(|t| t.has_index(col)),
+        }
+    }
+
+    /// True when table `name` of `self` and of `other` are one shared
+    /// image (the copy-on-write tests' probe).
+    #[cfg(test)]
+    fn shares_table(&self, other: &Database, name: &str) -> bool {
+        match (&self.store, &other.store) {
+            (Store::Row(a), Store::Row(b)) => Arc::ptr_eq(&a[name], &b[name]),
+            (Store::Col(a), Store::Col(b)) => Arc::ptr_eq(&a[name], &b[name]),
+            _ => false,
         }
     }
 }
@@ -606,6 +627,87 @@ mod tests {
             db.update_signs("child", &[11], '-').unwrap();
             let rs = db.query("SELECT COUNT(*) FROM child WHERE s = '+'").unwrap();
             assert_eq!(rs.column_as_ints(0), vec![2]);
+        }
+    }
+
+    /// Every column of every table, as `column_values` reports it.
+    fn image(db: &Database) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        for table in ["parent", "child"] {
+            for column in ["id", "pid", "v", "s"] {
+                out.push(db.column_values(table, column).unwrap());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn clone_shares_tables_and_copies_only_the_written_one() {
+        type Write = fn(&mut Database);
+        let writers: [(&str, Write); 5] = [
+            ("INSERT", |db| {
+                db.execute("INSERT INTO child (id, pid, v, s) VALUES (13, 2, 'c', '-')").unwrap();
+            }),
+            ("UPDATE", |db| {
+                db.execute("UPDATE child SET v = 'z' WHERE id = 11").unwrap();
+            }),
+            ("DELETE", |db| {
+                db.execute("DELETE FROM child WHERE id = 10").unwrap();
+            }),
+            ("update_signs", |db| {
+                db.update_signs("child", &[10, 12], '+').unwrap();
+            }),
+            ("reset_signs", |db| {
+                db.reset_signs("child", '+').unwrap();
+            }),
+        ];
+        for kind in [StorageKind::Row, StorageKind::Column] {
+            for (what, write) in writers {
+                let mut db = Database::new(kind);
+                load(&mut db);
+                let clone = db.clone();
+                assert!(db.shares_table(&clone, "parent") && db.shares_table(&clone, "child"));
+                let before = image(&clone);
+                write(&mut db);
+                assert_eq!(image(&clone), before, "{kind:?} {what}: the clone keeps its value");
+                assert_ne!(image(&db), before, "{kind:?} {what}: the write took effect");
+                assert!(!db.shares_table(&clone, "child"), "{kind:?} {what}: written table copied");
+                assert!(db.shares_table(&clone, "parent"), "{kind:?} {what}: other table shared");
+            }
+        }
+    }
+
+    #[test]
+    fn writes_that_match_no_row_keep_the_table_shared() {
+        for mut db in both() {
+            load(&mut db);
+            let clone = db.clone();
+            db.execute("UPDATE child SET s = '+' WHERE id = 999").unwrap();
+            db.execute("DELETE FROM child WHERE id = 999").unwrap();
+            assert_eq!(db.update_signs("child", &[999], '+').unwrap(), 0);
+            assert!(db.shares_table(&clone, "child"), "{:?}", db.kind());
+        }
+    }
+
+    #[test]
+    fn scan_signs_visits_the_ids_the_sql_selects() {
+        for mut db in both() {
+            load(&mut db);
+            db.update_signs("child", &[10, 12], '+').unwrap();
+            db.update_signs("parent", &[2], '+').unwrap();
+            db.execute("DELETE FROM child WHERE id = 12").unwrap();
+            for table in ["parent", "child"] {
+                for sign in ['+', '-'] {
+                    let mut scanned = std::collections::BTreeSet::new();
+                    db.scan_signs(table, sign, |id| {
+                        scanned.insert(id);
+                    })
+                    .unwrap();
+                    let sql = format!("SELECT id FROM {table} WHERE s = '{sign}'");
+                    assert_eq!(scanned, db.query(&sql).unwrap().column_as_int_set(0), "{sql}");
+                }
+            }
+            assert!(db.scan_signs("nope", '+', |_| {}).is_err());
         }
     }
 

@@ -13,6 +13,7 @@ use crate::sql::SqlCmpOp;
 use crate::storage::{ColTable, ColumnData};
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A column-major intermediate result.
 #[derive(Debug, Clone)]
@@ -31,7 +32,7 @@ impl Batch {
 pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
-    tables: &BTreeMap<String, ColTable>,
+    tables: &BTreeMap<String, Arc<ColTable>>,
 ) -> Result<ResultSet> {
     let batch = eval(plan, catalog, tables)?;
     // Transpose to row-major at the boundary.
@@ -46,7 +47,7 @@ pub fn execute(
 fn eval(
     plan: &Plan,
     catalog: &Catalog,
-    tables: &BTreeMap<String, ColTable>,
+    tables: &BTreeMap<String, Arc<ColTable>>,
 ) -> Result<Batch> {
     match plan {
         Plan::Scan { table, filters } => {
@@ -209,7 +210,7 @@ mod tests {
     use crate::sql::{parse_statement, Statement};
     use crate::value::DataType;
 
-    fn setup() -> (Catalog, BTreeMap<String, ColTable>) {
+    fn setup() -> (Catalog, BTreeMap<String, Arc<ColTable>>) {
         let mut catalog = Catalog::new();
         let mut tables = BTreeMap::new();
         for name in ["parent", "child"] {
@@ -223,12 +224,12 @@ mod tests {
             )
             .unwrap();
             catalog.add_table(schema.clone()).unwrap();
-            tables.insert(name.to_string(), ColTable::new(schema));
+            tables.insert(name.to_string(), Arc::new(ColTable::new(schema)));
         }
-        let p = tables.get_mut("parent").unwrap();
+        let p = Arc::get_mut(tables.get_mut("parent").unwrap()).unwrap();
         p.append(vec![Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
         p.append(vec![Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
-        let c = tables.get_mut("child").unwrap();
+        let c = Arc::get_mut(tables.get_mut("child").unwrap()).unwrap();
         c.append(vec![Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
         c.append(vec![Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
         c.append(vec![Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();

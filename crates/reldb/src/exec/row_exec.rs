@@ -10,12 +10,13 @@ use crate::sql::SqlCmpOp;
 use crate::storage::RowTable;
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Execute a plan against row tables.
 pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
-    tables: &BTreeMap<String, RowTable>,
+    tables: &BTreeMap<String, Arc<RowTable>>,
 ) -> Result<ResultSet> {
     let rows = eval(plan, tables)?;
     Ok(ResultSet { columns: output_names(plan, catalog), rows })
@@ -41,7 +42,7 @@ pub(crate) fn output_names(plan: &Plan, catalog: &Catalog) -> Vec<String> {
     }
 }
 
-fn eval(plan: &Plan, tables: &BTreeMap<String, RowTable>) -> Result<Vec<Vec<Value>>> {
+fn eval(plan: &Plan, tables: &BTreeMap<String, Arc<RowTable>>) -> Result<Vec<Vec<Value>>> {
     match plan {
         Plan::Scan { table, filters } => {
             let t = tables
@@ -168,7 +169,7 @@ mod tests {
     use crate::sql::{parse_statement, Statement};
     use crate::value::DataType;
 
-    fn setup() -> (Catalog, BTreeMap<String, RowTable>) {
+    fn setup() -> (Catalog, BTreeMap<String, Arc<RowTable>>) {
         let mut catalog = Catalog::new();
         let mut tables = BTreeMap::new();
         for name in ["parent", "child"] {
@@ -182,12 +183,12 @@ mod tests {
             )
             .unwrap();
             catalog.add_table(schema.clone()).unwrap();
-            tables.insert(name.to_string(), RowTable::new(schema));
+            tables.insert(name.to_string(), Arc::new(RowTable::new(schema)));
         }
-        let p = tables.get_mut("parent").unwrap();
+        let p = Arc::get_mut(tables.get_mut("parent").unwrap()).unwrap();
         p.append(vec![Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
         p.append(vec![Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
-        let c = tables.get_mut("child").unwrap();
+        let c = Arc::get_mut(tables.get_mut("child").unwrap()).unwrap();
         c.append(vec![Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
         c.append(vec![Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
         c.append(vec![Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();

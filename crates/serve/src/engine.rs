@@ -136,11 +136,11 @@ enum TxnOutcome {
     Denied(GuardedUpdate),
     Ready {
         outcome: UpdateOutcome,
-        /// Boxed: a checkpoint holds a full store image, dwarfing the
-        /// denied variant. `None` on durable engines — their last-good
-        /// state lives in the WAL, so no clone image is staged and the
-        /// per-transaction checkpoint cost is the durability layer's
-        /// O(dirty pages) flush instead of an O(document) copy.
+        /// Boxed: a checkpoint is much larger than the denied variant.
+        /// `None` on durable engines — their last-good state lives in
+        /// the WAL, so no image is staged and the per-transaction
+        /// checkpoint cost is the durability layer's O(dirty pages)
+        /// flush.
         checkpoint: Option<Box<Checkpoint>>,
         snapshot: Arc<AccessSnapshot>,
     },
@@ -780,7 +780,7 @@ impl ServeEngine {
 
     /// Rung 3: bring the backend byte-identical to the state behind the
     /// published snapshot. Non-durable engines restore the last-good
-    /// clone checkpoint; durable engines **replay the WAL** — truncate
+    /// checkpoint; durable engines **replay the WAL** — truncate
     /// the dead tail, reload the document, replay the committed
     /// operations, re-apply the committed sign map. If the rollback
     /// itself fails or panics, escalate to rung 4 — quarantine: mark

@@ -53,6 +53,27 @@ impl ShreddedDocument {
         self.rows.is_empty()
     }
 
+    /// `(arena slot, universal id)` of every shredded or inserted
+    /// element, ascending by slot.
+    pub fn ids(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
+        self.node_to_id.iter().enumerate().filter_map(|(slot, id)| id.map(|id| (slot, id)))
+    }
+
+    /// One past the largest universal id assigned so far.
+    pub fn id_bound(&self) -> i64 {
+        self.next_id
+    }
+
+    /// The node↔id correspondence alone, without the tuple list: what a
+    /// backend keeps after loading, since only the load reads `rows`.
+    pub fn id_map(&self) -> ShreddedDocument {
+        ShreddedDocument {
+            rows: Vec::new(),
+            node_to_id: self.node_to_id.clone(),
+            next_id: self.next_id,
+        }
+    }
+
     /// Assign a fresh universal id to an element inserted after
     /// shredding, keeping the node↔id correspondence current. The caller
     /// is responsible for inserting the matching relational tuple.

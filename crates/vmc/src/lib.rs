@@ -35,6 +35,7 @@
 //! report it as an error or deny the request, and never fall back to
 //! the interpreter.
 
+mod bitset;
 mod bytecode;
 mod cache;
 mod compile;
@@ -42,6 +43,7 @@ mod disasm;
 mod index;
 mod vm;
 
+pub use bitset::Bitset;
 pub use bytecode::{Inst, NameSel, Pred, Program, RelStep};
 pub use cache::{
     cache_stats, cached_path_program, cached_query_program, query_fingerprint, reset_cache,

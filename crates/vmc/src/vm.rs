@@ -10,6 +10,7 @@
 //! an invariant of the append-only arena), so `//a//b` costs O(n)
 //! regardless of how many `a` contexts were selected.
 
+use crate::bitset::Bitset;
 use crate::bytecode::{Inst, NameSel, Pred, Program, RelStep};
 use crate::index::{DocIndex, NONE};
 use std::sync::{Arc, OnceLock};
@@ -46,58 +47,6 @@ impl SignSink for Collect {
     }
 }
 
-/// A dense bitset over arena slots.
-#[derive(Clone)]
-struct Mask {
-    words: Vec<u64>,
-}
-
-impl Mask {
-    fn new(width: usize) -> Mask {
-        Mask { words: vec![0; width.div_ceil(64)] }
-    }
-
-    #[inline]
-    fn set(&mut self, slot: u32) {
-        self.words[slot as usize / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline]
-    fn test(&self, slot: u32) -> bool {
-        self.words[slot as usize / 64] & (1u64 << (slot % 64)) != 0
-    }
-
-    fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    fn union(&mut self, other: &Mask) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    fn diff(&mut self, other: &Mask) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Ascending slots of set bits.
-    fn ones(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((wi as u32) * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-}
-
 /// Execute `program` against `index`, streaming the terminal node set to
 /// `sink`. Returns the sink's written-cell count.
 pub fn execute(
@@ -111,8 +60,8 @@ pub fn execute(
     let resolved: Vec<Option<u32>> =
         program.names.iter().map(|n| index.name_of(n)).collect();
     let width = index.width();
-    let mut regs: Vec<Mask> = (0..program.reg_count).map(|_| Mask::new(width)).collect();
-    let mut under = Mask::new(width);
+    let mut regs: Vec<Bitset> = (0..program.reg_count).map(|_| Bitset::new(width)).collect();
+    let mut under = Bitset::new(width);
     let mut written = 0usize;
 
     for inst in &program.insts {
@@ -170,7 +119,7 @@ pub fn execute(
                 let m = &mut regs[*reg as usize];
                 for slot in slots {
                     if !eval_pred(index, &resolved, slot, pred) {
-                        m.words[slot as usize / 64] &= !(1u64 << (slot % 64));
+                        m.unset(slot);
                     }
                 }
             }
@@ -223,7 +172,7 @@ fn sel_admits(resolved: &[Option<u32>], name: NameSel, name_id: u32) -> bool {
     }
 }
 
-fn two_regs(regs: &mut [Mask], a: u8, b: u8) -> (&mut Mask, &Mask) {
+fn two_regs(regs: &mut [Bitset], a: u8, b: u8) -> (&mut Bitset, &Bitset) {
     assert_ne!(a, b, "register operands must differ");
     let (a, b) = (a as usize, b as usize);
     if a < b {

@@ -252,10 +252,16 @@ impl StoredDocument {
         for node in targets {
             // A target inside an already-removed subtree is gone.
             if self.doc.is_alive(node) {
-                removed += self.doc.remove_subtree(node)?;
+                removed += self.remove_subtree(node)?;
             }
         }
         Ok(removed)
+    }
+
+    /// Remove one live node and its subtree; returns the number of nodes
+    /// removed. The name index keeps the stale entries (filtered lazily).
+    pub fn remove_subtree(&mut self, node: NodeId) -> Result<usize> {
+        Ok(self.doc.remove_subtree(node)?)
     }
 
     /// Insert a new element under `parent`, keeping the index current.

@@ -12,8 +12,8 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
-echo "== lint: clippy, warnings are errors =="
-cargo clippy --workspace -- -D warnings
+echo "== lint: clippy over every target (tests, benches, examples), warnings are errors =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== bench targets compile (in-repo harness) =="
 cargo bench --no-run -q
@@ -24,8 +24,7 @@ cargo test --release --offline --manifest-path xacbench/Cargo.toml
 echo "== figures smoke: table3 =="
 cargo run --release -q -p xac-bench --bin figures -- table3
 
-echo "== vm: compiled mode is lint-clean and observationally identical =="
-cargo clippy -p xac-vmc -- -D warnings
+echo "== vm: compiled mode is observationally identical =="
 cargo test --release -q -p xac-serve --test vm_equivalence
 
 echo "== figures smoke: annotate-modes artifact =="
@@ -60,9 +59,6 @@ grep -q '"decide_compiled_us": [0-9]' BENCH_serve.json
 
 echo "== fault sweep: every injection point x every backend =="
 cargo test --release -q -p xac-serve --test fault_recovery
-
-echo "== storage: xac-store lint-clean under -D warnings =="
-cargo clippy -p xac-store -- -D warnings
 
 echo "== storage: kill-and-reopen crash sweep (wal + pager) =="
 cargo test --release -q -p xac-serve --test durability_recovery
@@ -186,7 +182,6 @@ echo "== analyze: verified repair synthesis (--fix end-to-end) =="
 # clear the dead and shadowed rules, each edit verified by incremental
 # re-analysis and differential annotation on all three backends, and the
 # repaired file must then re-analyze clean under --deny warn.
-cargo clippy -p xac-analyze -- -D warnings
 cp examples/policies/flawed_all5.pol target/ci_repair.pol
 cargo run --release -q -p xac-net --bin xmlac -- analyze \
     --policy target/ci_repair.pol --schema data/hospital.dtd \
@@ -231,9 +226,6 @@ grep -q '"sound": true' BENCH_analyze.json
 grep -q '"kind": "incremental"' BENCH_analyze.json
 grep -q '"kind": "repair"' BENCH_analyze.json
 grep -q '"kind": "repair_summary", "repairs": 2, "exit_code": 0' BENCH_analyze.json
-
-echo "== net: lint-clean under -D warnings =="
-cargo clippy -p xac-net -- -D warnings
 
 echo "== net: loopback smoke (server + client, exit-code contract) =="
 # A real server process on a free port, exercised by real client
