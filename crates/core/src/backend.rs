@@ -279,10 +279,10 @@ pub struct RelationalBackend {
     /// cached per annotation epoch; any sign write or document mutation
     /// invalidates it.
     accessible_cache: Option<Bitset>,
-    /// Columnar document index, cached per *structural* epoch: sign
-    /// writes leave it valid, document mutations
-    /// (load/insert/delete/restore) drop it. Compiled annotation runs
-    /// on it and every published snapshot shares it.
+    /// Columnar document index, built once per load: sign writes leave
+    /// it valid, insert and delete patch it, load and restore drop it.
+    /// Compiled annotation runs on it and every published snapshot
+    /// shares it; the first patch after a publish copies it.
     doc_index: Option<Arc<DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
@@ -308,13 +308,6 @@ impl RelationalBackend {
     fn mutated(&mut self) {
         self.epoch += 1;
         self.accessible_cache = None;
-    }
-
-    /// Record a *structural* mutation: everything [`Self::mutated`]
-    /// drops, plus the columnar document index.
-    fn structure_changed(&mut self) {
-        self.mutated();
-        self.doc_index = None;
     }
 
     /// The columnar index over the loaded document, built lazily and
@@ -557,7 +550,8 @@ impl Backend for RelationalBackend {
         db.execute_script(&prepared.ddl)?;
         db.execute_script(&prepared.sql_text)?;
         self.db = db;
-        self.structure_changed();
+        self.mutated();
+        self.doc_index = None;
         let table_index: HashMap<&str, usize> = prepared
             .mapping
             .tables()
@@ -639,7 +633,11 @@ impl Backend for RelationalBackend {
     }
 
     fn delete(&mut self, path: &Path) -> Result<usize> {
-        self.structure_changed();
+        self.mutated();
+        // Held aside while the tree changes: an error part-way leaves it
+        // dropped (rebuilt on next use) rather than half patched.
+        let mut index = self.doc_index.take();
+        let mut roots = Vec::new();
         // Structure lives in the mapping layer's copy of the tree; rows are
         // removed tuple by tuple through SQL point deletes on the id index.
         let targets = {
@@ -668,12 +666,19 @@ impl Backend for RelationalBackend {
             let state =
                 self.state.as_mut().expect("state checked above");
             Arc::make_mut(&mut state.sdoc).remove_subtree(target)?;
+            roots.push(target);
         }
+        if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
+            Arc::make_mut(index).remove_subtrees(&roots);
+        }
+        self.doc_index = index;
         Ok(removed)
     }
 
     fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
-        self.structure_changed();
+        self.mutated();
+        // Held aside like `delete`'s.
+        let mut index = self.doc_index.take();
         let parents = {
             let state = self.state()?;
             if !state.mapping.schema().contains(name) {
@@ -726,6 +731,10 @@ impl Backend for RelationalBackend {
             self.db.execute(&sql)?;
             inserted += 1;
         }
+        if let (Some(index), Some(state)) = (index.as_mut().filter(|_| inserted > 0), &self.state) {
+            Arc::make_mut(index).append(state.sdoc.doc());
+        }
+        self.doc_index = index;
         Ok(inserted)
     }
 
@@ -849,15 +858,16 @@ impl Backend for RelationalBackend {
 /// stand-in).
 pub struct NativeXmlBackend {
     /// The document behind its element-name index, carrying the sign
-    /// attributes. Snapshots and checkpoints share it; the first write
-    /// after one copies it ([`Arc::make_mut`]).
+    /// column. Snapshots and checkpoints share it; the first write after
+    /// one copies it ([`Arc::make_mut`]) — the sign column and the
+    /// arena's chunk pointers, while each arena chunk is copied only
+    /// when a structural write touches it.
     sdoc: Option<Arc<StoredDocument>>,
     default_sign: char,
     mode: AnnotateMode,
     /// Columnar document index for compiled annotation and published
-    /// snapshots, cached across sign writes and dropped on structural
-    /// mutations — same discipline as
-    /// [`RelationalBackend::structure_changed`].
+    /// snapshots, cached across sign writes and patched by structural
+    /// ones — same discipline as the relational backend's `doc_index`.
     index: Option<Arc<DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
@@ -940,7 +950,7 @@ impl NativeXmlBackend {
 }
 
 /// The VM's fused sign sink over the native store: the selected nodes
-/// go straight into the element arena's sign attributes via
+/// go straight into the store's sign column via
 /// [`StoredDocument::annotate_nodes`].
 struct NativeSignSink<'a> {
     sdoc: &'a mut StoredDocument,
@@ -1023,25 +1033,33 @@ impl Backend for NativeXmlBackend {
     }
 
     fn delete(&mut self, path: &Path) -> Result<usize> {
-        let path = path.clone();
-        self.index = None;
+        // Held aside while the tree changes, as on the relational side.
+        let mut index = self.index.take();
         let sdoc = self.sdoc_mut()?;
         let before = sdoc.doc().element_count();
-        sdoc.delete_matching(&path)?;
-        Ok(before - sdoc.doc().element_count())
+        let roots = sdoc.delete_matching(path)?;
+        let removed = before - sdoc.doc().element_count();
+        if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
+            Arc::make_mut(index).remove_subtrees(&roots);
+        }
+        self.index = index;
+        Ok(removed)
     }
 
     fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
-        let parent_path = parent_path.clone();
-        self.index = None;
+        let mut index = self.index.take();
         let sdoc = self.sdoc_mut()?;
-        let parents = sdoc.eval(&parent_path);
+        let parents = sdoc.eval(parent_path);
         for &parent in &parents {
             let node = sdoc.insert_element(parent, name);
             if let Some(t) = text {
                 sdoc.insert_text(node, t);
             }
         }
+        if let Some(index) = index.as_mut().filter(|_| !parents.is_empty()) {
+            Arc::make_mut(index).append(sdoc.doc());
+        }
+        self.index = index;
         Ok(parents.len())
     }
 
@@ -1071,25 +1089,26 @@ impl Backend for NativeXmlBackend {
         let index = self.native_index()?;
         let sdoc = self.sdoc()?;
         let mut accessible = Bitset::new(sdoc.doc().arena_len());
-        for n in sdoc.doc().all_elements() {
-            let granted = match sdoc.sign_of(n) {
-                Some(sign) => sign == '+',
-                None => default_accessible,
-            };
-            if granted {
-                accessible.set(n.index() as u32);
+        if default_accessible {
+            for n in sdoc.doc().all_elements() {
+                if sdoc.sign_of(n) != Some('-') {
+                    accessible.set(n.index() as u32);
+                }
+            }
+        } else {
+            // Under default deny only `+` grants: the sign column alone
+            // answers, without sweeping the arena's nodes.
+            for (n, sign) in sdoc.signed_nodes() {
+                if sign == '+' {
+                    accessible.set(n.index() as u32);
+                }
             }
         }
         Ok(AccessSnapshot::new(epoch, "native/xml", Arc::clone(sdoc), accessible, index))
     }
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
-        let sdoc = self.sdoc()?;
-        Ok(sdoc
-            .doc()
-            .all_elements()
-            .filter_map(|n| sdoc.sign_of(n).map(|s| (n.index() as i64, s)))
-            .collect())
+        Ok(self.sdoc()?.signed_nodes().map(|(n, s)| (n.index() as i64, s)).collect())
     }
 
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
@@ -1382,10 +1401,22 @@ mod tests {
     const MODES: [AnnotateMode; 2] = [AnnotateMode::PaperFaithful, AnnotateMode::Compiled];
 
     fn system(mode: AnnotateMode) -> crate::System {
-        crate::System::builder(crate::hospital_schema_for_docs(), hospital_policy(), prepared().doc)
+        system_with(mode, hospital_policy())
+    }
+
+    fn system_with(mode: AnnotateMode, policy: xac_policy::Policy) -> crate::System {
+        crate::System::builder(crate::hospital_schema_for_docs(), policy, prepared().doc)
             .annotate_mode(mode)
             .build()
             .unwrap()
+    }
+
+    /// The paper's Table 1 policy under `default allow`: unannotated
+    /// nodes are accessible, so snapshots must grant them.
+    fn default_allow_policy() -> xac_policy::Policy {
+        let text = include_str!("../../../data/hospital.pol");
+        assert!(text.contains("default deny"));
+        xac_policy::Policy::parse(&text.replace("default deny", "default allow")).unwrap()
     }
 
     /// Publish a snapshot and check its bitset against the Table 2
@@ -1419,7 +1450,10 @@ mod tests {
         oracle(b);
         let signs = b.sign_state().unwrap();
         b.reset_annotations().unwrap();
-        assert!(b.snapshot().unwrap().accessible().is_empty(), "{}: reset to deny", b.name());
+        let reset = b.snapshot().unwrap();
+        let default_grants = system.policy().default_semantics.sign() == '+';
+        let expected = if default_grants { reset.element_count() } else { 0 };
+        assert_eq!(reset.accessible().len(), expected, "{}: reset to the default", b.name());
         oracle(b);
         let epoch = b.epoch();
         b.apply_sign_state(&signs, epoch).unwrap();
@@ -1449,8 +1483,11 @@ mod tests {
 
     #[test]
     fn snapshot_bitsets_match_the_reference_after_every_writer() {
-        for mode in MODES {
-            let system = system(mode);
+        for (mode, policy) in MODES
+            .into_iter()
+            .flat_map(|m| [(m, hospital_policy()), (m, default_allow_policy())])
+        {
+            let system = system_with(mode, policy);
             for kind in [StorageKind::Row, StorageKind::Column] {
                 walk_every_writer(&mut RelationalBackend::with_mode(kind, mode), &system, |b| {
                     let sql = sql_accessible_ids(b);

@@ -34,8 +34,9 @@ pub struct AccessSnapshot {
     /// The accessible element slots of `store`'s arena.
     accessible: Bitset,
     /// The writer's columnar index of this document. Sign writes leave
-    /// an index valid, so every snapshot of one structural epoch shares
-    /// the index the writer built for it.
+    /// an index valid and structural writes patch it, so a snapshot
+    /// shares the writer's index until the writer's next insert or
+    /// delete copies it.
     index: Arc<DocIndex>,
 }
 
@@ -111,6 +112,12 @@ impl AccessSnapshot {
     /// The snapshot document behind its element-name index.
     pub fn store(&self) -> &StoredDocument {
         &self.store
+    }
+
+    /// The columnar index reads run on: the writer's index as of this
+    /// epoch, built at load and patched by every structural write since.
+    pub fn index(&self) -> &DocIndex {
+        &self.index
     }
 }
 

@@ -165,19 +165,21 @@ pub struct SignDiff {
 }
 
 impl SignDiff {
-    /// The difference taking `old` to `new`.
+    /// The difference taking `old` to `new`, in one merge walk over the
+    /// two ordered maps; both lists come out in ascending id order.
     pub fn between(old: &BTreeMap<i64, char>, new: &BTreeMap<i64, char>) -> SignDiff {
         let mut diff = SignDiff::default();
+        let mut old = old.iter().peekable();
         for (&id, &sign) in new {
-            if old.get(&id) != Some(&sign) {
-                diff.set.push((id, sign));
+            while let Some((&gone, _)) = old.next_if(|&(&o, _)| o < id) {
+                diff.clear.push(gone);
+            }
+            match old.next_if(|&(&o, _)| o == id) {
+                Some((_, &kept)) if kept == sign => {}
+                _ => diff.set.push((id, sign)),
             }
         }
-        for &id in old.keys() {
-            if !new.contains_key(&id) {
-                diff.clear.push(id);
-            }
-        }
+        diff.clear.extend(old.map(|(&gone, _)| gone));
         diff
     }
 
@@ -509,6 +511,57 @@ mod tests {
         assert_eq!(diff.clear, vec![3]);
         assert_eq!(diff.len(), 3);
         assert!(SignDiff::between(&new, &new).is_empty());
+    }
+
+    /// The lookup implementation the merge walk replaced, kept as the
+    /// oracle.
+    fn between_by_lookup(old: &BTreeMap<i64, char>, new: &BTreeMap<i64, char>) -> SignDiff {
+        let mut diff = SignDiff::default();
+        for (&id, &sign) in new {
+            if old.get(&id) != Some(&sign) {
+                diff.set.push((id, sign));
+            }
+        }
+        for &id in old.keys() {
+            if !new.contains_key(&id) {
+                diff.clear.push(id);
+            }
+        }
+        diff
+    }
+
+    #[test]
+    fn merge_walk_matches_the_lookup_oracle_on_random_maps() {
+        let mut state = 0x5eed_d1ffu64;
+        let mut next = |bound: u64| xac_obs::splitmix64(&mut state) % bound;
+        let mut random_map = |len: u64, ids: std::ops::Range<i64>| -> BTreeMap<i64, char> {
+            (0..len)
+                .map(|_| {
+                    let id = ids.start + next((ids.end - ids.start) as u64) as i64;
+                    (id, if next(2) == 0 { '+' } else { '-' })
+                })
+                .collect()
+        };
+        let mut pairs: Vec<(BTreeMap<i64, char>, BTreeMap<i64, char>)> = Vec::new();
+        for _ in 0..50 {
+            let a = random_map(40, 0..60);
+            pairs.push((BTreeMap::new(), BTreeMap::new()));
+            pairs.push((a.clone(), BTreeMap::new()));
+            pairs.push((BTreeMap::new(), a.clone()));
+            pairs.push((a.clone(), a.clone()));
+            pairs.push((a.clone(), random_map(40, 100..160)));
+            pairs.push((random_map(40, 100..160), a.clone()));
+            let b = random_map(40, 0..60);
+            pairs.push((a, b));
+        }
+        for (old, new) in &pairs {
+            assert_eq!(SignDiff::between(old, new), between_by_lookup(old, new), "{old:?} -> {new:?}");
+        }
+        let overlapping = pairs.iter().filter(|(o, n)| {
+            let d = SignDiff::between(o, n);
+            !d.set.is_empty() && !d.clear.is_empty() && o.keys().any(|k| n.contains_key(k))
+        });
+        assert!(overlapping.count() >= 40, "the overlapping pairs exercise all three cases");
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! (arena) order the interpreter produces.
 //!
 //! The index depends only on document *structure and text*; sign writes
-//! do not invalidate it, so backends cache one index per structural
-//! epoch.
+//! do not invalidate it, so backends cache one index per document and
+//! patch it across structural updates ([`DocIndex::append`] after an
+//! insert, [`DocIndex::remove_subtrees`] after a delete) instead of
+//! rebuilding it. Every column is a flat vector, so copying an index a
+//! snapshot still shares is a handful of `memcpy`s.
 
 use std::collections::HashMap;
-use xac_xml::{Document, NodeId};
+use xac_xml::{Document, Node, NodeId};
 
 /// Sentinel for "no name" (text node or dead slot) and "no parent".
 pub(crate) const NONE: u32 = u32::MAX;
@@ -28,7 +31,8 @@ pub struct DocIndex {
     name_id: Vec<u32>,
     /// Per-slot parent arena slot (`NONE` for the root and dead slots).
     parent: Vec<u32>,
-    /// Interned element-name lookup.
+    /// Interned element-name lookup. A name keeps its id after its last
+    /// element is deleted (with an empty slot list).
     lookup: HashMap<String, u32>,
     /// Live element slots per name id, ascending (document order).
     by_name: Vec<Vec<u32>>,
@@ -38,83 +42,171 @@ pub struct DocIndex {
     /// `child_list[child_start[s]..child_start[s + 1]]`.
     child_start: Vec<u32>,
     child_list: Vec<u32>,
-    /// Per-slot string value (concatenated direct text children), only
-    /// materialized where non-empty.
-    text: Vec<Option<Box<str>>>,
-    /// Per-slot `NodeId` for mapping mask bits back to arena handles.
-    node_of: Vec<NodeId>,
+    /// Every element's string value (concatenated direct text children),
+    /// back to back.
+    text: String,
+    /// Per-slot `(start, end)` of its value in `text`; empty for text
+    /// nodes and dead slots. A deleted slot's bytes stay in `text`, just
+    /// as its node stays in the arena until the document is compacted.
+    text_span: Vec<(u32, u32)>,
 }
 
 impl DocIndex {
-    /// Build the index in two O(n) passes over the arena.
+    /// Build the index in one sweep over the arena's chunks plus one
+    /// counting pass for the child lists.
     pub fn build(doc: &Document) -> DocIndex {
         let _span = xac_obs::span("vm.index");
         let n = doc.arena_len();
-        let root = doc.root();
-        let mut name_id = vec![NONE; n];
-        let mut parent = vec![NONE; n];
-        let mut name_count = 0u32;
-        let mut lookup: HashMap<String, u32> = HashMap::new();
-        let mut elements: Vec<u32> = Vec::new();
-        let mut text: Vec<Option<Box<str>>> = vec![None; n];
-        let mut node_of = vec![root; n];
-
-        for node in doc.all_elements() {
-            let slot = node.index();
-            node_of[slot] = node;
-            let name = doc.name(node).expect("element has a name");
-            let id = match lookup.get(name) {
-                Some(&id) => id,
-                None => {
-                    let id = name_count;
-                    name_count += 1;
-                    lookup.insert(name.to_string(), id);
-                    id
-                }
-            };
-            name_id[slot] = id;
-            if let Some(p) = doc.parent(node) {
-                parent[slot] = p.index() as u32;
-            }
-            let value = doc.text_of(node);
-            if !value.is_empty() {
-                text[slot] = Some(value.into_boxed_str());
-            }
-            elements.push(slot as u32);
-        }
-
-        let mut by_name: Vec<Vec<u32>> = vec![Vec::new(); name_count as usize];
-        for &slot in &elements {
-            by_name[name_id[slot as usize] as usize].push(slot);
-        }
-
-        // CSR over element children, in sibling (document) order. Text
-        // and dead slots get empty ranges.
-        let mut child_start = vec![0u32; n + 1];
-        let mut child_list: Vec<u32> = Vec::with_capacity(elements.len().saturating_sub(1));
-        for slot in 0..n {
-            child_start[slot] = child_list.len() as u32;
-            if name_id[slot] != NONE {
-                for c in doc.child_elements(node_of[slot]) {
-                    child_list.push(c.index() as u32);
-                }
-            }
-        }
-        child_start[n] = child_list.len() as u32;
-
-        DocIndex {
+        let mut index = DocIndex {
             n,
-            root: root.index() as u32,
-            name_id,
-            parent,
-            lookup,
-            by_name,
-            elements,
-            child_start,
-            child_list,
-            text,
-            node_of,
+            root: doc.root().index() as u32,
+            name_id: vec![NONE; n],
+            parent: vec![NONE; n],
+            lookup: HashMap::new(),
+            by_name: Vec::new(),
+            elements: Vec::new(),
+            child_start: Vec::new(),
+            child_list: Vec::new(),
+            text: String::new(),
+            text_span: vec![(0, 0); n],
+        };
+        for (id, node) in doc.element_nodes() {
+            index.add_element(doc, id, node);
         }
+        index.rebuild_children();
+        index
+    }
+
+    /// Patch the index after elements were appended to `doc` (slots at
+    /// or past the indexed width): new slots are the largest in the
+    /// arena, so they extend the element and per-name lists in order. A
+    /// text node appended under an already-indexed element refreshes
+    /// that element's value.
+    pub fn append(&mut self, doc: &Document) {
+        let old = self.n;
+        let n = doc.arena_len();
+        if n == old {
+            return;
+        }
+        self.n = n;
+        self.name_id.resize(n, NONE);
+        self.parent.resize(n, NONE);
+        self.text_span.resize(n, (0, 0));
+        let mut revalued: Vec<u32> = Vec::new();
+        for slot in old..n {
+            let id = NodeId::from_index(slot);
+            if !doc.is_alive(id) {
+                continue;
+            }
+            if doc.is_element(id) {
+                let node = doc.node(id);
+                self.add_element(doc, id, node);
+            } else if let Some(p) = doc.parent(id) {
+                let p = p.index() as u32;
+                if (p as usize) < old && self.name_id[p as usize] != NONE {
+                    revalued.push(p);
+                }
+            }
+        }
+        revalued.dedup();
+        for p in revalued {
+            let node = doc.node(NodeId::from_index(p as usize));
+            self.text_span[p as usize] = self.push_value(doc, node);
+        }
+        self.rebuild_children();
+    }
+
+    /// Patch the index after the subtrees rooted at the element `roots`
+    /// were detached from the document: their slots leave every list and
+    /// their columns are cleared. The walk follows the index's own child
+    /// lists, so it needs no document.
+    pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
+        let mut stack: Vec<u32> = roots.iter().map(|r| r.index() as u32).collect();
+        let mut touched = vec![false; self.by_name.len()];
+        while let Some(slot) = stack.pop() {
+            let s = slot as usize;
+            if s >= self.n || self.name_id[s] == NONE {
+                continue;
+            }
+            stack.extend_from_slice(self.children_of(slot));
+            touched[self.name_id[s] as usize] = true;
+            self.name_id[s] = NONE;
+            self.parent[s] = NONE;
+            self.text_span[s] = (0, 0);
+        }
+        let name_id = &self.name_id;
+        let live = |s: &u32| name_id[*s as usize] != NONE;
+        self.elements.retain(live);
+        for (slots, _) in self.by_name.iter_mut().zip(&touched).filter(|(_, &t)| t) {
+            slots.retain(live);
+        }
+        self.rebuild_children();
+    }
+
+    /// Index one live element: name, parent, value, and its place at the
+    /// end of the element and per-name lists.
+    fn add_element(&mut self, doc: &Document, id: NodeId, node: &Node) {
+        let slot = id.index();
+        let name = node.name().expect("element has a name");
+        let name = match self.lookup.get(name) {
+            Some(&name) => name,
+            None => {
+                let next = self.by_name.len() as u32;
+                self.lookup.insert(name.to_string(), next);
+                self.by_name.push(Vec::new());
+                next
+            }
+        };
+        self.name_id[slot] = name;
+        self.parent[slot] = node.parent().map_or(NONE, |p| p.index() as u32);
+        self.text_span[slot] = self.push_value(doc, node);
+        self.elements.push(slot as u32);
+        self.by_name[name as usize].push(slot as u32);
+    }
+
+    /// Append `node`'s string value to the text buffer; returns its span.
+    fn push_value(&mut self, doc: &Document, node: &Node) -> (u32, u32) {
+        let start = self.text.len();
+        for &c in node.children() {
+            if let Some(t) = doc.text_value(c) {
+                self.text.push_str(t);
+            }
+        }
+        let end = u32::try_from(self.text.len()).expect("index text under 4 GiB");
+        (start as u32, end)
+    }
+
+    /// Recompute the CSR child lists from the parent column in one
+    /// counting pass. Siblings come out in ascending slot order, which is
+    /// document order: a node is always appended as its parent's last
+    /// child, at the largest slot yet.
+    fn rebuild_children(&mut self) {
+        let n = self.n;
+        self.child_start.clear();
+        self.child_start.resize(n + 1, 0);
+        for &s in &self.elements {
+            let p = self.parent[s as usize];
+            if p != NONE {
+                self.child_start[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.child_start[i + 1] += self.child_start[i];
+        }
+        self.child_list.clear();
+        self.child_list.resize(self.child_start[n] as usize, 0);
+        // Fill with `child_start[p]` as parent p's cursor, which leaves
+        // it at p's end (= p + 1's start); shifting by one restores it.
+        for &s in &self.elements {
+            let p = self.parent[s as usize];
+            if p != NONE {
+                let at = &mut self.child_start[p as usize];
+                self.child_list[*at as usize] = s;
+                *at += 1;
+            }
+        }
+        self.child_start.copy_within(0..n, 1);
+        self.child_start[0] = 0;
     }
 
     /// Bitset width (arena capacity).
@@ -164,11 +256,126 @@ impl DocIndex {
 
     /// String value of a slot (concatenated direct text children).
     pub(crate) fn value_of(&self, slot: u32) -> &str {
-        self.text[slot as usize].as_deref().unwrap_or("")
+        let (s, e) = self.text_span[slot as usize];
+        &self.text[s as usize..e as usize]
     }
 
     /// Arena handle for a slot known to hold a live element.
     pub(crate) fn node_at(&self, slot: u32) -> NodeId {
-        self.node_of[slot as usize]
+        NodeId::from_index(slot as usize)
+    }
+
+}
+
+/// Content equality: the same width and root, the same live elements
+/// with the same names, parents, element children and values, and the
+/// same slots per name. Name ids and the text buffer's layout may
+/// differ — a patched index keeps ids and bytes a fresh build would not.
+impl PartialEq for DocIndex {
+    fn eq(&self, other: &DocIndex) -> bool {
+        let (names, other_names) = (self.names(), other.names());
+        fn by_name(ix: &DocIndex) -> std::collections::BTreeMap<&str, &[u32]> {
+            ix.lookup
+                .iter()
+                .map(|(name, &id)| (name.as_str(), ix.slots_of(id)))
+                .filter(|(_, slots)| !slots.is_empty())
+                .collect()
+        }
+        self.n == other.n
+            && self.root == other.root
+            && self.elements == other.elements
+            && by_name(self) == by_name(other)
+            && self.elements.iter().all(|&s| {
+                names[self.name_id_at(s) as usize] == other_names[other.name_id_at(s) as usize]
+                    && self.parent_of(s) == other.parent_of(s)
+                    && self.children_of(s) == other.children_of(s)
+                    && self.value_of(s) == other.value_of(s)
+            })
+    }
+}
+
+impl DocIndex {
+    /// Element names by id.
+    fn names(&self) -> Vec<&str> {
+        let mut names = vec![""; self.by_name.len()];
+        for (name, &id) in &self.lookup {
+            names[id as usize] = name;
+        }
+        names
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc() -> Document {
+        Document::parse_str(
+            "<a><b>x<c>1</c>y</b><c>2</c><d><c/><b>z</b></d></a>",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn build_columns_describe_the_document() {
+        let d = doc();
+        let ix = DocIndex::build(&d);
+        assert_eq!(ix.width(), d.arena_len());
+        assert_eq!(ix.element_count(), d.element_count());
+        let root = d.root().index() as u32;
+        let kids: Vec<u32> =
+            d.child_elements(d.root()).map(|c| c.index() as u32).collect();
+        assert_eq!(ix.children_of(root), &kids[..]);
+        for e in d.all_elements() {
+            let s = e.index() as u32;
+            assert_eq!(ix.value_of(s), d.text_of(e), "value of {e}");
+            assert_eq!(Some(ix.names()[ix.name_id_at(s) as usize]), d.name(e));
+            assert_eq!(ix.parent_of(s), d.parent(e).map_or(NONE, |p| p.index() as u32));
+        }
+        let c = ix.name_of("c").unwrap();
+        assert_eq!(ix.slots_of(c).len(), 3);
+    }
+
+    #[test]
+    fn patches_match_a_fresh_build() {
+        let mut d = doc();
+        let mut ix = DocIndex::build(&d);
+        // Delete a subtree with a nested element, then a leaf.
+        let b = d.first_child_named(d.root(), "b").unwrap();
+        d.remove_subtree(b).unwrap();
+        ix.remove_subtrees(&[b]);
+        assert_eq!(ix, DocIndex::build(&d), "after delete");
+        // Insert under an old element, with a brand-new name and text.
+        let dd = d.first_child_named(d.root(), "d").unwrap();
+        let e = d.add_element(dd, "e");
+        d.add_text(e, "new");
+        ix.append(&d);
+        assert_eq!(ix, DocIndex::build(&d), "after insert");
+        // A text node appended to an indexed element changes its value.
+        d.add_text(dd, "tail");
+        ix.append(&d);
+        assert_eq!(ix.value_of(dd.index() as u32), "tail");
+        assert_eq!(ix, DocIndex::build(&d), "after text append");
+        // Deleting every `c` keeps the name's id with no slots.
+        let cs: Vec<NodeId> = d.all_elements().filter(|&n| d.name(n) == Some("c")).collect();
+        for &c in &cs {
+            d.remove_subtree(c).unwrap();
+        }
+        ix.remove_subtrees(&cs);
+        assert_eq!(ix, DocIndex::build(&d), "after deleting a whole name");
+        assert!(ix.slots_of(ix.name_of("c").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn content_equality_sees_a_stale_index() {
+        let mut d = doc();
+        let ix = DocIndex::build(&d);
+        let b = d.first_child_named(d.root(), "b").unwrap();
+        d.remove_subtree(b).unwrap();
+        assert_ne!(ix, DocIndex::build(&d));
+        let mut grown = d.clone();
+        let root = grown.root();
+        grown.add_element(root, "z");
+        assert_ne!(DocIndex::build(&d), DocIndex::build(&grown));
     }
 }

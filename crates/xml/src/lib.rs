@@ -12,9 +12,9 @@
 //! realises that model with:
 //!
 //! * [`Document`] — an arena of [`Node`]s addressed by dense [`NodeId`]s,
-//!   supporting O(1) parent/child navigation, subtree iteration, in-place
-//!   mutation (insert/delete), and per-element attributes (used by the
-//!   native XML store to materialise `sign` annotations);
+//!   stored in copy-on-write chunks of [`CHUNK`] nodes, supporting O(1)
+//!   parent/child navigation, subtree iteration, in-place mutation
+//!   (insert/delete), O(chunks) clones, and per-element attributes;
 //! * [`parse`]/[`Document::parse_str`] — a parser for the XML subset the
 //!   system manipulates (elements, attributes, character data, comments);
 //! * [`serialize`] — a serializer that round-trips parsed documents;
@@ -42,5 +42,5 @@ pub mod serialize;
 
 pub use dtd::parse_dtd;
 pub use error::{Error, Result};
-pub use model::{Document, Node, NodeId, NodeKind};
+pub use model::{Document, Node, NodeId, NodeKind, CHUNK};
 pub use schema::{ContentModel, ElementType, Occurs, Particle, Schema};

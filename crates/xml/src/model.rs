@@ -1,10 +1,17 @@
 //! Arena-based XML tree model.
 //!
-//! A [`Document`] owns every node in a flat arena (`Vec<Node>`), addressed
-//! by dense [`NodeId`]s. This gives O(1) navigation in every direction and
+//! A [`Document`] owns every node in a flat arena addressed by dense
+//! [`NodeId`]s. This gives O(1) navigation in every direction and
 //! cache-friendly whole-document scans — the access patterns that dominate
 //! annotation workloads, where the system repeatedly sweeps all nodes of a
 //! document to apply or clear accessibility labels.
+//!
+//! The arena is stored in fixed-size chunks of [`CHUNK`] nodes, each behind
+//! an [`Arc`]. Cloning a document therefore copies one pointer per chunk,
+//! and the first write to a chunk that a clone still shares copies that
+//! chunk alone ([`Arc::make_mut`]): an epoch that publishes a clone and
+//! then updates a few subtrees pays for the chunks it touches, not for the
+//! document.
 //!
 //! Nodes are never physically removed from the arena; deletion marks the
 //! subtree as *detached* so that outstanding [`NodeId`]s can be detected as
@@ -13,6 +20,10 @@
 
 use crate::error::{Error, Result};
 use std::fmt;
+use std::sync::Arc;
+
+/// Nodes per arena chunk, the unit a copy-on-write clone shares and copies.
+pub const CHUNK: usize = 1024;
 
 /// Identifier of a node inside one [`Document`] arena.
 ///
@@ -29,8 +40,11 @@ impl NodeId {
         self.0 as usize
     }
 
+    /// The id of arena slot `index` — the inverse of [`Self::index`], for
+    /// side tables keyed by slot. Check the result with
+    /// [`Document::is_alive`] before trusting it.
     #[inline]
-    pub(crate) fn new(index: usize) -> Self {
+    pub fn from_index(index: usize) -> Self {
         debug_assert!(index <= u32::MAX as usize, "document too large");
         NodeId(index as u32)
     }
@@ -58,8 +72,7 @@ pub struct Node {
     kind: NodeKind,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// Attributes in document order. The native XML backend stores the
-    /// accessibility `sign` here.
+    /// Attributes in document order.
     attributes: Vec<(String, String)>,
     /// False once the node has been detached by [`Document::remove_subtree`].
     alive: bool,
@@ -70,14 +83,36 @@ impl Node {
     pub fn kind(&self) -> &NodeKind {
         &self.kind
     }
+
+    /// The element name, or `None` for text nodes.
+    pub fn name(&self) -> Option<&str> {
+        match &self.kind {
+            NodeKind::Element(n) => Some(n),
+            NodeKind::Text(_) => None,
+        }
+    }
+
+    /// Parent slot (`None` for the root).
+    pub fn parent(&self) -> Option<NodeId> {
+        self.parent
+    }
+
+    /// Children in document order.
+    pub fn children(&self) -> &[NodeId] {
+        &self.children
+    }
 }
 
 /// A rooted, labelled XML tree.
 #[derive(Debug, Clone)]
 pub struct Document {
-    nodes: Vec<Node>,
+    /// The arena: slot `i` is `chunks[i / CHUNK][i % CHUNK]`, and every
+    /// chunk but the last is full.
+    chunks: Vec<Arc<Vec<Node>>>,
     root: NodeId,
     alive_count: usize,
+    /// Live element nodes, maintained by every mutation.
+    element_count: usize,
 }
 
 impl Document {
@@ -90,7 +125,14 @@ impl Document {
             attributes: Vec::new(),
             alive: true,
         };
-        Document { nodes: vec![root], root: NodeId::new(0), alive_count: 1 }
+        let mut chunk = Vec::with_capacity(CHUNK);
+        chunk.push(root);
+        Document {
+            chunks: vec![Arc::new(chunk)],
+            root: NodeId::from_index(0),
+            alive_count: 1,
+            element_count: 1,
+        }
     }
 
     /// The root element.
@@ -115,20 +157,31 @@ impl Document {
     /// side-tables indexed by [`NodeId::index`].
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.chunks.len().saturating_sub(1) * CHUNK + self.chunks.last().map_or(0, |c| c.len())
     }
 
-    fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    /// The arena entry of `id`.
+    #[inline]
+    pub fn node(&self, id: NodeId) -> &Node {
+        let i = id.index();
+        &self.chunks[i / CHUNK][i % CHUNK]
     }
 
+    /// Write access to one node, copying its chunk first if a clone
+    /// still shares it.
+    #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+        let i = id.index();
+        &mut Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK]
     }
 
     /// Whether `id` refers to a live (attached) node of this document.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        id.index() < self.nodes.len() && self.nodes[id.index()].alive
+        let i = id.index();
+        self.chunks
+            .get(i / CHUNK)
+            .and_then(|c| c.get(i % CHUNK))
+            .is_some_and(|n| n.alive)
     }
 
     /// Append a new element named `name` as the last child of `parent`.
@@ -143,14 +196,25 @@ impl Document {
 
     fn add_node(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         assert!(self.is_alive(parent), "parent {parent} is not a live node");
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(Node {
+        let id = NodeId::from_index(self.arena_len());
+        if matches!(kind, NodeKind::Element(_)) {
+            self.element_count += 1;
+        }
+        let node = Node {
             kind,
             parent: Some(parent),
             children: Vec::new(),
             attributes: Vec::new(),
             alive: true,
-        });
+        };
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(node),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(node);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
         self.node_mut(parent).children.push(id);
         self.alive_count += 1;
         id
@@ -158,10 +222,7 @@ impl Document {
 
     /// The element name, or `None` for text nodes.
     pub fn name(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Element(n) => Some(n),
-            NodeKind::Text(_) => None,
-        }
+        self.node(id).name()
     }
 
     /// The text value, or `None` for element nodes.
@@ -238,15 +299,32 @@ impl Document {
         Subtree { doc: self, stack }
     }
 
+    /// Every arena slot with its node, dead ones included: one sweep over
+    /// the chunk slices, no per-node chunk lookup.
+    fn slots(&self) -> impl Iterator<Item = (NodeId, &Node)> + '_ {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter())
+            .enumerate()
+            .map(|(i, n)| (NodeId::from_index(i), n))
+    }
+
     /// All live nodes in arena order (document order for documents that were
     /// only appended to).
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::new).filter(move |&id| self.nodes[id.index()].alive)
+        self.slots().filter(|(_, n)| n.alive).map(|(id, _)| id)
     }
 
-    /// All live *element* nodes.
+    /// All live *element* nodes, in arena order.
     pub fn all_elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.all_nodes().filter(move |&id| self.is_element(id))
+        self.element_nodes().map(|(id, _)| id)
+    }
+
+    /// All live element nodes with their arena entries, in arena order —
+    /// the sweep whole-document indexes are built from.
+    pub fn element_nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> + '_ {
+        self.slots()
+            .filter(|(_, n)| n.alive && matches!(n.kind, NodeKind::Element(_)))
     }
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
@@ -304,9 +382,9 @@ impl Document {
         &self.node(id).attributes
     }
 
-    /// Insert or replace an attribute. This is the primitive behind the
-    /// paper's `xmlac:annotate()` function (§5.2): insert `sign` if absent,
-    /// otherwise replace its value.
+    /// Insert or replace an attribute (upsert). The native store keeps its
+    /// `sign` annotations in a byte column beside the arena instead, with
+    /// the same upsert semantics (`xac_xmlstore::StoredDocument::annotate`).
     pub fn set_attribute(&mut self, id: NodeId, name: impl Into<String>, value: impl Into<String>) {
         let name = name.into();
         let value = value.into();
@@ -340,6 +418,7 @@ impl Document {
         kids.remove(pos);
 
         let mut removed = 0;
+        let mut elements = 0;
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             let node = self.node_mut(n);
@@ -348,9 +427,13 @@ impl Document {
             }
             node.alive = false;
             removed += 1;
+            if matches!(node.kind, NodeKind::Element(_)) {
+                elements += 1;
+            }
             stack.extend(node.children.iter().copied());
         }
         self.alive_count -= removed;
+        self.element_count -= elements;
         Ok(removed)
     }
 
@@ -358,21 +441,21 @@ impl Document {
     /// from old [`NodeId`] index to new [`NodeId`] (`None` for dropped
     /// slots). All previously handed-out ids are invalidated.
     pub fn compact(&mut self) -> Vec<Option<NodeId>> {
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
+        let mut remap: Vec<Option<NodeId>> = vec![None; self.arena_len()];
         let mut new_nodes: Vec<Node> = Vec::with_capacity(self.alive_count);
         // Walk in pre-order from the root so document order is preserved.
         let mut stack = vec![self.root];
         let mut order: Vec<NodeId> = Vec::with_capacity(self.alive_count);
         while let Some(n) = stack.pop() {
             order.push(n);
-            let kids = &self.nodes[n.index()].children;
+            let kids = &self.node(n).children;
             for &c in kids.iter().rev() {
                 stack.push(c);
             }
         }
         for &old in &order {
-            remap[old.index()] = Some(NodeId::new(new_nodes.len()));
-            new_nodes.push(self.nodes[old.index()].clone());
+            remap[old.index()] = Some(NodeId::from_index(new_nodes.len()));
+            new_nodes.push(self.node(old).clone());
         }
         for node in &mut new_nodes {
             node.parent = node.parent.and_then(|p| remap[p.index()]);
@@ -384,14 +467,29 @@ impl Document {
         }
         self.root = remap[self.root.index()].expect("root survives compaction");
         self.alive_count = new_nodes.len();
-        self.nodes = new_nodes;
+        self.element_count =
+            new_nodes.iter().filter(|n| matches!(n.kind, NodeKind::Element(_))).count();
+        let mut chunks = Vec::with_capacity(new_nodes.len().div_ceil(CHUNK));
+        let mut nodes = new_nodes.into_iter().peekable();
+        while nodes.peek().is_some() {
+            let mut chunk = Vec::with_capacity(CHUNK);
+            chunk.extend(nodes.by_ref().take(CHUNK));
+            chunks.push(Arc::new(chunk));
+        }
+        self.chunks = chunks;
         remap
     }
 
     /// Count of live element nodes (the unit the paper's coverage metric is
-    /// expressed in).
+    /// expressed in). O(1): every mutation keeps the count.
     pub fn element_count(&self) -> usize {
-        self.all_elements().count()
+        self.element_count
+    }
+
+    /// Whether chunk `chunk` is the same allocation in both documents.
+    #[cfg(test)]
+    fn shares_chunk(&self, other: &Document, chunk: usize) -> bool {
+        Arc::ptr_eq(&self.chunks[chunk], &other.chunks[chunk])
     }
 }
 
@@ -528,5 +626,74 @@ mod tests {
         let (d, ..) = sample();
         assert_eq!(d.element_count(), 3);
         assert_eq!(d.len(), 4);
+    }
+
+    /// A document of `n` elements, each holding one text node, spread
+    /// over several arena chunks.
+    fn wide(n: usize) -> Document {
+        let mut d = Document::new("r");
+        for i in 0..n {
+            let e = d.add_element(d.root(), if i % 3 == 0 { "a" } else { "b" });
+            d.add_text(e, format!("v{i}"));
+        }
+        d
+    }
+
+    #[test]
+    fn element_counter_tracks_every_mutation() {
+        let mut d = wide(40);
+        let check = |d: &Document, step: &str| {
+            assert_eq!(d.element_count(), d.all_elements().count(), "{step}");
+            assert_eq!(d.len(), d.all_nodes().count(), "{step}");
+        };
+        check(&d, "parse-free build");
+        let kids: Vec<NodeId> = d.children(d.root()).collect();
+        let inner = d.add_element(kids[3], "c");
+        check(&d, "add_element");
+        d.add_text(inner, "t");
+        check(&d, "add_text");
+        d.remove_subtree(kids[3]).unwrap();
+        check(&d, "remove_subtree with nested element");
+        d.remove_subtree(kids[5]).unwrap();
+        check(&d, "remove_subtree");
+        assert!(d.remove_subtree(kids[5]).is_err());
+        check(&d, "failed removal");
+        d.compact();
+        check(&d, "compact");
+        let parsed = Document::parse_str("<a><b>x<c/>y</b><d/></a>").unwrap();
+        check(&parsed, "parse");
+    }
+
+    #[test]
+    fn clones_share_untouched_chunks_and_keep_their_value() {
+        let mut d = Document::parse_str(&wide(3 * CHUNK).to_xml()).unwrap();
+        let chunks = d.arena_len().div_ceil(CHUNK);
+        assert!(chunks >= 6, "the fixture spans several chunks");
+        let clone = d.clone();
+        let before = clone.to_xml();
+        let shared = |d: &Document| (0..chunks).filter(|&c| d.shares_chunk(&clone, c)).count();
+        assert_eq!(shared(&d), chunks, "a clone copies no chunk");
+
+        // Slot 10 sits in chunk 0, slot 2 * CHUNK + 1 in chunk 2.
+        let early = NodeId::from_index(9);
+        let mid = NodeId::from_index(2 * CHUNK + 1);
+        assert!(d.is_element(early) && d.is_element(mid));
+        d.set_attribute(early, "sign", "+");
+        assert!(!d.shares_chunk(&clone, 0) && shared(&d) == chunks - 1, "set_attribute");
+        d.remove_attribute(early, "sign");
+        assert_eq!(shared(&d), chunks - 1, "remove_attribute touches the same chunk");
+        // The root lives in chunk 0 too, so appending copies only the
+        // last chunk.
+        let added = d.add_element(d.root(), "z");
+        d.add_text(added, "new");
+        assert!(!d.shares_chunk(&clone, chunks - 1), "append copies the last chunk");
+        assert_eq!(shared(&d), chunks - 2, "add_element/add_text");
+        d.remove_subtree(mid).unwrap();
+        assert!(!d.shares_chunk(&clone, 2), "remove_subtree copies its chunk");
+        assert_eq!(shared(&d), chunks - 3, "remove_subtree");
+        assert_eq!(clone.to_xml(), before, "the clone is unchanged by every write");
+        d.compact();
+        assert_eq!(clone.to_xml(), before, "and by compaction");
+        assert!(clone.is_alive(mid) && clone.attribute(early, "sign").is_none());
     }
 }

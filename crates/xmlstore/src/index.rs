@@ -1,4 +1,5 @@
-//! Element-name index: element name → node ids, in document order.
+//! Element-name index: element name → node ids, in arena order (document
+//! order for a parsed document; inserted elements append).
 //!
 //! This is the structural index a native XML database maintains so that
 //! `//name` queries need not sweep the whole tree. Deleted nodes are
@@ -15,18 +16,22 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// Build the index for a document.
+    /// Build the index for a document in one sweep over its arena.
     pub fn build(doc: &Document) -> NameIndex {
         let mut buckets: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for node in doc.subtree(doc.root()) {
-            if let Some(name) = doc.name(node) {
-                buckets.entry(name.to_string()).or_default().push(node);
+        for (id, node) in doc.element_nodes() {
+            let name = node.name().expect("element has a name");
+            match buckets.get_mut(name) {
+                Some(bucket) => bucket.push(id),
+                None => {
+                    buckets.insert(name.to_string(), vec![id]);
+                }
             }
         }
         NameIndex { buckets }
     }
 
-    /// Live nodes named `name`, in document order.
+    /// Live nodes named `name`, in arena order.
     pub fn lookup<'d>(
         &'d self,
         doc: &'d Document,

@@ -7,7 +7,9 @@
 //! node-set algebra the annotation query needs (`union` / `except`), and
 //! implements the paper's `xmlac:annotate()` update function: accessibility
 //! is materialized as a `sign` attribute on elements, inserted when absent
-//! and replaced when present.
+//! and replaced when present. The attribute is backed by a per-slot byte
+//! column beside the node arena, the way MonetDB/XQuery keeps attributes
+//! in a table of their own.
 //!
 //! ```
 //! use xac_xmlstore::{XmlStore, NodeSetExpr, SIGN_ATTR};

@@ -17,8 +17,13 @@ fn sign_writes_total() -> &'static Arc<Counter> {
 
 /// The attribute carrying accessibility annotations (paper §5.2: "we
 /// choose to store accessibility annotations for XML elements in the form
-/// of the XML attribute `sign`").
+/// of the XML attribute `sign`"). A [`StoredDocument`] backs this logical
+/// attribute with a byte column; input documents that carry it have it
+/// moved there on load.
 pub const SIGN_ATTR: &str = "sign";
+
+/// Sign-column value of an element without a `sign` attribute.
+const NO_SIGN: u8 = 0;
 
 /// A named collection of XML documents.
 #[derive(Debug, Default)]
@@ -78,18 +83,38 @@ impl XmlStore {
     }
 }
 
-/// A document plus its structural index.
+/// A document plus its structural index and its sign column.
+///
+/// The `sign` attribute of each element lives in `signs`, one byte per
+/// arena slot ([`NO_SIGN`], `b'+'` or `b'-'`), not among the node's
+/// attributes: a sign write is a byte store that touches no arena chunk,
+/// so re-annotating thousands of nodes leaves a copy-on-write clone of
+/// the document shared. This is how MonetDB/XQuery stores attributes too —
+/// in a table of their own beside the node table.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     doc: Document,
     index: NameIndex,
+    /// Per-slot sign, `doc.arena_len()` long.
+    signs: Vec<u8>,
 }
 
 impl StoredDocument {
-    /// Wrap a document, building its index.
-    pub fn new(doc: Document) -> StoredDocument {
+    /// Wrap a document, building its index. Any `sign` attributes of the
+    /// input move into the sign column (a non-`+` value reads as `-`) and
+    /// are stripped from the tree, so the column is the only copy.
+    pub fn new(mut doc: Document) -> StoredDocument {
         let index = NameIndex::build(&doc);
-        StoredDocument { doc, index }
+        let mut signs = vec![NO_SIGN; doc.arena_len()];
+        let signed: Vec<NodeId> =
+            doc.all_elements().filter(|&n| doc.attribute(n, SIGN_ATTR).is_some()).collect();
+        for n in signed {
+            let value = doc.remove_attribute(n, SIGN_ATTR).unwrap_or_default();
+            if let Some(sign) = value.chars().next() {
+                signs[n.index()] = sign_byte(sign);
+            }
+        }
+        StoredDocument { doc, index, signs }
     }
 
     /// The underlying document.
@@ -152,9 +177,10 @@ impl StoredDocument {
     }
 
     /// The paper's `xmlac:annotate()` on one node: insert the `sign`
-    /// attribute if absent, replace its value otherwise.
+    /// attribute if absent, replace its value otherwise. A sign other
+    /// than `+` is stored as `-`.
     pub fn annotate(&mut self, node: NodeId, sign: char) {
-        self.doc.set_attribute(node, SIGN_ATTR, sign.to_string());
+        self.signs[node.index()] = sign_byte(sign);
     }
 
     /// Annotate every node selected by an expression; returns how many
@@ -184,7 +210,20 @@ impl StoredDocument {
 
     /// The sign of a node, if annotated.
     pub fn sign_of(&self, node: NodeId) -> Option<char> {
-        self.doc.attribute(node, SIGN_ATTR).and_then(|s| s.chars().next())
+        match self.signs.get(node.index()) {
+            Some(&b) if b != NO_SIGN => Some(b as char),
+            _ => None,
+        }
+    }
+
+    /// Every annotated node with its sign, in arena order. Detached
+    /// nodes carry no sign (removal clears it).
+    pub fn signed_nodes(&self) -> impl Iterator<Item = (NodeId, char)> + '_ {
+        self.signs
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b != NO_SIGN)
+            .map(|(slot, &b)| (NodeId::from_index(slot), b as char))
     }
 
     /// Remove the sign attribute from the given nodes; returns how many
@@ -192,7 +231,9 @@ impl StoredDocument {
     pub fn clear_signs<I: IntoIterator<Item = NodeId>>(&mut self, nodes: I) -> usize {
         let mut cleared = 0;
         for n in nodes {
-            if self.doc.remove_attribute(n, SIGN_ATTR).is_some() {
+            let sign = &mut self.signs[n.index()];
+            if *sign != NO_SIGN {
+                *sign = NO_SIGN;
                 cleared += 1;
             }
         }
@@ -201,8 +242,9 @@ impl StoredDocument {
 
     /// Remove every sign attribute in the document.
     pub fn clear_all_signs(&mut self) -> usize {
-        let nodes: Vec<NodeId> = self.doc.all_elements().collect();
-        self.clear_signs(nodes)
+        let cleared = self.signs.iter().filter(|&&b| b != NO_SIGN).count();
+        self.signs.fill(NO_SIGN);
+        cleared
     }
 
     /// Overwrite the sign state wholesale with `signs`, keyed by
@@ -215,12 +257,16 @@ impl StoredDocument {
         let mut writes = self.clear_all_signs();
         let mut plus: Vec<NodeId> = Vec::new();
         let mut minus: Vec<NodeId> = Vec::new();
-        let nodes: Vec<NodeId> = self.doc.all_elements().collect();
-        for n in nodes {
-            match signs.get(&(n.index() as i64)) {
-                Some('+') => plus.push(n),
-                Some(_) => minus.push(n),
-                None => {}
+        for (&id, &sign) in signs {
+            let slot = usize::try_from(id).ok().filter(|&slot| slot < self.signs.len());
+            let Some(n) = slot.map(NodeId::from_index) else { continue };
+            if !self.doc.is_alive(n) || !self.doc.is_element(n) {
+                continue;
+            }
+            if sign == '+' {
+                plus.push(n);
+            } else {
+                minus.push(n);
             }
         }
         writes += self.annotate_nodes(&plus, '+');
@@ -230,37 +276,37 @@ impl StoredDocument {
 
     /// Count of nodes annotated with each sign `(plus, minus)`.
     pub fn sign_counts(&self) -> (usize, usize) {
-        let mut plus = 0;
-        let mut minus = 0;
-        for n in self.doc.all_elements() {
-            match self.doc.attribute(n, SIGN_ATTR) {
-                Some("+") => plus += 1,
-                Some("-") => minus += 1,
-                _ => {}
-            }
-        }
+        let plus = self.signs.iter().filter(|&&b| b == b'+').count();
+        let minus = self.signs.iter().filter(|&&b| b == b'-').count();
         (plus, minus)
     }
 
     /// Delete the subtrees of every node matched by `path`; returns the
-    /// number of nodes removed (the matched nodes plus their descendants).
-    /// The name index keeps stale entries (filtered lazily); call
-    /// [`StoredDocument::reindex`] after bulk deletions.
-    pub fn delete_matching(&mut self, path: &Path) -> Result<usize> {
-        let targets = self.eval(path);
-        let mut removed = 0;
-        for node in targets {
+    /// roots of the detached subtrees (the matches not inside another
+    /// match), in arena order. The name index keeps stale entries
+    /// (filtered lazily); call [`StoredDocument::reindex`] after bulk
+    /// deletions.
+    pub fn delete_matching(&mut self, path: &Path) -> Result<Vec<NodeId>> {
+        let mut roots = Vec::new();
+        for node in self.eval(path) {
             // A target inside an already-removed subtree is gone.
             if self.doc.is_alive(node) {
-                removed += self.remove_subtree(node)?;
+                self.remove_subtree(node)?;
+                roots.push(node);
             }
         }
-        Ok(removed)
+        Ok(roots)
     }
 
-    /// Remove one live node and its subtree; returns the number of nodes
-    /// removed. The name index keeps the stale entries (filtered lazily).
+    /// Remove one live node and its subtree, clearing their signs;
+    /// returns the number of nodes removed. The name index keeps the
+    /// stale entries (filtered lazily).
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<usize> {
+        if self.doc.is_alive(node) {
+            for n in self.doc.subtree(node) {
+                self.signs[n.index()] = NO_SIGN;
+            }
+        }
         Ok(self.doc.remove_subtree(node)?)
     }
 
@@ -268,17 +314,29 @@ impl StoredDocument {
     pub fn insert_element(&mut self, parent: NodeId, name: &str) -> NodeId {
         let node = self.doc.add_element(parent, name);
         self.index.insert(name, node);
+        self.signs.push(NO_SIGN);
         node
     }
 
     /// Insert a text child (no index entry — text nodes are values).
     pub fn insert_text(&mut self, parent: NodeId, value: &str) -> NodeId {
-        self.doc.add_text(parent, value)
+        let node = self.doc.add_text(parent, value);
+        self.signs.push(NO_SIGN);
+        node
     }
 
     /// Rebuild the name index (after bulk structural updates).
     pub fn reindex(&mut self) {
         self.index.rebuild(&self.doc);
+    }
+}
+
+/// The sign-column byte for an annotation.
+fn sign_byte(sign: char) -> u8 {
+    if sign == '+' {
+        b'+'
+    } else {
+        b'-'
     }
 }
 
@@ -379,8 +437,14 @@ mod tests {
     fn delete_matching_removes_subtrees() {
         let mut sdoc = hospital();
         let before = sdoc.doc().element_count();
-        let removed = sdoc.delete_matching(&parse("//treatment").unwrap()).unwrap();
-        assert_eq!(removed, 6, "4 elements (treatment, regular, med, bill) + 2 text values");
+        let nodes = sdoc.doc().len();
+        let roots = sdoc.delete_matching(&parse("//treatment").unwrap()).unwrap();
+        assert_eq!(roots.len(), 1, "one treatment subtree");
+        assert_eq!(
+            sdoc.doc().len(),
+            nodes - 6,
+            "4 elements (treatment, regular, med, bill) + 2 text values"
+        );
         assert_eq!(sdoc.doc().element_count(), before - 4);
         assert!(sdoc.eval(&parse("//regular").unwrap()).is_empty());
         // Patients remain.
@@ -393,8 +457,8 @@ mod tests {
             Document::parse_str("<a><b><b/></b></a>").unwrap(),
         );
         // Both b elements match; the outer removal swallows the inner.
-        let removed = sdoc.delete_matching(&parse("//b").unwrap()).unwrap();
-        assert_eq!(removed, 2);
+        let roots = sdoc.delete_matching(&parse("//b").unwrap()).unwrap();
+        assert_eq!(roots.len(), 1, "only the outer b is a detached root");
         assert_eq!(sdoc.doc().element_count(), 1);
     }
 
@@ -419,5 +483,83 @@ mod tests {
         sdoc.insert_text(b, "42");
         assert_eq!(sdoc.eval(&parse("//b").unwrap()), vec![b]);
         assert_eq!(sdoc.eval(&parse("//b[. = 42]").unwrap()), vec![b]);
+    }
+
+    #[test]
+    fn parsed_sign_attributes_move_into_the_column() {
+        let xml = "<a sign=\"+\"><b sign=\"-\"/><b sign=\"+\"><c/></b><d sign=\"\"/></a>";
+        let parsed = Document::parse_str(xml).unwrap();
+        let expected: Vec<Option<char>> = parsed
+            .all_elements()
+            .map(|n| parsed.attribute(n, SIGN_ATTR).and_then(|v| v.chars().next()))
+            .collect();
+        let sdoc = StoredDocument::new(parsed);
+        let read: Vec<Option<char>> =
+            sdoc.doc().all_elements().map(|n| sdoc.sign_of(n)).collect();
+        assert_eq!(read, expected);
+        assert_eq!(read, vec![Some('+'), Some('-'), Some('+'), None, None]);
+        assert_eq!(sdoc.sign_counts(), (2, 1));
+        assert!(
+            sdoc.doc().all_elements().all(|n| sdoc.doc().attribute(n, SIGN_ATTR).is_none()),
+            "the column is the only copy"
+        );
+        assert_eq!(sdoc.doc().to_xml(), "<a><b/><b><c/></b><d/></a>");
+    }
+
+    #[test]
+    fn clone_keeps_its_signs_and_structure_under_writes() {
+        let mut sdoc = hospital();
+        sdoc.annotate_expr(&NodeSetExpr::path("//patient").unwrap(), '+');
+        let clone = sdoc.clone();
+        let xml = clone.doc().to_xml();
+        let signs: Vec<(NodeId, char)> = clone.signed_nodes().collect();
+
+        sdoc.annotate_expr(&NodeSetExpr::path("//name").unwrap(), '-');
+        sdoc.clear_signs(clone.eval(&parse("//patient").unwrap()));
+        let psn = sdoc.eval(&parse("//psn").unwrap())[0];
+        sdoc.annotate(psn, '+');
+        sdoc.delete_matching(&parse("//treatment").unwrap()).unwrap();
+        let root = sdoc.doc().root();
+        let added = sdoc.insert_element(root, "extra");
+        sdoc.annotate(added, '+');
+        assert_eq!(sdoc.sign_counts(), (2, 2));
+
+        assert_eq!(clone.doc().to_xml(), xml, "structure unchanged");
+        assert_eq!(clone.signed_nodes().collect::<Vec<_>>(), signs, "signs unchanged");
+        assert_eq!(clone.sign_counts(), (2, 0));
+        assert_eq!(clone.sign_of(added), None, "the clone has no such slot");
+    }
+
+    #[test]
+    fn sign_maps_skip_ids_that_name_no_live_element() {
+        let mut sdoc = hospital();
+        let patient = sdoc.eval(&parse("//patient").unwrap())[0];
+        let text = sdoc.doc().all_nodes().find(|&n| sdoc.doc().is_text(n)).unwrap();
+        let treatment = sdoc.eval(&parse("//treatment").unwrap())[0];
+        sdoc.delete_matching(&parse("//treatment").unwrap()).unwrap();
+        let map: std::collections::BTreeMap<i64, char> = [
+            (-1, '+'),
+            (1 << 40, '+'),
+            ((1 << 32) + patient.index() as i64, '-'),
+            (text.index() as i64, '+'),
+            (treatment.index() as i64, '+'),
+            (patient.index() as i64, '+'),
+        ]
+        .into();
+        assert_eq!(sdoc.apply_sign_map(&map), 1);
+        assert_eq!(sdoc.signed_nodes().collect::<Vec<_>>(), vec![(patient, '+')]);
+    }
+
+    #[test]
+    fn removal_clears_the_removed_signs() {
+        let mut sdoc = hospital();
+        sdoc.annotate_expr(&NodeSetExpr::path("//*").unwrap(), '-');
+        let all = sdoc.sign_counts().1;
+        sdoc.delete_matching(&parse("//treatment").unwrap()).unwrap();
+        assert_eq!(sdoc.sign_counts(), (0, all - 4), "treatment, regular, med, bill");
+        assert_eq!(
+            sdoc.signed_nodes().count(),
+            sdoc.doc().all_elements().filter(|&n| sdoc.sign_of(n).is_some()).count()
+        );
     }
 }

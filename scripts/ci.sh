@@ -63,33 +63,6 @@ cargo test --release -q -p xac-serve --test fault_recovery
 echo "== storage: kill-and-reopen crash sweep (wal + pager) =="
 cargo test --release -q -p xac-serve --test durability_recovery
 
-echo "== storage: durable serve-bench exit-code contract =="
-# Fresh durable boot (exit 0), reopen recovering from the WAL (exit 0,
-# recovery banner printed), and a backend-tag mismatch against the same
-# data dir (exit 8 — the storage-error code).
-rm -rf target/ci_data_dir
-cargo run --release -q -p xac-net --bin xmlac -- serve-bench \
-    --schema data/hospital.dtd --policy data/hospital.pol --doc data/figure2.xml \
-    --query "//patient/name" --readers 2 --reads 50 --delete "//regular" \
-    --data-dir target/ci_data_dir > target/ci_durable_boot.txt
-grep -q "fresh durable boot" target/ci_durable_boot.txt
-test -s target/ci_data_dir/xmlac.wal
-test -s target/ci_data_dir/signs.pages
-cargo run --release -q -p xac-net --bin xmlac -- serve-bench \
-    --schema data/hospital.dtd --policy data/hospital.pol --doc data/figure2.xml \
-    --query "//patient/name" --readers 2 --reads 50 \
-    --data-dir target/ci_data_dir > target/ci_durable_reopen.txt
-grep -q "recovered native/xml" target/ci_durable_reopen.txt
-mismatch=0
-cargo run --release -q -p xac-net --bin xmlac -- serve-bench \
-    --schema data/hospital.dtd --policy data/hospital.pol --doc data/figure2.xml \
-    --query "//patient/name" --backend row \
-    --data-dir target/ci_data_dir > /dev/null 2>&1 || mismatch=$?
-if [ "$mismatch" -ne 8 ]; then
-    echo "ci.sh: backend-tag mismatch exited $mismatch, expected 8"
-    exit 1
-fi
-
 echo "== figures smoke: fault-recovery artifact =="
 cargo run --release -q -p xac-bench --bin figures -- fault-recovery
 test -s BENCH_fault_recovery.json

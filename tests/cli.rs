@@ -460,3 +460,39 @@ fn errors_are_reported_with_nonzero_exit() {
         assert!(stderr(&out).contains("xpath error"), "{extra:?}: {}", stderr(&out));
     }
 }
+
+/// The durable exit-code contract: a fresh boot on an empty data
+/// directory writes its log and page files (exit 0), a reopen recovers
+/// from them (exit 0), and a backend-tag mismatch against the same
+/// directory exits 8, the storage-error code.
+#[test]
+fn durable_serve_bench_boots_reopens_and_refuses_a_mismatched_backend() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_durable_data_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let (schema, policy, doc) = (data("hospital.dtd"), data("hospital.pol"), data("figure2.xml"));
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "serve-bench", "--schema", &schema, "--policy", &policy, "--doc", &doc,
+            "--query", "//patient/name", "--data-dir", dir_arg,
+        ];
+        args.extend_from_slice(extra);
+        xmlac(&args)
+    };
+
+    let boot = run(&["--readers", "2", "--reads", "50", "--delete", "//regular"]);
+    assert_eq!(boot.status.code(), Some(0), "{}", stderr(&boot));
+    assert!(stdout(&boot).contains("fresh durable boot"), "{}", stdout(&boot));
+    for file in ["xmlac.wal", "signs.pages"] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} written by the fresh boot");
+    }
+
+    let reopen = run(&["--readers", "2", "--reads", "50"]);
+    assert_eq!(reopen.status.code(), Some(0), "{}", stderr(&reopen));
+    assert!(stdout(&reopen).contains("recovered native/xml"), "{}", stdout(&reopen));
+
+    let mismatch = run(&["--backend", "row"]);
+    assert_eq!(mismatch.status.code(), Some(8), "{}", stderr(&mismatch));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,8 +9,9 @@
 //!    after the fired fault point;
 //! 3. the bounded ring buffer drops oldest-first without reordering the
 //!    survivors;
-//! 4. an applied update builds one columnar document index, which the
-//!    published snapshot shares with the reads that follow.
+//! 4. an applied update builds no columnar document index: it patches
+//!    the one built at the first publication, which the published
+//!    snapshot shares with the reads that follow.
 //!
 //! The trace buffer and the enabled flag are process-global, so every
 //! test that touches them holds `TRACE_LOCK` and resets the state first.
@@ -188,34 +189,39 @@ fn fault_events_appear_at_named_point() {
     assert_eq!(engine.metrics().faults_injected, 1);
 }
 
-/// One index build per structural epoch: after an applied delete the
-/// writer's re-annotation builds the new document's columnar index and
-/// the published snapshot shares it, so the reads that follow build
-/// none.
+/// No index build inside a structural update: the engine builds the
+/// columnar document index once, at its first publication; an applied
+/// guarded delete or insert patches it, and the published snapshot
+/// shares the patched index with the reads that follow.
 #[test]
-fn applied_update_builds_one_doc_index_shared_with_reads() {
+fn applied_updates_patch_the_doc_index_shared_with_reads() {
     let _g = lock();
-    let system = Arc::new(
-        System::builder(hospital_schema(), hospital_policy(), figure2_document())
-            .annotate_mode(AnnotateMode::Compiled)
-            .build()
-            .unwrap(),
-    );
-    let regular = xac_xpath::parse("//regular").unwrap();
     let names = xac_xpath::parse("//patient/name").unwrap();
-    for kind in BackendKind::ALL {
-        let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
-        trace::reset();
-        trace::set_enabled(true);
-        assert!(engine.guarded_delete(&regular).unwrap().applied(), "{kind:?}");
-        engine.query(&names);
-        engine.query(&names);
-        trace::set_enabled(false);
-        let builds = trace::span_stats()
-            .iter()
-            .find(|s| s.name == "vm.index")
-            .map_or(0, |s| s.count);
-        assert_eq!(builds, 1, "{kind:?}: vm.index spans");
+    for mode in [AnnotateMode::Compiled, AnnotateMode::PaperFaithful] {
+        let system = Arc::new(
+            System::builder(hospital_schema(), hospital_policy(), figure2_document())
+                .annotate_mode(mode)
+                .build()
+                .unwrap(),
+        );
+        let regular = xac_xpath::parse("//regular").unwrap();
+        let accessible_patient = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+        for kind in BackendKind::ALL {
+            let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
+            trace::reset();
+            trace::set_enabled(true);
+            let deleted = engine.guarded_delete(&regular).unwrap();
+            let inserted =
+                engine.guarded_insert(&accessible_patient, "treatment", None).unwrap();
+            engine.query(&names);
+            engine.query(&names);
+            trace::set_enabled(false);
+            assert!(deleted.applied() && inserted.applied(), "{mode:?}/{kind:?}");
+            let stats = trace::span_stats();
+            let count = |name: &str| stats.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+            assert_eq!(count("vm.index"), 0, "{mode:?}/{kind:?}: vm.index spans");
+            assert!(count("serve.update") >= 2, "{mode:?}/{kind:?}: both updates traced");
+        }
     }
     trace::reset();
 }

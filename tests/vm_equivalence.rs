@@ -249,3 +249,74 @@ fn program_cache_hits_across_backends() {
         "at most the first annotation compiles; the rest hit ({hits} hits, {misses} misses)"
     );
 }
+
+/// The document index each backend maintains across inserts and deletes
+/// (patched, never rebuilt) equals a fresh `DocIndex::build` of the same
+/// document after every step of a seeded insert/delete script, and the
+/// VM selects the same nodes for every workload query on both. Every
+/// other step keeps the previous snapshot alive, so patches run both on
+/// an index a snapshot shares (copy first) and on an unshared one; the
+/// kept snapshot must still describe its own document.
+#[test]
+fn maintained_doc_index_matches_a_fresh_build() {
+    use xac_vmc::{compile_path, execute_select, DocIndex};
+    for sc in scenarios().into_iter().filter(|s| s.seed != 29 && s.seed != 83) {
+        let system = build(&sc, AnnotateMode::Compiled);
+        let programs: Vec<_> = query_workload(&sc.schema, 12, sc.seed)
+            .iter()
+            .map(|q| (q.to_string(), compile_path(q).expect("workload paths compile")))
+            .collect();
+        let deletes = delete_updates(&sc.schema, 6, sc.seed ^ 0x1de5);
+        for kind in BackendKind::ALL {
+            let mut b = kind.make(AnnotateMode::Compiled);
+            system.load(b.as_mut()).unwrap();
+            system.annotate(b.as_mut()).unwrap();
+            let mut rng = xac_xmlgen::SplitMix64::seed_from_u64(sc.seed ^ 0x1a7e);
+            let mut kept = b.snapshot().unwrap();
+            let (mut removed, mut inserted) = (0, 0);
+            for step in 0..16 {
+                let label = format!("{}/{kind:?} step {step}", sc.label);
+                if rng.gen_bool(0.4) {
+                    let path = &deletes[rng.gen_range(0..deletes.len())];
+                    removed += b.delete(path).unwrap();
+                } else {
+                    // Insert a sibling of a random live element: same
+                    // name under a parent of the same type, so the
+                    // schema admits it; valued elements get a value.
+                    let doc = kept.store().doc();
+                    let elems: Vec<_> =
+                        doc.all_elements().filter(|&n| doc.parent(n).is_some()).collect();
+                    let e = elems[rng.gen_range(0..elems.len())];
+                    let parent = doc.name(doc.parent(e).unwrap()).unwrap().to_string();
+                    let name = doc.name(e).unwrap().to_string();
+                    let text = (!doc.text_of(e).is_empty()).then(|| format!("v{step}"));
+                    let at = xac_xpath::parse(&format!("//{parent}")).unwrap();
+                    inserted += b.insert(&at, &name, text.as_deref()).unwrap();
+                }
+                let snap = b.snapshot().unwrap();
+                let fresh = DocIndex::build(snap.store().doc());
+                assert_eq!(*snap.index(), fresh, "{label}: maintained index");
+                for (q, program) in &programs {
+                    assert_eq!(
+                        execute_select(program, snap.index()),
+                        execute_select(program, &fresh),
+                        "{label}: select {q}"
+                    );
+                }
+                assert_eq!(
+                    *kept.index(),
+                    DocIndex::build(kept.store().doc()),
+                    "{label}: a kept snapshot's index"
+                );
+                if step % 2 == 0 {
+                    kept = snap;
+                }
+            }
+            assert!(
+                removed > 0 && inserted > 0,
+                "{}/{kind:?}: the script changes structure",
+                sc.label
+            );
+        }
+    }
+}
