@@ -811,10 +811,12 @@ fn ablation_cam() {
 /// while a writer applies guarded deletes, per backend, in the compiled
 /// mode everything that serves runs (the deployment shape the paper's
 /// evaluation implies). Each row also reports a single-threaded
-/// decide-path micro-sweep — per-request latency of the interpreted
-/// snapshot walk vs the bytecode VM (`query_compiled`) over the same
-/// published snapshot. Emits `BENCH_serve.json` so the serving perf
-/// trajectory is tracked across revisions.
+/// decide-path micro-sweep over the published snapshot
+/// (`query_compiled`): the mean latency of the broad workload queries,
+/// and of selective value queries (`//item[quantity = "7"]`, answers of
+/// 1–3 nodes) with their cost per answer node, which must stay within
+/// 2x from the smallest factor to the largest. Emits `BENCH_serve.json`
+/// so the serving perf trajectory is tracked across revisions.
 fn serve(factors: &[f64]) {
     use std::sync::Arc;
     use xac_core::AnnotateMode;
@@ -825,8 +827,9 @@ fn serve(factors: &[f64]) {
     const READS_PER_READER: usize = 400;
     const UPDATES: usize = 12;
     const MICRO_REPS: usize = 3;
+    const SELECTIVE: usize = 60;
 
-    let t = TablePrinter::new(vec![8, 12, 9, 10, 12, 10, 10, 9, 9, 8, 9, 9]);
+    let t = TablePrinter::new(vec![8, 12, 9, 10, 12, 10, 10, 9, 9, 8, 9, 9, 9]);
     t.row(&[
         "factor".into(),
         "backend".into(),
@@ -838,8 +841,9 @@ fn serve(factors: &[f64]) {
         "applied".into(),
         "denied".into(),
         "epochs".into(),
-        "dec-i µs".into(),
         "dec-vm µs".into(),
+        "dec-sel µs".into(),
+        "ns/node".into(),
     ]);
     t.rule();
 
@@ -848,10 +852,12 @@ fn serve(factors: &[f64]) {
     let mut csv = String::from(
         "factor,backend,mode,readers,reads,reads_per_s,read_mean_us,read_p50_us,read_p99_us,\
          updates_applied,updates_denied,epochs_published,full_fallbacks,\
-         decide_interp_us,decide_compiled_us\n",
+         decide_compiled_us,decide_selective_us,selective_ns_per_answer_node\n",
     );
     let mut json = String::from("[\n");
     let mut first = true;
+    // Selective cost per answer node, per backend, at each factor.
+    let mut per_node: Vec<(f64, &'static str, f64)> = Vec::new();
 
     let mode_label = AnnotateMode::Compiled.name();
     for &f in factors {
@@ -875,31 +881,29 @@ fn serve(factors: &[f64]) {
                     }
                 });
             });
-            // Decide-path micro-sweep: both entry points run against
-            // the same published snapshot, so the delta is pure
-            // dispatch — interpreted document walk vs bytecode VM over
-            // the cached columnar index.
-            let (micro_i, micro_c) = {
-                let snap = engine.snapshot();
-                let measure = |compiled: bool| -> f64 {
-                    let (_, d) = time(|| {
-                        for _ in 0..MICRO_REPS {
-                            for q in &queries {
-                                if compiled {
-                                    std::hint::black_box(snap.query_compiled(q));
-                                } else {
-                                    std::hint::black_box(snap.query(q));
-                                }
-                            }
+            // Decide-path micro-sweep on the published snapshot: the
+            // broad workload, then selective value queries.
+            let snap = engine.snapshot();
+            let selective = selective_queries(snap.store().doc(), SELECTIVE);
+            assert!(!selective.is_empty(), "f={f}: the document has selective values");
+            let measure = |qs: &[xac_xpath::Path]| -> (f64, usize) {
+                let mut nodes = 0;
+                let (_, d) = time(|| {
+                    for _ in 0..MICRO_REPS {
+                        for q in qs {
+                            nodes += std::hint::black_box(snap.query_compiled(q)).node_count();
                         }
-                    });
-                    d.as_secs_f64() * 1e6 / (MICRO_REPS * queries.len()) as f64
-                };
-                (measure(false), measure(true))
+                    }
+                });
+                (d.as_secs_f64() * 1e6 / (MICRO_REPS * qs.len()) as f64, nodes / MICRO_REPS)
             };
+            let (micro_c, _) = measure(&queries);
+            let (micro_s, answer_nodes) = measure(&selective);
+            let ns_per_node = micro_s * 1e3 * selective.len() as f64 / answer_nodes.max(1) as f64;
+            let name = engine.backend_name();
+            per_node.push((f, name, ns_per_node));
             let m = engine.metrics();
             let reads_per_s = m.reads_issued() as f64 / wall.as_secs_f64().max(1e-9);
-            let name = engine.backend_name();
             t.row(&[
                 format!("{f}"),
                 name.into(),
@@ -911,13 +915,14 @@ fn serve(factors: &[f64]) {
                 m.updates_applied.to_string(),
                 m.updates_denied.to_string(),
                 m.epochs_published.to_string(),
-                format!("{micro_i:.1}"),
                 format!("{micro_c:.1}"),
+                format!("{micro_s:.1}"),
+                format!("{ns_per_node:.0}"),
             ]);
             let _ = writeln!(
                 csv,
                 "{f},{name},{mode_label},{READERS},{},{reads_per_s},{},{},{},{},{},{},{},\
-                 {micro_i},{micro_c}",
+                 {micro_c},{micro_s},{ns_per_node}",
                 m.reads_issued(),
                 m.read_latency.mean_us(),
                 m.read_latency.quantile_us(0.5),
@@ -939,7 +944,8 @@ fn serve(factors: &[f64]) {
                  \"read_mean_us\": {}, \"read_p50_us\": {}, \"read_p99_us\": {}, \
                  \"updates_applied\": {}, \"updates_denied\": {}, \
                  \"epochs_published\": {}, \"full_fallbacks\": {}, \
-                 \"decide_interp_us\": {micro_i}, \"decide_compiled_us\": {micro_c}}}",
+                 \"decide_compiled_us\": {micro_c}, \"decide_selective_us\": {micro_s}, \
+                 \"selective_ns_per_answer_node\": {ns_per_node}}}",
                 m.reads_issued(),
                 m.read_latency.mean_us(),
                 m.read_latency.quantile_us(0.5),
@@ -955,13 +961,59 @@ fn serve(factors: &[f64]) {
     write_csv("serve.csv", &csv);
     std::fs::write("BENCH_serve.json", &json).expect("write json");
     println!("  [json -> BENCH_serve.json]");
+    // Selective reads cost O(answer): the index probe keeps the cost
+    // per answer node flat as the document grows.
+    let (lo, hi) = (factors[0], factors[factors.len() - 1]);
+    for &(_, name, small) in per_node.iter().filter(|r| r.0 == lo) {
+        let large = per_node.iter().find(|r| r.0 == hi && r.1 == name).expect("row measured").2;
+        assert!(
+            large <= 2.0 * small,
+            "{name}: selective ns/answer node {large:.0} at f={hi} exceeds 2x {small:.0} at f={lo}"
+        );
+    }
     println!(
         "(reads run lock-free against the published epoch snapshot while the\n \
          writer re-annotates; applied+denied reflects which of the {UPDATES} guarded\n \
          deletes the access check allowed; epochs = snapshots published;\n \
-         dec-i/dec-vm = single-threaded per-request decide latency of the\n \
-         interpreted snapshot walk vs the bytecode VM on the same snapshot)"
+         dec-vm/dec-sel = single-threaded per-request decide latency of the\n \
+         broad workload and of selective value queries on the same snapshot;\n \
+         ns/node = selective decide cost per answer node)"
     );
+}
+
+/// Up to `n` selective value queries `//P[C = "v"]` on `doc`, with
+/// values taken from the document and answers of 1–3 nodes, spread over
+/// the candidates in a fixed order.
+fn selective_queries(doc: &xac_xml::Document, n: usize) -> Vec<xac_xpath::Path> {
+    const FAMILIES: &[(&str, &str)] = &[
+        ("item", "quantity"),
+        ("item", "location"),
+        ("person", "name"),
+        ("open_auction", "current"),
+        ("closed_auction", "price"),
+    ];
+    let mut answers: std::collections::BTreeMap<String, usize> = Default::default();
+    for e in doc.all_elements() {
+        let Some(parent) = doc.name(e) else { continue };
+        for c in doc.child_elements(e) {
+            let Some(child) = doc.name(c) else { continue };
+            let value = doc.text_of(c);
+            if FAMILIES.contains(&(parent, child))
+                && !value.is_empty()
+                && value.chars().all(|ch| ch.is_ascii_alphanumeric() || " .@_-".contains(ch))
+            {
+                *answers.entry(format!("//{parent}[{child} = \"{value}\"]")).or_default() += 1;
+            }
+        }
+    }
+    let pool: Vec<String> =
+        answers.into_iter().filter(|&(_, k)| k <= 3).map(|(q, _)| q).collect();
+    let stride = (pool.len() / n.max(1)).max(1);
+    pool.iter()
+        .step_by(stride)
+        .take(n)
+        .map(|q| xac_xpath::parse(q).expect("selective query parses"))
+        .collect()
 }
 
 /// Fault-recovery cost: checkpoint capture/restore vs document size, and

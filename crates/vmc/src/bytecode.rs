@@ -2,7 +2,8 @@
 //!
 //! A [`Program`] is a straight-line instruction sequence over a small set
 //! of *mask registers*. Each register holds a set of element nodes,
-//! represented at execution time as a bitset over arena slots of the
+//! represented at execution time as a sorted slot vector or, once it
+//! holds width/32 slots or more, a bitset over arena slots of the
 //! [`crate::DocIndex`]. There is no control flow: the fragment's
 //! annotation queries are unions/differences of path expressions, which
 //! compile to a fixed pipeline of scans, steps, filters and set algebra,
@@ -49,6 +50,15 @@ pub enum Inst {
     /// `dst = elements matching name with a strict ancestor in src`,
     /// computed by one forward closure pass over the parent column.
     StepDesc { dst: u8, src: u8, name: NameSel },
+    /// `dst = elements named name whose own value (`child: None`), or
+    /// the value of some child named `child`, equals `value` under `=`:
+    /// a lookup in the index's value postings, in O(log n + hits).
+    /// Compiles a step `name[child = "value"]` or `name[. = "value"]`.
+    Probe { dst: u8, name: u16, child: Option<u16>, value: String },
+    /// Retain only the nodes of `reg` whose parent (`Axis::Child`) or
+    /// some strict ancestor (`Axis::Descendant`) is in `src`: places a
+    /// later step's probe under that step's context.
+    Within { reg: u8, src: u8, axis: Axis },
     /// Retain only the nodes of `reg` satisfying predicate program
     /// `pred` (index into [`Program::preds`]).
     Filter { reg: u8, pred: u16 },
@@ -119,6 +129,7 @@ impl Program {
             | Inst::ScanAll { name, .. }
             | Inst::StepChild { name, .. }
             | Inst::StepDesc { name, .. } => *name,
+            Inst::Probe { name, .. } => NameSel::Name(*name),
             _ => return None,
         };
         match sel {

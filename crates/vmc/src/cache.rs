@@ -8,7 +8,7 @@
 //! pathological workload cannot grow the map without limit.
 
 use crate::bytecode::Program;
-use crate::compile::{compile_path, compile_query, CompileError};
+use crate::compile::{compile_path, compile_query, path_fingerprint, CompileError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use xac_obs::Counter;
@@ -66,30 +66,38 @@ struct ProgramCache {
     stats: VmCacheStats,
 }
 
-impl ProgramCache {
-    fn lookup_or_insert<E>(
-        &mut self,
-        key: u64,
-        build: impl FnOnce() -> Result<Program, E>,
-    ) -> Result<Arc<Program>, E> {
-        if let Some(p) = self.map.get(&key) {
-            self.stats.hits += 1;
-            return Ok(Arc::clone(p));
+/// Fetch the program for (`source`, `mark`) cached under `key`, or
+/// build it outside the lock and cache it. A cached program for another
+/// source or mark under the same key (a fingerprint collision) is a
+/// miss, and the new program replaces it.
+pub(crate) fn cached<E>(
+    key: u64,
+    source: &str,
+    mark: char,
+    build: impl FnOnce() -> Result<Program, E>,
+) -> Result<Arc<Program>, E> {
+    {
+        let mut c = cache();
+        let hit = c.map.get(&key).filter(|p| p.source == source && p.mark == mark).cloned();
+        if let Some(p) = hit {
+            c.stats.hits += 1;
+            return Ok(p);
         }
-        self.stats.misses += 1;
-        let program = Arc::new(build()?);
-        programs_compiled_total().inc();
-        if self.map.len() >= self.capacity {
-            // Wholesale flush, like the containment memo: cheap, and a
-            // full cache under a stable workload never reaches here.
-            let cleared = self.map.len() as u64;
-            self.map.clear();
-            self.stats.evictions += cleared;
-            cache_evictions_total().add(cleared);
-        }
-        self.map.insert(key, Arc::clone(&program));
-        Ok(program)
+        c.stats.misses += 1;
     }
+    let program = Arc::new(build()?);
+    programs_compiled_total().inc();
+    let mut c = cache();
+    if c.map.len() >= c.capacity && !c.map.contains_key(&key) {
+        // Wholesale flush, like the containment memo: cheap, and a
+        // full cache under a stable workload never reaches here.
+        let cleared = c.map.len() as u64;
+        c.map.clear();
+        c.stats.evictions += cleared;
+        cache_evictions_total().add(cleared);
+    }
+    c.map.insert(key, Arc::clone(&program));
+    Ok(program)
 }
 
 fn cache() -> MutexGuard<'static, ProgramCache> {
@@ -112,10 +120,6 @@ pub fn query_fingerprint(query: &AnnotationQuery, schema: Option<&Schema>) -> u6
     crate::compile::fingerprint(&query.describe(), query.mark.sign(), schema)
 }
 
-fn path_fingerprint(path: &Path) -> u64 {
-    crate::compile::fingerprint(&format!("path|{path}"), '+', None)
-}
-
 /// Compile-or-fetch the program for an annotation query. The schema only
 /// contributes to the cache key (two schemas may shred the same query
 /// differently downstream), not to the generated code.
@@ -123,14 +127,16 @@ pub fn cached_query_program(
     query: &AnnotationQuery,
     schema: Option<&Schema>,
 ) -> Result<Arc<Program>, CompileError> {
-    let key = query_fingerprint(query, schema);
-    cache().lookup_or_insert(key, || compile_query(query, schema))
+    let source = query.describe();
+    let mark = query.mark.sign();
+    let key = crate::compile::fingerprint(&source, mark, schema);
+    cached(key, &source, mark, || compile_query(query, schema))
 }
 
 /// Compile-or-fetch the program for a single request path (decide path).
 pub fn cached_path_program(path: &Path) -> Result<Arc<Program>, CompileError> {
-    let key = path_fingerprint(path);
-    cache().lookup_or_insert(key, || compile_path(path))
+    let source = path.to_string();
+    cached(path_fingerprint(&source), &source, '+', || compile_path(path))
 }
 
 /// Current cache stats.
@@ -143,4 +149,30 @@ pub fn reset_cache() {
     let mut c = cache();
     c.map.clear();
     c.stats = VmCacheStats::default();
+}
+
+/// Serializes the tests that read the process-global cache's stats.
+#[cfg(test)]
+pub(crate) static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_colliding_key_is_a_miss_not_another_programs_decision() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        let key = 0x5eed_c011_1de5;
+        let (a, b) = (xac_xpath::parse("//a").unwrap(), xac_xpath::parse("//b").unwrap());
+        let fetch = |p: &Path| cached(key, &p.to_string(), '+', || compile_path(p)).unwrap();
+        let before = cache_stats();
+        assert_eq!(fetch(&a).source, "//a");
+        assert_eq!(fetch(&b).source, "//b", "same key, another source: a miss");
+        assert_eq!(fetch(&b).source, "//b");
+        assert_eq!(fetch(&a).source, "//a");
+        let after = cache_stats();
+        assert_eq!((after.misses - before.misses, after.hits - before.hits), (3, 1));
+        let q = cached(key, "//a", '-', || compile_path(&a).map(|p| Program { mark: '-', ..p }));
+        assert_eq!(q.unwrap().mark, '-', "same source, another mark: a miss");
+    }
 }

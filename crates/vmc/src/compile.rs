@@ -2,7 +2,11 @@
 //!
 //! The pipeline per absolute path is fixed: the leading step becomes a
 //! `ScanRoot`/`ScanAll`, every later step a `StepChild`/`StepDesc`, each
-//! followed by a `Filter` per qualifier; the path result is folded into
+//! followed by a `Filter` per qualifier. A name-test step with an
+//! equality conjunct `[c = "v"]` or `[. = "v"]` (`c` a name test without
+//! qualifiers) instead becomes a `Probe` of the index's value postings —
+//! under a later step's context by a `Within` — and `Filter`s for the
+//! other conjuncts; the path result is folded into
 //! the `r0` accumulator with `Union` (include) or `Diff` (except) and a
 //! single fused `SignWrite` terminates the program. Qualifiers compile
 //! to [`Pred`] scalar programs.
@@ -18,7 +22,7 @@ use std::fmt;
 use xac_obs::{fnv1a, FNV_OFFSET};
 use xac_policy::AnnotationQuery;
 use xac_xml::Schema;
-use xac_xpath::{Axis, NodeTest, Path, Qualifier};
+use xac_xpath::{Axis, CmpOp, NodeTest, Path, Qualifier};
 
 /// Why a (query, schema) pair could not be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,6 +87,28 @@ impl Compiler {
         }
         let mut cur: u8 = 1;
         for (i, step) in path.steps.iter().enumerate() {
+            // A leading `/p` scans one node; any other name step probes
+            // the value postings when a conjunct allows it.
+            let probe = match &step.test {
+                NodeTest::Name(p) if i > 0 || step.axis == Axis::Descendant => {
+                    split_probe(&step.predicates).map(|split| (p, split))
+                }
+                _ => None,
+            };
+            if let Some((p, (child, value, rest))) = probe {
+                let name = self.intern(p);
+                let child = child.map(|c| self.intern(c));
+                let dst = if i == 0 { cur } else if cur == 1 { 2 } else { 1 };
+                self.insts.push(Inst::Probe { dst, name, child, value: value.to_string() });
+                if i > 0 {
+                    self.insts.push(Inst::Within { reg: dst, src: cur, axis: step.axis });
+                }
+                cur = dst;
+                for q in rest {
+                    self.filter(cur, q)?;
+                }
+                continue;
+            }
             let name = self.name_sel(&step.test);
             if i == 0 {
                 match step.axis {
@@ -98,13 +124,19 @@ impl Compiler {
                 cur = dst;
             }
             for q in &step.predicates {
-                let pred = self.compile_qualifier(q)?;
-                let id = self.preds.len() as u16;
-                self.preds.push(pred);
-                self.insts.push(Inst::Filter { reg: cur, pred: id });
+                self.filter(cur, q)?;
             }
         }
         Ok(cur)
+    }
+
+    /// Compile a qualifier to a `Filter` on `reg`.
+    fn filter(&mut self, reg: u8, q: &Qualifier) -> Result<(), CompileError> {
+        let pred = self.compile_qualifier(q)?;
+        let id = self.preds.len() as u16;
+        self.preds.push(pred);
+        self.insts.push(Inst::Filter { reg, pred: id });
+        Ok(())
     }
 
     fn compile_qualifier(&mut self, q: &Qualifier) -> Result<Pred, CompileError> {
@@ -150,6 +182,42 @@ impl Compiler {
     }
 }
 
+/// The first conjunct of a step's qualifiers a probe can answer —
+/// `[. = "v"]` or `[c = "v"]` with `c` a name test without qualifiers —
+/// as `(c, v)`, with the other conjuncts.
+fn split_probe(preds: &[Qualifier]) -> Option<(Option<&str>, &str, Vec<&Qualifier>)> {
+    fn conjuncts<'q>(qs: &'q [Qualifier], out: &mut Vec<&'q Qualifier>) {
+        for q in qs {
+            match q {
+                Qualifier::And(inner) => conjuncts(inner, out),
+                q => out.push(q),
+            }
+        }
+    }
+    fn probe_of(q: &Qualifier) -> Option<(Option<&str>, &str)> {
+        let Qualifier::Cmp(p, CmpOp::Eq, value) = q else {
+            return None;
+        };
+        if p.is_self() {
+            return Some((None, value));
+        }
+        match p.steps.as_slice() {
+            [s] if !p.absolute && s.axis == Axis::Child && s.predicates.is_empty() => {
+                match &s.test {
+                    NodeTest::Name(c) => Some((Some(c), value)),
+                    NodeTest::Wildcard => None,
+                }
+            }
+            _ => None,
+        }
+    }
+    let mut all = Vec::new();
+    conjuncts(preds, &mut all);
+    let at = all.iter().position(|q| probe_of(q).is_some())?;
+    let (child, value) = probe_of(all.remove(at))?;
+    Some((child, value, all))
+}
+
 /// Stable fingerprint of a (source, mark, schema) triple — the cache
 /// key a compiled program is stored under.
 pub(crate) fn fingerprint(source: &str, mark: char, schema: Option<&Schema>) -> u64 {
@@ -163,6 +231,11 @@ pub(crate) fn fingerprint(source: &str, mark: char, schema: Option<&Schema>) -> 
         }
     }
     h
+}
+
+/// Cache key of a request path's program, from the path's rendering.
+pub(crate) fn path_fingerprint(source: &str) -> u64 {
+    fingerprint(&format!("path|{source}"), '+', None)
 }
 
 /// Compile an annotation query (the Fig. 5 union/except selection plus
@@ -217,7 +290,7 @@ pub fn compile_path(path: &Path) -> Result<Program, CompileError> {
     c.insts.push(Inst::SignWrite { src: 0, sign: '+' });
     let source = path.to_string();
     Ok(Program {
-        fingerprint: fingerprint(&format!("path|{source}"), '+', None),
+        fingerprint: path_fingerprint(&source),
         names: c.names,
         insts: c.insts,
         preds: c.preds,

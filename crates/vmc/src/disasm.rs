@@ -90,6 +90,17 @@ fn render_inst(program: &Program, inst: &Inst) -> String {
         Inst::StepDesc { dst, src, name } => {
             format!("step.desc  r{dst}, r{src}, type={}", render_sel(program, *name))
         }
+        Inst::Probe { dst, name, child, value } => {
+            let lhs = child.map_or(".", |c| program.names[c as usize].as_str());
+            format!("probe      r{dst}, type={}, {lhs} = \"{value}\"", program.names[*name as usize])
+        }
+        Inst::Within { reg, src, axis } => {
+            let axis = match axis {
+                Axis::Child => "parent",
+                Axis::Descendant => "ancestor",
+            };
+            format!("within     r{reg}, r{src}, {axis}")
+        }
         Inst::Filter { reg, pred } => format!("filter     r{reg}, p{pred}"),
         Inst::Union { dst, src } => format!("union      r{dst}, r{src}"),
         Inst::Diff { dst, src } => format!("diff       r{dst}, r{src}"),

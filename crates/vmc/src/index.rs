@@ -7,6 +7,13 @@
 //! bitsets over arena slots, whose ascending order *is* the document
 //! (arena) order the interpreter produces.
 //!
+//! Value postings answer `[c = "v"]` and `[. = "v"]` in O(log n +
+//! hits): one `key << 32 | slot` word per live element, sorted, where
+//! the 32-bit key hashes the element's name id with its canonical value
+//! ([`value_key`]). A probe returns candidates only; the VM re-checks
+//! each with `CmpOp::compare`, so a hash collision costs a candidate,
+//! never a wrong answer.
+//!
 //! The index depends only on document *structure and text*; sign writes
 //! do not invalidate it, so backends cache one index per document and
 //! patch it across structural updates ([`DocIndex::append`] after an
@@ -15,6 +22,7 @@
 //! snapshot still shares is a handful of `memcpy`s.
 
 use std::collections::HashMap;
+use xac_obs::{fnv1a, FNV_OFFSET};
 use xac_xml::{Document, Node, NodeId};
 
 /// Sentinel for "no name" (text node or dead slot) and "no parent".
@@ -49,6 +57,29 @@ pub struct DocIndex {
     /// nodes and dead slots. A deleted slot's bytes stay in `text`, just
     /// as its node stays in the arena until the document is compacted.
     text_span: Vec<(u32, u32)>,
+    /// One `value_key(name, value) << 32 | slot` word per live element,
+    /// sorted — by key, then by slot. Flat, like every other column, so
+    /// that copying a shared index stays a `memcpy`; packed into one
+    /// word, so that it costs 8 bytes per element.
+    postings: Vec<u64>,
+}
+
+/// Posting key of an element with name id `name` and string value
+/// `value`, canonical under `CmpOp::compare`'s `=`: a value whose
+/// trimmed form parses as a number keys by the number's bits (`-0`
+/// folded into `0`), any other value by its raw, untrimmed bytes. Two
+/// values that compare equal therefore share a key. The key is the high
+/// half of the FNV-1a hash: a collision only adds a candidate.
+pub(crate) fn value_key(name: u32, value: &str) -> u32 {
+    let h = fnv1a(FNV_OFFSET, &name.to_le_bytes());
+    let h = match value.trim().parse::<f64>() {
+        Ok(x) => {
+            let x = if x == 0.0 { 0.0 } else { x };
+            fnv1a(fnv1a(h, b"#"), &x.to_bits().to_le_bytes())
+        }
+        Err(_) => fnv1a(fnv1a(h, b"$"), value.as_bytes()),
+    };
+    (h >> 32) as u32
 }
 
 impl DocIndex {
@@ -69,10 +100,12 @@ impl DocIndex {
             child_list: Vec::new(),
             text: String::new(),
             text_span: vec![(0, 0); n],
+            postings: Vec::with_capacity(doc.element_count()),
         };
         for (id, node) in doc.element_nodes() {
             index.add_element(doc, id, node);
         }
+        index.postings.sort_unstable();
         index.rebuild_children();
         index
     }
@@ -81,7 +114,8 @@ impl DocIndex {
     /// or past the indexed width): new slots are the largest in the
     /// arena, so they extend the element and per-name lists in order. A
     /// text node appended under an already-indexed element refreshes
-    /// that element's value.
+    /// that element's value and moves its posting. New postings join as
+    /// an unsorted tail that is then merged in.
     pub fn append(&mut self, doc: &Document) {
         let old = self.n;
         let n = doc.arena_len();
@@ -92,6 +126,10 @@ impl DocIndex {
         self.name_id.resize(n, NONE);
         self.parent.resize(n, NONE);
         self.text_span.resize(n, (0, 0));
+        let mut sorted = self.postings.len();
+        // Every new live element gets a posting: grow once, exactly.
+        let new_elements = doc.element_count().saturating_sub(self.elements.len());
+        self.postings.reserve_exact(new_elements);
         let mut revalued: Vec<u32> = Vec::new();
         for slot in old..n {
             let id = NodeId::from_index(slot);
@@ -108,11 +146,20 @@ impl DocIndex {
                 }
             }
         }
+        // Text under p1, p2, p1 revalues p1 once: sort before dedup.
+        revalued.sort_unstable();
         revalued.dedup();
         for p in revalued {
+            let old = self.posting(p);
+            if let Ok(at) = self.postings[..sorted].binary_search(&old) {
+                self.postings.remove(at);
+                sorted -= 1;
+            }
             let node = doc.node(NodeId::from_index(p as usize));
             self.text_span[p as usize] = self.push_value(doc, node);
+            self.postings.push(self.posting(p));
         }
+        self.merge_tail(sorted);
         self.rebuild_children();
     }
 
@@ -137,6 +184,7 @@ impl DocIndex {
         let name_id = &self.name_id;
         let live = |s: &u32| name_id[*s as usize] != NONE;
         self.elements.retain(live);
+        self.postings.retain(|&e| live(&(e as u32)));
         for (slots, _) in self.by_name.iter_mut().zip(&touched).filter(|(_, &t)| t) {
             slots.retain(live);
         }
@@ -162,6 +210,32 @@ impl DocIndex {
         self.text_span[slot] = self.push_value(doc, node);
         self.elements.push(slot as u32);
         self.by_name[name as usize].push(slot as u32);
+        self.postings.push(self.posting(slot as u32));
+    }
+
+    /// Fold the unsorted tail `postings[sorted..]` into the sorted
+    /// prefix: sort the tail, then merge from the back, in place.
+    fn merge_tail(&mut self, sorted: usize) {
+        let mut tail = self.postings.split_off(sorted);
+        tail.sort_unstable();
+        let (mut i, mut j) = (sorted, tail.len());
+        self.postings.resize(sorted + j, 0);
+        while j > 0 {
+            let w = i + j - 1;
+            if i > 0 && self.postings[i - 1] > tail[j - 1] {
+                self.postings[w] = self.postings[i - 1];
+                i -= 1;
+            } else {
+                self.postings[w] = tail[j - 1];
+                j -= 1;
+            }
+        }
+    }
+
+    /// Posting of a live slot under its current name and value.
+    fn posting(&self, slot: u32) -> u64 {
+        let key = value_key(self.name_id_at(slot), self.value_of(slot));
+        u64::from(key) << 32 | u64::from(slot)
     }
 
     /// Append `node`'s string value to the text buffer; returns its span.
@@ -265,12 +339,37 @@ impl DocIndex {
         NodeId::from_index(slot as usize)
     }
 
+    /// Slots named `name` whose value shares `value`'s posting key,
+    /// ascending: a superset of the elements whose value equals `value`
+    /// (hash collisions, NaN), so callers re-check every hit.
+    pub(crate) fn probe(&self, name: u32, value: &str) -> impl Iterator<Item = u32> + '_ {
+        let key = u64::from(value_key(name, value));
+        let lo = self.postings.partition_point(|&e| e >> 32 < key);
+        let hi = lo + self.postings[lo..].partition_point(|&e| e >> 32 == key);
+        self.postings[lo..hi]
+            .iter()
+            .map(|&e| e as u32)
+            .filter(move |&s| self.name_id[s as usize] == name)
+    }
+
+    /// True when the postings hold exactly one correct entry per live
+    /// element, in order.
+    fn postings_valid(&self) -> bool {
+        self.postings.len() == self.elements.len()
+            && self.postings.is_sorted_by(|a, b| a < b)
+            && self
+                .elements
+                .iter()
+                .all(|&s| self.postings.binary_search(&self.posting(s)).is_ok())
+    }
 }
 
 /// Content equality: the same width and root, the same live elements
-/// with the same names, parents, element children and values, and the
-/// same slots per name. Name ids and the text buffer's layout may
-/// differ — a patched index keeps ids and bytes a fresh build would not.
+/// with the same names, parents, element children and values, the same
+/// slots per name, and on both sides exactly one correct posting per
+/// element. Name ids, and so posting keys, and the text buffer's layout
+/// may differ — a patched index keeps ids and bytes a fresh build would
+/// not.
 impl PartialEq for DocIndex {
     fn eq(&self, other: &DocIndex) -> bool {
         let (names, other_names) = (self.names(), other.names());
@@ -285,6 +384,8 @@ impl PartialEq for DocIndex {
             && self.root == other.root
             && self.elements == other.elements
             && by_name(self) == by_name(other)
+            && self.postings_valid()
+            && other.postings_valid()
             && self.elements.iter().all(|&s| {
                 names[self.name_id_at(s) as usize] == other_names[other.name_id_at(s) as usize]
                     && self.parent_of(s) == other.parent_of(s)
@@ -364,6 +465,38 @@ mod tests {
         ix.remove_subtrees(&cs);
         assert_eq!(ix, DocIndex::build(&d), "after deleting a whole name");
         assert!(ix.slots_of(ix.name_of("c").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn interleaved_text_appends_revalue_each_element_once() {
+        let mut d = doc();
+        let mut ix = DocIndex::build(&d);
+        let root = d.root();
+        let b = d.first_child_named(root, "b").unwrap();
+        let c = d.first_child_named(root, "c").unwrap();
+        // One batch: text under b, c, b, and a new element in between.
+        d.add_text(b, "1");
+        d.add_text(c, "0");
+        let e = d.add_element(root, "e");
+        d.add_text(e, "2");
+        d.add_text(b, "3");
+        ix.append(&d);
+        assert_eq!(ix.value_of(b.index() as u32), "xy13");
+        assert_eq!(ix.postings.len(), ix.element_count(), "one posting per element");
+        assert_eq!(ix, DocIndex::build(&d));
+        let found: Vec<u32> = ix.probe(ix.name_of("c").unwrap(), "20").collect();
+        assert_eq!(found, vec![c.index() as u32]);
+    }
+
+    #[test]
+    fn equal_values_share_a_posting_key() {
+        for (a, b) in [("7", " 7 "), ("07", "7.0"), ("1e1", "10"), ("-0", "0"), ("inf", "Infinity")] {
+            assert_eq!(value_key(3, a), value_key(3, b), "{a:?} = {b:?}");
+        }
+        for (a, b) in [("x", " x"), ("7", "8"), ("", " ")] {
+            assert_ne!(value_key(3, a), value_key(3, b), "{a:?} != {b:?}");
+        }
+        assert_ne!(value_key(3, "7"), value_key(4, "7"), "the name is part of the key");
     }
 
     #[test]

@@ -168,6 +168,7 @@ mod tests {
 
     #[test]
     fn cache_hits_on_repeat_and_flushes_at_capacity() {
+        let _serial = cache::CACHE_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         reset_cache();
         let q = AnnotationQuery {
             shape: xac_policy::QueryShape::Grants,
@@ -200,5 +201,196 @@ mod tests {
         assert!(text.contains("== element type `name` =="));
         assert!(text.contains("sign.write r0, '+'"));
         assert!(text.contains("p0: exists treatment"));
+    }
+
+    /// Values on both sides of every rule of `CmpOp::compare`'s `=`:
+    /// numbers in several spellings, signed zero, NaN, infinity, the
+    /// empty string, untrimmed and non-ASCII text.
+    const TRICKY: &[&str] = &[
+        "7", "07", "7.0", " 7 ", "1e1", "10", "-0", "0", "NaN", "inf", "", "ünï", "ünï ",
+    ];
+
+    /// `/r` with one `p` per tricky value (its own text and one `c`
+    /// child carrying the value), one `p` with two `c` children valued
+    /// "twice", `n_common` `p`s with two `c` children valued "common",
+    /// two `q`s with `c` children (parents of another name; the first
+    /// also holds a nested `p` and, appended last, a `c` at a larger
+    /// slot than the second `q`'s), and values split over several text
+    /// nodes.
+    fn tricky_doc(n_common: usize) -> Document {
+        let mut d = Document::new("r");
+        let r = d.root();
+        for &v in TRICKY {
+            let p = d.add_element(r, "p");
+            d.add_text(p, v);
+            let c = d.add_element(p, "c");
+            d.add_text(c, v);
+        }
+        let p = d.add_element(r, "p");
+        for _ in 0..2 {
+            let c = d.add_element(p, "c");
+            d.add_text(c, "twice");
+        }
+        for _ in 0..n_common {
+            let p = d.add_element(r, "p");
+            for _ in 0..2 {
+                let c = d.add_element(p, "c");
+                d.add_text(c, "common");
+            }
+        }
+        let q = d.add_element(r, "q");
+        let c = d.add_element(q, "c");
+        d.add_text(c, "7");
+        let nested = d.add_element(q, "p");
+        d.add_text(nested, "7");
+        let c = d.add_element(nested, "c");
+        d.add_text(c, "7");
+        let q2 = d.add_element(r, "q");
+        let c = d.add_element(q2, "c");
+        d.add_text(c, "7");
+        // "1" + "0" and "4" + "2" across text nodes: the values "10", "42".
+        let p = d.add_element(r, "p");
+        d.add_text(p, "4");
+        let c = d.add_element(p, "c");
+        d.add_text(c, "1");
+        d.add_text(c, "0");
+        d.add_text(p, "2");
+        let c = d.add_element(q, "c");
+        d.add_text(c, "late");
+        d
+    }
+
+    /// Request paths probing `value` in each compiled shape: a leading
+    /// probe on a child's or the node's own value, a later step under a
+    /// child and a descendant context, and a conjunction.
+    fn probe_paths(value: &str) -> Vec<String> {
+        vec![
+            format!("//p[c = \"{value}\"]"),
+            format!("//p[. = \"{value}\"]"),
+            format!("/r/p[c = \"{value}\"]"),
+            format!("//r//p[. = \"{value}\"]"),
+            format!("/r/*/p[c = \"{value}\"]"),
+            format!("/r/p[c and c = \"{value}\"]/c"),
+            format!("//p[c != \"x\"][c = \"{value}\"]"),
+        ]
+    }
+
+    fn assert_probes_agree(doc: &Document, index: &DocIndex, label: &str) {
+        let mut values: Vec<&str> = TRICKY.to_vec();
+        values.extend(["10", "42", "twice", "common", "absent", "-0.0", "+7"]);
+        for v in values {
+            for src in probe_paths(v) {
+                let path = parse(&src).unwrap();
+                let program = compile_path(&path).unwrap();
+                assert!(
+                    program.insts.iter().any(|i| matches!(i, Inst::Probe { .. })),
+                    "`{src}` compiles to a probe"
+                );
+                assert_eq!(
+                    execute_select(&program, index),
+                    xac_xpath::eval(doc, &path),
+                    "{label}: `{src}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn probes_agree_with_the_interpreter_on_canonical_values() {
+        let doc = tricky_doc(40);
+        let index = DocIndex::build(&doc);
+        assert_probes_agree(&doc, &index, "fresh");
+        // `//p[c = "common"]` answers more than width/32 nodes: the probe
+        // fills a dense register; the tricky values stay sparse.
+        let common = vm_select(&doc, "//p[c = \"common\"]");
+        assert!(common.len() >= index.width() / 32, "{} of {}", common.len(), index.width());
+    }
+
+    #[test]
+    fn probes_agree_with_the_interpreter_on_a_patched_index() {
+        let mut doc = tricky_doc(40);
+        let mut index = DocIndex::build(&doc);
+        // Delete every third `p`, then add new ones, then revalue an old
+        // `c` and an old `p` by appending text.
+        let ps: Vec<NodeId> =
+            doc.all_elements().filter(|&n| doc.name(n) == Some("p")).step_by(3).collect();
+        for &p in &ps {
+            doc.remove_subtree(p).unwrap();
+        }
+        index.remove_subtrees(&ps);
+        let root = doc.root();
+        for v in ["7", "common", " 7 "] {
+            let p = doc.add_element(root, "p");
+            let c = doc.add_element(p, "c");
+            doc.add_text(c, v);
+        }
+        let old_c = doc.all_elements().find(|&n| doc.name(n) == Some("c")).unwrap();
+        doc.add_text(old_c, "0");
+        let old_p = doc.parent(old_c).unwrap();
+        doc.add_text(old_p, "1");
+        index.append(&doc);
+        assert_eq!(index, DocIndex::build(&doc), "patched index");
+        assert_probes_agree(&doc, &index, "patched");
+    }
+
+    #[test]
+    fn sparse_and_dense_registers_agree_with_the_interpreter() {
+        // Steps, filters and set algebra on both sides of the crossover:
+        // few `q`s (sparse), many `p`/`c` (dense).
+        let doc = tricky_doc(60);
+        let index = DocIndex::build(&doc);
+        for src in [
+            "/r/q/c",
+            "/r/p/c",
+            "//q//c",
+            "//r//c",
+            "//p/c[. = \"7\"]",
+            "//q[c = \"7\"]/c",
+            "/r/*[c = \"7\"]",
+            "//c[. = \"common\"]",
+        ] {
+            assert_eq!(vm_select(&doc, src), interp(&doc, src), "path `{src}` diverged");
+        }
+        for (include, except) in [
+            (vec!["//q", "//p[c = \"7\"]"], vec!["//p[. = \"07\"]"]),
+            (vec!["//p[c = \"common\"]", "//q"], vec!["//p[. = \"7\"]"]),
+            (vec!["//p[. = \"7\"]", "//q"], vec!["//p[c = \"common\"]"]),
+            (vec!["//p"], vec!["//p[c = \"common\"]"]),
+            (vec!["//p[c = \"7\"]", "//p[. = \"7\"]"], vec![]),
+        ] {
+            let query = AnnotationQuery {
+                shape: xac_policy::QueryShape::GrantsExceptDenies,
+                include: include.iter().map(|p| parse(p).unwrap()).collect(),
+                except: except.iter().map(|p| parse(p).unwrap()).collect(),
+                mark: xac_policy::Effect::Allow,
+            };
+            let program = compile_query(&query, None).unwrap();
+            let want: Vec<NodeId> = query.evaluate(&doc).into_iter().collect();
+            assert_eq!(execute_select(&program, &index), want, "{include:?} except {except:?}");
+        }
+    }
+
+    #[test]
+    fn value_predicate_disassembly_is_golden() {
+        let path = parse("//patient[name = \"joy smith\"]/treatment[. = \"7\"]").unwrap();
+        let text = disassemble(&compile_path(&path).unwrap(), None);
+        let body: Vec<&str> = text.lines().skip(3).collect();
+        assert_eq!(
+            body.join("\n"),
+            "\n\
+             == element type `patient` ==\n  \
+               00  probe      r1, type=patient, name = \"joy smith\"\n\
+             \n\
+             == element type `name` ==\n  \
+               (no instructions; sign stays at the default)\n\
+             \n\
+             == element type `treatment` ==\n  \
+               01  probe      r2, type=treatment, . = \"7\"\n\
+             \n\
+             == untyped / combine ==\n  \
+               02  within     r2, r1, parent\n  \
+               03  union      r0, r2\n  \
+               04  sign.write r0, '+'"
+        );
     }
 }

@@ -1,9 +1,14 @@
 //! The VM: executes a [`Program`] against a [`DocIndex`].
 //!
-//! Registers are bitsets over arena slots. Ascending bit order equals
-//! arena order, which is the document order the interpreted evaluator
-//! produces — so the node stream handed to the sign sink is already
-//! sorted and deduplicated, for free.
+//! Registers hold ascending arena slots, which is the document order the
+//! interpreted evaluator produces — so the node stream handed to the
+//! sign sink is already sorted and deduplicated, for free. A register is
+//! a sorted slot vector while it holds fewer than width/32 slots and a
+//! bitset above that: at width/32 the two take the same memory. Scans,
+//! probes, child steps, filters, set algebra and the sign write run on
+//! sparse registers as they are, so a probe read allocates nothing of
+//! arena width; the descendant step and a dense operand make the other
+//! side dense.
 //!
 //! The descendant step runs as a single forward closure pass over the
 //! parent column (parents occupy lower arena slots than their children,
@@ -16,7 +21,7 @@ use crate::index::{DocIndex, NONE};
 use std::sync::{Arc, OnceLock};
 use xac_obs::Counter;
 use xac_xml::NodeId;
-use xac_xpath::Axis;
+use xac_xpath::{Axis, CmpOp};
 
 fn instructions_executed_total() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -47,6 +52,87 @@ impl SignSink for Collect {
     }
 }
 
+/// One mask register.
+#[derive(Debug)]
+enum Reg {
+    /// Ascending slots; fewer than width/32 of them.
+    Sparse(Vec<u32>),
+    Dense(Bitset),
+}
+
+impl Reg {
+    /// The register for ascending `slots`, dense from width/32 slots on.
+    fn of(slots: Vec<u32>, width: usize) -> Reg {
+        if slots.len() < width / 32 {
+            Reg::Sparse(slots)
+        } else {
+            Reg::Dense(bitset_of(&slots, width))
+        }
+    }
+
+    fn contains(&self, slot: u32) -> bool {
+        match self {
+            Reg::Sparse(v) => v.binary_search(&slot).is_ok(),
+            Reg::Dense(m) => m.test(slot),
+        }
+    }
+
+    /// The register as a bitset, converting it in place if sparse.
+    fn dense(&mut self, width: usize) -> &mut Bitset {
+        if let Reg::Sparse(v) = self {
+            *self = Reg::Dense(bitset_of(v, width));
+        }
+        match self {
+            Reg::Dense(m) => m,
+            Reg::Sparse(_) => unreachable!("converted above"),
+        }
+    }
+
+    /// Keep only the slots `keep` accepts.
+    fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        match self {
+            Reg::Sparse(v) => v.retain(|&s| keep(s)),
+            Reg::Dense(m) => {
+                for s in m.ones() {
+                    if !keep(s) {
+                        m.unset(s);
+                    }
+                }
+            }
+        }
+    }
+
+    fn ones(&self) -> Vec<u32> {
+        match self {
+            Reg::Sparse(v) => v.clone(),
+            Reg::Dense(m) => m.ones(),
+        }
+    }
+}
+
+fn bitset_of(slots: &[u32], width: usize) -> Bitset {
+    let mut m = Bitset::new(width);
+    for &s in slots {
+        m.set(s);
+    }
+    m
+}
+
+/// Union of two ascending slot lists, by merge.
+fn merge(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Execute `program` against `index`, streaming the terminal node set to
 /// `sink`. Returns the sink's written-cell count.
 pub fn execute(
@@ -60,76 +146,110 @@ pub fn execute(
     let resolved: Vec<Option<u32>> =
         program.names.iter().map(|n| index.name_of(n)).collect();
     let width = index.width();
-    let mut regs: Vec<Bitset> = (0..program.reg_count).map(|_| Bitset::new(width)).collect();
-    let mut under = Bitset::new(width);
+    let mut regs: Vec<Reg> = (0..program.reg_count).map(|_| Reg::Sparse(Vec::new())).collect();
+    // Allocated by the first descendant step only.
+    let mut under: Option<Bitset> = None;
     let mut written = 0usize;
 
     for inst in &program.insts {
         match inst {
             Inst::ScanRoot { dst, name } => {
-                regs[*dst as usize].clear();
                 let root = index.root_slot();
-                if sel_admits(&resolved, *name, index.name_id_at(root)) {
-                    regs[*dst as usize].set(root);
-                }
+                let hit = sel_admits(&resolved, *name, index.name_id_at(root));
+                regs[*dst as usize] = Reg::of(if hit { vec![root] } else { Vec::new() }, width);
             }
             Inst::ScanAll { dst, name } => {
-                regs[*dst as usize].clear();
-                let dstm = &mut regs[*dst as usize];
-                for &slot in candidate_slots(index, &resolved, *name) {
-                    dstm.set(slot);
-                }
+                let slots = candidate_slots(index, &resolved, *name).to_vec();
+                regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::StepChild { dst, src, name } => {
-                let (dstm, srcm) = two_regs(&mut regs, *dst, *src);
-                dstm.clear();
-                for &slot in candidate_slots(index, &resolved, *name) {
-                    let p = index.parent_of(slot);
-                    if p != NONE && srcm.test(p) {
-                        dstm.set(slot);
+                let slots = match &regs[*src as usize] {
+                    // Children of the source slots, filtered by name;
+                    // each has one parent, so sorting leaves no duplicate.
+                    Reg::Sparse(from) => {
+                        let mut out: Vec<u32> = from
+                            .iter()
+                            .flat_map(|&p| index.children_of(p))
+                            .copied()
+                            .filter(|&c| sel_admits(&resolved, *name, index.name_id_at(c)))
+                            .collect();
+                        out.sort_unstable();
+                        out
                     }
-                }
+                    Reg::Dense(from) => candidate_slots(index, &resolved, *name)
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            let p = index.parent_of(c);
+                            p != NONE && from.test(p)
+                        })
+                        .collect(),
+                };
+                regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::StepDesc { dst, src, name } => {
                 // Forward closure over the parent column: a slot is
                 // "under" the source set iff its parent is in the set or
                 // its parent is already under it. Parents precede
                 // children in slot order, so one ascending pass suffices.
+                let under = under.get_or_insert_with(|| Bitset::new(width));
                 under.clear();
-                {
-                    let srcm = &regs[*src as usize];
-                    for &slot in index.all_slots() {
-                        let p = index.parent_of(slot);
-                        if p != NONE && (srcm.test(p) || under.test(p)) {
-                            under.set(slot);
+                let srcm = regs[*src as usize].dense(width);
+                for &slot in index.all_slots() {
+                    let p = index.parent_of(slot);
+                    if p != NONE && (srcm.test(p) || under.test(p)) {
+                        under.set(slot);
+                    }
+                }
+                let slots = candidate_slots(index, &resolved, *name)
+                    .iter()
+                    .copied()
+                    .filter(|&s| under.test(s))
+                    .collect();
+                regs[*dst as usize] = Reg::of(slots, width);
+            }
+            Inst::Probe { dst, name, child, value } => {
+                let hits = probe(index, &resolved, *name, *child, value);
+                regs[*dst as usize] = Reg::of(hits, width);
+            }
+            Inst::Within { reg, src, axis } => {
+                let (regm, srcm) = two_regs(&mut regs, *reg, *src);
+                regm.retain(|s| {
+                    let mut p = index.parent_of(s);
+                    while p != NONE {
+                        if srcm.contains(p) {
+                            return true;
                         }
+                        if *axis == Axis::Child {
+                            break;
+                        }
+                        p = index.parent_of(p);
                     }
-                }
-                let dstm = &mut regs[*dst as usize];
-                dstm.clear();
-                for &slot in candidate_slots(index, &resolved, *name) {
-                    if under.test(slot) {
-                        dstm.set(slot);
-                    }
-                }
+                    false
+                });
             }
             Inst::Filter { reg, pred } => {
                 let pred = &program.preds[*pred as usize];
-                let slots = regs[*reg as usize].ones();
-                let m = &mut regs[*reg as usize];
-                for slot in slots {
-                    if !eval_pred(index, &resolved, slot, pred) {
-                        m.unset(slot);
-                    }
-                }
+                regs[*reg as usize].retain(|s| eval_pred(index, &resolved, s, pred));
             }
             Inst::Union { dst, src } => {
                 let (dstm, srcm) = two_regs(&mut regs, *dst, *src);
-                dstm.union(srcm);
+                match (&mut *dstm, srcm) {
+                    (Reg::Sparse(a), Reg::Sparse(b)) => {
+                        let merged = merge(a, b);
+                        *dstm = Reg::of(merged, width);
+                    }
+                    (Reg::Dense(a), Reg::Sparse(b)) => b.iter().for_each(|&s| a.set(s)),
+                    (_, Reg::Dense(b)) => dstm.dense(width).union(b),
+                }
             }
             Inst::Diff { dst, src } => {
                 let (dstm, srcm) = two_regs(&mut regs, *dst, *src);
-                dstm.diff(srcm);
+                match (&mut *dstm, srcm) {
+                    (Reg::Dense(a), Reg::Sparse(b)) => b.iter().for_each(|&s| a.unset(s)),
+                    (Reg::Dense(a), Reg::Dense(b)) => a.diff(b),
+                    (Reg::Sparse(_), _) => dstm.retain(|s| !srcm.contains(s)),
+                }
             }
             Inst::SignWrite { src, sign } => {
                 let nodes: Vec<NodeId> =
@@ -140,6 +260,37 @@ pub fn execute(
     }
     instructions_executed_total().add(program.insts.len() as u64);
     Ok(written)
+}
+
+/// The elements named `name` whose own value (`child: None`) or some
+/// `child` child's value equals `value`, ascending. Every posting hit
+/// is re-checked with `CmpOp::compare`.
+fn probe(
+    index: &DocIndex,
+    resolved: &[Option<u32>],
+    name: u16,
+    child: Option<u16>,
+    value: &str,
+) -> Vec<u32> {
+    let Some(name) = resolved[name as usize] else {
+        return Vec::new();
+    };
+    let equal = |s: &u32| CmpOp::Eq.compare(index.value_of(*s), value);
+    match child.map(|c| resolved[c as usize]) {
+        None => index.probe(name, value).filter(equal).collect(),
+        Some(Some(child)) => {
+            let mut parents: Vec<u32> = index
+                .probe(child, value)
+                .filter(equal)
+                .map(|c| index.parent_of(c))
+                .filter(|&p| p != NONE && index.name_id_at(p) == name)
+                .collect();
+            parents.sort_unstable();
+            parents.dedup();
+            parents
+        }
+        Some(None) => Vec::new(),
+    }
 }
 
 /// Execute and return the selected node set (decide path, tests).
@@ -172,7 +323,7 @@ fn sel_admits(resolved: &[Option<u32>], name: NameSel, name_id: u32) -> bool {
     }
 }
 
-fn two_regs(regs: &mut [Bitset], a: u8, b: u8) -> (&mut Bitset, &Bitset) {
+fn two_regs(regs: &mut [Reg], a: u8, b: u8) -> (&mut Reg, &Reg) {
     assert_ne!(a, b, "register operands must differ");
     let (a, b) = (a as usize, b as usize);
     if a < b {
