@@ -1,4 +1,4 @@
-//! A dense bitset over arena slots: the VM's register file, and the
+//! A dense bitset over arena slots: the VM's dense registers, and the
 //! per-epoch "accessible" set a published snapshot decides against.
 //!
 //! Ascending bit order is arena order, which is document order for the
