@@ -1101,9 +1101,11 @@ fn fault_recovery(factors: &[f64]) {
             record(f, name, elements, "restore", Some(rs_d), &mut csv, &mut json);
 
             // The durable engine's counterpart: committing one guarded
-            // update through the WAL (op record + sign diff + fsync +
-            // dirty-page writeback) replaces the checkpoint entirely.
-            // O(diff) work, dominated by the fsync.
+            // update through the WAL (drain the backend's sign changes,
+            // op record + sign diff in one write, fsync, dirty-page
+            // writeback) replaces the checkpoint entirely. O(diff) work
+            // plus a word pass over the sign column, dominated by the
+            // fsync — the same calls the engine makes.
             let ddir = std::env::temp_dir()
                 .join(format!("xac_bench_wal_{}_{f}_{name}", std::process::id()));
             let _ = std::fs::remove_dir_all(&ddir);
@@ -1117,6 +1119,7 @@ fn fault_recovery(factors: &[f64]) {
                 b.epoch(),
             )
             .expect("durability");
+            b.sign_changes().expect("drain the logged state");
             let mut committed = None;
             for u in &updates {
                 let g = system.guarded_delete(b.as_mut(), u).expect("guarded delete");
@@ -1124,9 +1127,11 @@ fn fault_recovery(factors: &[f64]) {
                     continue;
                 }
                 let op = xac_serve::LoggedOp::Delete { path: u.to_string() };
-                let signs = b.sign_state().expect("signs");
                 let epoch = b.epoch();
-                let (_, d) = time(|| dur.log_txn(&op, &signs, epoch).expect("log txn"));
+                let (_, d) = time(|| {
+                    let diff = b.sign_changes().expect("sign changes");
+                    dur.log_diff(&op, &diff, epoch).expect("log diff")
+                });
                 committed = Some(d);
                 break;
             }
@@ -1178,7 +1183,8 @@ fn fault_recovery(factors: &[f64]) {
          copy-on-write image: O(tables), since the image shares the\n \
          document and every table, and the next write copies only what it\n \
          touches; checkpoint_wal = the durable engine's per-update commit\n \
-         — O(sign diff) plus an fsync, flat across sizes;\n \
+         (sign_changes + log_diff) — O(sign diff) plus a word pass over\n \
+         the sign column and an fsync;\n \
          recover_* rows time the guarded update on which the armed fault\n \
          fired — the full-fallback rung re-annotates in place, the\n \
          rollback rung additionally restores the checkpoint and\n \

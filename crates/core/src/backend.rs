@@ -19,6 +19,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointData};
 use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
+use crate::sign_diff::{positions_of, SignBaseline, SignDiff};
 use crate::snapshot::AccessSnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -27,7 +28,7 @@ use xac_reldb::{Database, StorageKind};
 use xac_shrex::{translate, Mapping, ShreddedDocument};
 use xac_vmc::{Bitset, DocIndex};
 use xac_xml::Document;
-use xac_xmlstore::{NodeSetExpr, StoredDocument};
+use xac_xmlstore::{sign_byte, NodeSetExpr, StoredDocument, NO_SIGN};
 use xac_xpath::Path;
 
 /// The sign character for an effect.
@@ -92,6 +93,17 @@ pub trait Backend {
     /// (its default-sign elision). Equivalence tests use this for
     /// byte-identical comparisons across write paths and serving modes.
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>>;
+
+    /// The net sign-state change since the *baseline*, in the
+    /// [`Backend::sign_state`] id encoding, in O(changed signs) plus one
+    /// word pass over the backend's sign column; the call then advances
+    /// the baseline to the current state. The result always equals
+    /// [`SignDiff::between`] of the `sign_state` at the baseline and the
+    /// `sign_state` now. [`Backend::load`], [`Backend::restore`] and
+    /// [`Backend::apply_sign_state`] reset the baseline to the state they
+    /// leave; the durable engine drains the changes once after logging
+    /// its first state and then once per committed transaction.
+    fn sign_changes(&mut self) -> Result<SignDiff>;
 
     /// Overwrite the materialized sign state wholesale with `signs`
     /// (the [`Backend::sign_state`] encoding), leaving document
@@ -165,6 +177,9 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
     }
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
         (**self).sign_state()
+    }
+    fn sign_changes(&mut self) -> Result<SignDiff> {
+        (**self).sign_changes()
     }
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
         (**self).apply_sign_state(signs, min_epoch)
@@ -275,10 +290,14 @@ pub struct RelationalBackend {
     db: Database,
     state: Option<RelationalState>,
     mode: AnnotateMode,
-    /// Accessible universal ids (sign `'+'`) as a bitset keyed by id,
-    /// cached per annotation epoch; any sign write or document mutation
-    /// invalidates it.
-    accessible_cache: Option<Bitset>,
+    /// The tables' sign cells as one dense, id-indexed byte column:
+    /// [`NO_SIGN`] where no live tuple carries the id, else the tuple's
+    /// `'+'` or `'-'`. Every sign writer keeps it current beside the
+    /// tables, so sign reads, snapshots and the durable diff never scan
+    /// a table.
+    signs: Vec<u8>,
+    /// `signs` as of the last [`Backend::sign_changes`].
+    baseline: SignBaseline,
     /// Columnar document index, built once per load: sign writes leave
     /// it valid, insert and delete patch it, load and restore drop it.
     /// Compiled annotation runs on it and every published snapshot
@@ -297,17 +316,43 @@ impl RelationalBackend {
             db: Database::new(kind),
             state: None,
             mode: AnnotateMode::default(),
-            accessible_cache: None,
+            signs: Vec::new(),
+            baseline: SignBaseline::default(),
             doc_index: None,
             epoch: 0,
         }
     }
 
-    /// Record a state mutation: bump the epoch and drop the cached
-    /// accessible set, which the mutation may have invalidated.
+    /// Record a state mutation: bump the epoch.
     fn mutated(&mut self) {
         self.epoch += 1;
-        self.accessible_cache = None;
+    }
+
+    /// Rebuild the dense sign column from the tables, and make it the
+    /// baseline (load and restore).
+    fn rebuild_sign_column(&mut self) -> Result<()> {
+        let state = self.state()?;
+        let mut signs = vec![NO_SIGN; usize::try_from(state.shredded.id_bound()).unwrap_or(0)];
+        let mut stray = None;
+        for table in state.mapping.tables() {
+            self.db.scan_sign_cells(&table.name, |id, s| match cell_mut(&mut signs, id) {
+                Some(cell) => *cell = sign_byte(s),
+                None => stray = Some(id),
+            })?;
+        }
+        if let Some(id) = stray {
+            return Err(Error::System(format!(
+                "universal id {id} lies outside the shredding's id range"
+            )));
+        }
+        self.baseline.reset(&signs);
+        self.signs = signs;
+        Ok(())
+    }
+
+    /// The column byte of a universal id, [`NO_SIGN`] when out of range.
+    fn sign_byte_of(&self, id: i64) -> u8 {
+        usize::try_from(id).ok().and_then(|i| self.signs.get(i)).copied().unwrap_or(NO_SIGN)
     }
 
     /// The columnar index over the loaded document, built lazily and
@@ -400,7 +445,12 @@ impl RelationalBackend {
         if self.mode == AnnotateMode::Compiled {
             self.state()?;
             let state = self.state.as_ref().expect("state checked above");
-            return Ok(state.write_signs(&mut self.db, targets.iter().copied(), sign)?);
+            return Ok(state.write_signs(
+                &mut self.db,
+                &mut self.signs,
+                targets.iter().copied(),
+                sign,
+            )?);
         }
         // Fig. 6's inner loop as published: fetch each table's ids,
         // intersect with the target set, one UPDATE statement per
@@ -419,6 +469,7 @@ impl RelationalBackend {
                 self.db.execute(&format!(
                     "UPDATE {table} SET s = '{sign}' WHERE id = {id}"
                 ))?;
+                mark_live(&mut self.signs, &[id], sign);
                 updated += 1;
             }
         }
@@ -426,53 +477,23 @@ impl RelationalBackend {
     }
 
     /// The set of accessible universal ids (sign `'+'`), read from the
-    /// per-epoch cache that snapshots and `query_nodes_allowed` decide
-    /// against.
+    /// dense sign column.
     pub fn accessible_ids(&mut self) -> Result<BTreeSet<i64>> {
-        Ok(self.accessible_bits()?.ones().into_iter().map(i64::from).collect())
-    }
-
-    /// The accessible universal ids as a bitset keyed by id, cached per
-    /// annotation epoch: repeated requests between sign writes reuse it.
-    /// Rebuilt by a SQL-free scan of each table's `id`/`s` columns
-    /// ([`Database::scan_signs`]).
-    fn accessible_bits(&mut self) -> Result<&Bitset> {
-        if self.accessible_cache.is_none() {
-            let state = self.state()?;
-            let width = usize::try_from(state.shredded.id_bound()).unwrap_or(0);
-            let mut bits = Bitset::new(width);
-            let mut stray = None;
-            for table in state.mapping.tables() {
-                self.db.scan_signs(&table.name, '+', |id| match u32::try_from(id) {
-                    Ok(pos) if (pos as usize) < width => bits.set(pos),
-                    _ => stray = Some(id),
-                })?;
-            }
-            if let Some(id) = stray {
-                return Err(Error::System(format!(
-                    "universal id {id} lies outside the shredding's id range"
-                )));
-            }
-            self.accessible_cache = Some(bits);
-        }
-        Ok(self.accessible_cache.as_ref().expect("just populated"))
+        self.state()?;
+        Ok((0i64..).zip(&self.signs).filter(|(_, &b)| b == b'+').map(|(id, _)| id).collect())
     }
 
     /// The complete sign state: every live universal id mapped to its
-    /// current sign character. Used by the equivalence tests to assert
-    /// that two write modes leave byte-identical annotations (including
-    /// the `'-'` rows that `accessible_ids` elides).
-    pub fn sign_map(&mut self) -> Result<std::collections::BTreeMap<i64, char>> {
-        let tables: Vec<String> =
-            self.state()?.mapping.tables().iter().map(|t| t.name.clone()).collect();
-        let mut out = std::collections::BTreeMap::new();
-        for table in tables {
-            let rs = self.db.query(&format!("SELECT id, s FROM {table}"))?;
-            for row in &rs.rows {
-                if let (Some(id), xac_reldb::Value::Text(s)) = (row[0].as_int(), &row[1]) {
-                    out.insert(id, s.chars().next().unwrap_or(' '));
-                }
-            }
+    /// current sign character, read from the tables' `id`/`s` cells
+    /// ([`Database::scan_sign_cells`]). It does not read the dense sign
+    /// column, so the tests use it as that column's oracle, and to
+    /// assert that two write modes leave byte-identical annotations.
+    pub fn sign_map(&self) -> Result<BTreeMap<i64, char>> {
+        let mut out = BTreeMap::new();
+        for table in self.state()?.mapping.tables() {
+            self.db.scan_sign_cells(&table.name, |id, s| {
+                out.insert(id, s);
+            })?;
         }
         Ok(out)
     }
@@ -485,7 +506,7 @@ impl RelationalBackend {
         let index = self.doc_index()?;
         self.mutated();
         let state = self.state.as_ref().expect("state checked by doc_index");
-        let mut sink = RelationalSignSink { db: &mut self.db, state };
+        let mut sink = RelationalSignSink { db: &mut self.db, signs: &mut self.signs, state };
         xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System)
     }
 }
@@ -493,11 +514,13 @@ impl RelationalBackend {
 impl RelationalState {
     /// The compiled relational sign write: bucket `ids` by owning table
     /// (via `table_of`) and issue one [`Database::update_signs`] per
-    /// table with exactly its own ids. An id `table_of` does not know
-    /// belongs to no loaded or inserted row, so it is skipped.
+    /// table with exactly its own ids, then mirror it into the dense
+    /// column `signs`. An id `table_of` does not know belongs to no
+    /// loaded or inserted row, so it is skipped.
     fn write_signs(
         &self,
         db: &mut Database,
+        signs: &mut [u8],
         ids: impl IntoIterator<Item = i64>,
         sign: char,
     ) -> xac_reldb::Result<usize> {
@@ -512,9 +535,27 @@ impl RelationalState {
         for (table, ids) in tables.iter().zip(buckets) {
             if !ids.is_empty() {
                 updated += db.update_signs(&table.name, &ids, sign)?;
+                mark_live(signs, &ids, sign);
             }
         }
         Ok(updated)
+    }
+}
+
+/// The dense column's byte for universal id `id`, if in range.
+fn cell_mut(signs: &mut [u8], id: i64) -> Option<&mut u8> {
+    usize::try_from(id).ok().and_then(|i| signs.get_mut(i))
+}
+
+/// Mirror a sign write into the dense column: every id of `ids` that
+/// has a live tuple (a non-[`NO_SIGN`] byte) now carries `sign`, exactly
+/// the rows [`Database::update_signs`] rewrites.
+fn mark_live(signs: &mut [u8], ids: &[i64], sign: char) {
+    let byte = sign_byte(sign);
+    for &id in ids {
+        if let Some(cell) = cell_mut(signs, id).filter(|cell| **cell != NO_SIGN) {
+            *cell = byte;
+        }
     }
 }
 
@@ -523,6 +564,7 @@ impl RelationalState {
 /// instead of a SQL result set.
 struct RelationalSignSink<'a> {
     db: &'a mut Database,
+    signs: &'a mut [u8],
     state: &'a RelationalState,
 }
 
@@ -530,9 +572,8 @@ impl xac_vmc::SignSink for RelationalSignSink<'_> {
     fn write(&mut self, nodes: &[xac_xml::NodeId], sign: char) -> std::result::Result<usize, String> {
         let _span = xac_obs::span("backend.write_signs");
         let state = self.state;
-        state
-            .write_signs(self.db, nodes.iter().filter_map(|&n| state.shredded.id_of(n)), sign)
-            .map_err(|e| e.to_string())
+        let ids = nodes.iter().filter_map(|&n| state.shredded.id_of(n));
+        state.write_signs(self.db, self.signs, ids, sign).map_err(|e| e.to_string())
     }
 }
 
@@ -572,7 +613,7 @@ impl Backend for RelationalBackend {
             default_sign: prepared.default_sign,
             table_of: Arc::new(table_of),
         });
-        Ok(())
+        self.rebuild_sign_column()
     }
 
     fn is_loaded(&self) -> bool {
@@ -596,23 +637,18 @@ impl Backend for RelationalBackend {
         let tables: Vec<String> =
             state.mapping.tables().iter().map(|t| t.name.clone()).collect();
         let mut touched = 0usize;
-        if self.mode == AnnotateMode::Compiled {
-            // Vectorized reset: one sweep per table's sign column, no
-            // SQL. Same final state as the UPDATE below.
-            for table in tables {
-                touched += self.db.reset_signs(&table, default)?;
-            }
-            return Ok(touched);
-        }
         for table in tables {
-            if let Some(n) = self
-                .db
-                .execute(&format!("UPDATE {table} SET s = '{default}'"))?
-                .count()
-            {
-                touched += n;
-            }
+            touched += if self.mode == AnnotateMode::Compiled {
+                // Vectorized reset: one sweep per table's sign column,
+                // no SQL. Same final state as the UPDATE below.
+                self.db.reset_signs(&table, default)?
+            } else {
+                let sql = format!("UPDATE {table} SET s = '{default}'");
+                self.db.execute(&sql)?.count().unwrap_or(0)
+            };
         }
+        let byte = sign_byte(default);
+        self.signs.iter_mut().filter(|b| **b != NO_SIGN).for_each(|b| *b = byte);
         Ok(touched)
     }
 
@@ -621,15 +657,13 @@ impl Backend for RelationalBackend {
         if requested.is_empty() {
             return Ok((0, true));
         }
-        let accessible = self.accessible_bits()?;
-        let allowed = requested
-            .iter()
-            .all(|&id| u32::try_from(id).is_ok_and(|pos| accessible.test(pos)));
+        let allowed = requested.iter().all(|&id| self.sign_byte_of(id) == b'+');
         Ok((requested.len(), allowed))
     }
 
     fn accessible_count(&mut self) -> Result<usize> {
-        Ok(self.accessible_bits()?.len())
+        self.state()?;
+        Ok(self.signs.iter().filter(|&&b| b == b'+').count())
     }
 
     fn delete(&mut self, path: &Path) -> Result<usize> {
@@ -661,6 +695,9 @@ impl Backend for RelationalBackend {
             };
             for (table, id) in rows {
                 self.db.execute(&format!("DELETE FROM {table} WHERE id = {id}"))?;
+                if let Some(cell) = cell_mut(&mut self.signs, id) {
+                    *cell = NO_SIGN;
+                }
                 removed += 1;
             }
             let state =
@@ -729,6 +766,12 @@ impl Backend for RelationalBackend {
                 format!("INSERT INTO {name} (id, pid, s) VALUES ({id}, {pid}, '{default}')")
             };
             self.db.execute(&sql)?;
+            if let Ok(slot) = usize::try_from(id) {
+                if self.signs.len() <= slot {
+                    self.signs.resize(slot + 1, NO_SIGN);
+                }
+                self.signs[slot] = sign_byte(default);
+            }
             inserted += 1;
         }
         if let (Some(index), Some(state)) = (index.as_mut().filter(|_| inserted > 0), &self.state) {
@@ -768,15 +811,13 @@ impl Backend for RelationalBackend {
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
         let epoch = self.epoch;
         let index = self.doc_index()?;
-        self.accessible_bits()?;
-        let ids = self.accessible_cache.as_ref().expect("populated above");
         let state = self.state()?;
-        // One pass over the node → id vector maps the id-keyed set onto
-        // arena slots. A deleted node keeps its id but no longer has a
-        // row, so it never maps into the set.
+        // One pass over the node → id vector maps the dense id-keyed
+        // column onto arena slots. A deleted node keeps its id but its
+        // tuple is gone, so its byte is `NO_SIGN`.
         let mut accessible = Bitset::new(state.sdoc.doc().arena_len());
         for (slot, id) in state.shredded.ids() {
-            if u32::try_from(id).is_ok_and(|pos| ids.test(pos)) {
+            if self.sign_byte_of(id) == b'+' {
                 accessible.set(slot as u32);
             }
         }
@@ -791,6 +832,11 @@ impl Backend for RelationalBackend {
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
         self.sign_map()
+    }
+
+    fn sign_changes(&mut self) -> Result<SignDiff> {
+        self.state()?;
+        Ok(self.baseline.drain(&self.signs))
     }
 
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
@@ -809,7 +855,7 @@ impl Backend for RelationalBackend {
         self.write_signs(&minus, '-')?;
         self.write_signs(&plus, '+')?;
         self.epoch = self.epoch.max(min_epoch) + 1;
-        self.accessible_cache = None;
+        self.baseline.reset(&self.signs);
         Ok(())
     }
 
@@ -844,9 +890,15 @@ impl Backend for RelationalBackend {
         // Strictly advance the epoch: the restored state may differ from
         // whatever the current epoch number was stamped on.
         self.epoch = self.epoch.max(checkpoint.epoch) + 1;
-        self.accessible_cache = None;
         self.doc_index = None;
-        Ok(())
+        match self.state {
+            Some(_) => self.rebuild_sign_column(),
+            None => {
+                self.signs.clear();
+                self.baseline.reset(&[]);
+                Ok(())
+            }
+        }
     }
 }
 
@@ -869,6 +921,8 @@ pub struct NativeXmlBackend {
     /// snapshots, cached across sign writes and patched by structural
     /// ones — same discipline as the relational backend's `doc_index`.
     index: Option<Arc<DocIndex>>,
+    /// The store's sign column as of the last [`Backend::sign_changes`].
+    baseline: SignBaseline,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
 }
@@ -881,6 +935,7 @@ impl NativeXmlBackend {
             default_sign: '-',
             mode: AnnotateMode::default(),
             index: None,
+            baseline: SignBaseline::default(),
             epoch: 0,
         }
     }
@@ -979,7 +1034,9 @@ impl Backend for NativeXmlBackend {
         // the measured work, exactly like shipping the XML file to the
         // XQuery database.
         let doc = Document::parse_str(&prepared.xml_text)?;
-        self.sdoc = Some(Arc::new(StoredDocument::new(doc)));
+        let sdoc = StoredDocument::new(doc);
+        self.baseline.reset(sdoc.sign_column());
+        self.sdoc = Some(Arc::new(sdoc));
         self.default_sign = prepared.default_sign;
         self.index = None;
         self.epoch += 1;
@@ -1085,25 +1142,25 @@ impl Backend for NativeXmlBackend {
 
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
         let epoch = self.epoch;
-        let default_accessible = self.default_sign == '+';
         let index = self.native_index()?;
         let sdoc = self.sdoc()?;
-        let mut accessible = Bitset::new(sdoc.doc().arena_len());
-        if default_accessible {
-            for n in sdoc.doc().all_elements() {
-                if sdoc.sign_of(n) != Some('-') {
-                    accessible.set(n.index() as u32);
+        let signs = sdoc.sign_column();
+        let width = sdoc.doc().arena_len();
+        let accessible = if self.default_sign == '+' {
+            // Default allow grants every live element not signed `-`:
+            // the index's liveness column names the live elements.
+            let mut accessible = Bitset::new(width);
+            for &slot in index.all_slots() {
+                if signs.get(slot as usize) != Some(&b'-') {
+                    accessible.set(slot);
                 }
             }
+            accessible
         } else {
-            // Under default deny only `+` grants: the sign column alone
-            // answers, without sweeping the arena's nodes.
-            for (n, sign) in sdoc.signed_nodes() {
-                if sign == '+' {
-                    accessible.set(n.index() as u32);
-                }
-            }
-        }
+            // Under default deny only `+` grants, and only live elements
+            // carry signs: one word pass over the column answers.
+            positions_of(signs, width, b'+')
+        };
         Ok(AccessSnapshot::new(epoch, "native/xml", Arc::clone(sdoc), accessible, index))
     }
 
@@ -1111,11 +1168,18 @@ impl Backend for NativeXmlBackend {
         Ok(self.sdoc()?.signed_nodes().map(|(n, s)| (n.index() as i64, s)).collect())
     }
 
+    fn sign_changes(&mut self) -> Result<SignDiff> {
+        let sdoc = self.sdoc.as_ref().ok_or(Error::BackendNotLoaded { backend: "native/xml" })?;
+        Ok(self.baseline.drain(sdoc.sign_column()))
+    }
+
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
         // The native encoding is sparse (only explicitly-annotated
         // nodes appear), so the store clears everything and re-annotates
         // exactly the mapped nodes.
         self.sdoc_mut()?.apply_sign_map(signs);
+        let sdoc = self.sdoc.as_deref().expect("sdoc_mut succeeded");
+        self.baseline.reset(sdoc.sign_column());
         self.epoch = self.epoch.max(min_epoch) + 1;
         Ok(())
     }
@@ -1140,6 +1204,7 @@ impl Backend for NativeXmlBackend {
             )));
         };
         self.sdoc = sdoc.clone();
+        self.baseline.reset(self.sdoc.as_deref().map_or(&[], StoredDocument::sign_column));
         self.default_sign = *default_sign;
         self.index = None;
         self.epoch = self.epoch.max(checkpoint.epoch) + 1;
@@ -1432,22 +1497,65 @@ mod tests {
         assert_eq!(snap.accessible_count(), expected.len(), "{who}");
     }
 
-    /// Every writer in turn, each followed by a published snapshot that
-    /// must hold exactly the reference's accessible nodes; `oracle`
-    /// adds backend-specific checks after each step.
+    /// Drain `b`'s sign changes and check them against the map diff
+    /// from `prev`, the sign state at the previous drain or baseline
+    /// reset; `prev` becomes the current state.
+    fn assert_drain_is_the_map_diff(
+        b: &mut dyn Backend,
+        prev: &mut BTreeMap<i64, char>,
+        step: &str,
+    ) {
+        let now = b.sign_state().unwrap();
+        let diff = b.sign_changes().unwrap();
+        assert_eq!(diff, SignDiff::between(prev, &now), "{}: drain after {step}", b.name());
+        assert!(b.sign_changes().unwrap().is_empty(), "{}: a drain advances", b.name());
+        *prev = now;
+    }
+
+    /// The checks after every step of [`walk_every_writer`]: a
+    /// published snapshot holds exactly the reference's accessible
+    /// nodes, the backend-specific `oracle` holds, and — when `drain`
+    /// — the drained sign changes are the map diff since the last one.
+    fn after_step<B: Backend>(
+        b: &mut B,
+        system: &crate::System,
+        oracle: fn(&mut B),
+        prev: &mut BTreeMap<i64, char>,
+        step: &str,
+        drain: bool,
+    ) {
+        assert_snapshot_is_reference(b, system, step);
+        oracle(b);
+        if drain {
+            assert_drain_is_the_map_diff(b, prev, step);
+        }
+    }
+
+    /// A step that resets the sign-change baseline leaves nothing to
+    /// drain; the state it leaves becomes `prev`.
+    fn assert_baseline_reset(b: &mut dyn Backend, prev: &mut BTreeMap<i64, char>, step: &str) {
+        assert!(b.sign_changes().unwrap().is_empty(), "{}: {step} resets", b.name());
+        *prev = b.sign_state().unwrap();
+    }
+
+    /// Every writer in turn, then a seeded sequence of guarded updates,
+    /// full re-annotations, wholesale sign applies and checkpoint
+    /// restores; each step is followed by [`after_step`]'s checks, and
+    /// about half of the seeded steps leave their changes undrained, so
+    /// a drain also covers several steps at once (the serving engine's
+    /// maintenance writes between transactions).
     fn walk_every_writer<B: Backend>(b: &mut B, system: &crate::System, oracle: fn(&mut B)) {
         let regular = xac_xpath::parse("//regular").unwrap();
         let joy = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+        let mut prev = BTreeMap::new();
         system.load(b).unwrap();
+        assert_baseline_reset(b, &mut prev, "load");
         system.annotate(b).unwrap();
-        assert_snapshot_is_reference(b, system, "annotate");
-        oracle(b);
+        after_step(b, system, oracle, &mut prev, "annotate", true);
         assert!(system.guarded_delete(b, &regular).unwrap().applied());
-        assert_snapshot_is_reference(b, system, "guarded delete");
-        oracle(b);
+        after_step(b, system, oracle, &mut prev, "guarded delete", true);
         assert!(system.guarded_insert(b, &joy, "treatment", None).unwrap().applied());
-        assert_snapshot_is_reference(b, system, "guarded insert");
-        oracle(b);
+        after_step(b, system, oracle, &mut prev, "guarded insert", true);
         let signs = b.sign_state().unwrap();
         b.reset_annotations().unwrap();
         let reset = b.snapshot().unwrap();
@@ -1455,17 +1563,64 @@ mod tests {
         let expected = if default_grants { reset.element_count() } else { 0 };
         assert_eq!(reset.accessible().len(), expected, "{}: reset to the default", b.name());
         oracle(b);
+        assert_drain_is_the_map_diff(b, &mut prev, "reset");
         let epoch = b.epoch();
         b.apply_sign_state(&signs, epoch).unwrap();
-        assert_snapshot_is_reference(b, system, "apply_sign_state");
-        oracle(b);
+        assert_baseline_reset(b, &mut prev, "apply_sign_state");
+        after_step(b, system, oracle, &mut prev, "apply_sign_state", true);
         let checkpoint = b.checkpoint().unwrap();
         assert!(b.delete(&joy).unwrap() > 0);
         b.reset_annotations().unwrap();
         b.restore(&checkpoint).unwrap();
-        assert_snapshot_is_reference(b, system, "checkpoint, mutate, restore");
+        assert_baseline_reset(b, &mut prev, "restore");
+        after_step(b, system, oracle, &mut prev, "checkpoint, mutate, restore", true);
         assert_eq!(b.sign_state().unwrap(), signs, "{}: restore is byte-identical", b.name());
-        oracle(b);
+
+        let paths = |list: &[&str]| -> Vec<Path> {
+            list.iter().map(|p| xac_xpath::parse(p).unwrap()).collect()
+        };
+        let deletes = paths(&["//regular", "//experimental", "//patient[psn = \"042\"]", "//bill"]);
+        let parents = paths(&["//patients", "//patient", "//treatment", "//regular"]);
+        let children = ["patient", "name", "regular", "bill"];
+        let mut rng = xac_xmlgen::SplitMix64::seed_from_u64(0xd1ff_5eed);
+        let mut checkpoint = b.checkpoint().unwrap();
+        for i in 0..40 {
+            let pick = |rng: &mut xac_xmlgen::SplitMix64, n: usize| rng.gen_range(0..n);
+            let step = match pick(&mut rng, 7) {
+                0 | 1 => {
+                    let at = pick(&mut rng, deletes.len());
+                    system.guarded_delete(b, &deletes[at]).unwrap();
+                    format!("seeded step {i}: guarded delete {}", deletes[at])
+                }
+                2 | 3 => {
+                    let at = pick(&mut rng, parents.len());
+                    let text = (at == 3).then_some("500");
+                    system.guarded_insert(b, &parents[at], children[at], text).unwrap();
+                    format!("seeded step {i}: guarded insert under {}", parents[at])
+                }
+                4 => {
+                    system.full_reannotate(b).unwrap();
+                    format!("seeded step {i}: full re-annotation")
+                }
+                5 => {
+                    let signs = b.sign_state().unwrap();
+                    b.reset_annotations().unwrap();
+                    let epoch = b.epoch();
+                    b.apply_sign_state(&signs, epoch).unwrap();
+                    assert_baseline_reset(b, &mut prev, "seeded apply_sign_state");
+                    format!("seeded step {i}: apply_sign_state")
+                }
+                _ => {
+                    b.restore(&checkpoint).unwrap();
+                    assert_baseline_reset(b, &mut prev, "seeded restore");
+                    checkpoint = b.checkpoint().unwrap();
+                    format!("seeded step {i}: restore")
+                }
+            };
+            let drain = rng.gen_bool(0.5);
+            after_step(b, system, oracle, &mut prev, &step, drain);
+        }
+        assert_drain_is_the_map_diff(b, &mut prev, "the seeded walk");
     }
 
     /// The per-table SQL the accessible-id cache ran before its SQL-free
@@ -1491,7 +1646,13 @@ mod tests {
             for kind in [StorageKind::Row, StorageKind::Column] {
                 walk_every_writer(&mut RelationalBackend::with_mode(kind, mode), &system, |b| {
                     let sql = sql_accessible_ids(b);
-                    assert_eq!(b.accessible_ids().unwrap(), sql, "{}: id cache = SQL", b.name());
+                    assert_eq!(b.accessible_ids().unwrap(), sql, "{}: id column = SQL", b.name());
+                    let column: BTreeMap<i64, char> = (0i64..)
+                        .zip(&b.signs)
+                        .filter(|(_, &s)| s != NO_SIGN)
+                        .map(|(id, &s)| (id, s as char))
+                        .collect();
+                    assert_eq!(column, b.sign_map().unwrap(), "{}: dense column = tables", b.name());
                 });
             }
             walk_every_writer(&mut NativeXmlBackend::with_mode(mode), &system, |_| {});

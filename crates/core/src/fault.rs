@@ -24,6 +24,7 @@ use crate::backend::Backend;
 use crate::checkpoint::Checkpoint;
 use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
+use crate::sign_diff::SignDiff;
 use crate::snapshot::AccessSnapshot;
 use std::collections::BTreeMap;
 use xac_policy::AnnotationQuery;
@@ -604,6 +605,10 @@ impl<B: Backend> Backend for FaultingBackend<B> {
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
         self.inner.sign_state()
+    }
+
+    fn sign_changes(&mut self) -> Result<SignDiff> {
+        self.inner.sign_changes()
     }
 
     /// Transparent: the storage points ([`FaultPoint::STORAGE`]) are

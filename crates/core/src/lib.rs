@@ -53,6 +53,7 @@ pub mod fault;
 pub mod optimizer;
 pub mod reannotator;
 pub mod requester;
+pub mod sign_diff;
 pub mod snapshot;
 pub mod system;
 pub mod timing;
@@ -68,6 +69,7 @@ pub use fault::{
 };
 pub use reannotator::ReannotationPlan;
 pub use requester::Decision;
+pub use sign_diff::SignDiff;
 pub use snapshot::AccessSnapshot;
 pub use system::{GuardedUpdate, System, SystemBuilder, UpdateOutcome};
 pub use timing::time;

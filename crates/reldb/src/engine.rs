@@ -337,24 +337,26 @@ impl Database {
         self.write_sign_cells(table, s_col, &slots, sign)
     }
 
-    /// The read counterpart of [`Database::update_signs`]: call `visit`
-    /// with the `id` of every live row of `table` whose `s` column holds
-    /// exactly `sign`, reading the two columns in place — no SQL, no
-    /// per-row allocation. Visits the ids
-    /// `SELECT id FROM {table} WHERE s = '{sign}'` returns.
-    pub fn scan_signs(&self, table: &str, sign: char, mut visit: impl FnMut(i64)) -> Result<()> {
+    /// The read counterpart of [`Database::update_signs`]: call
+    /// `visit(id, sign)` for every live row of `table`, reading the `id`
+    /// and `s` cells in place — no SQL, no per-row allocation. Visits the
+    /// pairs `SELECT id, s FROM {table}` returns, with `sign` the first
+    /// character of `s`; rows whose `id` is not an integer or whose `s`
+    /// is not non-empty text are skipped.
+    pub fn scan_sign_cells(&self, table: &str, mut visit: impl FnMut(i64, char)) -> Result<()> {
         let (id_col, s_col) = self.id_and_sign_columns(table)?;
-        let mut buf = [0u8; 4];
-        let sign: &str = sign.encode_utf8(&mut buf);
+        let mut cell = |id: i64, s: &str| {
+            if let Some(sign) = s.chars().next() {
+                visit(id, sign);
+            }
+        };
         match &self.store {
             Store::Row(m) => {
                 let t = table_ref(m, table)?;
                 for slot in t.live_rows() {
                     let row = t.row(slot);
                     if let (Value::Int(id), Value::Text(s)) = (&row[id_col], &row[s_col]) {
-                        if s == sign {
-                            visit(*id);
-                        }
+                        cell(*id, s);
                     }
                 }
             }
@@ -365,9 +367,7 @@ impl Database {
                 {
                     for ((id, s), &live) in ids.iter().zip(signs).zip(t.live_bitmap()) {
                         if let (true, Some(id), Some(s)) = (live, id, s) {
-                            if s == sign {
-                                visit(*id);
-                            }
+                            cell(*id, s);
                         }
                     }
                 }
@@ -695,19 +695,32 @@ mod tests {
             load(&mut db);
             db.update_signs("child", &[10, 12], '+').unwrap();
             db.update_signs("parent", &[2], '+').unwrap();
-            db.execute("DELETE FROM child WHERE id = 12").unwrap();
+            db.execute("DELETE FROM child WHERE id = 11").unwrap();
             for table in ["parent", "child"] {
+                let mut scanned = Vec::new();
+                db.scan_sign_cells(table, |id, s| scanned.push((id, s))).unwrap();
+                scanned.sort();
                 for sign in ['+', '-'] {
-                    let mut scanned = std::collections::BTreeSet::new();
-                    db.scan_signs(table, sign, |id| {
-                        scanned.insert(id);
-                    })
-                    .unwrap();
                     let sql = format!("SELECT id FROM {table} WHERE s = '{sign}'");
-                    assert_eq!(scanned, db.query(&sql).unwrap().column_as_int_set(0), "{sql}");
+                    let ids: std::collections::BTreeSet<i64> =
+                        scanned.iter().filter(|c| c.1 == sign).map(|c| c.0).collect();
+                    assert_eq!(db.query(&sql).unwrap().column_as_int_set(0), ids, "{sql}");
                 }
+                let sql = format!("SELECT id, s FROM {table}");
+                let mut selected: Vec<(i64, char)> = db
+                    .query(&sql)
+                    .unwrap()
+                    .rows
+                    .iter()
+                    .map(|r| match (&r[0], &r[1]) {
+                        (Value::Int(id), Value::Text(s)) => (*id, s.chars().next().unwrap()),
+                        other => panic!("{other:?}"),
+                    })
+                    .collect();
+                selected.sort();
+                assert_eq!(scanned, selected, "{sql}");
             }
-            assert!(db.scan_signs("nope", '+', |_| {}).is_err());
+            assert!(db.scan_sign_cells("nope", |_, _| {}).is_err());
         }
     }
 

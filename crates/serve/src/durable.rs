@@ -8,18 +8,22 @@
 //! 1. truncate any dead tail left by an earlier failure
 //!    ([`Wal::abort_to_last_commit`] — cleanup is lazy, so the on-disk
 //!    state at a crash instant *is* the crash state);
-//! 2. append the structural operation record, then one
-//!    `SignSet`/`SignClear` record per sign-map difference;
+//! 2. write the structural operation record and one
+//!    `SignSet`/`SignClear` record per entry of the transaction's
+//!    [`SignDiff`] — framed into one buffer, one `write`;
 //! 3. append the `Commit` boundary and fsync — **the durability
 //!    point**;
-//! 4. write the same differences into the slotted pages and flush the
-//!    dirty ones — O(dirty pages), the durable checkpoint that replaces
-//!    the full-image clone of the non-durable engine.
+//! 4. patch the in-memory committed sign map with the diff, write the
+//!    same entries into the slotted pages and flush the dirty ones —
+//!    O(diff), the durable checkpoint that replaces the full-image
+//!    clone of the non-durable engine.
 //!
-//! Failures before step 3 fail the transaction (the engine's
-//! degradation ladder rolls the backend back by replaying the log);
-//! failures after step 3 are *absorbed* — the commit is durable and
-//! recovery repairs the pages from the log. The four storage fault
+//! The engine gets the diff from [`Backend::sign_changes`], so no step
+//! touches the whole sign map. Failures before step 3 fail the
+//! transaction (the engine's degradation ladder rolls the backend back
+//! by replaying the log); failures after step 3 are *absorbed* — the
+//! commit is durable and recovery repairs the pages from the log. The
+//! four storage fault
 //! points ([`FaultPoint::STORAGE`]) land exactly on those seams:
 //! `wal_mid_record` and `wal_before_commit` pre-commit,
 //! `page_torn_write` and `checkpoint_mid_flush` post-commit.
@@ -36,6 +40,8 @@ use xac_core::{
     injected_panic_message, Backend, Error, FaultAction, FaultPlan, FaultPoint, Result, System,
 };
 use xac_store::{PageStore, PagerStats, SignPageStore, StoreError, Wal, WalRecord, WalStats};
+
+pub use xac_core::SignDiff;
 
 /// Where and how the engine persists (CLI: `--data-dir`, `--wal`).
 #[derive(Debug, Clone)]
@@ -153,47 +159,6 @@ impl LoggedOp {
     }
 }
 
-/// The sign-map difference one transaction commits, precomputed by the
-/// caller so the logging/flushing cost measured by the benchmarks is
-/// the storage cost alone.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SignDiff {
-    /// Ids whose sign is new or changed.
-    pub set: Vec<(i64, char)>,
-    /// Ids no longer present (their element was removed).
-    pub clear: Vec<i64>,
-}
-
-impl SignDiff {
-    /// The difference taking `old` to `new`, in one merge walk over the
-    /// two ordered maps; both lists come out in ascending id order.
-    pub fn between(old: &BTreeMap<i64, char>, new: &BTreeMap<i64, char>) -> SignDiff {
-        let mut diff = SignDiff::default();
-        let mut old = old.iter().peekable();
-        for (&id, &sign) in new {
-            while let Some((&gone, _)) = old.next_if(|&(&o, _)| o < id) {
-                diff.clear.push(gone);
-            }
-            match old.next_if(|&(&o, _)| o == id) {
-                Some((_, &kept)) if kept == sign => {}
-                _ => diff.set.push((id, sign)),
-            }
-        }
-        diff.clear.extend(old.map(|(&gone, _)| gone));
-        diff
-    }
-
-    /// Number of entries the diff touches.
-    pub fn len(&self) -> usize {
-        self.set.len() + self.clear.len()
-    }
-
-    /// True when the transaction changed no signs.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty() && self.clear.is_empty()
-    }
-}
-
 /// What a reopen found and repaired; surfaced by
 /// [`ServeEngine::recovery`](crate::ServeEngine::recovery) and printed
 /// by the CLI on restart.
@@ -232,6 +197,15 @@ pub struct Durability {
     /// Armed storage fault points (see [`FaultPoint::STORAGE`]).
     plan: FaultPlan,
     sync: bool,
+    /// Test hook: fail the next post-commit page write.
+    #[cfg(test)]
+    fail_next_page_write: bool,
+}
+
+/// Post-commit page-write failures absorbed, process-wide.
+fn post_commit_errors_total() -> &'static std::sync::Arc<xac_obs::Counter> {
+    static C: std::sync::OnceLock<std::sync::Arc<xac_obs::Counter>> = std::sync::OnceLock::new();
+    C.get_or_init(|| xac_obs::counter("xac_wal_post_commit_errors_total"))
 }
 
 impl Durability {
@@ -260,11 +234,9 @@ impl Durability {
                 ),
             });
         }
-        wal.append(&WalRecord::Meta { backend: backend.to_string(), mode: mode.to_string() })
-            .map_err(storage_error)?;
-        for (&id, &sign) in signs {
-            wal.append(&WalRecord::SignSet { id, sign }).map_err(storage_error)?;
-        }
+        let meta = WalRecord::Meta { backend: backend.to_string(), mode: mode.to_string() };
+        let sets = signs.iter().map(|(&id, &sign)| WalRecord::SignSet { id, sign });
+        wal.append_batch(std::iter::once(meta).chain(sets)).map_err(storage_error)?;
         wal.commit(epoch, config.sync).map_err(storage_error)?;
         let mut store =
             SignPageStore::open(&config.pages_path(), config.pool_pages).map_err(storage_error)?;
@@ -278,6 +250,8 @@ impl Durability {
             last_epoch: epoch,
             plan,
             sync: config.sync,
+            #[cfg(test)]
+            fail_next_page_write: false,
         })
     }
 
@@ -363,6 +337,8 @@ impl Durability {
                 last_epoch,
                 plan,
                 sync: config.sync,
+                #[cfg(test)]
+                fail_next_page_write: false,
             },
             report,
         ))
@@ -379,18 +355,29 @@ impl Durability {
         }
     }
 
-    /// Commit one guarded transaction: the protocol in the [module
-    /// docs](self). `new_signs` is the backend's post-update
-    /// [`Backend::sign_state`]; `epoch` its post-update epoch. On an
-    /// `Ok(diff)` the transaction is durable (even if a post-commit
-    /// fault was absorbed); on `Err` it is not, and the caller must
-    /// roll the backend back ([`Durability::rebuild_backend`]).
+    /// Commit one guarded transaction from the backend's full
+    /// post-update [`Backend::sign_state`] `new_signs`: the diff against
+    /// the committed map, then [`Durability::log_diff`]. The serving
+    /// engine logs [`Backend::sign_changes`] directly instead.
     pub fn log_txn(
         &mut self,
         op: &LoggedOp,
         new_signs: &BTreeMap<i64, char>,
         epoch: u64,
     ) -> Result<SignDiff> {
+        let diff = SignDiff::between(&self.committed_signs, new_signs);
+        self.log_diff(op, &diff, epoch)?;
+        Ok(diff)
+    }
+
+    /// Commit one guarded transaction: the protocol in the [module
+    /// docs](self). `diff` takes the committed sign map to the
+    /// backend's post-update state; `epoch` is its post-update epoch.
+    /// On `Ok` the transaction is durable (even if a post-commit fault
+    /// or page-write error was absorbed); on `Err` it is not, and the
+    /// caller must roll the backend back
+    /// ([`Durability::rebuild_backend`]).
+    pub fn log_diff(&mut self, op: &LoggedOp, diff: &SignDiff, epoch: u64) -> Result<()> {
         // Lazy cleanup: a previous transaction that failed pre-commit
         // left its records as a dead tail. Dropping it here (not at
         // failure time) keeps the on-disk state at a crash instant
@@ -402,14 +389,11 @@ impl Durability {
             self.wal.append_torn(&record).map_err(storage_error)?;
             Durability::fail(FaultPoint::WalMidRecord, action)?;
         }
-        self.wal.append(&record).map_err(storage_error)?;
-        let diff = SignDiff::between(&self.committed_signs, new_signs);
-        for &(id, sign) in &diff.set {
-            self.wal.append(&WalRecord::SignSet { id, sign }).map_err(storage_error)?;
-        }
-        for &id in &diff.clear {
-            self.wal.append(&WalRecord::SignClear { id }).map_err(storage_error)?;
-        }
+        let sets = diff.set.iter().map(|&(id, sign)| WalRecord::SignSet { id, sign });
+        let clears = diff.clear.iter().map(|&id| WalRecord::SignClear { id });
+        self.wal
+            .append_batch(std::iter::once(record).chain(sets).chain(clears))
+            .map_err(storage_error)?;
         if let Some(action) = self.plan.fire_at(FaultPoint::WalBeforeCommit) {
             // Every record written, no commit boundary: a reopen must
             // treat the whole transaction as an implicit abort.
@@ -423,30 +407,47 @@ impl Durability {
             self.wal.commit(epoch, self.sync).map_err(storage_error)?;
         }
         // -- durability point: everything below is write-behind --
-        self.committed_signs = new_signs.clone();
+        diff.apply_to(&mut self.committed_signs);
         self.ops.push(op.clone());
         self.last_epoch = epoch;
+        if self.write_pages(diff).is_err() {
+            // The commit stands: failing here would make the engine roll
+            // back and answer "failed" for a durable update, and a client
+            // retry would apply it twice. The pages lag the log until a
+            // rollback or the next reopen reconciles them.
+            xac_obs::instant("wal.post_commit_error");
+            post_commit_errors_total().inc();
+        }
+        Ok(())
+    }
+
+    /// Step 4's page writes, after the commit. Post-commit faults are
+    /// absorbed (the action is ignored, like the net layer's client
+    /// points): the commit is durable and the pages are repaired from
+    /// the log on reopen.
+    fn write_pages(&mut self, diff: &SignDiff) -> std::result::Result<(), StoreError> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_page_write) {
+            return Err(StoreError::new(
+                xac_store::StoreErrorKind::Io,
+                "injected post-commit page write failure",
+            ));
+        }
         for &(id, sign) in &diff.set {
-            self.store.put_sign(id, sign).map_err(storage_error)?;
+            self.store.put_sign(id, sign)?;
         }
         for &id in &diff.clear {
-            self.store.clear_sign(id).map_err(storage_error)?;
+            self.store.clear_sign(id)?;
         }
-        // Post-commit faults are absorbed (the action is ignored, like
-        // the net layer's client points): the commit is durable and the
-        // pages are repaired from the log on reopen.
         if self.plan.fire_at(FaultPoint::PageTornWrite).is_some() {
             xac_obs::instant("fault:page_torn_write");
-            self.store.tear_first_dirty_page().map_err(storage_error)?;
-            return Ok(diff);
+            return self.store.tear_first_dirty_page().map(drop);
         }
         if self.plan.fire_at(FaultPoint::CheckpointMidFlush).is_some() {
             xac_obs::instant("fault:checkpoint_mid_flush");
-            self.store.flush_capped(1).map_err(storage_error)?;
-            return Ok(diff);
+            return self.store.flush_capped(1).map(drop);
         }
-        self.store.flush().map_err(storage_error)?;
-        Ok(diff)
+        self.store.flush().map(drop)
     }
 
     /// The rollback rung, durable edition: truncate the dead log tail,
@@ -562,6 +563,136 @@ mod tests {
             !d.set.is_empty() && !d.clear.is_empty() && o.keys().any(|k| n.contains_key(k))
         });
         assert!(overlapping.count() >= 40, "the overlapping pairs exercise all three cases");
+    }
+
+    fn system() -> std::sync::Arc<System> {
+        let policy = xac_policy::policy::hospital_policy();
+        let doc = xac_xmlgen::figure2_document();
+        let system = System::builder(xac_xmlgen::hospital_schema(), policy, doc)
+            .annotate_mode(xac_core::AnnotateMode::Compiled)
+            .build()
+            .unwrap();
+        std::sync::Arc::new(system)
+    }
+
+    fn data_dir(name: &str, kind: crate::BackendKind) -> DurabilityConfig {
+        let dir = std::env::temp_dir().join(format!(
+            "xac_durable_unit_{name}_{}_{}",
+            kind.cli_name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        DurabilityConfig::new(dir)
+    }
+
+    fn engine_signs(engine: &crate::ServeEngine) -> BTreeMap<i64, char> {
+        engine.with_writer(|b| b.sign_state().unwrap()).unwrap()
+    }
+
+    fn committed(engine: &crate::ServeEngine) -> BTreeMap<i64, char> {
+        engine.with_durability(|d| d.committed_signs().clone()).unwrap()
+    }
+
+    #[test]
+    fn a_page_write_failure_after_the_commit_does_not_fail_the_update() {
+        let regular = xac_xpath::parse("//regular").unwrap();
+        for kind in crate::BackendKind::ALL {
+            let config = data_dir("post_commit", kind);
+            let engine = crate::ServeEngine::durable(system(), kind, &config).unwrap();
+            engine.with_durability(|d| d.fail_next_page_write = true).unwrap();
+            let (errors, epoch) = (post_commit_errors_total().get(), engine.epoch());
+            let update = engine.guarded_delete(&regular).expect("a committed update succeeds");
+            assert!(update.applied(), "{kind}");
+            assert!(engine.epoch() > epoch, "{kind}: the committed state is published");
+            assert!(post_commit_errors_total().get() > errors, "{kind}: the error is counted");
+            let metrics = engine.metrics();
+            assert_eq!((metrics.update_errors, metrics.rollbacks), (0, 0), "{kind}");
+            let signs = engine_signs(&engine);
+            assert_eq!(committed(&engine), signs, "{kind}");
+            let pages = engine.with_durability(|d| d.page_sign_state()).unwrap();
+            assert_ne!(pages, signs, "{kind}: the pages lag the log");
+            drop(engine);
+            let reopened = crate::ServeEngine::durable(system(), kind, &config).unwrap();
+            let report = reopened.recovery().unwrap();
+            assert_eq!(report.ops_replayed, 1, "{kind}: the update is durable, once");
+            assert!(report.page_entries_repaired > 0, "{kind}: reopen repairs the pages");
+            assert_eq!(engine_signs(&reopened), signs, "{kind}");
+            assert_eq!(reopened.with_durability(|d| d.page_sign_state()).unwrap(), signs);
+            let _ = std::fs::remove_dir_all(&config.data_dir);
+        }
+    }
+
+    #[test]
+    fn log_txn_commits_the_diff_from_the_committed_map() {
+        let config = data_dir("log_txn", crate::BackendKind::Native);
+        std::fs::create_dir_all(&config.data_dir).unwrap();
+        let old: BTreeMap<i64, char> = [(1, '+'), (2, '-'), (3, '+')].into();
+        let new: BTreeMap<i64, char> = [(1, '+'), (2, '+'), (4, '-')].into();
+        let mut dur =
+            Durability::fresh(&config, FaultPlan::new(), "native/xml", "compiled", &old, 1)
+                .unwrap();
+        let op = LoggedOp::Delete { path: "//regular".to_string() };
+        let before = dur.wal_stats().records_appended;
+        let diff = dur.log_txn(&op, &new, 2).unwrap();
+        assert_eq!(diff, SignDiff::between(&old, &new));
+        assert_eq!(dur.committed_signs(), &new, "patched in place to the new map");
+        assert_eq!(dur.page_sign_state(), new);
+        let appended = dur.wal_stats().records_appended - before;
+        assert_eq!(appended, 1 + 3 + 1, "op, three entries, commit");
+        drop(dur);
+        let (_, records) = Wal::open(&config.wal_path()).unwrap();
+        let mut folded = BTreeMap::new();
+        for record in records {
+            match record {
+                WalRecord::SignSet { id, sign } => drop(folded.insert(id, sign)),
+                WalRecord::SignClear { id } => drop(folded.remove(&id)),
+                _ => {}
+            }
+        }
+        assert_eq!(folded, new, "the log folds to the committed map");
+        let _ = std::fs::remove_dir_all(&config.data_dir);
+    }
+
+    /// Seeded guarded updates on a durable engine, with full
+    /// re-annotations and snapshots run outside any transaction in
+    /// between (as a policy reload runs them): after every step the
+    /// committed map the diffs were patched into is the writer's sign
+    /// state, and a reopen recovers it byte-identically.
+    #[test]
+    fn drained_diffs_keep_the_committed_map_equal_to_the_writer() {
+        let deletes = ["//regular", "//experimental", "//patient[psn = \"042\"]/name", "//bill"];
+        let inserts = [("//patient[psn = \"099\"]", "treatment"), ("//treatment", "regular")];
+        for kind in crate::BackendKind::ALL {
+            let config = data_dir("drained", kind);
+            let system = system();
+            let engine = crate::ServeEngine::durable(system.clone(), kind, &config).unwrap();
+            let mut rng = xac_xmlgen::SplitMix64::seed_from_u64(0x10c_d1ff);
+            for i in 0..24 {
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let path = deletes[rng.gen_range(0..deletes.len())];
+                        engine.guarded_delete(&xac_xpath::parse(path).unwrap()).unwrap();
+                    }
+                    1 => {
+                        let (parent, name) = inserts[rng.gen_range(0..inserts.len())];
+                        let parent = xac_xpath::parse(parent).unwrap();
+                        engine.guarded_insert(&parent, name, None).unwrap();
+                    }
+                    _ => {
+                        engine.with_writer(|b| system.full_reannotate(b)).unwrap().unwrap();
+                        engine.with_writer(|b| b.snapshot().map(drop)).unwrap().unwrap();
+                    }
+                }
+                assert_eq!(committed(&engine), engine_signs(&engine), "{kind} step {i}");
+            }
+            assert!(engine.metrics().updates_applied >= 4, "{kind}: the walk commits");
+            let signs = engine_signs(&engine);
+            drop(engine);
+            let reopened = crate::ServeEngine::durable(system, kind, &config).unwrap();
+            assert_eq!(engine_signs(&reopened), signs, "{kind}: byte-identical reopen");
+            assert_eq!(committed(&reopened), signs, "{kind}");
+            let _ = std::fs::remove_dir_all(&config.data_dir);
+        }
     }
 
     #[test]

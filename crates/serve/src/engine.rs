@@ -27,7 +27,7 @@
 //!   protected value is a complete `Arc` at every instant).
 
 use crate::durable::{
-    split_storage_plan, Durability, DurabilityConfig, LoggedOp, RecoveryReport,
+    split_storage_plan, Durability, DurabilityConfig, LoggedOp, RecoveryReport, SignDiff,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::request::{ErrorKind, Request, Response, Role};
@@ -296,6 +296,9 @@ impl ServeEngine {
                 &signs,
                 epoch,
             )?;
+            // The log now holds `signs`: make them the baseline the
+            // first transaction's `sign_changes` diffs against.
+            backend.sign_changes()?;
             ServeEngine::finish(system, backend, Some(dur), None)
         }
     }
@@ -645,9 +648,15 @@ impl ServeEngine {
                         // ladder rolls back by replaying the log.
                         Some(dur) => {
                             let logged = ServeEngine::logged_op(op);
-                            let signs = b.sign_state()?;
+                            let diff = b.sign_changes()?;
                             let epoch = b.epoch();
-                            unpoison(dur.lock()).log_txn(&logged, &signs, epoch)?;
+                            let mut dur = unpoison(dur.lock());
+                            debug_assert_eq!(
+                                diff,
+                                SignDiff::between(dur.committed_signs(), &b.sign_state()?),
+                                "the drained sign changes are the committed map's diff"
+                            );
+                            dur.log_diff(&logged, &diff, epoch)?;
                             None
                         }
                         None => Some(Box::new(b.checkpoint()?)),

@@ -19,6 +19,12 @@ impl Bitset {
         Bitset { words: vec![0; width.div_ceil(64)] }
     }
 
+    /// A set from its words: position `p` is bit `p % 64` of word
+    /// `p / 64`, so the width is `64 * words.len()`.
+    pub fn from_words(words: Vec<u64>) -> Bitset {
+        Bitset { words }
+    }
+
     /// Add a position; it must be below the width.
     #[inline]
     pub fn set(&mut self, pos: u32) {

@@ -1,11 +1,13 @@
 //! Bounded program cache keyed on (policy, schema) fingerprints.
 //!
-//! Mirrors `ContainmentOracle`'s memo discipline: a fixed capacity, a
-//! wholesale flush when full (counted as evictions, fed to a global
-//! counter), and hit/miss/eviction stats published as gauges. Programs
-//! are tiny, so the default capacity comfortably holds every annotation
-//! query and request path a serving process sees; the bound exists so a
-//! pathological workload cannot grow the map without limit.
+//! A fixed capacity with second-chance (CLOCK) eviction: a hit sets the
+//! entry's reference bit, and a miss on a full cache sweeps the ring
+//! from the clock hand, clearing set bits, and replaces the first entry
+//! whose bit was already clear. A workload whose distinct paths exceed
+//! the capacity therefore keeps its re-referenced programs — the
+//! per-update annotation programs among them — instead of losing the
+//! whole cache at once. Each eviction is counted (and fed to a global
+//! counter); hit/miss/eviction stats are published as gauges.
 
 use crate::bytecode::Program;
 use crate::compile::{compile_path, compile_query, path_fingerprint, CompileError};
@@ -60,10 +62,75 @@ impl VmCacheStats {
     }
 }
 
+/// One cached program and its CLOCK reference bit.
+struct Entry {
+    key: u64,
+    program: Arc<Program>,
+    referenced: bool,
+}
+
 struct ProgramCache {
-    map: HashMap<u64, Arc<Program>>,
+    /// Key → position of its entry in `ring`.
+    map: HashMap<u64, usize>,
+    ring: Vec<Entry>,
+    /// The next ring position the eviction sweep examines.
+    hand: usize,
     capacity: usize,
     stats: VmCacheStats,
+}
+
+impl ProgramCache {
+    fn new(capacity: usize) -> ProgramCache {
+        ProgramCache {
+            map: HashMap::new(),
+            ring: Vec::new(),
+            hand: 0,
+            capacity,
+            stats: VmCacheStats::default(),
+        }
+    }
+
+    /// The program cached under `key` for exactly (`source`, `mark`);
+    /// a hit sets its reference bit.
+    fn get(&mut self, key: u64, source: &str, mark: char) -> Option<Arc<Program>> {
+        let entry = &mut self.ring[*self.map.get(&key)?];
+        if entry.program.source != source || entry.program.mark != mark {
+            return None;
+        }
+        entry.referenced = true;
+        Some(Arc::clone(&entry.program))
+    }
+
+    /// Cache `program` under `key`, replacing a colliding entry in
+    /// place or, when full, the first entry the sweep finds
+    /// unreferenced; returns the number of entries evicted (0 or 1).
+    fn insert(&mut self, key: u64, program: Arc<Program>) -> u64 {
+        let entry = Entry { key, program, referenced: false };
+        if let Some(&at) = self.map.get(&key) {
+            self.ring[at] = entry;
+            return 0;
+        }
+        if self.ring.len() < self.capacity {
+            self.map.insert(key, self.ring.len());
+            self.ring.push(entry);
+            return 0;
+        }
+        while std::mem::take(&mut self.ring[self.hand].referenced) {
+            self.hand = (self.hand + 1) % self.ring.len();
+        }
+        let victim = self.hand;
+        self.map.remove(&self.ring[victim].key);
+        self.map.insert(key, victim);
+        self.ring[victim] = entry;
+        self.hand = (victim + 1) % self.ring.len();
+        1
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.ring.clear();
+        self.hand = 0;
+    }
 }
 
 /// Fetch the program for (`source`, `mark`) cached under `key`, or
@@ -78,8 +145,7 @@ pub(crate) fn cached<E>(
 ) -> Result<Arc<Program>, E> {
     {
         let mut c = cache();
-        let hit = c.map.get(&key).filter(|p| p.source == source && p.mark == mark).cloned();
-        if let Some(p) = hit {
+        if let Some(p) = c.get(key, source, mark) {
             c.stats.hits += 1;
             return Ok(p);
         }
@@ -88,28 +154,16 @@ pub(crate) fn cached<E>(
     let program = Arc::new(build()?);
     programs_compiled_total().inc();
     let mut c = cache();
-    if c.map.len() >= c.capacity && !c.map.contains_key(&key) {
-        // Wholesale flush, like the containment memo: cheap, and a
-        // full cache under a stable workload never reaches here.
-        let cleared = c.map.len() as u64;
-        c.map.clear();
-        c.stats.evictions += cleared;
-        cache_evictions_total().add(cleared);
-    }
-    c.map.insert(key, Arc::clone(&program));
+    let evicted = c.insert(key, Arc::clone(&program));
+    c.stats.evictions += evicted;
+    cache_evictions_total().add(evicted);
     Ok(program)
 }
 
 fn cache() -> MutexGuard<'static, ProgramCache> {
     static CACHE: OnceLock<Mutex<ProgramCache>> = OnceLock::new();
     CACHE
-        .get_or_init(|| {
-            Mutex::new(ProgramCache {
-                map: HashMap::new(),
-                capacity: DEFAULT_PROGRAM_CACHE_CAPACITY,
-                stats: VmCacheStats::default(),
-            })
-        })
+        .get_or_init(|| Mutex::new(ProgramCache::new(DEFAULT_PROGRAM_CACHE_CAPACITY)))
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -147,7 +201,7 @@ pub fn cache_stats() -> VmCacheStats {
 /// Drop every cached program and zero the stats (tests).
 pub fn reset_cache() {
     let mut c = cache();
-    c.map.clear();
+    c.clear();
     c.stats = VmCacheStats::default();
 }
 
@@ -174,5 +228,34 @@ mod tests {
         assert_eq!((after.misses - before.misses, after.hits - before.hits), (3, 1));
         let q = cached(key, "//a", '-', || compile_path(&a).map(|p| Program { mark: '-', ..p }));
         assert_eq!(q.unwrap().mark, '-', "same source, another mark: a miss");
+    }
+
+    #[test]
+    fn clock_eviction_keeps_the_size_bounded_and_spares_re_referenced_entries() {
+        const CAP: usize = 4;
+        let program = |i: u64| {
+            let path = xac_xpath::parse(&format!("//e{i}")).unwrap();
+            Arc::new(compile_path(&path).unwrap())
+        };
+        let mut c = ProgramCache::new(CAP);
+        for i in 0..CAP as u64 {
+            assert_eq!(c.insert(i, program(i)), 0, "room left below the cap");
+        }
+        // Entry 1 is read between misses: each sweep clears its bit and
+        // passes it by, so it survives while the others rotate out.
+        assert!(c.get(1, "//e1", '+').is_some());
+        let mut evicted = 0;
+        for i in CAP as u64..3 * CAP as u64 {
+            evicted += c.insert(i, program(i));
+            assert!(c.ring.len() <= CAP && c.map.len() <= CAP, "size stays within the cap");
+            assert!(c.get(1, "//e1", '+').is_some(), "re-referenced entry 1 survives miss {i}");
+            if i == CAP as u64 {
+                assert!(c.get(0, "//e0", '+').is_none(), "unreferenced entry 0 evicted first");
+            }
+        }
+        assert_eq!(evicted, 2 * CAP as u64, "every insert past the cap evicts exactly one");
+        for (key, &at) in &c.map {
+            assert_eq!(c.ring[at].key, *key, "map and ring agree");
+        }
     }
 }

@@ -316,8 +316,8 @@ impl DocIndex {
         &self.by_name[name as usize]
     }
 
-    /// All live element slots, ascending.
-    pub(crate) fn all_slots(&self) -> &[u32] {
+    /// All live element slots, ascending: the index's liveness column.
+    pub fn all_slots(&self) -> &[u32] {
         &self.elements
     }
 

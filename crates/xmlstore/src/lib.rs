@@ -29,7 +29,7 @@ pub mod xquery;
 
 pub use cam::Cam;
 pub use index::NameIndex;
-pub use store::{StoredDocument, XmlStore, SIGN_ATTR};
+pub use store::{sign_byte, StoredDocument, XmlStore, NO_SIGN, SIGN_ATTR};
 pub use xquery::NodeSetExpr;
 
 /// Errors from the store.

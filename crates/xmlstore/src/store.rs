@@ -23,7 +23,7 @@ fn sign_writes_total() -> &'static Arc<Counter> {
 pub const SIGN_ATTR: &str = "sign";
 
 /// Sign-column value of an element without a `sign` attribute.
-const NO_SIGN: u8 = 0;
+pub const NO_SIGN: u8 = 0;
 
 /// A named collection of XML documents.
 #[derive(Debug, Default)]
@@ -216,6 +216,12 @@ impl StoredDocument {
         }
     }
 
+    /// The sign column itself: one byte per arena slot, `0` for no
+    /// sign, else `b'+'` or `b'-'`.
+    pub fn sign_column(&self) -> &[u8] {
+        &self.signs
+    }
+
     /// Every annotated node with its sign, in arena order. Detached
     /// nodes carry no sign (removal clears it).
     pub fn signed_nodes(&self) -> impl Iterator<Item = (NodeId, char)> + '_ {
@@ -331,8 +337,9 @@ impl StoredDocument {
     }
 }
 
-/// The sign-column byte for an annotation.
-fn sign_byte(sign: char) -> u8 {
+/// The sign-column byte for an annotation: a sign other than `+` is
+/// stored as `-`.
+pub fn sign_byte(sign: char) -> u8 {
     if sign == '+' {
         b'+'
     } else {

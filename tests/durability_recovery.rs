@@ -29,6 +29,7 @@ use xac_core::{Backend, Error, FaultAction, FaultPlan, FaultPoint, FaultSpec, Sy
 use xac_policy::policy::hospital_policy;
 use xac_serve::{
     BackendKind, Durability, DurabilityConfig, LoggedOp, Request, Response, ServeEngine,
+    SignDiff,
 };
 use xac_xmlgen::{figure2_document, hospital_schema};
 
@@ -138,10 +139,15 @@ fn crash_and_recover(
             b.epoch(),
         )
         .unwrap();
+        // The logged boot state is the baseline; each transaction then
+        // logs the drained changes, as the engine does.
+        b.sign_changes().unwrap();
         for (i, op) in txns().iter().take(crash_at + 1).enumerate() {
             apply_txn(&s, b.as_mut(), op);
+            let diff = b.sign_changes().unwrap();
             let signs = b.sign_state().unwrap();
-            match dur.log_txn(op, &signs, b.epoch()) {
+            assert_eq!(diff, SignDiff::between(dur.committed_signs(), &signs), "{name}: txn {i}");
+            match dur.log_diff(op, &diff, b.epoch()) {
                 Ok(_) => assert!(
                     i < crash_at || !pre_commit,
                     "{name}: a pre-commit fault must fail txn {crash_at}"
