@@ -815,8 +815,11 @@ fn ablation_cam() {
 /// (`query_compiled`): the mean latency of the broad workload queries,
 /// and of selective value queries (`//item[quantity = "7"]`, answers of
 /// 1–3 nodes) with their cost per answer node, which must stay within
-/// 2x from the smallest factor to the largest. Emits `BENCH_serve.json`
-/// so the serving perf trajectory is tracked across revisions.
+/// 2x from the smallest factor to the largest. A second table times the
+/// first structural write after a publish at f = 0.1, 0.3 and 1
+/// ([`first_write_us`]), which must also stay within 2x across them.
+/// Emits `BENCH_serve.json` so the serving perf trajectory is tracked
+/// across revisions.
 fn serve(factors: &[f64]) {
     use std::sync::Arc;
     use xac_core::AnnotateMode;
@@ -957,6 +960,20 @@ fn serve(factors: &[f64]) {
             );
         }
     }
+    let t = TablePrinter::new(vec![8, 10, 8, 22]);
+    t.row(&["factor".into(), "elements".into(), "chunks".into(), "first write µs".into()]);
+    t.rule();
+    let mut first_writes: Vec<f64> = Vec::new();
+    for f in [0.1, 0.3, 1.0] {
+        let (elements, chunks, us) = first_write_us(f);
+        t.row(&[format!("{f}"), elements.to_string(), chunks.to_string(), format!("{us:.1}")]);
+        let _ = write!(
+            json,
+            ",\n  {{\"factor\": {f}, \"elements\": {elements}, \"index_chunks\": {chunks}, \
+             \"first_write_index_us\": {us}}}"
+        );
+        first_writes.push(us);
+    }
     json.push_str("\n]\n");
     write_csv("serve.csv", &csv);
     std::fs::write("BENCH_serve.json", &json).expect("write json");
@@ -971,14 +988,53 @@ fn serve(factors: &[f64]) {
             "{name}: selective ns/answer node {large:.0} at f={hi} exceeds 2x {small:.0} at f={lo}"
         );
     }
+    // The copy-on-write index makes a write pay for what it touches, not
+    // for the document: a tenfold larger index may not double the cost.
+    let min = first_writes.iter().copied().fold(f64::MAX, f64::min);
+    let max = first_writes.iter().copied().fold(0.0, f64::max);
+    assert!(
+        max <= 2.0 * min,
+        "first write after a publish: {max:.1} µs exceeds 2x {min:.1} µs across f=0.1..1"
+    );
     println!(
         "(reads run lock-free against the published epoch snapshot while the\n \
          writer re-annotates; applied+denied reflects which of the {UPDATES} guarded\n \
          deletes the access check allowed; epochs = snapshots published;\n \
          dec-vm/dec-sel = single-threaded per-request decide latency of the\n \
          broad workload and of selective value queries on the same snapshot;\n \
-         ns/node = selective decide cost per answer node)"
+         ns/node = selective decide cost per answer node; first write = copying\n \
+         the index a snapshot shares and patching it for one inserted element)"
     );
+}
+
+/// The first structural write after a publish at factor `f`: the writer
+/// copies the index the published snapshot shares ([`Arc::make_mut`])
+/// and patches it for one `mailbox` inserted under the first
+/// `//namerica/item`. Returns the document's element count, the index's
+/// chunk count and the median copy + patch time in µs; each copy is
+/// dropped outside the timer.
+///
+/// [`Arc::make_mut`]: std::sync::Arc::make_mut
+fn first_write_us(f: f64) -> (usize, usize, f64) {
+    use std::sync::Arc;
+    const REPS: usize = 101;
+    let mut doc = xac_xmlgen::xmark_document(xac_xmlgen::XmarkConfig::with_factor(f));
+    let published = Arc::new(xac_vmc::DocIndex::build(&doc));
+    let items = xac_xpath::parse("//namerica/item").expect("path parses");
+    let item = xac_xpath::eval(&doc, &items)[0];
+    doc.add_element(item, "mailbox");
+    // The first calls warm the allocator and the caches: untimed.
+    let mut times: Vec<f64> = (0..REPS + 20)
+        .map(|_| {
+            let mut index = Arc::clone(&published);
+            let (_, d) = time(|| Arc::make_mut(&mut index).append(&doc));
+            drop(index);
+            d.as_secs_f64() * 1e6
+        })
+        .skip(20)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (published.element_count(), published.width().div_ceil(xac_xml::CHUNK), times[REPS / 2])
 }
 
 /// Up to `n` selective value queries `//P[C = "v"]` on `doc`, with

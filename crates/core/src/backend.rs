@@ -1150,7 +1150,7 @@ impl Backend for NativeXmlBackend {
             // Default allow grants every live element not signed `-`:
             // the index's liveness column names the live elements.
             let mut accessible = Bitset::new(width);
-            for &slot in index.all_slots() {
+            for &slot in index.element_runs().flatten() {
                 if signs.get(slot as usize) != Some(&b'-') {
                     accessible.set(slot);
                 }

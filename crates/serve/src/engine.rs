@@ -768,7 +768,12 @@ impl ServeEngine {
         let _span = xac_obs::span("serve.publish");
         self.metrics.current_epoch.store(snapshot.epoch(), Relaxed);
         self.metrics.epochs_published.fetch_add(1, Relaxed);
-        *unpoison(self.published.write()) = snapshot;
+        // The old snapshot may be the last owner of its epoch's index
+        // chunks, name index and arena chunks: swap it out under the
+        // lock, free it after the guard is gone, so readers never wait
+        // on the release.
+        let old = std::mem::replace(&mut *unpoison(self.published.write()), snapshot);
+        drop(old);
         if let Some(checkpoint) = checkpoint {
             *unpoison(self.last_good.lock()) = checkpoint;
         }

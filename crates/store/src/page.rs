@@ -133,13 +133,16 @@ impl Page {
         assert!(!bytes.is_empty() && bytes.len() <= PAGE_SIZE / 4, "cell size out of range");
         // Re-fill a tombstone: the tombstone keeps its original cell
         // offset in `offset` with len 0; reuse only on exact size match
-        // so neighbouring cells are never overwritten.
+        // so neighbouring cells are never overwritten. The first
+        // tombstone seen sorts the live cell starts once; each tombstone
+        // then finds the next live start above it by binary search.
+        let mut live: Option<Vec<u16>> = None;
         for slot in 0..self.nslots() {
             if let Some((offset, 0)) = self.slot_entry(slot) {
+                let live = live.get_or_insert_with(|| self.live_cell_starts());
+                let above = live.partition_point(|&o| o <= offset);
+                let next_live_start = live.get(above).map_or(PAGE_SIZE, |&o| o as usize);
                 let end = offset as usize + bytes.len();
-                let next_live_start = self
-                    .live_cells_above(offset)
-                    .unwrap_or(PAGE_SIZE);
                 if offset != 0 && end <= next_live_start {
                     self.data[offset as usize..end].copy_from_slice(bytes);
                     self.set_slot_entry(slot, offset, bytes.len() as u16);
@@ -159,14 +162,15 @@ impl Page {
         Some(slot)
     }
 
-    /// The lowest start offset of a live cell strictly above `offset`,
-    /// if any — the bound a re-filled tombstone must not cross.
-    fn live_cells_above(&self, offset: u16) -> Option<usize> {
-        (0..self.nslots())
+    /// The start offsets of the live cells, ascending.
+    fn live_cell_starts(&self) -> Vec<u16> {
+        let mut starts: Vec<u16> = (0..self.nslots())
             .filter_map(|s| self.slot_entry(s))
-            .filter(|&(o, len)| len > 0 && o > offset)
-            .map(|(o, _)| o as usize)
-            .min()
+            .filter(|&(_, len)| len > 0)
+            .map(|(o, _)| o)
+            .collect();
+        starts.sort_unstable();
+        starts
     }
 
     /// The cell at `slot`; `None` for out-of-range or tombstoned slots.
@@ -265,5 +269,62 @@ mod tests {
         torn[PAGE_SIZE - 3] ^= 0x40;
         let err = Page::from_bytes(torn).unwrap_err();
         assert_eq!(err.kind, StoreErrorKind::Checksum);
+    }
+
+    /// The slot choice `insert_cell` made before it sorted the live cell
+    /// starts once: a full slot scan per tombstone it tries.
+    fn insert_cell_by_rescan(p: &mut Page, bytes: &[u8]) -> Option<u16> {
+        let live_cells_above = |p: &Page, offset: u16| {
+            (0..p.nslots())
+                .filter_map(|s| p.slot_entry(s))
+                .filter(|&(o, len)| len > 0 && o > offset)
+                .map(|(o, _)| o as usize)
+                .min()
+        };
+        for slot in 0..p.nslots() {
+            if let Some((offset, 0)) = p.slot_entry(slot) {
+                let end = offset as usize + bytes.len();
+                let next_live_start = live_cells_above(p, offset).unwrap_or(PAGE_SIZE);
+                if offset != 0 && end <= next_live_start {
+                    p.data[offset as usize..end].copy_from_slice(bytes);
+                    p.set_slot_entry(slot, offset, bytes.len() as u16);
+                    return Some(slot);
+                }
+            }
+        }
+        if p.free_space() < bytes.len() {
+            return None;
+        }
+        let offset = p.free_start() as usize - bytes.len();
+        p.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let slot = p.nslots();
+        p.set_nslots(slot + 1);
+        p.set_slot_entry(slot, offset as u16, bytes.len() as u16);
+        p.set_free_start(offset as u16);
+        Some(slot)
+    }
+
+    #[test]
+    fn insert_cell_picks_the_slot_the_rescan_picked() {
+        for seed in 0..40u64 {
+            let mut state = seed;
+            let mut next = |n: u64| xac_obs::splitmix64(&mut state) % n;
+            let (mut fast, mut oracle) = (Page::new(9), Page::new(9));
+            for step in 0..600 {
+                // Mostly puts of a few sizes (so tombstones of every size
+                // exist), one clear in three.
+                if next(3) == 0 && fast.nslots() > 0 {
+                    let slot = next(u64::from(fast.nslots())) as u16;
+                    fast.delete_cell(slot);
+                    oracle.delete_cell(slot);
+                } else {
+                    let len = [4usize, 8, 13, 24][next(4) as usize];
+                    let cell = vec![(step % 251) as u8 + 1; len];
+                    let got = fast.insert_cell(&cell);
+                    assert_eq!(got, insert_cell_by_rescan(&mut oracle, &cell), "seed {seed} step {step}");
+                }
+                assert!(fast.data[..] == oracle.data[..], "seed {seed} step {step}: page bytes differ");
+            }
+        }
     }
 }

@@ -86,15 +86,19 @@ impl Bitset {
     /// Ascending positions of set bits.
     pub fn ones(&self) -> Vec<u32> {
         let mut out = Vec::new();
+        self.for_each_one(|p| out.push(p));
+        out
+    }
+
+    /// Call `f` on every set position, ascending.
+    pub fn for_each_one(&self, mut f: impl FnMut(u32)) {
         for (wi, &w) in self.words.iter().enumerate() {
             let mut bits = w;
             while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((wi as u32) * 64 + b);
+                f((wi as u32) * 64 + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
-        out
     }
 }
 

@@ -1,66 +1,93 @@
 //! Columnar document index: the VM's execution substrate.
 //!
-//! [`DocIndex`] flattens a [`Document`] arena into dense columns —
-//! per-slot name id, parent slot, string value — plus per-element-type
-//! node lists and a CSR child adjacency. Scans and steps then run over
-//! contiguous `u32` arrays instead of chasing arena nodes, and masks are
-//! bitsets over arena slots, whose ascending order *is* the document
-//! (arena) order the interpreter produces.
+//! [`DocIndex`] lays a [`Document`] arena out as columns — per-slot name
+//! id, parent slot, string value — plus per-element-type node lists and
+//! CSR child adjacency. Scans and steps then run over contiguous `u32`
+//! arrays instead of chasing arena nodes, and masks are bitsets over
+//! arena slots, whose ascending order *is* the document (arena) order
+//! the interpreter produces.
 //!
 //! Value postings answer `[c = "v"]` and `[. = "v"]` in O(log n +
-//! hits): one `key << 32 | slot` word per live element, sorted, where
-//! the 32-bit key hashes the element's name id with its canonical value
-//! ([`value_key`]). A probe returns candidates only; the VM re-checks
-//! each with `CmpOp::compare`, so a hash collision costs a candidate,
-//! never a wrong answer.
+//! hits): one `key << 32 | slot` word per live element in its name's
+//! sorted list, where the 32-bit key hashes the name id with the
+//! element's canonical value ([`value_key`]). A probe returns candidates
+//! only; the VM re-checks each with `CmpOp::compare`, so a hash
+//! collision costs a candidate, never a wrong answer.
 //!
 //! The index depends only on document *structure and text*; sign writes
 //! do not invalidate it, so backends cache one index per document and
 //! patch it across structural updates ([`DocIndex::append`] after an
 //! insert, [`DocIndex::remove_subtrees`] after a delete) instead of
-//! rebuilding it. Every column is a flat vector, so copying an index a
-//! snapshot still shares is a handful of `memcpy`s.
+//! rebuilding it. A snapshot shares the index with the writer, so the
+//! index is copy-on-write in pieces: the per-slot columns sit in [`Arc`]
+//! chunks of [`CHUNK`] slots, aligned with the arena's own chunks, and
+//! each name's slot list and postings sit behind their own [`Arc`].
+//! Copying a shared index copies one pointer per chunk and per name; a
+//! patch then copies only the chunks and name lists it changes.
 
+use crate::bitset::Bitset;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xac_obs::{fnv1a, FNV_OFFSET};
-use xac_xml::{Document, Node, NodeId};
+use xac_xml::{Document, Node, NodeId, CHUNK};
 
 /// Sentinel for "no name" (text node or dead slot) and "no parent".
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Dense columnar view of one document.
+/// Slot `s` lives at offset `s & MASK` of chunk `s >> SHIFT`.
+const SHIFT: u32 = CHUNK.trailing_zeros();
+const MASK: usize = CHUNK - 1;
+const _: () = assert!(CHUNK.is_power_of_two());
+
+/// Columnar view of one document, copy-on-write per chunk and per name.
 #[derive(Debug, Clone)]
 pub struct DocIndex {
     /// Arena capacity (bitset width).
     n: usize,
     /// Arena slot of the document root.
     root: u32,
-    /// Per-slot interned name id (`NONE` for text nodes and dead slots).
-    name_id: Vec<u32>,
-    /// Per-slot parent arena slot (`NONE` for the root and dead slots).
-    parent: Vec<u32>,
+    /// Number of live elements.
+    element_count: usize,
+    /// Chunk `c` covers slots `c * CHUNK .. (c + 1) * CHUNK`; slots at or
+    /// past `n` in the last chunk are empty.
+    chunks: Vec<Arc<Chunk>>,
     /// Interned element-name lookup. A name keeps its id after its last
     /// element is deleted (with an empty slot list).
-    lookup: HashMap<String, u32>,
-    /// Live element slots per name id, ascending (document order).
-    by_name: Vec<Vec<u32>>,
-    /// All live element slots, ascending.
-    elements: Vec<u32>,
-    /// CSR adjacency over *element* children: children of slot `s` are
-    /// `child_list[child_start[s]..child_start[s + 1]]`.
-    child_start: Vec<u32>,
-    child_list: Vec<u32>,
-    /// Every element's string value (concatenated direct text children),
-    /// back to back.
+    lookup: Arc<HashMap<String, u32>>,
+    /// Slot list and value postings per name id.
+    names: Vec<Arc<NameList>>,
+}
+
+/// The columns of [`CHUNK`] consecutive arena slots, indexed by the
+/// slot's offset in the chunk. Fixed-size arrays, so that a masked
+/// offset needs no bounds check.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Interned name id (`NONE` for text nodes and dead slots).
+    name_id: [u32; CHUNK],
+    /// Parent arena slot (`NONE` for the root and dead slots).
+    parent: [u32; CHUNK],
+    /// `(start, end)` of the slot's string value (its concatenated
+    /// direct text children) in `text`; empty for text nodes and dead
+    /// slots. A deleted or revalued slot's old bytes stay in `text`.
+    span: [(u32, u32); CHUNK],
     text: String,
-    /// Per-slot `(start, end)` of its value in `text`; empty for text
-    /// nodes and dead slots. A deleted slot's bytes stay in `text`, just
-    /// as its node stays in the arena until the document is compacted.
-    text_span: Vec<(u32, u32)>,
-    /// One `value_key(name, value) << 32 | slot` word per live element,
-    /// sorted — by key, then by slot. Flat, like every other column, so
-    /// that copying a shared index stays a `memcpy`; packed into one
-    /// word, so that it costs 8 bytes per element.
+    /// Live element slots of this chunk, ascending.
+    elements: Vec<u32>,
+    /// CSR adjacency over the *element* children of this chunk's slots:
+    /// the children of the slot at offset `o` are
+    /// `child_list[child_start[o]..child_start[o + 1]]`, ascending.
+    child_start: [u32; CHUNK + 1],
+    child_list: Vec<u32>,
+}
+
+/// One element name's live slots and value postings.
+#[derive(Debug, Clone, Default)]
+struct NameList {
+    /// Live element slots, ascending (document order).
+    slots: Vec<u32>,
+    /// One `value_key(name, value) << 32 | slot` word per slot, sorted —
+    /// by key, then by slot; 8 bytes per element.
     postings: Vec<u64>,
 }
 
@@ -82,160 +109,67 @@ pub(crate) fn value_key(name: u32, value: &str) -> u32 {
     (h >> 32) as u32
 }
 
-impl DocIndex {
-    /// Build the index in one sweep over the arena's chunks plus one
-    /// counting pass for the child lists.
-    pub fn build(doc: &Document) -> DocIndex {
-        let _span = xac_obs::span("vm.index");
-        let n = doc.arena_len();
-        let mut index = DocIndex {
-            n,
-            root: doc.root().index() as u32,
-            name_id: vec![NONE; n],
-            parent: vec![NONE; n],
-            lookup: HashMap::new(),
-            by_name: Vec::new(),
-            elements: Vec::new(),
-            child_start: Vec::new(),
-            child_list: Vec::new(),
+fn posting(name: u32, value: &str, slot: u32) -> u64 {
+    u64::from(value_key(name, value)) << 32 | u64::from(slot)
+}
+
+/// The id of `name`, interning it with an empty list if it is new.
+fn intern<L: Default>(lookup: &mut HashMap<String, u32>, lists: &mut Vec<L>, name: &str) -> u32 {
+    if let Some(&id) = lookup.get(name) {
+        return id;
+    }
+    let id = lists.len() as u32;
+    lookup.insert(name.to_string(), id);
+    lists.push(L::default());
+    id
+}
+
+/// Fold the unsorted tail `postings[sorted..]` into the sorted prefix:
+/// sort the tail, then merge from the back, in place.
+fn merge_tail(postings: &mut Vec<u64>, sorted: usize) {
+    let mut tail = postings.split_off(sorted);
+    tail.sort_unstable();
+    let (mut i, mut j) = (sorted, tail.len());
+    postings.resize(sorted + j, 0);
+    while j > 0 {
+        let w = i + j - 1;
+        if i > 0 && postings[i - 1] > tail[j - 1] {
+            postings[w] = postings[i - 1];
+            i -= 1;
+        } else {
+            postings[w] = tail[j - 1];
+            j -= 1;
+        }
+    }
+}
+
+impl Chunk {
+    fn empty() -> Chunk {
+        Chunk {
+            name_id: [NONE; CHUNK],
+            parent: [NONE; CHUNK],
+            span: [(0, 0); CHUNK],
             text: String::new(),
-            text_span: vec![(0, 0); n],
-            postings: Vec::with_capacity(doc.element_count()),
-        };
-        for (id, node) in doc.element_nodes() {
-            index.add_element(doc, id, node);
+            elements: Vec::new(),
+            child_start: [0; CHUNK + 1],
+            child_list: Vec::new(),
         }
-        index.postings.sort_unstable();
-        index.rebuild_children();
-        index
     }
 
-    /// Patch the index after elements were appended to `doc` (slots at
-    /// or past the indexed width): new slots are the largest in the
-    /// arena, so they extend the element and per-name lists in order. A
-    /// text node appended under an already-indexed element refreshes
-    /// that element's value and moves its posting. New postings join as
-    /// an unsorted tail that is then merged in.
-    pub fn append(&mut self, doc: &Document) {
-        let old = self.n;
-        let n = doc.arena_len();
-        if n == old {
-            return;
-        }
-        self.n = n;
-        self.name_id.resize(n, NONE);
-        self.parent.resize(n, NONE);
-        self.text_span.resize(n, (0, 0));
-        let mut sorted = self.postings.len();
-        // Every new live element gets a posting: grow once, exactly.
-        let new_elements = doc.element_count().saturating_sub(self.elements.len());
-        self.postings.reserve_exact(new_elements);
-        let mut revalued: Vec<u32> = Vec::new();
-        for slot in old..n {
-            let id = NodeId::from_index(slot);
-            if !doc.is_alive(id) {
-                continue;
-            }
-            if doc.is_element(id) {
-                let node = doc.node(id);
-                self.add_element(doc, id, node);
-            } else if let Some(p) = doc.parent(id) {
-                let p = p.index() as u32;
-                if (p as usize) < old && self.name_id[p as usize] != NONE {
-                    revalued.push(p);
-                }
-            }
-        }
-        // Text under p1, p2, p1 revalues p1 once: sort before dedup.
-        revalued.sort_unstable();
-        revalued.dedup();
-        for p in revalued {
-            let old = self.posting(p);
-            if let Ok(at) = self.postings[..sorted].binary_search(&old) {
-                self.postings.remove(at);
-                sorted -= 1;
-            }
-            let node = doc.node(NodeId::from_index(p as usize));
-            self.text_span[p as usize] = self.push_value(doc, node);
-            self.postings.push(self.posting(p));
-        }
-        self.merge_tail(sorted);
-        self.rebuild_children();
-    }
-
-    /// Patch the index after the subtrees rooted at the element `roots`
-    /// were detached from the document: their slots leave every list and
-    /// their columns are cleared. The walk follows the index's own child
-    /// lists, so it needs no document.
-    pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
-        let mut stack: Vec<u32> = roots.iter().map(|r| r.index() as u32).collect();
-        let mut touched = vec![false; self.by_name.len()];
-        while let Some(slot) = stack.pop() {
-            let s = slot as usize;
-            if s >= self.n || self.name_id[s] == NONE {
-                continue;
-            }
-            stack.extend_from_slice(self.children_of(slot));
-            touched[self.name_id[s] as usize] = true;
-            self.name_id[s] = NONE;
-            self.parent[s] = NONE;
-            self.text_span[s] = (0, 0);
-        }
-        let name_id = &self.name_id;
-        let live = |s: &u32| name_id[*s as usize] != NONE;
-        self.elements.retain(live);
-        self.postings.retain(|&e| live(&(e as u32)));
-        for (slots, _) in self.by_name.iter_mut().zip(&touched).filter(|(_, &t)| t) {
-            slots.retain(live);
-        }
-        self.rebuild_children();
-    }
-
-    /// Index one live element: name, parent, value, and its place at the
-    /// end of the element and per-name lists.
-    fn add_element(&mut self, doc: &Document, id: NodeId, node: &Node) {
-        let slot = id.index();
-        let name = node.name().expect("element has a name");
-        let name = match self.lookup.get(name) {
-            Some(&name) => name,
-            None => {
-                let next = self.by_name.len() as u32;
-                self.lookup.insert(name.to_string(), next);
-                self.by_name.push(Vec::new());
-                next
-            }
-        };
-        self.name_id[slot] = name;
-        self.parent[slot] = node.parent().map_or(NONE, |p| p.index() as u32);
-        self.text_span[slot] = self.push_value(doc, node);
+    /// Index the live element `node` at `slot` under name id `name`, at
+    /// the end of this chunk's element list; returns its value.
+    fn set_element(&mut self, doc: &Document, slot: usize, name: u32, node: &Node) -> &str {
+        let o = slot & MASK;
+        self.name_id[o] = name;
+        self.parent[o] = node.parent().map_or(NONE, |p| p.index() as u32);
+        self.span[o] = self.push_value(doc, node);
         self.elements.push(slot as u32);
-        self.by_name[name as usize].push(slot as u32);
-        self.postings.push(self.posting(slot as u32));
+        self.value(o)
     }
 
-    /// Fold the unsorted tail `postings[sorted..]` into the sorted
-    /// prefix: sort the tail, then merge from the back, in place.
-    fn merge_tail(&mut self, sorted: usize) {
-        let mut tail = self.postings.split_off(sorted);
-        tail.sort_unstable();
-        let (mut i, mut j) = (sorted, tail.len());
-        self.postings.resize(sorted + j, 0);
-        while j > 0 {
-            let w = i + j - 1;
-            if i > 0 && self.postings[i - 1] > tail[j - 1] {
-                self.postings[w] = self.postings[i - 1];
-                i -= 1;
-            } else {
-                self.postings[w] = tail[j - 1];
-                j -= 1;
-            }
-        }
-    }
-
-    /// Posting of a live slot under its current name and value.
-    fn posting(&self, slot: u32) -> u64 {
-        let key = value_key(self.name_id_at(slot), self.value_of(slot));
-        u64::from(key) << 32 | u64::from(slot)
+    fn value(&self, o: usize) -> &str {
+        let (s, e) = self.span[o & MASK];
+        &self.text[s as usize..e as usize]
     }
 
     /// Append `node`'s string value to the text buffer; returns its span.
@@ -246,41 +180,255 @@ impl DocIndex {
                 self.text.push_str(t);
             }
         }
-        let end = u32::try_from(self.text.len()).expect("index text under 4 GiB");
+        let end = u32::try_from(self.text.len()).expect("chunk text under 4 GiB");
         (start as u32, end)
     }
 
-    /// Recompute the CSR child lists from the parent column in one
-    /// counting pass. Siblings come out in ascending slot order, which is
+    /// Rewrite the child lists: drop the children `gone` accepts, then
+    /// append the `(offset, child)` pairs of `added` — sorted, and each
+    /// child past every child its parent already has — to their
+    /// parent's list. Siblings stay in ascending slot order, which is
     /// document order: a node is always appended as its parent's last
     /// child, at the largest slot yet.
-    fn rebuild_children(&mut self) {
-        let n = self.n;
-        self.child_start.clear();
-        self.child_start.resize(n + 1, 0);
-        for &s in &self.elements {
-            let p = self.parent[s as usize];
-            if p != NONE {
-                self.child_start[p as usize + 1] += 1;
+    fn patch_children(&mut self, gone: impl Fn(u32) -> bool, added: &[(usize, u32)]) {
+        let start = self.child_start;
+        let list = std::mem::take(&mut self.child_list);
+        self.child_list.reserve(list.len() + added.len());
+        let mut added = added.iter().peekable();
+        for o in 0..CHUNK {
+            self.child_start[o] = self.child_list.len() as u32;
+            let kids = &list[start[o] as usize..start[o + 1] as usize];
+            self.child_list.extend(kids.iter().copied().filter(|&c| !gone(c)));
+            while let Some(&(_, c)) = added.next_if(|(at, _)| *at == o) {
+                self.child_list.push(c);
             }
         }
-        for i in 0..n {
-            self.child_start[i + 1] += self.child_start[i];
-        }
-        self.child_list.clear();
-        self.child_list.resize(self.child_start[n] as usize, 0);
-        // Fill with `child_start[p]` as parent p's cursor, which leaves
-        // it at p's end (= p + 1's start); shifting by one restores it.
-        for &s in &self.elements {
-            let p = self.parent[s as usize];
-            if p != NONE {
-                let at = &mut self.child_start[p as usize];
-                self.child_list[*at as usize] = s;
-                *at += 1;
+        self.child_start[CHUNK] = self.child_list.len() as u32;
+    }
+}
+
+/// Fill every chunk's child lists from the parent columns in one
+/// counting pass. Children are visited in ascending slot order, so each
+/// list comes out ascending.
+fn build_children(chunks: &mut [&mut Chunk]) {
+    let each_edge = |chunks: &mut [&mut Chunk], visit: &mut dyn FnMut(&mut Chunk, usize, u32)| {
+        for c in 0..chunks.len() {
+            for i in 0..chunks[c].elements.len() {
+                let s = chunks[c].elements[i];
+                let p = chunks[c].parent[s as usize & MASK];
+                if p != NONE {
+                    visit(chunks[(p >> SHIFT) as usize], p as usize & MASK, s);
+                }
             }
         }
-        self.child_start.copy_within(0..n, 1);
-        self.child_start[0] = 0;
+    };
+    each_edge(chunks, &mut |chunk, o, _| chunk.child_start[o + 1] += 1);
+    for chunk in chunks.iter_mut() {
+        for o in 0..CHUNK {
+            chunk.child_start[o + 1] += chunk.child_start[o];
+        }
+        chunk.child_list = vec![0; chunk.child_start[CHUNK] as usize];
+    }
+    // Fill with `child_start[o]` as offset o's cursor, which leaves it at
+    // o's end (= o + 1's start); shifting by one restores it.
+    each_edge(chunks, &mut |chunk, o, s| {
+        let at = &mut chunk.child_start[o];
+        chunk.child_list[*at as usize] = s;
+        *at += 1;
+    });
+    for chunk in chunks.iter_mut() {
+        chunk.child_start.copy_within(0..CHUNK, 1);
+        chunk.child_start[0] = 0;
+    }
+}
+
+impl DocIndex {
+    /// Build the index in one sweep over the arena's chunks plus one
+    /// counting pass for the child lists.
+    pub fn build(doc: &Document) -> DocIndex {
+        let _span = xac_obs::span("vm.index");
+        let n = doc.arena_len();
+        // Allocated in place once: a chunk is too large to move cheaply.
+        let mut chunks: Vec<Arc<Chunk>> =
+            (0..n.div_ceil(CHUNK)).map(|_| Arc::new(Chunk::empty())).collect();
+        let mut columns: Vec<&mut Chunk> =
+            chunks.iter_mut().map(|c| Arc::get_mut(c).expect("fresh chunk")).collect();
+        let mut lookup = HashMap::new();
+        let mut names: Vec<NameList> = Vec::new();
+        let mut element_count = 0;
+        for (id, node) in doc.element_nodes() {
+            element_count += 1;
+            let slot = id.index();
+            let name = intern(&mut lookup, &mut names, node.name().expect("element has a name"));
+            let value = columns[slot >> SHIFT].set_element(doc, slot, name, node);
+            let list = &mut names[name as usize];
+            list.slots.push(slot as u32);
+            list.postings.push(posting(name, value, slot as u32));
+        }
+        for list in &mut names {
+            list.postings.sort_unstable();
+        }
+        build_children(&mut columns);
+        DocIndex {
+            n,
+            root: doc.root().index() as u32,
+            element_count,
+            chunks,
+            lookup: Arc::new(lookup),
+            names: names.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Patch the index after elements were appended to `doc` (slots at
+    /// or past the indexed width): new slots are the largest in the
+    /// arena, so they extend the element and per-name lists in order. A
+    /// text node appended under an already-indexed element refreshes
+    /// that element's value and moves its posting. New postings join
+    /// their name's list as an unsorted tail that is then merged in.
+    /// Copies only the tail chunks, the chunks of the new elements'
+    /// parents and of the revalued elements, and the touched names'
+    /// lists.
+    pub fn append(&mut self, doc: &Document) {
+        let old = self.n;
+        let n = doc.arena_len();
+        if n == old {
+            return;
+        }
+        self.n = n;
+        while self.chunks.len() * CHUNK < n {
+            self.chunks.push(Arc::new(Chunk::empty()));
+        }
+        // Per touched name id: its postings' sorted prefix length.
+        let mut sorted: Vec<Option<usize>> = vec![None; self.names.len()];
+        let mut added: Vec<(u32, u32)> = Vec::new();
+        let mut revalued: Vec<u32> = Vec::new();
+        for slot in old..n {
+            let id = NodeId::from_index(slot);
+            if !doc.is_alive(id) {
+                continue;
+            }
+            if doc.is_element(id) {
+                let node = doc.node(id);
+                let name = node.name().expect("element has a name");
+                // The lookup is copied only when a new name appears.
+                let name = match self.lookup.get(name) {
+                    Some(&id) => id,
+                    None => {
+                        let id = intern(Arc::make_mut(&mut self.lookup), &mut self.names, name);
+                        sorted.push(None);
+                        id
+                    }
+                };
+                let chunk = Arc::make_mut(&mut self.chunks[slot >> SHIFT]);
+                let value = chunk.set_element(doc, slot, name, node);
+                let key = posting(name, value, slot as u32);
+                let list = self.list_mut(name, &mut sorted);
+                list.slots.push(slot as u32);
+                list.postings.push(key);
+                self.element_count += 1;
+                if let Some(p) = node.parent() {
+                    added.push((p.index() as u32, slot as u32));
+                }
+            } else if let Some(p) = doc.parent(id) {
+                let p = p.index() as u32;
+                if (p as usize) < old && self.name_id_at(p) != NONE {
+                    revalued.push(p);
+                }
+            }
+        }
+        // Text under p1, p2, p1 revalues p1 once: sort before dedup.
+        revalued.sort_unstable();
+        revalued.dedup();
+        for p in revalued {
+            let name = self.name_id_at(p);
+            let stale = posting(name, self.value_of(p), p);
+            let chunk = Arc::make_mut(&mut self.chunks[(p >> SHIFT) as usize]);
+            let o = p as usize & MASK;
+            chunk.span[o] = chunk.push_value(doc, doc.node(NodeId::from_index(p as usize)));
+            let fresh = posting(name, chunk.value(o), p);
+            let list = self.list_mut(name, &mut sorted);
+            let prefix = sorted[name as usize].as_mut().expect("list_mut recorded it");
+            if let Ok(at) = list.postings[..*prefix].binary_search(&stale) {
+                list.postings.remove(at);
+                *prefix -= 1;
+            }
+            list.postings.push(fresh);
+        }
+        for (name, prefix) in sorted.iter().enumerate() {
+            if let Some(prefix) = *prefix {
+                merge_tail(&mut Arc::make_mut(&mut self.names[name]).postings, prefix);
+            }
+        }
+        // New children join their parents' lists, chunk by chunk.
+        added.sort_unstable();
+        for group in added.chunk_by(|a, b| a.0 >> SHIFT == b.0 >> SHIFT) {
+            let pairs: Vec<(usize, u32)> =
+                group.iter().map(|&(p, c)| (p as usize & MASK, c)).collect();
+            Arc::make_mut(&mut self.chunks[(group[0].0 >> SHIFT) as usize])
+                .patch_children(|_| false, &pairs);
+        }
+    }
+
+    /// Name `name`'s list, unshared, recording its sorted postings prefix
+    /// on first touch.
+    fn list_mut(&mut self, name: u32, sorted: &mut [Option<usize>]) -> &mut NameList {
+        let list = Arc::make_mut(&mut self.names[name as usize]);
+        sorted[name as usize].get_or_insert(list.postings.len());
+        list
+    }
+
+    /// Patch the index after the subtrees rooted at the element `roots`
+    /// were detached from the document: their slots leave every list and
+    /// their columns are cleared. The walk follows the index's own child
+    /// lists, so it needs no document. Copies only the chunks of the
+    /// removed slots and of the roots' parents, and the removed names'
+    /// lists.
+    pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
+        let mut removed: Vec<u32> = Vec::new();
+        let mut dirty: Vec<u32> = Vec::new();
+        let mut stack: Vec<u32> = roots.iter().map(|r| r.index() as u32).collect();
+        for &r in &stack {
+            if (r as usize) < self.n && self.parent_of(r) != NONE {
+                dirty.push(self.parent_of(r) >> SHIFT);
+            }
+        }
+        while let Some(slot) = stack.pop() {
+            if (slot as usize) < self.n && self.name_id_at(slot) != NONE {
+                removed.push(slot);
+                stack.extend_from_slice(self.children_of(slot));
+            }
+        }
+        // A root nested under another root is walked twice.
+        removed.sort_unstable();
+        removed.dedup();
+        let mut gone = Bitset::new(self.n);
+        removed.iter().for_each(|&s| gone.set(s));
+        let gone = |s: u32| gone.test(s);
+        let mut touched: Vec<u32> = removed.iter().map(|&s| self.name_id_at(s)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        dirty.extend(removed.iter().map(|&s| s >> SHIFT));
+        dirty.sort_unstable();
+        dirty.dedup();
+        for c in dirty {
+            let chunk = Arc::make_mut(&mut self.chunks[c as usize]);
+            let lo = removed.partition_point(|&s| s >> SHIFT < c);
+            let hi = removed.partition_point(|&s| s >> SHIFT <= c);
+            for &s in &removed[lo..hi] {
+                let o = s as usize & MASK;
+                chunk.name_id[o] = NONE;
+                chunk.parent[o] = NONE;
+                chunk.span[o] = (0, 0);
+            }
+            chunk.elements.retain(|&s| !gone(s));
+            chunk.patch_children(gone, &[]);
+        }
+        for name in touched {
+            let list = Arc::make_mut(&mut self.names[name as usize]);
+            list.slots.retain(|&s| !gone(s));
+            list.postings.retain(|&e| !gone(e as u32));
+        }
+        self.element_count -= removed.len();
     }
 
     /// Bitset width (arena capacity).
@@ -290,7 +438,7 @@ impl DocIndex {
 
     /// Number of live elements.
     pub fn element_count(&self) -> usize {
-        self.elements.len()
+        self.element_count
     }
 
     /// Arena slot of the root.
@@ -303,35 +451,49 @@ impl DocIndex {
         self.lookup.get(name).copied()
     }
 
+    fn chunk(&self, slot: u32) -> &Chunk {
+        &self.chunks[(slot >> SHIFT) as usize]
+    }
+
     pub(crate) fn name_id_at(&self, slot: u32) -> u32 {
-        self.name_id[slot as usize]
+        self.chunk(slot).name_id[slot as usize & MASK]
     }
 
     pub(crate) fn parent_of(&self, slot: u32) -> u32 {
-        self.parent[slot as usize]
+        self.chunk(slot).parent[slot as usize & MASK]
     }
 
     /// Live element slots of one name id, ascending.
     pub(crate) fn slots_of(&self, name: u32) -> &[u32] {
-        &self.by_name[name as usize]
+        &self.names[name as usize].slots
     }
 
-    /// All live element slots, ascending: the index's liveness column.
-    pub fn all_slots(&self) -> &[u32] {
-        &self.elements
+    /// All live element slots, ascending, as one run per chunk: the
+    /// index's liveness column.
+    pub fn element_runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.chunks.iter().map(|c| c.elements.as_slice())
+    }
+
+    /// Call `f(slot, parent)` for every live element, ascending; the
+    /// parent is read from the element's own chunk.
+    pub(crate) fn for_each_element_parent(&self, mut f: impl FnMut(u32, u32)) {
+        for chunk in &self.chunks {
+            for &s in &chunk.elements {
+                f(s, chunk.parent[s as usize & MASK]);
+            }
+        }
     }
 
     /// Element children of a slot, in document order.
     pub(crate) fn children_of(&self, slot: u32) -> &[u32] {
-        let s = self.child_start[slot as usize] as usize;
-        let e = self.child_start[slot as usize + 1] as usize;
-        &self.child_list[s..e]
+        let chunk = self.chunk(slot);
+        let o = slot as usize & MASK;
+        &chunk.child_list[chunk.child_start[o] as usize..chunk.child_start[o + 1] as usize]
     }
 
     /// String value of a slot (concatenated direct text children).
     pub(crate) fn value_of(&self, slot: u32) -> &str {
-        let (s, e) = self.text_span[slot as usize];
-        &self.text[s as usize..e as usize]
+        self.chunk(slot).value(slot as usize)
     }
 
     /// Arena handle for a slot known to hold a live element.
@@ -343,31 +505,39 @@ impl DocIndex {
     /// ascending: a superset of the elements whose value equals `value`
     /// (hash collisions, NaN), so callers re-check every hit.
     pub(crate) fn probe(&self, name: u32, value: &str) -> impl Iterator<Item = u32> + '_ {
+        let postings = &self.names[name as usize].postings;
         let key = u64::from(value_key(name, value));
-        let lo = self.postings.partition_point(|&e| e >> 32 < key);
-        let hi = lo + self.postings[lo..].partition_point(|&e| e >> 32 == key);
-        self.postings[lo..hi]
-            .iter()
-            .map(|&e| e as u32)
-            .filter(move |&s| self.name_id[s as usize] == name)
+        let lo = postings.partition_point(|&e| e >> 32 < key);
+        let hi = lo + postings[lo..].partition_point(|&e| e >> 32 == key);
+        postings[lo..hi].iter().map(|&e| e as u32)
     }
 
-    /// True when the postings hold exactly one correct entry per live
-    /// element, in order.
-    fn postings_valid(&self) -> bool {
-        self.postings.len() == self.elements.len()
-            && self.postings.is_sorted_by(|a, b| a < b)
-            && self
-                .elements
-                .iter()
-                .all(|&s| self.postings.binary_search(&self.posting(s)).is_ok())
+    /// True when every name's postings hold exactly one correct entry per
+    /// slot of that name, in order, and the name lists and the chunks'
+    /// element lists both count every live element.
+    fn lists_valid(&self) -> bool {
+        let runs: usize = self.element_runs().map(<[u32]>::len).sum();
+        let listed: usize = self.names.iter().map(|l| l.slots.len()).sum();
+        runs == self.element_count
+            && listed == self.element_count
+            && self.names.iter().enumerate().all(|(name, list)| {
+                list.postings.len() == list.slots.len()
+                    && list.postings.is_sorted_by(|a, b| a < b)
+                    && list.slots.iter().all(|&s| {
+                        self.name_id_at(s) == name as u32
+                            && list
+                                .postings
+                                .binary_search(&posting(name as u32, self.value_of(s), s))
+                                .is_ok()
+                    })
+            })
     }
 }
 
 /// Content equality: the same width and root, the same live elements
 /// with the same names, parents, element children and values, the same
 /// slots per name, and on both sides exactly one correct posting per
-/// element. Name ids, and so posting keys, and the text buffer's layout
+/// element. Name ids, and so posting keys, and the text buffers' layout
 /// may differ — a patched index keeps ids and bytes a fresh build would
 /// not.
 impl PartialEq for DocIndex {
@@ -380,13 +550,15 @@ impl PartialEq for DocIndex {
                 .filter(|(_, slots)| !slots.is_empty())
                 .collect()
         }
+        let elements = |ix: &DocIndex| ix.element_runs().flatten().copied().collect::<Vec<u32>>();
+        let live = elements(self);
         self.n == other.n
             && self.root == other.root
-            && self.elements == other.elements
+            && live == elements(other)
             && by_name(self) == by_name(other)
-            && self.postings_valid()
-            && other.postings_valid()
-            && self.elements.iter().all(|&s| {
+            && self.lists_valid()
+            && other.lists_valid()
+            && live.iter().all(|&s| {
                 names[self.name_id_at(s) as usize] == other_names[other.name_id_at(s) as usize]
                     && self.parent_of(s) == other.parent_of(s)
                     && self.children_of(s) == other.children_of(s)
@@ -398,8 +570,8 @@ impl PartialEq for DocIndex {
 impl DocIndex {
     /// Element names by id.
     fn names(&self) -> Vec<&str> {
-        let mut names = vec![""; self.by_name.len()];
-        for (name, &id) in &self.lookup {
+        let mut names = vec![""; self.names.len()];
+        for (name, &id) in self.lookup.iter() {
             names[id as usize] = name;
         }
         names
@@ -482,7 +654,8 @@ mod tests {
         d.add_text(b, "3");
         ix.append(&d);
         assert_eq!(ix.value_of(b.index() as u32), "xy13");
-        assert_eq!(ix.postings.len(), ix.element_count(), "one posting per element");
+        let postings: usize = ix.names.iter().map(|l| l.postings.len()).sum();
+        assert_eq!(postings, ix.element_count(), "one posting per element");
         assert_eq!(ix, DocIndex::build(&d));
         let found: Vec<u32> = ix.probe(ix.name_of("c").unwrap(), "20").collect();
         assert_eq!(found, vec![c.index() as u32]);
@@ -510,5 +683,60 @@ mod tests {
         let root = grown.root();
         grown.add_element(root, "z");
         assert_ne!(DocIndex::build(&d), DocIndex::build(&grown));
+    }
+
+    /// Chunks and name lists of `ix` not shared with `base` (a chunk or
+    /// name past `base`'s counts is new, so not shared).
+    fn copied(ix: &DocIndex, base: &DocIndex) -> (usize, usize) {
+        fn unshared<T>(ours: &[Arc<T>], theirs: &[Arc<T>]) -> usize {
+            let shared =
+                |(i, a): &(usize, &Arc<T>)| theirs.get(*i).is_some_and(|b| Arc::ptr_eq(a, b));
+            ours.iter().enumerate().filter(|e| !shared(e)).count()
+        }
+        (unshared(&ix.chunks, &base.chunks), unshared(&ix.names, &base.names))
+    }
+
+    #[test]
+    fn a_structural_write_copies_only_the_chunks_and_lists_it_touches() {
+        let mut d = xac_xmlgen::xmark_document(xac_xmlgen::XmarkConfig::with_factor(0.1));
+        let pristine = d.clone();
+        // The writer shares the published index, as a snapshot does.
+        let published = Arc::new(DocIndex::build(&d));
+        let mut ix = Arc::clone(&published);
+        let parents = xac_xpath::eval(&d, &xac_xpath::parse("//namerica/item").unwrap());
+        assert!(parents.len() > 10, "f=0.1 has namerica items");
+        let width = d.arena_len();
+        let kids: Vec<NodeId> = parents.iter().map(|&p| d.add_element(p, "mailbox")).collect();
+        Arc::make_mut(&mut ix).append(&d);
+        assert_eq!(*ix, DocIndex::build(&d), "after the insert");
+        assert_eq!(*published, DocIndex::build(&pristine), "the snapshot's index is unchanged");
+
+        // A write may copy the chunks of the parents it changes and the
+        // tail chunks the new slots land in, and the one name it adds.
+        let mut bound: Vec<usize> = parents.iter().map(|p| p.index() >> SHIFT).collect();
+        bound.extend((width - 1) >> SHIFT..=(d.arena_len() - 1) >> SHIFT);
+        bound.sort_unstable();
+        bound.dedup();
+        let chunks = ix.chunks.len();
+        let bound = bound.len();
+        assert!(bound * 4 < chunks, "{bound} of {chunks} chunks is not a local write");
+        let (copied_chunks, copied_names) = copied(&ix, &published);
+        assert!(copied_chunks <= bound, "insert copied {copied_chunks} chunks, bound {bound}");
+        assert_eq!(copied_names, 1, "the insert copies `mailbox` alone");
+        assert!(Arc::ptr_eq(&ix.lookup, &published.lookup), "no new name, no lookup copy");
+
+        // Publish again, then delete the inserted children: the same
+        // chunks and the same name are all the delete may copy.
+        let inserted = d.clone();
+        let published = Arc::clone(&ix);
+        for &k in &kids {
+            d.remove_subtree(k).unwrap();
+        }
+        Arc::make_mut(&mut ix).remove_subtrees(&kids);
+        assert_eq!(*ix, DocIndex::build(&d), "after the delete");
+        assert_eq!(*published, DocIndex::build(&inserted), "the snapshot's index is unchanged");
+        let (copied_chunks, copied_names) = copied(&ix, &published);
+        assert!(copied_chunks <= bound, "delete copied {copied_chunks} chunks, bound {bound}");
+        assert_eq!(copied_names, 1, "the delete copies `mailbox` alone");
     }
 }

@@ -18,6 +18,7 @@
 use crate::bitset::Bitset;
 use crate::bytecode::{Inst, NameSel, Pred, Program, RelStep};
 use crate::index::{DocIndex, NONE};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use xac_obs::Counter;
 use xac_xml::NodeId;
@@ -26,6 +27,13 @@ use xac_xpath::{Axis, CmpOp};
 fn instructions_executed_total() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| xac_obs::counter("xac_vm_instructions_executed_total"))
+}
+
+thread_local! {
+    /// The sign write's node list, kept per thread. A re-annotation's
+    /// node set runs to hundreds of KB, which the allocator would
+    /// otherwise map fresh, and fault in page by page, on every call.
+    static SIGN_NODES: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
 /// Receives the node set a terminal [`Inst::SignWrite`] produces. The
@@ -101,13 +109,6 @@ impl Reg {
             }
         }
     }
-
-    fn ones(&self) -> Vec<u32> {
-        match self {
-            Reg::Sparse(v) => v.clone(),
-            Reg::Dense(m) => m.ones(),
-        }
-    }
 }
 
 fn bitset_of(slots: &[u32], width: usize) -> Bitset {
@@ -159,7 +160,10 @@ pub fn execute(
                 regs[*dst as usize] = Reg::of(if hit { vec![root] } else { Vec::new() }, width);
             }
             Inst::ScanAll { dst, name } => {
-                let slots = candidate_slots(index, &resolved, *name).to_vec();
+                let mut slots = Vec::new();
+                for run in candidate_runs(index, &resolved, *name) {
+                    slots.extend_from_slice(run);
+                }
                 regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::StepChild { dst, src, name } => {
@@ -176,14 +180,10 @@ pub fn execute(
                         out.sort_unstable();
                         out
                     }
-                    Reg::Dense(from) => candidate_slots(index, &resolved, *name)
-                        .iter()
-                        .copied()
-                        .filter(|&c| {
-                            let p = index.parent_of(c);
-                            p != NONE && from.test(p)
-                        })
-                        .collect(),
+                    Reg::Dense(from) => candidates(index, &resolved, *name, |c| {
+                        let p = index.parent_of(c);
+                        p != NONE && from.test(p)
+                    }),
                 };
                 regs[*dst as usize] = Reg::of(slots, width);
             }
@@ -195,17 +195,12 @@ pub fn execute(
                 let under = under.get_or_insert_with(|| Bitset::new(width));
                 under.clear();
                 let srcm = regs[*src as usize].dense(width);
-                for &slot in index.all_slots() {
-                    let p = index.parent_of(slot);
+                index.for_each_element_parent(|slot, p| {
                     if p != NONE && (srcm.test(p) || under.test(p)) {
                         under.set(slot);
                     }
-                }
-                let slots = candidate_slots(index, &resolved, *name)
-                    .iter()
-                    .copied()
-                    .filter(|&s| under.test(s))
-                    .collect();
+                });
+                let slots = candidates(index, &resolved, *name, |s| under.test(s));
                 regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::Probe { dst, name, child, value } => {
@@ -252,9 +247,15 @@ pub fn execute(
                 }
             }
             Inst::SignWrite { src, sign } => {
-                let nodes: Vec<NodeId> =
-                    regs[*src as usize].ones().iter().map(|&s| index.node_at(s)).collect();
-                written += sink.write(&nodes, *sign)?;
+                let mut nodes = SIGN_NODES.take();
+                nodes.clear();
+                match &regs[*src as usize] {
+                    Reg::Sparse(v) => nodes.extend(v.iter().map(|&s| index.node_at(s))),
+                    Reg::Dense(m) => m.for_each_one(|s| nodes.push(index.node_at(s))),
+                }
+                let result = sink.write(&nodes, *sign);
+                SIGN_NODES.set(nodes);
+                written += result?;
             }
         }
     }
@@ -300,20 +301,33 @@ pub fn execute_select(program: &Program, index: &DocIndex) -> Vec<NodeId> {
     sink.nodes
 }
 
-/// The slot list a typed scan iterates: one element type's nodes, or all
-/// elements for the wildcard.
-fn candidate_slots<'a>(
+/// The slots a typed scan iterates, ascending, as runs: one element
+/// type's list, or every chunk's elements for the wildcard.
+fn candidate_runs<'a>(
     index: &'a DocIndex,
     resolved: &[Option<u32>],
     name: NameSel,
-) -> &'a [u32] {
-    match name {
-        NameSel::Any => index.all_slots(),
-        NameSel::Name(i) => match resolved[i as usize] {
-            Some(id) => index.slots_of(id),
-            None => &[],
-        },
+) -> impl Iterator<Item = &'a [u32]> + 'a {
+    let (typed, all) = match name {
+        NameSel::Any => (None, Some(index.element_runs())),
+        NameSel::Name(i) => (resolved[i as usize].map(|id| index.slots_of(id)), None),
+    };
+    typed.into_iter().chain(all.into_iter().flatten())
+}
+
+/// The candidate slots `keep` accepts, ascending, a run at a time, so
+/// the inner loop is a plain slice walk.
+fn candidates(
+    index: &DocIndex,
+    resolved: &[Option<u32>],
+    name: NameSel,
+    mut keep: impl FnMut(u32) -> bool,
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    for run in candidate_runs(index, resolved, name) {
+        out.extend(run.iter().copied().filter(|&s| keep(s)));
     }
+    out
 }
 
 fn sel_admits(resolved: &[Option<u32>], name: NameSel, name_id: u32) -> bool {

@@ -5,14 +5,19 @@
 //! `//name` queries need not sweep the whole tree. Deleted nodes are
 //! filtered lazily on lookup; [`NameIndex::rebuild`] compacts the buckets
 //! after heavy update churn.
+//!
+//! Each bucket sits behind its own [`Arc`], so cloning the index (as a
+//! copied [`crate::StoredDocument`] does) copies one pointer per name,
+//! and an insert into a shared clone copies only the bucket it touches.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use xac_xml::{Document, NodeId};
 
 /// An element-name index over one document.
 #[derive(Debug, Clone, Default)]
 pub struct NameIndex {
-    buckets: HashMap<String, Vec<NodeId>>,
+    buckets: HashMap<String, Arc<Vec<NodeId>>>,
 }
 
 impl NameIndex {
@@ -28,6 +33,7 @@ impl NameIndex {
                 }
             }
         }
+        let buckets = buckets.into_iter().map(|(name, ids)| (name, Arc::new(ids))).collect();
         NameIndex { buckets }
     }
 
@@ -39,7 +45,7 @@ impl NameIndex {
     ) -> impl Iterator<Item = NodeId> + 'd {
         self.buckets
             .get(name)
-            .map(Vec::as_slice)
+            .map(|ids| ids.as_slice())
             .unwrap_or(&[])
             .iter()
             .copied()
@@ -48,7 +54,12 @@ impl NameIndex {
 
     /// Register a newly inserted element.
     pub fn insert(&mut self, name: &str, node: NodeId) {
-        self.buckets.entry(name.to_string()).or_default().push(node);
+        match self.buckets.get_mut(name) {
+            Some(bucket) => Arc::make_mut(bucket).push(node),
+            None => {
+                self.buckets.insert(name.to_string(), Arc::new(vec![node]));
+            }
+        }
     }
 
     /// Distinct element names indexed.
@@ -64,7 +75,7 @@ impl NameIndex {
     /// Total bucket entries, including stale ones (observability hook used
     /// to decide when to rebuild).
     pub fn entry_count(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.buckets.values().map(|ids| ids.len()).sum()
     }
 }
 
@@ -111,5 +122,20 @@ mod tests {
         let idx = NameIndex::build(&doc);
         let ids: Vec<NodeId> = idx.lookup(&doc, "b").collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn an_insert_into_a_clone_copies_only_its_bucket() {
+        let mut doc = Document::parse_str("<a><b/><c/><c/></a>").unwrap();
+        let idx = NameIndex::build(&doc);
+        let mut copy = idx.clone();
+        let b = doc.add_element(doc.root(), "b");
+        copy.insert("b", b);
+        for (name, bucket) in &idx.buckets {
+            assert_eq!(Arc::ptr_eq(bucket, &copy.buckets[name]), name != "b", "bucket {name}");
+        }
+        assert_eq!(idx.lookup(&doc, "b").count(), 1, "the original is unchanged");
+        assert_eq!(copy.lookup(&doc, "b").count(), 2);
+        assert_eq!(idx.lookup(&doc, "c").collect::<Vec<_>>(), copy.lookup(&doc, "c").collect::<Vec<_>>());
     }
 }

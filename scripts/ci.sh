@@ -57,6 +57,7 @@ test -s BENCH_serve.json
 grep -q '"mode": "compiled"' BENCH_serve.json
 grep -q '"decide_compiled_us": [0-9]' BENCH_serve.json
 grep -q '"selective_ns_per_answer_node": [0-9]' BENCH_serve.json
+grep -q '"first_write_index_us": [0-9]' BENCH_serve.json
 
 echo "== fault sweep: every injection point x every backend =="
 cargo test --release -q -p xac-serve --test fault_recovery
