@@ -1176,20 +1176,23 @@ fn fault_recovery(factors: &[f64]) {
             )
             .expect("durability");
             b.sign_changes().expect("drain the logged state");
+            // Every applied update commits; the row times the first.
             let mut committed = None;
+            let mut applied = 0;
             for u in &updates {
                 let g = system.guarded_delete(b.as_mut(), u).expect("guarded delete");
                 if !g.applied() {
                     continue;
                 }
+                applied += 1;
                 let op = xac_serve::LoggedOp::Delete { path: u.to_string() };
                 let epoch = b.epoch();
                 let (_, d) = time(|| {
                     let diff = b.sign_changes().expect("sign changes");
-                    dur.log_diff(&op, &diff, epoch).expect("log diff")
+                    dur.commit(&op, &diff, epoch).expect("commit");
+                    dur.write_behind(&diff);
                 });
-                committed = Some(d);
-                break;
+                committed.get_or_insert(d);
             }
             assert!(committed.is_some(), "{name}: no update applied for the wal row");
             record(f, name, elements, "checkpoint_wal", committed, &mut csv, &mut json);
@@ -1228,6 +1231,31 @@ fn fault_recovery(factors: &[f64]) {
                 }
                 record(f, name, elements, metric, recovery, &mut csv, &mut json);
             }
+
+            // The rollback rung on a durable engine: the same updates
+            // commit until `wal_before_commit` fails the last applied one
+            // before its commit record, and the engine restores its
+            // last-good checkpoint.
+            let config = xac_serve::DurabilityConfig::new(&ddir);
+            let plan = FaultPlan::parse(&format!("wal_before_commit:error+{}", applied - 1))
+                .expect("plan");
+            let engine =
+                ServeEngine::durable_with_faults(Arc::clone(&system), kind, &config, plan)
+                    .expect("durable engine");
+            let mut rollback = None;
+            for u in &updates {
+                let before = engine.metrics().faults_injected;
+                let (result, d) = time(|| engine.guarded_delete(u));
+                if engine.metrics().faults_injected > before {
+                    assert!(result.is_err(), "{name}: the failed commit surfaces");
+                    rollback = Some(d);
+                    break;
+                }
+            }
+            assert_eq!(engine.metrics().rollbacks, 1, "{name}: durable rollback");
+            record(f, name, elements, "recover_rollback_durable", rollback, &mut csv, &mut json);
+            drop(engine);
+            let _ = std::fs::remove_dir_all(&ddir);
         }
     }
     json.push_str("\n]\n");
@@ -1239,13 +1267,15 @@ fn fault_recovery(factors: &[f64]) {
          copy-on-write image: O(tables), since the image shares the\n \
          document and every table, and the next write copies only what it\n \
          touches; checkpoint_wal = the durable engine's per-update commit\n \
-         (sign_changes + log_diff) — O(sign diff) plus a word pass over\n \
-         the sign column and an fsync;\n \
+         (sign_changes + commit + write_behind) — O(sign diff) plus a\n \
+         word pass over the sign column and an fsync;\n \
          recover_* rows time the guarded update on which the armed fault\n \
          fired — the full-fallback rung re-annotates in place, the\n \
          rollback rung additionally restores the checkpoint and\n \
          re-publishes, the quarantine rung is the terminal read-only fall\n \
-         back when the restore itself fails)"
+         back when the restore itself fails; recover_rollback_durable is\n \
+         the rollback rung on a durable engine, whose last applied update\n \
+         fails at wal_before_commit: the same checkpoint restore)"
     );
 }
 

@@ -4,10 +4,12 @@
 //! state byte for byte: the native store's document plus sign map, or
 //! the relational backends' whole database (catalog + every table's
 //! storage) together with the shredding state. The serving engine
-//! captures one after every successful publication and restores it when
-//! an update fails past the point the existing full-re-annotation
-//! fallback can repair — see `xac-serve`'s degradation ladder and
-//! DESIGN.md §4d.
+//! captures one with every publication and restores it when an update
+//! fails past the point the existing full-re-annotation fallback can
+//! repair — see `xac-serve`'s degradation ladder and DESIGN.md §4d. It
+//! is the one rollback mechanism: a durable engine stages the checkpoint
+//! before its WAL commit and restores it like a volatile one, and
+//! replays the log only when it reopens.
 //!
 //! Checkpoints are images rather than logs, with value semantics, but
 //! they copy nothing: the document, each table and the shredding state

@@ -33,8 +33,9 @@
 //!
 //! `serve` and `serve-bench` take `--data-dir DIR` to run the engine on
 //! the durable storage layer (4 KB pager + write-ahead log): guarded
-//! updates commit through the WAL, rollback replays the log, and a
-//! restart over the same dir recovers the exact committed state.
+//! updates commit through the WAL, a failed one rolls back to the
+//! last-good checkpoint as on a volatile engine, and a restart over the
+//! same dir replays the log to recover the exact committed state.
 //! `--wal sync|nosync` picks whether each commit fsyncs (default
 //! `sync`).
 

@@ -3,7 +3,8 @@
 //!
 //! A [`Durability`] pairs one write-ahead [`Wal`] with one
 //! [`SignPageStore`] and composes them into the commit protocol the
-//! engine runs inside each guarded transaction:
+//! engine runs for each guarded transaction. [`Durability::commit`] is
+//! the transaction's last faultable step:
 //!
 //! 1. truncate any dead tail left by an earlier failure
 //!    ([`Wal::abort_to_last_commit`] — cleanup is lazy, so the on-disk
@@ -12,34 +13,40 @@
 //!    `SignSet`/`SignClear` record per entry of the transaction's
 //!    [`SignDiff`] — framed into one buffer, one `write`;
 //! 3. append the `Commit` boundary and fsync — **the durability
-//!    point**;
-//! 4. patch the in-memory committed sign map with the diff, write the
-//!    same entries into the slotted pages and flush the dirty ones —
-//!    O(diff), the durable checkpoint that replaces the full-image
-//!    clone of the non-durable engine.
+//!    point** — and patch the in-memory committed sign map with the
+//!    diff.
+//!
+//! The engine runs it after it has staged the rollback checkpoint and
+//! the new snapshot, so a failure before step 3 leaves the log on the
+//! previous commit and the engine's rollback is the same checkpoint
+//! restore the volatile engine runs. After publishing, the engine calls
+//! [`Durability::write_behind`]:
+//!
+//! 4. write the diff's entries into the slotted pages and flush the
+//!    dirty ones — O(diff). Its errors and panics are absorbed and
+//!    counted (`xac_wal_post_commit_errors_total`): the commit is
+//!    durable and a reopen repairs the pages from the log.
 //!
 //! The engine gets the diff from [`Backend::sign_changes`], so no step
-//! touches the whole sign map. Failures before step 3 fail the
-//! transaction (the engine's degradation ladder rolls the backend back
-//! by replaying the log); failures after step 3 are *absorbed* — the
-//! commit is durable and recovery repairs the pages from the log. The
-//! four storage fault
-//! points ([`FaultPoint::STORAGE`]) land exactly on those seams:
+//! touches the whole sign map. The four storage fault points
+//! ([`FaultPoint::STORAGE`]) land exactly on those seams:
 //! `wal_mid_record` and `wal_before_commit` pre-commit,
-//! `page_torn_write` and `checkpoint_mid_flush` post-commit.
+//! `page_torn_write` and `checkpoint_mid_flush` in the write-behind.
 //!
 //! The very first annotation is logged as the log's first transaction
 //! (`Meta` + the full sign map + `Commit`), so recovery never re-runs
-//! annotation: it reloads the document, replays the structural
-//! operations in order, folds the sign records into one map, and
-//! applies it wholesale via [`Backend::apply_sign_state`].
+//! annotation: [`Durability::recover`] — the only log replay — reloads
+//! the document, replays the structural operations in order, folds the
+//! sign records into one map, and applies it wholesale via
+//! [`Backend::apply_sign_state`].
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use xac_core::{
     injected_panic_message, Backend, Error, FaultAction, FaultPlan, FaultPoint, Result, System,
 };
-use xac_store::{PageStore, PagerStats, SignPageStore, StoreError, Wal, WalRecord, WalStats};
+use xac_store::{PagerStats, SignPageStore, StoreError, Wal, WalRecord, WalStats};
 
 pub use xac_core::SignDiff;
 
@@ -182,24 +189,22 @@ pub struct RecoveryReport {
     pub page_entries_repaired: usize,
 }
 
-/// One WAL + one page store + the in-memory mirrors recovery and
-/// rollback rebuild from. Owned by the engine behind a mutex; every
-/// method runs under the writer lock's serialization.
+/// One WAL + one page store + the committed sign map the next
+/// transaction's diff is checked against. Owned by the engine behind a
+/// mutex; every method runs under the writer lock's serialization.
 pub struct Durability {
     wal: Wal,
     store: SignPageStore,
     /// Sign map as of the last committed transaction.
     committed_signs: BTreeMap<i64, char>,
-    /// Every committed structural operation, in commit order.
-    ops: Vec<LoggedOp>,
     /// Epoch of the last committed transaction.
     last_epoch: u64,
     /// Armed storage fault points (see [`FaultPoint::STORAGE`]).
     plan: FaultPlan,
     sync: bool,
-    /// Test hook: fail the next post-commit page write.
+    /// Test hook: fail the next post-commit page write this way.
     #[cfg(test)]
-    fail_next_page_write: bool,
+    fail_next_page_write: Option<FaultAction>,
 }
 
 /// Post-commit page-write failures absorbed, process-wide.
@@ -246,12 +251,11 @@ impl Durability {
             wal,
             store,
             committed_signs: signs.clone(),
-            ops: Vec::new(),
             last_epoch: epoch,
             plan,
             sync: config.sync,
             #[cfg(test)]
-            fail_next_page_write: false,
+            fail_next_page_write: None,
         })
     }
 
@@ -333,12 +337,11 @@ impl Durability {
                 wal,
                 store,
                 committed_signs: signs,
-                ops,
                 last_epoch,
                 plan,
                 sync: config.sync,
                 #[cfg(test)]
-                fail_next_page_write: false,
+                fail_next_page_write: None,
             },
             report,
         ))
@@ -357,8 +360,9 @@ impl Durability {
 
     /// Commit one guarded transaction from the backend's full
     /// post-update [`Backend::sign_state`] `new_signs`: the diff against
-    /// the committed map, then [`Durability::log_diff`]. The serving
-    /// engine logs [`Backend::sign_changes`] directly instead.
+    /// the committed map, [`Durability::commit`], then
+    /// [`Durability::write_behind`]. The serving engine commits
+    /// [`Backend::sign_changes`] directly instead.
     pub fn log_txn(
         &mut self,
         op: &LoggedOp,
@@ -366,18 +370,18 @@ impl Durability {
         epoch: u64,
     ) -> Result<SignDiff> {
         let diff = SignDiff::between(&self.committed_signs, new_signs);
-        self.log_diff(op, &diff, epoch)?;
+        self.commit(op, &diff, epoch)?;
+        self.write_behind(&diff);
         Ok(diff)
     }
 
-    /// Commit one guarded transaction: the protocol in the [module
-    /// docs](self). `diff` takes the committed sign map to the
-    /// backend's post-update state; `epoch` is its post-update epoch.
-    /// On `Ok` the transaction is durable (even if a post-commit fault
-    /// or page-write error was absorbed); on `Err` it is not, and the
-    /// caller must roll the backend back
-    /// ([`Durability::rebuild_backend`]).
-    pub fn log_diff(&mut self, op: &LoggedOp, diff: &SignDiff, epoch: u64) -> Result<()> {
+    /// Steps 1–3 of the protocol in the [module docs](self). `diff`
+    /// takes the committed sign map to the backend's post-update state;
+    /// `epoch` is its post-update epoch. On `Ok` the transaction is
+    /// durable; on `Err` it is not, and the caller must roll the backend
+    /// back to the previous commit. The pages are written by the
+    /// following [`Durability::write_behind`].
+    pub fn commit(&mut self, op: &LoggedOp, diff: &SignDiff, epoch: u64) -> Result<()> {
         // Lazy cleanup: a previous transaction that failed pre-commit
         // left its records as a dead tail. Dropping it here (not at
         // failure time) keeps the on-disk state at a crash instant
@@ -406,32 +410,37 @@ impl Durability {
             let _span = xac_obs::span("wal.commit");
             self.wal.commit(epoch, self.sync).map_err(storage_error)?;
         }
-        // -- durability point: everything below is write-behind --
         diff.apply_to(&mut self.committed_signs);
-        self.ops.push(op.clone());
         self.last_epoch = epoch;
-        if self.write_pages(diff).is_err() {
-            // The commit stands: failing here would make the engine roll
-            // back and answer "failed" for a durable update, and a client
-            // retry would apply it twice. The pages lag the log until a
-            // rollback or the next reopen reconciles them.
-            xac_obs::instant("wal.post_commit_error");
-            post_commit_errors_total().inc();
-        }
         Ok(())
     }
 
-    /// Step 4's page writes, after the commit. Post-commit faults are
-    /// absorbed (the action is ignored, like the net layer's client
-    /// points): the commit is durable and the pages are repaired from
-    /// the log on reopen.
+    /// Step 4, after the commit (and, in the engine, after the publish):
+    /// write `diff` into the pages and flush them. Errors and panics are
+    /// absorbed and counted, and post-commit fault actions are ignored
+    /// (like the net layer's client points): failing here would answer
+    /// "failed" for a durable update, and a client retry would apply it
+    /// twice. The pages lag the log until the next reopen reconciles
+    /// them.
+    pub fn write_behind(&mut self, diff: &SignDiff) {
+        let written = catch_unwind(AssertUnwindSafe(|| self.write_pages(diff)));
+        if !matches!(written, Ok(Ok(()))) {
+            xac_obs::instant("wal.post_commit_error");
+            post_commit_errors_total().inc();
+        }
+    }
+
     fn write_pages(&mut self, diff: &SignDiff) -> std::result::Result<(), StoreError> {
         #[cfg(test)]
-        if std::mem::take(&mut self.fail_next_page_write) {
-            return Err(StoreError::new(
-                xac_store::StoreErrorKind::Io,
-                "injected post-commit page write failure",
-            ));
+        match self.fail_next_page_write.take() {
+            Some(FaultAction::Error) => {
+                return Err(StoreError::new(
+                    xac_store::StoreErrorKind::Io,
+                    "injected post-commit page write failure",
+                ))
+            }
+            Some(FaultAction::Panic) => panic!("injected post-commit page write panic"),
+            None => {}
         }
         for &(id, sign) in &diff.set {
             self.store.put_sign(id, sign)?;
@@ -450,23 +459,6 @@ impl Durability {
         self.store.flush().map(drop)
     }
 
-    /// The rollback rung, durable edition: truncate the dead log tail,
-    /// then rebuild the backend from the log's mirrors — reload the
-    /// document, replay every committed operation, apply the committed
-    /// sign map — and repair the pages. Replaces the non-durable
-    /// engine's clone-image [`Backend::restore`].
-    pub fn rebuild_backend(&mut self, system: &System, b: &mut dyn Backend) -> Result<()> {
-        self.wal.abort_to_last_commit().map_err(storage_error)?;
-        system.load(b)?;
-        for op in &self.ops {
-            op.replay(b)?;
-        }
-        b.apply_sign_state(&self.committed_signs, self.last_epoch)?;
-        self.store.reconcile(&self.committed_signs).map_err(storage_error)?;
-        self.store.flush().map_err(storage_error)?;
-        Ok(())
-    }
-
     /// Sign map as of the last committed transaction.
     pub fn committed_signs(&self) -> &BTreeMap<i64, char> {
         &self.committed_signs
@@ -475,11 +467,6 @@ impl Durability {
     /// Epoch of the last committed transaction.
     pub fn last_epoch(&self) -> u64 {
         self.last_epoch
-    }
-
-    /// Committed structural operations, in commit order.
-    pub fn ops(&self) -> &[LoggedOp] {
-        &self.ops
     }
 
     /// The log's counters.
@@ -593,32 +580,39 @@ mod tests {
         engine.with_durability(|d| d.committed_signs().clone()).unwrap()
     }
 
+    /// An error or a panic in the write-behind page writes, both
+    /// absorbed: the update is applied and published, and a reopen
+    /// repairs the pages.
     #[test]
     fn a_page_write_failure_after_the_commit_does_not_fail_the_update() {
         let regular = xac_xpath::parse("//regular").unwrap();
         for kind in crate::BackendKind::ALL {
-            let config = data_dir("post_commit", kind);
-            let engine = crate::ServeEngine::durable(system(), kind, &config).unwrap();
-            engine.with_durability(|d| d.fail_next_page_write = true).unwrap();
-            let (errors, epoch) = (post_commit_errors_total().get(), engine.epoch());
-            let update = engine.guarded_delete(&regular).expect("a committed update succeeds");
-            assert!(update.applied(), "{kind}");
-            assert!(engine.epoch() > epoch, "{kind}: the committed state is published");
-            assert!(post_commit_errors_total().get() > errors, "{kind}: the error is counted");
-            let metrics = engine.metrics();
-            assert_eq!((metrics.update_errors, metrics.rollbacks), (0, 0), "{kind}");
-            let signs = engine_signs(&engine);
-            assert_eq!(committed(&engine), signs, "{kind}");
-            let pages = engine.with_durability(|d| d.page_sign_state()).unwrap();
-            assert_ne!(pages, signs, "{kind}: the pages lag the log");
-            drop(engine);
-            let reopened = crate::ServeEngine::durable(system(), kind, &config).unwrap();
-            let report = reopened.recovery().unwrap();
-            assert_eq!(report.ops_replayed, 1, "{kind}: the update is durable, once");
-            assert!(report.page_entries_repaired > 0, "{kind}: reopen repairs the pages");
-            assert_eq!(engine_signs(&reopened), signs, "{kind}");
-            assert_eq!(reopened.with_durability(|d| d.page_sign_state()).unwrap(), signs);
-            let _ = std::fs::remove_dir_all(&config.data_dir);
+            for action in [FaultAction::Error, FaultAction::Panic] {
+                let label = format!("{kind}/{}", action.name());
+                let config = data_dir(&format!("post_commit_{}", action.name()), kind);
+                let engine = crate::ServeEngine::durable(system(), kind, &config).unwrap();
+                engine.with_durability(|d| d.fail_next_page_write = Some(action)).unwrap();
+                let (errors, epoch) = (post_commit_errors_total().get(), engine.epoch());
+                let update =
+                    engine.guarded_delete(&regular).expect("a committed update succeeds");
+                assert!(update.applied(), "{label}");
+                assert!(engine.epoch() > epoch, "{label}: the committed state is published");
+                assert!(post_commit_errors_total().get() > errors, "{label}: it is counted");
+                let metrics = engine.metrics();
+                assert_eq!((metrics.update_errors, metrics.rollbacks), (0, 0), "{label}");
+                let signs = engine_signs(&engine);
+                assert_eq!(committed(&engine), signs, "{label}");
+                let pages = engine.with_durability(|d| d.page_sign_state()).unwrap();
+                assert_ne!(pages, signs, "{label}: the pages lag the log");
+                drop(engine);
+                let reopened = crate::ServeEngine::durable(system(), kind, &config).unwrap();
+                let report = reopened.recovery().unwrap();
+                assert_eq!(report.ops_replayed, 1, "{label}: the update is durable, once");
+                assert!(report.page_entries_repaired > 0, "{label}: reopen repairs the pages");
+                assert_eq!(engine_signs(&reopened), signs, "{label}");
+                assert_eq!(reopened.with_durability(|d| d.page_sign_state()).unwrap(), signs);
+                let _ = std::fs::remove_dir_all(&config.data_dir);
+            }
         }
     }
 

@@ -16,15 +16,23 @@
 //!   each epoch is all-or-nothing with respect to each re-annotation.
 //! * **Transactions & degradation** (see DESIGN.md §4d): the guarded
 //!   critical section runs under `catch_unwind` with a *last-good
-//!   checkpoint* always equal to the published snapshot. Failures walk
-//!   an escalating ladder — partial re-annotation → full re-annotation
-//!   (`full_fallbacks`) → restore the last-good checkpoint
-//!   (`rollbacks`) → read-only **quarantine** (`quarantines`): the
-//!   engine keeps serving the last published snapshot and rejects
-//!   writes with [`Error::Quarantined`]. Lock poisoning is recovered,
-//!   never `expect`ed: a poisoned writer lock restores from the
-//!   checkpoint, a poisoned snapshot lock is taken over as-is (the
-//!   protected value is a complete `Arc` at every instant).
+//!   checkpoint* always equal to the published snapshot — on volatile
+//!   and durable engines alike. Failures walk an escalating ladder —
+//!   partial re-annotation → full re-annotation (`full_fallbacks`) →
+//!   restore the last-good checkpoint (`rollbacks`) → read-only
+//!   **quarantine** (`quarantines`): the engine keeps serving the last
+//!   published snapshot and rejects writes with [`Error::Quarantined`].
+//!   Lock poisoning is recovered, never `expect`ed: a poisoned writer
+//!   lock restores from the checkpoint, a poisoned snapshot lock is
+//!   taken over as-is (the protected value is a complete `Arc` at every
+//!   instant).
+//! * **Durability** (DESIGN.md §4i): a durable engine stages the same
+//!   checkpoint and snapshot, then commits to the WAL as the last
+//!   faultable step, so a failure anywhere before the commit record
+//!   leaves log, writer and published snapshot on the previous
+//!   committed state and the checkpoint restore is the whole rollback.
+//!   The sign pages are written behind the publish. The log is replayed
+//!   only by [`Durability::recover`] at reopen.
 
 use crate::durable::{
     split_storage_plan, Durability, DurabilityConfig, LoggedOp, RecoveryReport, SignDiff,
@@ -137,12 +145,11 @@ enum TxnOutcome {
     Ready {
         outcome: UpdateOutcome,
         /// Boxed: a checkpoint is much larger than the denied variant.
-        /// `None` on durable engines — their last-good state lives in
-        /// the WAL, so no image is staged and the per-transaction
-        /// checkpoint cost is the durability layer's O(dirty pages)
-        /// flush.
-        checkpoint: Option<Box<Checkpoint>>,
+        checkpoint: Box<Checkpoint>,
         snapshot: Arc<AccessSnapshot>,
+        /// The committed sign changes the durable engine writes to its
+        /// pages after publishing; empty on volatile engines.
+        diff: SignDiff,
     },
 }
 
@@ -630,39 +637,32 @@ impl ServeEngine {
                 return Err(e);
             }
         };
-        // Everything faultable — the update, the re-annotation, and the
-        // checkpoint + snapshot staging — runs under `catch_unwind`, so
-        // neither an injected nor an organic panic can poison the lock
-        // or escape with the backend half-mutated. Publication itself
-        // (pure pointer swaps in `install`) happens after, outside.
+        // Everything faultable — the update, the re-annotation, the
+        // checkpoint + snapshot staging and, last, the WAL commit — runs
+        // under `catch_unwind`, so neither an injected nor an organic
+        // panic can poison the lock or escape with the backend
+        // half-mutated, and nothing can fail once the commit record is
+        // durable. Publication (pure pointer swaps in `install`) and the
+        // write-behind page writes happen after, outside.
         let b = writer.as_mut();
         let staged = catch_unwind(AssertUnwindSafe(|| -> Result<TxnOutcome> {
             match self.apply_guarded(b, op)? {
                 denied @ GuardedUpdate::Denied(_) => Ok(TxnOutcome::Denied(denied)),
                 GuardedUpdate::Applied(outcome) => {
-                    let checkpoint = match &self.durability {
-                        // Durable engine: the commit protocol (WAL
-                        // append → commit record → page writes) *is*
-                        // the checkpoint — O(dirty pages), no clone.
-                        // Failure here fails the transaction and the
-                        // ladder rolls back by replaying the log.
-                        Some(dur) => {
-                            let logged = ServeEngine::logged_op(op);
-                            let diff = b.sign_changes()?;
-                            let epoch = b.epoch();
-                            let mut dur = unpoison(dur.lock());
-                            debug_assert_eq!(
-                                diff,
-                                SignDiff::between(dur.committed_signs(), &b.sign_state()?),
-                                "the drained sign changes are the committed map's diff"
-                            );
-                            dur.log_diff(&logged, &diff, epoch)?;
-                            None
-                        }
-                        None => Some(Box::new(b.checkpoint()?)),
-                    };
+                    let diff =
+                        if self.is_durable() { b.sign_changes()? } else { SignDiff::default() };
+                    let checkpoint = Box::new(b.checkpoint()?);
                     let snapshot = Arc::new(b.snapshot()?);
-                    Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot })
+                    if let Some(dur) = &self.durability {
+                        let mut dur = unpoison(dur.lock());
+                        debug_assert_eq!(
+                            diff,
+                            SignDiff::between(dur.committed_signs(), &b.sign_state()?),
+                            "the drained sign changes are the committed map's diff"
+                        );
+                        dur.commit(&ServeEngine::logged_op(op), &diff, snapshot.epoch())?;
+                    }
+                    Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot, diff })
                 }
             }
         }));
@@ -671,16 +671,20 @@ impl ServeEngine {
                 self.metrics.updates_denied.fetch_add(1, Relaxed);
                 Ok(denied)
             }
-            Ok(Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot })) => {
-                self.install(checkpoint.map(|c| *c), snapshot);
+            Ok(Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot, diff })) => {
+                self.install(*checkpoint, snapshot);
+                if let Some(dur) = &self.durability {
+                    unpoison(dur.lock()).write_behind(&diff);
+                }
                 self.metrics.updates_applied.fetch_add(1, Relaxed);
                 self.metrics.sign_writes.fetch_add(outcome.sign_writes as u64, Relaxed);
                 Ok(GuardedUpdate::Applied(outcome))
             }
             Ok(Err(e)) => {
                 // Rung 3: the update failed past what full
-                // re-annotation could repair — roll the backend back to
-                // the state behind the published snapshot.
+                // re-annotation could repair, or before its commit
+                // record — roll the backend back to the state behind the
+                // published snapshot.
                 self.note_fault(&e);
                 self.metrics.update_errors.fetch_add(1, Relaxed);
                 self.rollback(writer.as_mut(), &format!("guarded update failed: {e}"))?;
@@ -757,13 +761,11 @@ impl ServeEngine {
         }))
     }
 
-    /// Commit a staged transaction: swap in the new snapshot and (on
-    /// non-durable engines) the matching last-good checkpoint. Pure
-    /// pointer swaps — nothing here can fail halfway, which is why
-    /// checkpoint + snapshot are staged *before* publication. Durable
-    /// engines pass no checkpoint: their last-good state is the WAL's
-    /// last committed transaction.
-    fn install(&self, checkpoint: Option<Checkpoint>, snapshot: Arc<AccessSnapshot>) {
+    /// Publish a staged transaction: swap in the new snapshot and the
+    /// matching last-good checkpoint. Pure pointer swaps — nothing here
+    /// can fail halfway, which is why checkpoint + snapshot are staged
+    /// *before* publication.
+    fn install(&self, checkpoint: Checkpoint, snapshot: Arc<AccessSnapshot>) {
         use std::sync::atomic::Ordering::Relaxed;
         let _span = xac_obs::span("serve.publish");
         self.metrics.current_epoch.store(snapshot.epoch(), Relaxed);
@@ -774,13 +776,11 @@ impl ServeEngine {
         // on the release.
         let old = std::mem::replace(&mut *unpoison(self.published.write()), snapshot);
         drop(old);
-        if let Some(checkpoint) = checkpoint {
-            *unpoison(self.last_good.lock()) = checkpoint;
-        }
+        *unpoison(self.last_good.lock()) = checkpoint;
     }
 
     /// The WAL record shape of a guarded update, logged by the durable
-    /// commit path and replayed by recovery/rollback.
+    /// commit path and replayed by recovery.
     fn logged_op(op: &UpdateOp<'_>) -> LoggedOp {
         match op {
             UpdateOp::Delete(path) => LoggedOp::Delete { path: path.to_string() },
@@ -793,40 +793,15 @@ impl ServeEngine {
     }
 
     /// Rung 3: bring the backend byte-identical to the state behind the
-    /// published snapshot. Non-durable engines restore the last-good
-    /// checkpoint; durable engines **replay the WAL** — truncate
-    /// the dead tail, reload the document, replay the committed
-    /// operations, re-apply the committed sign map. If the rollback
-    /// itself fails or panics, escalate to rung 4 — quarantine: mark
-    /// the engine read-only and return [`Error::Quarantined`].
+    /// published snapshot by restoring the last-good checkpoint — the
+    /// same rung on volatile and durable engines (a durable engine's
+    /// checkpoint is its last committed state, and a failed commit's
+    /// dead log tail is dropped by the next commit or reopen). If the
+    /// restore itself fails or panics, escalate to rung 4 — quarantine:
+    /// mark the engine read-only and return [`Error::Quarantined`].
     fn rollback(&self, b: &mut dyn Backend, cause: &str) -> Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
         let _span = xac_obs::span("serve.rollback");
-        if let Some(dur) = &self.durability {
-            xac_obs::instant("serve.wal_rollback");
-            return match catch_unwind(AssertUnwindSafe(|| {
-                unpoison(dur.lock()).rebuild_backend(&self.system, b)
-            })) {
-                Ok(Ok(())) => {
-                    self.metrics.rollbacks.fetch_add(1, Relaxed);
-                    Ok(())
-                }
-                Ok(Err(e)) => {
-                    self.note_fault(&e);
-                    Err(self.enter_quarantine(format!("{cause}; wal replay failed: {e}")))
-                }
-                Err(payload) => {
-                    let detail = match injected_panic_point(&*payload) {
-                        Some(point) => {
-                            self.metrics.faults_injected.fetch_add(1, Relaxed);
-                            format!("wal replay panicked: injected fault at `{point}`")
-                        }
-                        None => "wal replay panicked".to_string(),
-                    };
-                    Err(self.enter_quarantine(format!("{cause}; {detail}")))
-                }
-            };
-        }
         let checkpoint = unpoison(self.last_good.lock()).clone();
         match catch_unwind(AssertUnwindSafe(|| b.restore(&checkpoint))) {
             Ok(Ok(())) => {

@@ -5,7 +5,7 @@
 //! buffer-pooled file pager with LRU eviction, pin counts, dirty
 //! tracking and per-page CRC-32 checksums ([`pager`]), a CRC-framed
 //! append-only write-ahead log with torn-tail detection ([`wal`]), and
-//! the [`PageStore`] trait putting the materialized sign state — the
+//! the [`SignPageStore`] putting the materialized sign state — the
 //! relational tables' sign columns and the native store's element-arena
 //! sign attributes alike — on durable pages ([`sign_store`]).
 //!
@@ -31,7 +31,7 @@ pub use crc::crc32;
 pub use error::{Result, StoreError, StoreErrorKind};
 pub use page::{Page, PAGE_SIZE};
 pub use pager::{Pager, PagerStats};
-pub use sign_store::{PageStore, SignPageStore};
+pub use sign_store::SignPageStore;
 pub use wal::{Wal, WalRecord, WalStats};
 
 #[cfg(test)]

@@ -1,60 +1,18 @@
 //! The durable sign map: the materialized `sign` column/attribute —
-//! the state the paper's whole method revolves around — behind a
-//! [`PageStore`] trait, persisted on slotted pages.
+//! the state the paper's whole method revolves around — persisted on
+//! slotted pages by [`SignPageStore`]. The relational sign columns and
+//! the native element arena's sign attributes persist through it alike.
 //!
 //! Each entry is a fixed 9-byte cell `[id i64 LE][sign u8]`. An
 //! in-memory directory (id → (page, slot)) and mirror map are rebuilt
 //! by scanning the pages on open; the pages are the durable copy, the
 //! WAL is the source of truth when they disagree (a torn page is reset
-//! and rebuilt via [`PageStore::reconcile`]).
+//! and rebuilt via [`SignPageStore::reconcile`]).
 
 use crate::error::{Result, StoreError, StoreErrorKind};
 use crate::pager::{Pager, PagerStats};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-
-/// A durable id → sign map with dirty-page-granular flushing. This is
-/// the storage contract both the relational sign columns and the native
-/// element arena's sign attributes persist through.
-pub trait PageStore {
-    /// Set (insert or overwrite) the sign for `id`.
-    fn put_sign(&mut self, id: i64, sign: char) -> Result<()>;
-    /// Remove the sign for `id` (no-op when absent).
-    fn clear_sign(&mut self, id: i64) -> Result<()>;
-    /// The sign for `id`, if any.
-    fn get_sign(&self, id: i64) -> Option<char>;
-    /// Write back dirty pages and fsync; returns pages written. Cost is
-    /// O(dirty pages) — the durable checkpoint.
-    fn flush(&mut self) -> Result<usize>;
-    /// The full map, in id order.
-    fn sign_state(&self) -> BTreeMap<i64, char>;
-    /// Number of entries.
-    fn len(&self) -> usize;
-    /// True when empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Make the store byte-equal to `target`, putting/clearing only
-    /// differences; returns entries changed. The recovery path: after
-    /// WAL replay decides the true map, the pages are repaired to it.
-    fn reconcile(&mut self, target: &BTreeMap<i64, char>) -> Result<usize> {
-        let current = self.sign_state();
-        let mut changed = 0usize;
-        for (&id, &sign) in target {
-            if current.get(&id) != Some(&sign) {
-                self.put_sign(id, sign)?;
-                changed += 1;
-            }
-        }
-        for &id in current.keys() {
-            if !target.contains_key(&id) {
-                self.clear_sign(id)?;
-                changed += 1;
-            }
-        }
-        Ok(changed)
-    }
-}
 
 const CELL_SIZE: usize = 9;
 
@@ -76,13 +34,14 @@ fn decode_cell(cell: &[u8]) -> Result<(i64, char)> {
     Ok((id, cell[8] as char))
 }
 
-/// [`PageStore`] over a [`Pager`]. See the module docs.
+/// A durable id → sign map over a [`Pager`], flushed at dirty-page
+/// granularity. See the module docs.
 pub struct SignPageStore {
     pager: Pager,
     /// id → (page, slot) for every live entry.
     directory: HashMap<i64, (u32, u16)>,
     /// In-memory mirror of the durable map (pages remain the durable
-    /// copy; this makes `get_sign`/`sign_state` allocation-cheap).
+    /// copy; this makes `sign_state` allocation-cheap).
     mirror: BTreeMap<i64, char>,
     /// Pages with room for at least one more cell, newest last.
     open_pages: Vec<u32>,
@@ -125,7 +84,7 @@ impl SignPageStore {
     }
 
     /// Pages whose checksum failed on open (already reset to empty).
-    /// Non-empty means the caller must [`PageStore::reconcile`] against
+    /// Non-empty means the caller must [`SignPageStore::reconcile`] against
     /// the WAL-replayed map before trusting reads.
     pub fn torn_pages(&self) -> &[u32] {
         &self.torn_pages
@@ -160,21 +119,8 @@ impl SignPageStore {
         self.pager.flush_dirty_capped(Some(cap))
     }
 
-    fn page_with_room(&mut self) -> Result<u32> {
-        while let Some(&no) = self.open_pages.last() {
-            if self.pager.page(no)?.free_space() >= CELL_SIZE {
-                return Ok(no);
-            }
-            self.open_pages.pop();
-        }
-        let no = self.pager.allocate()?;
-        self.open_pages.push(no);
-        Ok(no)
-    }
-}
-
-impl PageStore for SignPageStore {
-    fn put_sign(&mut self, id: i64, sign: char) -> Result<()> {
+    /// Set (insert or overwrite) the sign for `id`.
+    pub fn put_sign(&mut self, id: i64, sign: char) -> Result<()> {
         let cell = encode_cell(id, sign);
         if let Some(&(page_no, slot)) = self.directory.get(&id) {
             let page = self.pager.page_mut(page_no)?;
@@ -196,7 +142,8 @@ impl PageStore for SignPageStore {
         Ok(())
     }
 
-    fn clear_sign(&mut self, id: i64) -> Result<()> {
+    /// Remove the sign for `id` (no-op when absent).
+    pub fn clear_sign(&mut self, id: i64) -> Result<()> {
         if let Some((page_no, slot)) = self.directory.remove(&id) {
             self.pager.page_mut(page_no)?.delete_cell(slot);
             if !self.open_pages.contains(&page_no) {
@@ -207,20 +154,48 @@ impl PageStore for SignPageStore {
         Ok(())
     }
 
-    fn get_sign(&self, id: i64) -> Option<char> {
-        self.mirror.get(&id).copied()
-    }
-
-    fn flush(&mut self) -> Result<usize> {
+    /// Write back dirty pages and fsync; returns pages written. Cost is
+    /// O(dirty pages).
+    pub fn flush(&mut self) -> Result<usize> {
         self.pager.flush_dirty()
     }
 
-    fn sign_state(&self) -> BTreeMap<i64, char> {
+    /// The full map, in id order.
+    pub fn sign_state(&self) -> BTreeMap<i64, char> {
         self.mirror.clone()
     }
 
-    fn len(&self) -> usize {
-        self.directory.len()
+    /// Make the store byte-equal to `target`, putting/clearing only
+    /// differences; returns entries changed. The recovery path: after
+    /// WAL replay decides the true map, the pages are repaired to it.
+    pub fn reconcile(&mut self, target: &BTreeMap<i64, char>) -> Result<usize> {
+        let current = self.sign_state();
+        let mut changed = 0usize;
+        for (&id, &sign) in target {
+            if current.get(&id) != Some(&sign) {
+                self.put_sign(id, sign)?;
+                changed += 1;
+            }
+        }
+        for &id in current.keys() {
+            if !target.contains_key(&id) {
+                self.clear_sign(id)?;
+                changed += 1;
+            }
+        }
+        Ok(changed)
+    }
+
+    fn page_with_room(&mut self) -> Result<u32> {
+        while let Some(&no) = self.open_pages.last() {
+            if self.pager.page(no)?.free_space() >= CELL_SIZE {
+                return Ok(no);
+            }
+            self.open_pages.pop();
+        }
+        let no = self.pager.allocate()?;
+        self.open_pages.push(no);
+        Ok(no)
     }
 }
 
@@ -248,17 +223,16 @@ mod tests {
             }
             store.clear_sign(17).unwrap();
             store.put_sign(5, '-').unwrap(); // overwrite in place
-            assert_eq!(store.len(), 599);
+            assert_eq!(store.sign_state().len(), 599);
             assert!(store.flush().unwrap() > 0);
         }
         let store = SignPageStore::open(&path, 8).unwrap();
         assert!(store.torn_pages().is_empty());
-        assert_eq!(store.len(), 599);
-        assert_eq!(store.get_sign(0), Some('+'));
-        assert_eq!(store.get_sign(5), Some('-'));
-        assert_eq!(store.get_sign(17), None);
         let state = store.sign_state();
         assert_eq!(state.len(), 599);
+        assert_eq!(state.get(&0), Some(&'+'));
+        assert_eq!(state.get(&5), Some(&'-'));
+        assert_eq!(state.get(&17), None);
         assert_eq!(state.get(&3), Some(&'+'));
     }
 
@@ -293,7 +267,7 @@ mod tests {
         }
         let mut store = SignPageStore::open(&path, 8).unwrap();
         assert_eq!(store.torn_pages().len(), 1, "the torn page was detected");
-        assert!(store.len() < golden.len(), "torn page's entries are gone pre-repair");
+        assert!(store.sign_state().len() < golden.len(), "torn page's entries are gone pre-repair");
         let repaired = store.reconcile(&golden).unwrap();
         assert!(repaired > 0);
         store.flush().unwrap();

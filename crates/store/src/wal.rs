@@ -458,8 +458,8 @@ impl Wal {
 
     /// Abort the in-flight transaction: truncate the log back to the
     /// last commit boundary. Idempotent; called before each new
-    /// transaction and by the rollback rung, so a failed transaction's
-    /// partial records can never pollute the next one's replay.
+    /// transaction, so a failed transaction's partial records can never
+    /// pollute the next one's replay.
     pub fn abort_to_last_commit(&mut self) -> Result<()> {
         if self.len == self.last_commit_end {
             return Ok(());

@@ -18,9 +18,10 @@
 //! The direct harness drives [`Durability`] itself so the on-disk bytes
 //! at the fault instant are exactly what a crash leaves (cleanup is
 //! lazy). The engine-level tests check the same seams through the
-//! serving ladder: a WAL fault rolls back by replaying the log, an
-//! absorbed page fault commits, quarantine does not outlive a reopen,
-//! and recovery is idempotent.
+//! serving ladder: a WAL fault rolls back by restoring the last-good
+//! checkpoint (the log is replayed only at reopen), an absorbed page
+//! fault commits, quarantine does not outlive a reopen, and recovery is
+//! idempotent.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -147,7 +148,7 @@ fn crash_and_recover(
             let diff = b.sign_changes().unwrap();
             let signs = b.sign_state().unwrap();
             assert_eq!(diff, SignDiff::between(dur.committed_signs(), &signs), "{name}: txn {i}");
-            match dur.log_diff(op, &diff, b.epoch()) {
+            match dur.commit(op, &diff, b.epoch()).map(|()| dur.write_behind(&diff)) {
                 Ok(_) => assert!(
                     i < crash_at || !pre_commit,
                     "{name}: a pre-commit fault must fail txn {crash_at}"
@@ -264,11 +265,11 @@ fn durable_engine_reopens_byte_identical() {
     }
 }
 
-/// The ladder's rollback rung, durable edition: a WAL fault fails the
-/// transaction, the engine replays the log instead of restoring a clone
-/// image, and the retry succeeds. Both actions; a reopen agrees.
+/// The ladder's rollback rung on a durable engine: a WAL fault fails the
+/// transaction, the engine restores its last-good checkpoint (the log is
+/// not replayed), and the retry succeeds. Both actions; a reopen agrees.
 #[test]
-fn wal_faults_roll_back_by_replaying_the_log() {
+fn wal_faults_roll_back_by_restoring_the_checkpoint() {
     let reference = reference_states(BackendKind::Native);
     for (point, action) in [
         ("wal_before_commit", "error"),
@@ -296,7 +297,7 @@ fn wal_faults_roll_back_by_replaying_the_log() {
             assert!(!engine.quarantined(), "{label}: the rollback rung must recover");
             let m = engine.metrics();
             assert_eq!(m.update_errors, 1, "{label}");
-            assert_eq!(m.rollbacks, 1, "{label}: the WAL-replay rung ran");
+            assert_eq!(m.rollbacks, 1, "{label}: the restore rung ran");
             assert_eq!(
                 engine_signs(&engine),
                 reference[0],
@@ -426,10 +427,10 @@ fn fresh_refuses_a_populated_wal() {
 fn quarantine_does_not_survive_reopen() {
     let dir = data_dir("quarantine");
     let config = DurabilityConfig::new(&dir);
-    // Txn 1 (a delete) commits. Txn 2 trips the WAL fault; the rollback
-    // replays txn 1, whose delete trips the skipped backend-point spec —
-    // the replay fails and the ladder is out of rungs.
-    let plan = FaultPlan::parse("wal_before_commit:error+1,before_delete:error+1").unwrap();
+    // Txn 1 (a delete) commits. Txn 2 trips the WAL fault; its rollback
+    // trips `before_restore` — the restore fails and the ladder is out
+    // of rungs.
+    let plan = FaultPlan::parse("wal_before_commit:error+1,before_restore:error").unwrap();
     let golden = {
         let engine = ServeEngine::durable_with_faults(
             Arc::new(system()),
@@ -466,10 +467,9 @@ fn quarantine_does_not_survive_reopen() {
 }
 
 /// Recovering the same data dir twice is idempotent — the
-/// double-restore edge case on the WAL path — and so is the rollback
-/// rebuild.
+/// double-restore edge case on the WAL path.
 #[test]
-fn double_recover_and_double_rebuild_are_idempotent() {
+fn double_recover_is_idempotent() {
     let dir = data_dir("double_recover");
     let config = DurabilityConfig::new(&dir);
     {
@@ -496,20 +496,6 @@ fn double_recover_and_double_rebuild_are_idempotent() {
         first_signs,
         "the second recover reaches the same state"
     );
-    // Double rebuild (the rollback rung run twice in a row) converges
-    // to the same committed state both times.
-    let s = system();
-    let (once, twice) = engine
-        .with_durability(|dur| {
-            let mut b = BackendKind::Row.make(s.annotate_mode());
-            dur.rebuild_backend(&s, b.as_mut()).unwrap();
-            let once = b.sign_state().unwrap();
-            dur.rebuild_backend(&s, b.as_mut()).unwrap();
-            (once, b.sign_state().unwrap())
-        })
-        .unwrap();
-    assert_eq!(once, twice, "rebuild is idempotent");
-    assert_eq!(once, first_signs);
 }
 
 /// Every committed prefix is recoverable through the engine: dropping

@@ -1,5 +1,6 @@
-//! Fault-recovery acceptance sweep: every fault point × every backend,
-//! errors and panics, against the serving engine's degradation ladder.
+//! Fault-recovery acceptance sweep: every fault point × every backend ×
+//! volatile and durable engines, errors and panics, against the serving
+//! engine's degradation ladder.
 //!
 //! For each scenario the writer drives the same guarded-update sequence
 //! as `serve_concurrency.rs` with a one-shot fault armed, retrying an
@@ -13,13 +14,17 @@
 //! 3. the metrics accounting identity holds: every guarded call lands
 //!    in exactly one of applied / denied / errors / rejected;
 //! 4. an injected panic leaves the engine serving reads (quarantined at
-//!    worst), never poisoned.
+//!    worst), never poisoned;
+//! 5. on a durable engine, after every operation the WAL's last epoch is
+//!    the published epoch and its committed sign map is the writer's —
+//!    a failed update committed nothing, an applied one committed
+//!    exactly once — and a reopen recovers the no-fault replay's state.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use xac_core::{Error, FaultPlan, GuardedUpdate, System};
-use xac_serve::{BackendKind, Request, Response, ServeEngine};
+use xac_serve::{BackendKind, DurabilityConfig, Request, Response, ServeEngine};
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{figure2_document, hospital_schema};
 
@@ -103,33 +108,75 @@ fn plan_for(point: &str, action: &str) -> FaultPlan {
     FaultPlan::parse(&spec).unwrap()
 }
 
+/// A fresh data dir for one durable scenario.
+fn fresh_data_dir(name: &str) -> DurabilityConfig {
+    let dir = std::env::temp_dir()
+        .join(format!("xac_fault_recovery_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    DurabilityConfig::new(dir)
+}
+
+/// A faulted engine: volatile, or durable over a fresh `config` dir.
+fn faulted_engine(
+    kind: BackendKind,
+    config: Option<&DurabilityConfig>,
+    plan: FaultPlan,
+) -> ServeEngine {
+    let system = Arc::new(system());
+    match config {
+        Some(config) => ServeEngine::durable_with_faults(system, kind, config, plan),
+        None => ServeEngine::for_kind_with_faults(system, kind, plan),
+    }
+    .unwrap()
+}
+
+fn writer_signs(engine: &ServeEngine) -> BTreeMap<i64, char> {
+    engine.with_writer(|b| b.sign_state().unwrap()).unwrap()
+}
+
+/// On a durable engine, the WAL, the writer and the published snapshot
+/// sit on one committed state: the log's last epoch is the published
+/// one and its committed map is the writer's sign state.
+fn assert_one_committed_state(engine: &ServeEngine, label: &str) {
+    let Some((last_epoch, committed)) =
+        engine.with_durability(|d| (d.last_epoch(), d.committed_signs().clone()))
+    else {
+        return;
+    };
+    assert_eq!(last_epoch, engine.epoch(), "{label}: the log and the published epoch differ");
+    assert_eq!(committed, writer_signs(engine), "{label}: the log and the writer differ");
+}
+
 /// Drive the sequence against a faulted engine, retrying each errored
 /// operation once (the plans are one-shot, so the retry must succeed).
 /// Returns how many operations surfaced an error.
-fn drive(engine: &ServeEngine) -> u64 {
+fn drive(engine: &ServeEngine, label: &str) -> u64 {
     let mut errors = 0u64;
-    for op in write_sequence() {
-        match apply_op(engine, &op) {
-            Ok(g) => assert_eq!(g.applied(), expected(&op)),
+    for (i, op) in write_sequence().iter().enumerate() {
+        match apply_op(engine, op) {
+            Ok(g) => assert_eq!(g.applied(), expected(op), "{label}: op {i}"),
             Err(e) => {
                 assert!(
                     !matches!(e, Error::Quarantined { .. }),
-                    "sweep plans must never quarantine, got: {e}"
+                    "{label}: sweep plans must never quarantine, got: {e}"
                 );
                 errors += 1;
-                let g = apply_op(engine, &op).unwrap_or_else(|e2| {
-                    panic!("retry after one-shot fault failed: {e2} (first: {e})")
+                assert_one_committed_state(engine, &format!("{label}: op {i} failed"));
+                let g = apply_op(engine, op).unwrap_or_else(|e2| {
+                    panic!("{label}: retry after one-shot fault failed: {e2} (first: {e})")
                 });
-                assert_eq!(g.applied(), expected(&op));
+                assert_eq!(g.applied(), expected(op), "{label}: op {i} retried");
             }
         }
+        assert_one_committed_state(engine, &format!("{label}: op {i}"));
     }
     errors
 }
 
-/// Points swept with a plain one-shot spec at both actions.
-/// `before_restore` is exercised by the quarantine tests instead — a
-/// restore fault by construction defeats the rollback rung.
+/// Points swept with a plain one-shot spec at both actions, on volatile
+/// and durable engines. `before_restore` is exercised by the quarantine
+/// tests instead — a restore fault by construction defeats the rollback
+/// rung.
 const SWEPT_POINTS: [&str; 10] = [
     "before_annotate",
     "before_delete",
@@ -143,18 +190,33 @@ const SWEPT_POINTS: [&str; 10] = [
     "before_checkpoint",
 ];
 
+/// The pre-commit storage points, swept on durable engines only: each
+/// fails the transaction before its commit record. (The post-commit
+/// page points are absorbed; `tests/durability_recovery.rs` covers
+/// them.)
+const SWEPT_WAL_POINTS: [&str; 2] = ["wal_mid_record", "wal_before_commit"];
+
+/// Raises the reader's stop flag when dropped, unwinding included.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn sweep(kind: BackendKind) {
     let (golden_signs, valid_counts) = replay(kind);
-    for point in SWEPT_POINTS {
+    let volatile = SWEPT_POINTS.iter().map(|&point| (point, false));
+    let durable = SWEPT_POINTS.iter().chain(&SWEPT_WAL_POINTS).map(|&point| (point, true));
+    for (point, is_durable) in volatile.chain(durable) {
         for action in ["error", "panic"] {
-            let engine = Arc::new(
-                ServeEngine::for_kind_with_faults(
-                    Arc::new(system()),
-                    kind,
-                    plan_for(point, action),
-                )
-                .unwrap(),
-            );
+            let engine_kind = if is_durable { "durable" } else { "volatile" };
+            let label = format!("{}/{engine_kind}/{point}:{action}", kind.cli_name());
+            let config = is_durable
+                .then(|| fresh_data_dir(&format!("{}_{point}_{action}", kind.cli_name())));
+            let engine =
+                Arc::new(faulted_engine(kind, config.as_ref(), plan_for(point, action)));
             // A reader races the faulted writer: it may only ever see
             // committed states, with a monotone epoch.
             let stop = AtomicBool::new(false);
@@ -187,15 +249,17 @@ fn sweep(kind: BackendKind) {
                     observed
                 });
                 start.wait();
-                let errors = drive(&engine);
-                stop.store(true, Ordering::Relaxed);
+                // Stop the reader even when `drive` panics, so a failed
+                // assertion fails the test instead of hanging the scope.
+                let stop_reader = StopOnDrop(stop);
+                let errors = drive(&engine, &label);
+                drop(stop_reader);
                 assert!(reader.join().unwrap() > 0);
                 errors
             });
-            let label = format!("{}/{point}:{action}", kind.cli_name());
             assert!(!engine.quarantined(), "{label}: must recover, not quarantine");
             assert_eq!(
-                engine.with_writer(|b| b.sign_state().unwrap()).unwrap(),
+                writer_signs(&engine),
                 golden_signs,
                 "{label}: post-recovery sign state diverged from no-fault replay"
             );
@@ -217,6 +281,17 @@ fn sweep(kind: BackendKind) {
                 m.rollbacks,
                 m.full_fallbacks
             );
+            if let Some(config) = config {
+                drop(engine);
+                let reopened = ServeEngine::durable(Arc::new(system()), kind, &config).unwrap();
+                assert_eq!(
+                    writer_signs(&reopened),
+                    golden_signs,
+                    "{label}: the reopen diverged from the no-fault replay"
+                );
+                drop(reopened);
+                let _ = std::fs::remove_dir_all(&config.data_dir);
+            }
         }
     }
 }
@@ -238,21 +313,25 @@ fn fault_sweep_column() {
 
 /// `before_restore` defeats the rollback rung: the engine must end in
 /// read-only quarantine — still serving reads at the last-good epoch,
-/// rejecting writes with the structured error.
-fn quarantine_scenario(kind: BackendKind, restore_action: &str) {
+/// rejecting writes with the structured error. A durable engine's
+/// reopen comes back on the last committed state.
+fn quarantine_scenario(kind: BackendKind, durable: bool, restore_action: &str) {
     let plan =
         FaultPlan::parse(&format!("after_delete:error,before_restore:{restore_action}")).unwrap();
-    let engine =
-        ServeEngine::for_kind_with_faults(Arc::new(system()), kind, plan).unwrap();
+    let engine_kind = if durable { "durable" } else { "volatile" };
+    let label = format!("{}/{engine_kind}:{restore_action}", kind.cli_name());
+    let config = durable
+        .then(|| fresh_data_dir(&format!("quarantine_{}_{restore_action}", kind.cli_name())));
+    let engine = faulted_engine(kind, config.as_ref(), plan);
     // Op 1 applies cleanly and publishes.
     let g = apply_op(&engine, &write_sequence()[0]).unwrap();
     assert!(g.applied());
     let last_good_epoch = engine.epoch();
     let accessible = engine.accessible_count();
+    let last_good_signs = writer_signs(&engine);
     // Op 3 (the first real delete) trips `after_delete`; the rollback
     // trips `before_restore`; the ladder is out of rungs.
     let err = apply_op(&engine, &write_sequence()[2]).unwrap_err();
-    let label = format!("{}:{restore_action}", kind.cli_name());
     match &err {
         Error::Quarantined { last_good_epoch: e, cause } => {
             assert_eq!(*e, last_good_epoch, "{label}");
@@ -284,13 +363,25 @@ fn quarantine_scenario(kind: BackendKind, restore_action: &str) {
     assert_eq!(m.rollbacks, 0, "{label}: the restore never completed");
     assert!(m.faults_injected >= 2, "{label}: both armed faults fired");
     assert_eq!(m.current_epoch, last_good_epoch, "{label}");
+    if let Some(config) = config {
+        let wal_epoch = engine.with_durability(|d| d.last_epoch()).unwrap();
+        assert_eq!(wal_epoch, last_good_epoch, "{label}: the failed update committed nothing");
+        drop(engine);
+        let reopened = ServeEngine::durable(Arc::new(system()), kind, &config).unwrap();
+        assert!(!reopened.quarantined(), "{label}");
+        assert_eq!(writer_signs(&reopened), last_good_signs, "{label}: reopen");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&config.data_dir);
+    }
 }
 
 #[test]
 fn quarantine_when_restore_fails() {
     for kind in BackendKind::ALL {
-        quarantine_scenario(kind, "error");
-        quarantine_scenario(kind, "panic");
+        for durable in [false, true] {
+            quarantine_scenario(kind, durable, "error");
+            quarantine_scenario(kind, durable, "panic");
+        }
     }
 }
 
