@@ -28,7 +28,7 @@
 
 use crate::diagnostic::{AuditSummary, Code, Diagnostic, Severity};
 use std::collections::BTreeSet;
-use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_policy::{trigger, DependencyGraph, Policy, PolicyAnalysis};
 use xac_xml::{Document, Schema};
 use xac_xpath::{eval, Path, Step};
@@ -266,7 +266,7 @@ fn sign_cross_check(
         let step = |e: xac_core::Error| format!("audit update `{u}` on {name}: {e}");
         system.load(partial.as_mut()).map_err(&step)?;
         system.annotate(partial.as_mut()).map_err(&step)?;
-        system.apply_update(partial.as_mut(), u).map_err(&step)?;
+        system.apply(partial.as_mut(), &Update::Delete(u.clone())).map_err(&step)?;
 
         system.load(full.as_mut()).map_err(&step)?;
         system.annotate(full.as_mut()).map_err(&step)?;

@@ -15,7 +15,7 @@ use xac_bench::{
     backend_legend, backends, fmt_bytes, fmt_duration, xmark_system, xmark_system_with_mode,
     TablePrinter, COVERAGE_LEVELS, FULL_FACTORS, QUICK_FACTORS, WORKLOAD_SIZE,
 };
-use xac_core::{time, Backend};
+use xac_core::{time, Backend, Update};
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{actual_coverage, delete_updates, query_workload, xmark_schema};
 
@@ -734,7 +734,7 @@ fn ablation_prefix_scope() {
         // Expansion scopes (this repo's implementation).
         system.load(&mut backend).expect("load");
         system.annotate(&mut backend).expect("annotate");
-        system.apply_update(&mut backend, u).expect("update");
+        system.apply(&mut backend, &Update::Delete(u.clone())).expect("update");
         if backend.accessible_count().expect("count") != full {
             stale_expanded += 1;
         }
@@ -1072,6 +1072,43 @@ fn selective_queries(doc: &xac_xml::Document, n: usize) -> Vec<xac_xpath::Path> 
         .collect()
 }
 
+/// Up to `n` single-node deletes `//N[. = "v"]` that `system` grants one
+/// after the other: each names a leaf element by a text value no other
+/// element of its name carries, and is kept when a guarded delete on an
+/// annotated native backend, after the deletes kept before it, applies
+/// and removes something.
+fn granted_deletes(system: &xac_core::System, n: usize) -> Vec<xac_xpath::Path> {
+    let doc = &system.prepared().doc;
+    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
+    for e in doc.all_elements().filter(|&e| doc.child_elements(e).next().is_none()) {
+        let (Some(name), value) = (doc.name(e), doc.text_of(e)) else { continue };
+        if !value.is_empty()
+            && value.chars().all(|ch| ch.is_ascii_alphanumeric() || " .@_-".contains(ch))
+        {
+            *counts.entry(format!("//{name}[. = \"{value}\"]")).or_default() += 1;
+        }
+    }
+    let mut b = xac_serve::BackendKind::Native.make(system.annotate_mode());
+    system.load(b.as_mut()).expect("load");
+    system.annotate(b.as_mut()).expect("annotate");
+    let mut out = Vec::new();
+    for (q, _) in counts.into_iter().filter(|&(_, k)| k == 1) {
+        if out.len() == n {
+            break;
+        }
+        let path = xac_xpath::parse(&q).expect("delete path parses");
+        let update = Update::Delete(path.clone());
+        if let xac_core::GuardedUpdate::Applied(o) =
+            system.guarded(b.as_mut(), &update).expect("guarded delete")
+        {
+            if o.removed_elements > 0 {
+                out.push(path);
+            }
+        }
+    }
+    out
+}
+
 /// Fault-recovery cost: checkpoint capture/restore vs document size, and
 /// the latency of each degradation-ladder rung (full re-annotation
 /// fallback, checkpoint rollback, quarantine entry) measured by arming
@@ -1084,7 +1121,8 @@ fn fault_recovery(factors: &[f64]) {
     use xac_serve::{BackendKind, ServeEngine};
 
     banner("Fault recovery — checkpoint cost and degradation-ladder latency");
-    const UPDATES: usize = 12;
+    // Granted deletes per factor: the durable rows follow at least 20.
+    const UPDATES: usize = 24;
     // Each rung of the ladder, provoked by the plan that defeats every
     // rung below it. `+1` skips spare the construction-time arrival.
     // Threshold 0 on `mid_reannotate` fires on the first mid-phase
@@ -1106,8 +1144,7 @@ fn fault_recovery(factors: &[f64]) {
     ]);
     t.rule();
 
-    let updates = delete_updates(&xmark_schema(), UPDATES, 5);
-    let mut csv = String::from("factor,backend,elements,metric,seconds\n");
+    let mut csv = String::from("factor,backend,elements,metric,seconds,applied\n");
     let mut json = String::from("[\n");
     let mut first = true;
     let mut record = |factor: f64,
@@ -1115,6 +1152,7 @@ fn fault_recovery(factors: &[f64]) {
                       elements: usize,
                       metric: &'static str,
                       d: Option<Duration>,
+                      applied: Option<usize>,
                       csv: &mut String,
                       json: &mut String| {
         let secs = d.map(|d| d.as_secs_f64());
@@ -1127,22 +1165,26 @@ fn fault_recovery(factors: &[f64]) {
             cell,
         ]);
         let s = secs.map_or(String::new(), |s| s.to_string());
-        let _ = writeln!(csv, "{factor},{backend},{elements},{metric},{s}");
+        let n = applied.map_or(String::new(), |n| n.to_string());
+        let _ = writeln!(csv, "{factor},{backend},{elements},{metric},{s},{n}");
         if !first {
             json.push_str(",\n");
         }
         first = false;
         let s = secs.map_or("null".into(), |s| s.to_string());
+        let n = applied.map_or(String::new(), |n| format!(", \"applied\": {n}"));
         let _ = write!(
             json,
             "  {{\"factor\": {factor}, \"backend\": \"{backend}\", \
-             \"elements\": {elements}, \"metric\": \"{metric}\", \"seconds\": {s}}}"
+             \"elements\": {elements}, \"metric\": \"{metric}\", \"seconds\": {s}{n}}}"
         );
     };
 
     for &f in factors {
         let system = Arc::new(xmark_system(f, 0.5, 1));
         let elements = system.prepared().doc.element_count();
+        let updates = granted_deletes(&system, UPDATES);
+        assert!(updates.len() > 20, "f={f}: only {} granted deletes", updates.len());
         for kind in BackendKind::ALL {
             let name = kind.cli_name();
 
@@ -1153,8 +1195,8 @@ fn fault_recovery(factors: &[f64]) {
             system.annotate(b.as_mut()).expect("annotate");
             let (cp, cp_d) = time(|| b.checkpoint().expect("checkpoint"));
             let (_, rs_d) = time(|| b.restore(&cp).expect("restore"));
-            record(f, name, elements, "checkpoint", Some(cp_d), &mut csv, &mut json);
-            record(f, name, elements, "restore", Some(rs_d), &mut csv, &mut json);
+            record(f, name, elements, "checkpoint", Some(cp_d), None, &mut csv, &mut json);
+            record(f, name, elements, "restore", Some(rs_d), None, &mut csv, &mut json);
 
             // The durable engine's counterpart: committing one guarded
             // update through the WAL (drain the backend's sign changes,
@@ -1176,26 +1218,27 @@ fn fault_recovery(factors: &[f64]) {
             )
             .expect("durability");
             b.sign_changes().expect("drain the logged state");
-            // Every applied update commits; the row times the first.
-            let mut committed = None;
-            let mut applied = 0;
+            // Every applied update commits; the row is their median.
+            let mut committed = Vec::new();
             for u in &updates {
-                let g = system.guarded_delete(b.as_mut(), u).expect("guarded delete");
-                if !g.applied() {
+                let update = Update::Delete(u.clone());
+                if !system.guarded(b.as_mut(), &update).expect("guarded delete").applied() {
                     continue;
                 }
-                applied += 1;
-                let op = xac_serve::LoggedOp::Delete { path: u.to_string() };
+                let op = xac_serve::LoggedOp::from(&update);
                 let epoch = b.epoch();
                 let (_, d) = time(|| {
                     let diff = b.sign_changes().expect("sign changes");
                     dur.commit(&op, &diff, epoch).expect("commit");
                     dur.write_behind(&diff);
                 });
-                committed.get_or_insert(d);
+                committed.push(d);
             }
-            assert!(committed.is_some(), "{name}: no update applied for the wal row");
-            record(f, name, elements, "checkpoint_wal", committed, &mut csv, &mut json);
+            let applied = committed.len();
+            assert!(applied > 20, "{name}: {applied} updates applied for the wal row");
+            committed.sort();
+            let median = Some(committed[applied / 2]);
+            record(f, name, elements, "checkpoint_wal", median, Some(applied), &mut csv, &mut json);
             drop(dur);
             let _ = std::fs::remove_dir_all(&ddir);
 
@@ -1229,13 +1272,13 @@ fn fault_recovery(factors: &[f64]) {
                     "recover_rollback" => assert!(m.rollbacks >= 1, "{name}"),
                     _ => assert_eq!(m.quarantines, 1, "{name}"),
                 }
-                record(f, name, elements, metric, recovery, &mut csv, &mut json);
+                record(f, name, elements, metric, recovery, None, &mut csv, &mut json);
             }
 
             // The rollback rung on a durable engine: the same updates
             // commit until `wal_before_commit` fails the last applied one
             // before its commit record, and the engine restores its
-            // last-good checkpoint.
+            // last-good checkpoint; the row follows `applied - 1` commits.
             let config = xac_serve::DurabilityConfig::new(&ddir);
             let plan = FaultPlan::parse(&format!("wal_before_commit:error+{}", applied - 1))
                 .expect("plan");
@@ -1252,8 +1295,11 @@ fn fault_recovery(factors: &[f64]) {
                     break;
                 }
             }
-            assert_eq!(engine.metrics().rollbacks, 1, "{name}: durable rollback");
-            record(f, name, elements, "recover_rollback_durable", rollback, &mut csv, &mut json);
+            let m = engine.metrics();
+            assert_eq!(m.rollbacks, 1, "{name}: durable rollback");
+            assert_eq!(m.updates_applied as usize, applied - 1, "{name}: commits before it");
+            let metric = "recover_rollback_durable";
+            record(f, name, elements, metric, rollback, Some(applied - 1), &mut csv, &mut json);
             drop(engine);
             let _ = std::fs::remove_dir_all(&ddir);
         }
@@ -1266,8 +1312,9 @@ fn fault_recovery(factors: &[f64]) {
         "(checkpoint/restore = the fixed per-rollback costs of the\n \
          copy-on-write image: O(tables), since the image shares the\n \
          document and every table, and the next write copies only what it\n \
-         touches; checkpoint_wal = the durable engine's per-update commit\n \
-         (sign_changes + commit + write_behind) — O(sign diff) plus a\n \
+         touches; checkpoint_wal = the median durable per-update commit\n \
+         over the row's `applied` granted deletes (sign_changes + commit\n \
+         + write_behind) — O(sign diff) plus a\n \
          word pass over the sign column and an fsync;\n \
          recover_* rows time the guarded update on which the armed fault\n \
          fired — the full-fallback rung re-annotates in place, the\n \

@@ -27,13 +27,24 @@ use xac_policy::{AnnotationQuery, Effect};
 use xac_reldb::{Database, StorageKind};
 use xac_shrex::{translate, Mapping, ShreddedDocument};
 use xac_vmc::{Bitset, DocIndex};
-use xac_xml::Document;
+use xac_xml::{Document, NodeId};
 use xac_xmlstore::{sign_byte, NodeSetExpr, StoredDocument, NO_SIGN};
 use xac_xpath::Path;
 
 /// The sign character for an effect.
 fn sign_char(effect: Effect) -> char {
     effect.sign()
+}
+
+/// The nodes an update path designates on a backend's live document,
+/// ascending ([`Backend::select`]): what a guarded update guards on and
+/// then writes to.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Selection {
+    /// The designated nodes.
+    pub nodes: Vec<NodeId>,
+    /// Every designated node is accessible in the current signs.
+    pub accessible: bool,
 }
 
 /// A storage backend able to hold one annotated document.
@@ -43,9 +54,6 @@ pub trait Backend {
 
     /// Load a prepared document, replacing any previous content.
     fn load(&mut self, prepared: &PreparedDocument) -> Result<()>;
-
-    /// True once a document is loaded.
-    fn is_loaded(&self) -> bool;
 
     /// Apply an annotation query; returns the number of sign writes.
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize>;
@@ -60,15 +68,32 @@ pub trait Backend {
     /// Number of currently-accessible nodes.
     fn accessible_count(&mut self) -> Result<usize>;
 
-    /// Delete the subtrees designated by an update path; returns the
-    /// number of elements removed.
-    fn delete(&mut self, path: &Path) -> Result<usize>;
+    /// Select the nodes an update path designates, for the guard and
+    /// the write that follows: on the VM against the writer's document
+    /// index under [`AnnotateMode::Compiled`], else on the tree
+    /// evaluator. Accessibility is checked up to the first denied node.
+    fn select(&mut self, path: &Path) -> Result<Selection>;
 
-    /// Insert one new element named `name` (optionally carrying `text`)
-    /// under every node designated by `parent_path`; returns how many
-    /// elements were inserted. New nodes start at the default sign — the
-    /// re-annotator decides their real accessibility.
-    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize>;
+    /// Delete the subtrees rooted at the selected nodes (a node inside
+    /// an already-removed subtree is skipped); returns elements removed.
+    fn delete_selected(&mut self, at: &Selection) -> Result<usize>;
+
+    /// Insert one `name` element (optionally carrying `text`) under every
+    /// selected node; returns elements inserted. New nodes start at the
+    /// default sign — the re-annotator decides their accessibility.
+    fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize>;
+
+    /// [`Backend::select`] the path, then [`Backend::delete_selected`].
+    fn delete(&mut self, path: &Path) -> Result<usize> {
+        let at = self.select(path)?;
+        self.delete_selected(&at)
+    }
+
+    /// [`Backend::select`] the parent path, then [`Backend::insert_selected`].
+    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
+        let at = self.select(parent_path)?;
+        self.insert_selected(&at, name, text)
+    }
 
     /// Partial re-annotation: reset the given scopes to the default sign,
     /// then apply the (triggered-rules) annotation query. Returns total
@@ -133,63 +158,6 @@ pub trait Backend {
     /// never reused for possibly-different state, preserving the
     /// equal-epochs-imply-equal-state invariant of [`Backend::epoch`].
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()>;
-}
-
-/// Boxed backends are backends: lets decorators such as
-/// [`crate::FaultingBackend`] wrap an already type-erased
-/// `Box<dyn Backend + Send>` without knowing the concrete type.
-impl<B: Backend + ?Sized> Backend for Box<B> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn load(&mut self, prepared: &PreparedDocument) -> Result<()> {
-        (**self).load(prepared)
-    }
-    fn is_loaded(&self) -> bool {
-        (**self).is_loaded()
-    }
-    fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
-        (**self).annotate(query)
-    }
-    fn reset_annotations(&mut self) -> Result<usize> {
-        (**self).reset_annotations()
-    }
-    fn query_nodes_allowed(&mut self, path: &Path) -> Result<(usize, bool)> {
-        (**self).query_nodes_allowed(path)
-    }
-    fn accessible_count(&mut self) -> Result<usize> {
-        (**self).accessible_count()
-    }
-    fn delete(&mut self, path: &Path) -> Result<usize> {
-        (**self).delete(path)
-    }
-    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
-        (**self).insert(parent_path, name, text)
-    }
-    fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
-        (**self).reannotate(scope, query)
-    }
-    fn epoch(&self) -> u64 {
-        (**self).epoch()
-    }
-    fn snapshot(&mut self) -> Result<AccessSnapshot> {
-        (**self).snapshot()
-    }
-    fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
-        (**self).sign_state()
-    }
-    fn sign_changes(&mut self) -> Result<SignDiff> {
-        (**self).sign_changes()
-    }
-    fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
-        (**self).apply_sign_state(signs, min_epoch)
-    }
-    fn checkpoint(&mut self) -> Result<Checkpoint> {
-        (**self).checkpoint()
-    }
-    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
-        (**self).restore(checkpoint)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -616,10 +584,6 @@ impl Backend for RelationalBackend {
         self.rebuild_sign_column()
     }
 
-    fn is_loaded(&self) -> bool {
-        self.state.is_some()
-    }
-
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
         let _span = xac_obs::span("backend.annotate");
         if self.mode == AnnotateMode::Compiled {
@@ -653,6 +617,7 @@ impl Backend for RelationalBackend {
     }
 
     fn query_nodes_allowed(&mut self, path: &Path) -> Result<(usize, bool)> {
+        let _span = xac_obs::span("backend.query");
         let requested = self.path_ids(path)?;
         if requested.is_empty() {
             return Ok((0, true));
@@ -666,7 +631,21 @@ impl Backend for RelationalBackend {
         Ok(self.signs.iter().filter(|&&b| b == b'+').count())
     }
 
-    fn delete(&mut self, path: &Path) -> Result<usize> {
+    fn select(&mut self, path: &Path) -> Result<Selection> {
+        let _span = xac_obs::span("backend.select");
+        let nodes = if self.mode == AnnotateMode::Compiled {
+            let program = xac_vmc::cached_path_program(path)?;
+            xac_vmc::execute_select(&program, &*self.doc_index()?)
+        } else {
+            xac_xpath::eval(self.state()?.sdoc.doc(), path)
+        };
+        let shredded = &self.state()?.shredded;
+        let accessible =
+            nodes.iter().all(|&n| shredded.id_of(n).is_some_and(|id| self.sign_byte_of(id) == b'+'));
+        Ok(Selection { nodes, accessible })
+    }
+
+    fn delete_selected(&mut self, at: &Selection) -> Result<usize> {
         self.mutated();
         // Held aside while the tree changes: an error part-way leaves it
         // dropped (rebuilt on next use) rather than half patched.
@@ -674,12 +653,8 @@ impl Backend for RelationalBackend {
         let mut roots = Vec::new();
         // Structure lives in the mapping layer's copy of the tree; rows are
         // removed tuple by tuple through SQL point deletes on the id index.
-        let targets = {
-            let state = self.state()?;
-            xac_xpath::eval(state.sdoc.doc(), path)
-        };
         let mut removed = 0usize;
-        for target in targets {
+        for &target in &at.nodes {
             let rows: Vec<(String, i64)> = {
                 let state = self.state()?;
                 let doc = state.sdoc.doc();
@@ -712,19 +687,13 @@ impl Backend for RelationalBackend {
         Ok(removed)
     }
 
-    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
+    fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize> {
         self.mutated();
-        // Held aside like `delete`'s.
+        // Held aside like `delete_selected`'s.
         let mut index = self.doc_index.take();
-        let parents = {
-            let state = self.state()?;
-            if !state.mapping.schema().contains(name) {
-                return Err(Error::Shrex(format!(
-                    "element `{name}` is not part of the mapped schema"
-                )));
-            }
-            xac_xpath::eval(state.sdoc.doc(), parent_path)
-        };
+        if !self.state()?.mapping.schema().contains(name) {
+            return Err(Error::Shrex(format!("element `{name}` is not part of the mapped schema")));
+        }
         let has_value = self
             .state()?
             .mapping
@@ -739,7 +708,7 @@ impl Backend for RelationalBackend {
             .iter()
             .position(|t| t.name == name);
         let mut inserted = 0usize;
-        for parent in parents {
+        for &parent in &at.nodes {
             let (id, pid) = {
                 let state = self.state.as_mut().expect("state checked above");
                 let sdoc = Arc::make_mut(&mut state.sdoc);
@@ -1043,10 +1012,6 @@ impl Backend for NativeXmlBackend {
         Ok(())
     }
 
-    fn is_loaded(&self) -> bool {
-        self.sdoc.is_some()
-    }
-
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
         let _span = xac_obs::span("backend.annotate");
         let mark = sign_char(query.mark);
@@ -1072,6 +1037,7 @@ impl Backend for NativeXmlBackend {
     }
 
     fn query_nodes_allowed(&mut self, path: &Path) -> Result<(usize, bool)> {
+        let _span = xac_obs::span("backend.query");
         let sdoc = self.sdoc()?;
         let nodes = sdoc.eval(path);
         let allowed = nodes.iter().all(|&n| self.is_accessible(sdoc, n));
@@ -1089,12 +1055,25 @@ impl Backend for NativeXmlBackend {
         }
     }
 
-    fn delete(&mut self, path: &Path) -> Result<usize> {
+    fn select(&mut self, path: &Path) -> Result<Selection> {
+        let _span = xac_obs::span("backend.select");
+        let nodes = if self.mode == AnnotateMode::Compiled {
+            let program = xac_vmc::cached_path_program(path)?;
+            xac_vmc::execute_select(&program, &*self.native_index()?)
+        } else {
+            self.sdoc()?.eval(path)
+        };
+        let sdoc = self.sdoc()?;
+        let accessible = nodes.iter().all(|&n| self.is_accessible(sdoc, n));
+        Ok(Selection { nodes, accessible })
+    }
+
+    fn delete_selected(&mut self, at: &Selection) -> Result<usize> {
         // Held aside while the tree changes, as on the relational side.
         let mut index = self.index.take();
         let sdoc = self.sdoc_mut()?;
         let before = sdoc.doc().element_count();
-        let roots = sdoc.delete_matching(path)?;
+        let roots = sdoc.delete_nodes(&at.nodes)?;
         let removed = before - sdoc.doc().element_count();
         if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
             Arc::make_mut(index).remove_subtrees(&roots);
@@ -1103,21 +1082,20 @@ impl Backend for NativeXmlBackend {
         Ok(removed)
     }
 
-    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
+    fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize> {
         let mut index = self.index.take();
         let sdoc = self.sdoc_mut()?;
-        let parents = sdoc.eval(parent_path);
-        for &parent in &parents {
+        for &parent in &at.nodes {
             let node = sdoc.insert_element(parent, name);
             if let Some(t) = text {
                 sdoc.insert_text(node, t);
             }
         }
-        if let Some(index) = index.as_mut().filter(|_| !parents.is_empty()) {
+        if let Some(index) = index.as_mut().filter(|_| !at.nodes.is_empty()) {
             Arc::make_mut(index).append(sdoc.doc());
         }
         self.index = index;
-        Ok(parents.len())
+        Ok(at.nodes.len())
     }
 
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
@@ -1215,6 +1193,7 @@ impl Backend for NativeXmlBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Update;
     use xac_policy::policy::hospital_policy;
 
     fn prepared() -> PreparedDocument {
@@ -1249,9 +1228,9 @@ mod tests {
         // Reference: nodes accessible per Table 2 semantics.
         let expected = xac_policy::accessible_nodes(&p.doc, &hospital_policy()).len();
         for mut b in backends() {
-            assert!(!b.is_loaded());
+            let unloaded = b.accessible_count().unwrap_err();
+            assert!(matches!(unloaded, Error::BackendNotLoaded { .. }), "{}", b.name());
             b.load(&p).unwrap();
-            assert!(b.is_loaded());
             let writes = b.annotate(&query).unwrap();
             assert!(writes > 0, "{}", b.name());
             assert_eq!(b.accessible_count().unwrap(), expected, "{}", b.name());
@@ -1552,9 +1531,10 @@ mod tests {
         assert_baseline_reset(b, &mut prev, "load");
         system.annotate(b).unwrap();
         after_step(b, system, oracle, &mut prev, "annotate", true);
-        assert!(system.guarded_delete(b, &regular).unwrap().applied());
+        assert!(system.guarded(b, &Update::Delete(regular)).unwrap().applied());
         after_step(b, system, oracle, &mut prev, "guarded delete", true);
-        assert!(system.guarded_insert(b, &joy, "treatment", None).unwrap().applied());
+        let insert = Update::Insert { parent: joy.clone(), name: "treatment".into(), text: None };
+        assert!(system.guarded(b, &insert).unwrap().applied());
         after_step(b, system, oracle, &mut prev, "guarded insert", true);
         let signs = b.sign_state().unwrap();
         b.reset_annotations().unwrap();
@@ -1589,13 +1569,17 @@ mod tests {
             let step = match pick(&mut rng, 7) {
                 0 | 1 => {
                     let at = pick(&mut rng, deletes.len());
-                    system.guarded_delete(b, &deletes[at]).unwrap();
+                    system.guarded(b, &Update::Delete(deletes[at].clone())).unwrap();
                     format!("seeded step {i}: guarded delete {}", deletes[at])
                 }
                 2 | 3 => {
                     let at = pick(&mut rng, parents.len());
-                    let text = (at == 3).then_some("500");
-                    system.guarded_insert(b, &parents[at], children[at], text).unwrap();
+                    let insert = Update::Insert {
+                        parent: parents[at].clone(),
+                        name: children[at].to_string(),
+                        text: (at == 3).then(|| "500".to_string()),
+                    };
+                    system.guarded(b, &insert).unwrap();
                     format!("seeded step {i}: guarded insert under {}", parents[at])
                 }
                 4 => {

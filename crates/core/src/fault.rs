@@ -1,6 +1,6 @@
 //! Deterministic fault injection for storage backends.
 //!
-//! [`FaultingBackend`] wraps any [`Backend`] and fires faults — errors
+//! [`FaultingBackend`] wraps a boxed [`Backend`] and fires faults — errors
 //! or panics — at named *fault points* around the wrapped operations,
 //! driven by a [`FaultPlan`]. A plan is explicit data (which point,
 //! which action, after how many sign writes, how many times), so any
@@ -20,7 +20,7 @@
 //! the call delegates unsplit, so the no-fault path is byte- and
 //! epoch-identical to the undecorated backend.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, Selection};
 use crate::checkpoint::Checkpoint;
 use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
@@ -464,30 +464,20 @@ pub fn injected_panic_point(payload: &(dyn std::any::Any + Send)) -> Option<Stri
 /// the corresponding points around the wrapped backend's operations.
 /// With an exhausted (or empty) plan it is behaviorally identical to
 /// the wrapped backend — same bytes, same epochs.
-pub struct FaultingBackend<B: Backend> {
-    inner: B,
+pub struct FaultingBackend {
+    inner: Box<dyn Backend + Send>,
     plan: FaultPlan,
 }
 
-impl<B: Backend> FaultingBackend<B> {
+impl FaultingBackend {
     /// Wrap `inner`, arming `plan`.
-    pub fn new(inner: B, plan: FaultPlan) -> FaultingBackend<B> {
+    pub fn new(inner: Box<dyn Backend + Send>, plan: FaultPlan) -> FaultingBackend {
         FaultingBackend { inner, plan }
     }
 
     /// The armed plan (inspect `injected()` for the fired count).
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> B {
-        self.inner
     }
 
     fn fire(&mut self, point: FaultPoint) -> Result<()> {
@@ -521,7 +511,7 @@ impl<B: Backend> FaultingBackend<B> {
     }
 }
 
-impl<B: Backend> Backend for FaultingBackend<B> {
+impl Backend for FaultingBackend {
     /// Transparent: checkpoints/snapshots taken through the decorator
     /// carry the wrapped backend's name.
     fn name(&self) -> &'static str {
@@ -530,10 +520,6 @@ impl<B: Backend> Backend for FaultingBackend<B> {
 
     fn load(&mut self, prepared: &PreparedDocument) -> Result<()> {
         self.inner.load(prepared)
-    }
-
-    fn is_loaded(&self) -> bool {
-        self.inner.is_loaded()
     }
 
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
@@ -553,16 +539,20 @@ impl<B: Backend> Backend for FaultingBackend<B> {
         self.inner.accessible_count()
     }
 
-    fn delete(&mut self, path: &Path) -> Result<usize> {
+    fn select(&mut self, path: &Path) -> Result<Selection> {
+        self.inner.select(path)
+    }
+
+    fn delete_selected(&mut self, at: &Selection) -> Result<usize> {
         self.fire(FaultPoint::BeforeDelete)?;
-        let removed = self.inner.delete(path)?;
+        let removed = self.inner.delete_selected(at)?;
         self.fire(FaultPoint::AfterDelete)?;
         Ok(removed)
     }
 
-    fn insert(&mut self, parent_path: &Path, name: &str, text: Option<&str>) -> Result<usize> {
+    fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize> {
         self.fire(FaultPoint::BeforeInsert)?;
-        let inserted = self.inner.insert(parent_path, name, text)?;
+        let inserted = self.inner.insert_selected(at, name, text)?;
         self.fire(FaultPoint::AfterInsert)?;
         Ok(inserted)
     }
@@ -683,7 +673,7 @@ mod tests {
         let mut plain = NativeXmlBackend::new();
         plain.load(&p).unwrap();
         plain.annotate(&q).unwrap();
-        let mut faulting = FaultingBackend::new(NativeXmlBackend::new(), FaultPlan::new());
+        let mut faulting = FaultingBackend::new(Box::new(NativeXmlBackend::new()), FaultPlan::new());
         faulting.load(&p).unwrap();
         faulting.annotate(&q).unwrap();
         assert_eq!(faulting.name(), "native/xml");
@@ -699,7 +689,7 @@ mod tests {
             FaultPoint::BeforeDelete,
             FaultAction::Error,
         ));
-        let mut b = FaultingBackend::new(RelationalBackend::row(), plan);
+        let mut b = FaultingBackend::new(Box::new(RelationalBackend::row()), plan);
         b.load(&p).unwrap();
         let path = xac_xpath::parse("//treatment").unwrap();
         let err = b.delete(&path).unwrap_err();
@@ -715,7 +705,7 @@ mod tests {
     fn skip_spares_early_arrivals() {
         let p = prepared();
         let plan = FaultPlan::parse("before_delete+1").unwrap();
-        let mut b = FaultingBackend::new(NativeXmlBackend::new(), plan);
+        let mut b = FaultingBackend::new(Box::new(NativeXmlBackend::new()), plan);
         b.load(&p).unwrap();
         let regular = xac_xpath::parse("//regular").unwrap();
         let exp = xac_xpath::parse("//experimental").unwrap();
@@ -729,7 +719,7 @@ mod tests {
     fn panic_payload_names_the_point() {
         let p = prepared();
         let plan = FaultPlan::parse("after_insert:panic").unwrap();
-        let mut b = FaultingBackend::new(NativeXmlBackend::new(), plan);
+        let mut b = FaultingBackend::new(Box::new(NativeXmlBackend::new()), plan);
         b.load(&p).unwrap();
         let parent = xac_xpath::parse("//patient").unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -753,7 +743,7 @@ mod tests {
             let golden = inner.sign_state().unwrap();
             let cp = inner.checkpoint().unwrap();
             let plan = FaultPlan::parse("mid_reannotate@1").unwrap();
-            let mut b = FaultingBackend::new(inner, plan);
+            let mut b = FaultingBackend::new(Box::new(inner), plan);
             let scope = vec![xac_xpath::parse("//patient").unwrap()];
             let err = b.reannotate(&scope, &q).unwrap_err();
             assert!(matches!(err, Error::FaultInjected { .. }));

@@ -59,7 +59,7 @@ pub mod system;
 pub mod timing;
 pub mod view;
 
-pub use backend::{AnnotateMode, Backend, NativeXmlBackend, RelationalBackend};
+pub use backend::{AnnotateMode, Backend, NativeXmlBackend, RelationalBackend, Selection};
 pub use checkpoint::Checkpoint;
 pub use document::PreparedDocument;
 pub use error::{Error, Result};
@@ -71,7 +71,7 @@ pub use reannotator::ReannotationPlan;
 pub use requester::Decision;
 pub use sign_diff::SignDiff;
 pub use snapshot::AccessSnapshot;
-pub use system::{GuardedUpdate, System, SystemBuilder, UpdateOutcome};
+pub use system::{GuardedUpdate, System, SystemBuilder, Update, UpdateOutcome};
 pub use timing::time;
 pub use view::{security_view, ViewMode};
 

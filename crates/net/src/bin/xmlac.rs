@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xac_core::{AnnotateMode, Backend, System};
+use xac_core::{AnnotateMode, Backend, System, Update};
 use xac_net::{split_net_plan, NetClient, NetServer, ServerConfig};
 use xac_policy::Policy;
 use xac_serve::{BackendKind, DurabilityConfig, ErrorKind, Request, Response, Role, ServeEngine};
@@ -390,7 +390,7 @@ fn update(args: &Args) -> CliResult<()> {
     if let Some(expr) = args.options.get("delete") {
         let path = xac_xpath::parse_absolute(expr).map_err(xac_core::Error::from)?;
         let outcome = system
-            .apply_update(backend.as_mut(), &path)
+            .apply(backend.as_mut(), &Update::Delete(path))
             .map_err(|e| e.to_string())?;
         println!(
             "deleted {} elements; triggered rules {:?}; {} sign writes",
@@ -402,9 +402,12 @@ fn update(args: &Args) -> CliResult<()> {
     if let Some(spec) = args.options.get("insert") {
         let (parent, name, text) = parse_insert_spec(spec)?;
         let path = xac_xpath::parse_absolute(parent).map_err(xac_core::Error::from)?;
-        let outcome = system
-            .apply_insert(backend.as_mut(), &path, name, text)
-            .map_err(|e| e.to_string())?;
+        let insert = Update::Insert {
+            parent: path,
+            name: name.to_string(),
+            text: text.map(str::to_string),
+        };
+        let outcome = system.apply(backend.as_mut(), &insert).map_err(|e| e.to_string())?;
         println!(
             "inserted {} <{name}> elements; triggered rules {:?}; {} sign writes",
             outcome.inserted_elements,
@@ -697,7 +700,7 @@ fn obs_dump(args: &Args) -> CliResult<()> {
     if let Some(expr) = args.options.get("delete") {
         let path = xac_xpath::parse_absolute(expr).map_err(xac_core::Error::from)?;
         system
-            .apply_update(backend.as_mut(), &path)
+            .apply(backend.as_mut(), &Update::Delete(path))
             .map_err(|e| e.to_string())?;
     }
     xac_obs::trace::set_enabled(false);

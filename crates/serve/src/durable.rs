@@ -45,6 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use xac_core::{
     injected_panic_message, Backend, Error, FaultAction, FaultPlan, FaultPoint, Result, System,
+    Update,
 };
 use xac_store::{PagerStats, SignPageStore, StoreError, Wal, WalRecord, WalStats};
 
@@ -149,20 +150,48 @@ impl LoggedOp {
         }
     }
 
-    /// Re-apply this operation to a freshly loaded backend. Replay is
+    /// Re-apply this operation to a freshly loaded backend: the
+    /// structural step of [`System::guarded`] (select, then
+    /// [`Update::write`]), without guard or re-annotation. Replay is
     /// deterministic: both stores assign ids sequentially, so the same
     /// operation sequence over the same document reproduces the same
     /// id space the sign records refer to.
     fn replay(&self, b: &mut dyn Backend) -> Result<()> {
-        match self {
-            LoggedOp::Delete { path } => {
-                b.delete(&xac_xpath::parse_absolute(path)?)?;
-            }
-            LoggedOp::Insert { parent, name, text } => {
-                b.insert(&xac_xpath::parse_absolute(parent)?, name, text.as_deref())?;
-            }
-        }
+        let update = Update::try_from(self)?;
+        let selection = b.select(update.target())?;
+        update.write(b, &selection)?;
         Ok(())
+    }
+}
+
+/// The WAL text form of a parsed update.
+impl From<&Update> for LoggedOp {
+    fn from(update: &Update) -> LoggedOp {
+        match update {
+            Update::Delete(path) => LoggedOp::Delete { path: path.to_string() },
+            Update::Insert { parent, name, text } => LoggedOp::Insert {
+                parent: parent.to_string(),
+                name: name.clone(),
+                text: text.clone(),
+            },
+        }
+    }
+}
+
+/// Parse a logged operation back into an update; a path that is not
+/// absolute XPath is an [`Error::XPath`].
+impl TryFrom<&LoggedOp> for Update {
+    type Error = Error;
+
+    fn try_from(op: &LoggedOp) -> Result<Update> {
+        Ok(match op {
+            LoggedOp::Delete { path } => Update::Delete(xac_xpath::parse_absolute(path)?),
+            LoggedOp::Insert { parent, name, text } => Update::Insert {
+                parent: xac_xpath::parse_absolute(parent)?,
+                name: name.clone(),
+                text: text.clone(),
+            },
+        })
     }
 }
 

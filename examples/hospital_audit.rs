@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example hospital_audit`
 
-use xac_core::{Backend, NativeXmlBackend, System};
+use xac_core::{Backend, NativeXmlBackend, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{hospital_document, hospital_schema};
 
@@ -74,10 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A ward clears all experimental treatments: affected rules and the
     // partial re-annotation cost.
     println!("\n== Update: delete //treatment[experimental] ==");
-    let update = xac_xpath::parse("//treatment[experimental]")?;
-    let plan = system.plan_update(&update);
+    let update = Update::Delete(xac_xpath::parse("//treatment[experimental]")?);
+    let plan = system.plan_update(update.target());
     println!("  triggered rules: {:?}", plan.triggered_ids());
-    let outcome = system.apply_update(&mut backend, &update)?;
+    let outcome = system.apply(&mut backend, &update)?;
     println!(
         "  removed {} elements; partial re-annotation wrote {} signs",
         outcome.removed_elements, outcome.sign_writes

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{figure2_document, hospital_schema};
 
@@ -53,12 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's §5.3 example: delete the treatments, re-annotate only
     // the triggered scopes, and watch //patient flip to GRANTED.
     println!("\n== Update: delete //patient/treatment ==");
-    let update = xac_xpath::parse("//patient/treatment")?;
-    let plan = system.plan_update(&update);
+    let update = Update::Delete(xac_xpath::parse("//patient/treatment")?);
+    let plan = system.plan_update(update.target());
     println!("triggered rules: {:?}", plan.triggered_ids());
     for backend in backends.iter_mut() {
         let b = backend.as_mut();
-        let outcome = system.apply_update(b, &update)?;
+        let outcome = system.apply(b, &update)?;
         let decision = system.request(b, "//patient")?;
         println!(
             "[{}] removed {} elements, {} sign writes, //patient -> {}",

@@ -281,4 +281,7 @@ test -s BENCH_net.json
 grep -q '"bench": "net"' BENCH_net.json
 grep -q '"wire_errors": 0' BENCH_net.json
 
+echo "== size: non-test lines per crate (report only; ROADMAP aim 2) =="
+sh scripts/loc.sh
+
 echo "ci.sh: all green"

@@ -4,7 +4,7 @@
 //! policies of varying coverage.
 
 use std::collections::BTreeSet;
-use xac_core::{AnnotateMode, Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{AnnotateMode, Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_xmlgen::{
     coverage_policy_dataset, hospital_document, hospital_schema, query_workload,
     xmark_document, xmark_schema, XmarkConfig,
@@ -185,9 +185,10 @@ fn annotate_modes_identical_signs_after_updates() {
         let mut b = RelationalBackend::with_mode(xac_reldb::StorageKind::Row, mode);
         s.load(&mut b).unwrap();
         s.annotate(&mut b).unwrap();
-        s.apply_update(&mut b, &u).unwrap();
-        s.apply_insert(&mut b, &xac_xpath::parse("//open_auction").unwrap(), "bidder", None)
-            .unwrap();
+        s.apply(&mut b, &Update::Delete(u.clone())).unwrap();
+        let parent = xac_xpath::parse("//open_auction").unwrap();
+        let insert = Update::Insert { parent, name: "bidder".to_string(), text: None };
+        s.apply(&mut b, &insert).unwrap();
         states.push(b.sign_map().unwrap());
     }
     assert_eq!(states[0], states[1], "sign state diverges after update + insert");

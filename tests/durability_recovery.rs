@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use xac_core::{Backend, Error, FaultAction, FaultPlan, FaultPoint, FaultSpec, System};
+use xac_core::{Backend, Error, FaultAction, FaultPlan, FaultPoint, FaultSpec, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_serve::{
     BackendKind, Durability, DurabilityConfig, LoggedOp, Request, Response, ServeEngine,
@@ -66,17 +66,8 @@ fn txns() -> Vec<LoggedOp> {
 /// Apply one logged op through the system's guarded-update path (access
 /// check + update + partial re-annotation), asserting it applies.
 fn apply_txn(s: &System, b: &mut dyn Backend, op: &LoggedOp) {
-    let applied = match op {
-        LoggedOp::Delete { path } => s
-            .guarded_delete(b, &xac_xpath::parse(path).unwrap())
-            .unwrap()
-            .applied(),
-        LoggedOp::Insert { parent, name, text } => s
-            .guarded_insert(b, &xac_xpath::parse(parent).unwrap(), name, text.as_deref())
-            .unwrap()
-            .applied(),
-    };
-    assert!(applied, "sequence ops must apply");
+    let update = Update::try_from(op).unwrap();
+    assert!(s.guarded(b, &update).unwrap().applied(), "sequence ops must apply");
 }
 
 /// Drive one logged op through the engine's write path.

@@ -2,7 +2,7 @@
 //! in §7 hold in this reproduction (timing-based shape checks live in the
 //! benchmark harness, where release builds make them meaningful).
 
-use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_xmlgen::{
     actual_coverage, coverage_policy, coverage_policy_dataset, delete_updates, xmark_document,
     xmark_schema, XmarkConfig,
@@ -84,7 +84,7 @@ fn partial_reannotation_writes_fraction_of_full() {
     for u in delete_updates(&xmark_schema(), 12, 9) {
         s.load(&mut b).unwrap();
         s.annotate(&mut b).unwrap();
-        let outcome = s.apply_update(&mut b, &u).unwrap();
+        let outcome = s.apply(&mut b, &Update::Delete(u.clone())).unwrap();
         partial_writes += outcome.sign_writes;
 
         s.load(&mut b).unwrap();
@@ -126,7 +126,7 @@ fn response_decisions_stable_under_updates() {
     for b in [&mut native as &mut dyn Backend, &mut rel as &mut dyn Backend] {
         s.load(b).unwrap();
         s.annotate(b).unwrap();
-        s.apply_update(b, &u).unwrap();
+        s.apply(b, &Update::Delete(u.clone())).unwrap();
     }
     for q in xac_xmlgen::query_workload(&xmark_schema(), 25, 15) {
         let dn = s.request_path(&mut native, &q).unwrap();

@@ -3,7 +3,7 @@
 //! annotations, the §5.2 SQL translations, the annotation query, and the
 //! §5.3 trigger walkthroughs.
 
-use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_policy::Effect;
 use xac_xmlgen::{figure2_document, hospital_schema};
@@ -158,7 +158,7 @@ fn update_makes_patients_accessible_everywhere() {
         s.load(b.as_mut()).unwrap();
         s.annotate(b.as_mut()).unwrap();
         assert!(!s.request(b.as_mut(), "//patient").unwrap().granted());
-        s.apply_update(b.as_mut(), &u).unwrap();
+        s.apply(b.as_mut(), &Update::Delete(u.clone())).unwrap();
         assert!(
             s.request(b.as_mut(), "//patient").unwrap().granted(),
             "{}: patients must be accessible once no treatment exists",

@@ -11,7 +11,9 @@
 //!    survivors;
 //! 4. an applied update builds no columnar document index: it patches
 //!    the one built at the first publication, which the published
-//!    snapshot shares with the reads that follow.
+//!    snapshot shares with the reads that follow;
+//! 5. a compiled guarded update selects its target once and never runs
+//!    the requester's `query_nodes_allowed`.
 //!
 //! The trace buffer and the enabled flag are process-global, so every
 //! test that touches them holds `TRACE_LOCK` and resets the state first.
@@ -222,6 +224,55 @@ fn applied_updates_patch_the_doc_index_shared_with_reads() {
             assert_eq!(count("vm.index"), 0, "{mode:?}/{kind:?}: vm.index spans");
             assert!(count("serve.update") >= 2, "{mode:?}/{kind:?}: both updates traced");
         }
+    }
+    trace::reset();
+}
+
+/// A compiled guarded update evaluates its target path exactly once —
+/// the one `backend.select` the guard and the write share — and never
+/// enters `query_nodes_allowed` (`backend.query`), applied or denied,
+/// delete or insert, on every backend.
+#[test]
+fn a_compiled_guarded_update_selects_its_target_once() {
+    let _g = lock();
+    let system = Arc::new(
+        System::builder(hospital_schema(), hospital_policy(), figure2_document())
+            .annotate_mode(AnnotateMode::Compiled)
+            .build()
+            .unwrap(),
+    );
+    // (target, inserted child, applied): a denied delete, an applied
+    // delete and an applied insert.
+    let updates = [
+        ("//med", None, false),
+        ("//regular", None, true),
+        ("//patient[psn = \"099\"]", Some("treatment"), true),
+    ];
+    for kind in BackendKind::ALL {
+        let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
+        for (target, insert, applied) in updates {
+            let path = xac_xpath::parse(target).unwrap();
+            trace::reset();
+            trace::set_enabled(true);
+            let outcome = match insert {
+                Some(name) => engine.guarded_insert(&path, name, None),
+                None => engine.guarded_delete(&path),
+            };
+            trace::set_enabled(false);
+            let label = format!("{kind:?}: {target} (insert {insert:?})");
+            assert_eq!(outcome.unwrap().applied(), applied, "{label}");
+            let stats = trace::span_stats();
+            let count = |name: &str| stats.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+            assert_eq!(count("backend.select"), 1, "{label}: one selection");
+            assert_eq!(count("backend.query"), 0, "{label}: no requester query");
+        }
+        // The requester's read path is what `backend.query` marks.
+        trace::reset();
+        trace::set_enabled(true);
+        engine.with_writer(|b| system.request(b, "//patient/name").unwrap()).unwrap();
+        trace::set_enabled(false);
+        let stats = trace::span_stats();
+        assert!(stats.iter().any(|s| s.name == "backend.query"), "{kind:?}: requester span");
     }
     trace::reset();
 }

@@ -4,7 +4,7 @@
 //! annotation would produce.
 
 use std::collections::BTreeSet;
-use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_xmlgen::{
     coverage_policy, delete_updates, hospital_document, hospital_schema, xmark_document,
     xmark_schema, XmarkConfig,
@@ -23,7 +23,7 @@ fn check_update(s: &System, b: &mut dyn Backend, u: &xac_xpath::Path) {
     // Partial path.
     s.load(b).unwrap();
     s.annotate(b).unwrap();
-    s.apply_update(b, u).unwrap();
+    s.apply(b, &Update::Delete(u.clone())).unwrap();
     let partial = b.accessible_count().unwrap();
 
     // Full re-annotation baseline on an identically-updated copy.
@@ -92,7 +92,7 @@ fn partial_and_full_accessible_sets_identical() {
     let mut b = RelationalBackend::column();
     s.load(&mut b).unwrap();
     s.annotate(&mut b).unwrap();
-    s.apply_update(&mut b, &u).unwrap();
+    s.apply(&mut b, &Update::Delete(u.clone())).unwrap();
     let partial: BTreeSet<i64> = b.accessible_ids().unwrap();
 
     s.load(&mut b).unwrap();
@@ -122,7 +122,7 @@ fn sequential_updates_stay_consistent() {
 
     for u in sequence {
         let path = xac_xpath::parse(u).unwrap();
-        s.apply_update(&mut partial, &path).unwrap();
+        s.apply(&mut partial, &Update::Delete(path.clone())).unwrap();
         baseline.delete(&path).unwrap();
         s.full_reannotate(&mut baseline).unwrap();
         assert_eq!(
@@ -153,7 +153,7 @@ fn all_four_semantics_converge() {
                 let path = xac_xpath::parse(u).unwrap();
                 s.load(&mut b).unwrap();
                 s.annotate(&mut b).unwrap();
-                s.apply_update(&mut b, &path).unwrap();
+                s.apply(&mut b, &Update::Delete(path.clone())).unwrap();
                 let partial = b.accessible_count().unwrap();
 
                 s.load(&mut b).unwrap();
@@ -180,7 +180,7 @@ fn partial_writes_fewer_signs() {
     let u = xac_xpath::parse("//mailbox/mail").unwrap();
     s.load(&mut b).unwrap();
     let full_writes = s.annotate(&mut b).unwrap();
-    let outcome = s.apply_update(&mut b, &u).unwrap();
+    let outcome = s.apply(&mut b, &Update::Delete(u.clone())).unwrap();
     if !outcome.plan.is_empty() {
         assert!(
             outcome.sign_writes < full_writes,

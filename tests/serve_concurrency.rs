@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
-use xac_core::{Backend, System};
+use xac_core::{Backend, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_serve::{BackendKind, Request, Response, ServeEngine};
 use xac_xmlgen::{figure2_document, hospital_schema};
@@ -92,11 +92,12 @@ fn single_threaded_replay(
     for op in write_sequence() {
         let g = match op {
             Op::Delete(expr, _) => {
-                s.guarded_delete(b.as_mut(), &xac_xpath::parse(expr).unwrap()).unwrap()
+                s.guarded(b.as_mut(), &Update::Delete(xac_xpath::parse(expr).unwrap())).unwrap()
             }
             Op::Insert(parent, name, _) => {
                 let parent = xac_xpath::parse(parent).unwrap();
-                s.guarded_insert(b.as_mut(), &parent, name, None).unwrap()
+                let insert = Update::Insert { parent, name: name.to_string(), text: None };
+                s.guarded(b.as_mut(), &insert).unwrap()
             }
         };
         let expect = match op {

@@ -2,7 +2,7 @@
 //! re-annotation, and access-controlled (guarded) updates with
 //! all-or-nothing write semantics — tested across all backends.
 
-use xac_core::{Backend, GuardedUpdate, NativeXmlBackend, RelationalBackend, System};
+use xac_core::{Backend, GuardedUpdate, NativeXmlBackend, RelationalBackend, System, Update};
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{figure2_document, hospital_document, hospital_schema};
 
@@ -18,6 +18,11 @@ fn system() -> System {
     System::builder(hospital_schema(), hospital_policy(), figure2_document()).build().unwrap()
 }
 
+/// The insert of one childless `name` element under every `parent` node.
+fn insert(parent: &xac_xpath::Path, name: &str) -> Update {
+    Update::Insert { parent: parent.clone(), name: name.to_string(), text: None }
+}
+
 /// Inserting a treatment under the accessible (treatment-less) patient
 /// must flip that patient to denied after re-annotation (R3 applies).
 #[test]
@@ -29,7 +34,7 @@ fn insert_triggers_reannotation() {
         s.annotate(b.as_mut()).unwrap();
         assert!(s.request(b.as_mut(), "//patient[psn = \"099\"]").unwrap().granted());
 
-        let outcome = s.apply_insert(b.as_mut(), &parent, "treatment", None).unwrap();
+        let outcome = s.apply(b.as_mut(), &insert(&parent, "treatment")).unwrap();
         assert_eq!(outcome.inserted_elements, 1, "{}", b.name());
         assert!(outcome.plan.triggered_ids().contains(&"R3"), "{}", b.name());
 
@@ -53,7 +58,7 @@ fn insert_consistency_with_full_annotation() {
         // NOTE: patients already having a treatment would become invalid
         // under the schema, but the stores do not re-validate; the policy
         // semantics still apply uniformly, which is what we check.
-        s.apply_insert(b.as_mut(), &parent, "treatment", None).unwrap();
+        s.apply(b.as_mut(), &insert(&parent, "treatment")).unwrap();
         let partial = b.accessible_count().unwrap();
 
         s.load(b.as_mut()).unwrap();
@@ -97,7 +102,7 @@ fn guarded_delete_enforces_write_access() {
         // nothing changes.
         let med = xac_xpath::parse("//med").unwrap();
         let before = b.accessible_count().unwrap();
-        let g = s.guarded_delete(b.as_mut(), &med).unwrap();
+        let g = s.guarded(b.as_mut(), &Update::Delete(med.clone())).unwrap();
         assert!(!g.applied(), "{}", b.name());
         assert_eq!(b.accessible_count().unwrap(), before, "{}", b.name());
         let (n, _) = b.query_nodes_allowed(&med).unwrap();
@@ -105,7 +110,7 @@ fn guarded_delete_enforces_write_access() {
 
         // //regular is accessible (R6): the delete goes through.
         let regular = xac_xpath::parse("//regular").unwrap();
-        let g = s.guarded_delete(b.as_mut(), &regular).unwrap();
+        let g = s.guarded(b.as_mut(), &Update::Delete(regular.clone())).unwrap();
         match g {
             GuardedUpdate::Applied(outcome) => {
                 assert!(outcome.removed_elements >= 3, "{}", b.name());
@@ -127,13 +132,13 @@ fn guarded_insert_enforces_write_access() {
 
         // treatment elements are inaccessible: no inserting below them.
         let denied_parent = xac_xpath::parse("//treatment").unwrap();
-        let g = s.guarded_insert(b.as_mut(), &denied_parent, "regular", None).unwrap();
+        let g = s.guarded(b.as_mut(), &insert(&denied_parent, "regular")).unwrap();
         assert!(!g.applied(), "{}", b.name());
 
         // The accessible patient can receive children.
         let allowed_parent = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
         let g = s
-            .guarded_insert(b.as_mut(), &allowed_parent, "treatment", None)
+            .guarded(b.as_mut(), &insert(&allowed_parent, "treatment"))
             .unwrap();
         assert!(g.applied(), "{}", b.name());
     }
@@ -164,9 +169,9 @@ fn denied_update_leaves_sign_state_and_epoch_unchanged() {
         let epoch = b.epoch();
         let signs = b.sign_state().unwrap();
 
-        let g = s.guarded_delete(b.as_mut(), &med).unwrap();
+        let g = s.guarded(b.as_mut(), &Update::Delete(med.clone())).unwrap();
         assert!(!g.applied(), "{}", b.name());
-        let g = s.guarded_insert(b.as_mut(), &treatment, "regular", None).unwrap();
+        let g = s.guarded(b.as_mut(), &insert(&treatment, "regular")).unwrap();
         assert!(!g.applied(), "{}", b.name());
 
         assert_eq!(b.epoch(), epoch, "{}: denied updates must not bump the epoch", b.name());

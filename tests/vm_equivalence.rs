@@ -13,10 +13,13 @@
 //! 3. the equality survives structural updates + partial re-annotation;
 //! 4. under a seeded fault plan the compiled engine walks the same
 //!    degradation ladder: rollback restores a byte-identical state and
-//!    reads keep being served.
+//!    reads keep being served;
+//! 5. the guarded write path's one selection — the VM on the writer's
+//!    index — and its guard decision equal the paper-mode writer's, the
+//!    tree evaluator's and Table 2's after every seeded update.
 
 use std::collections::BTreeMap;
-use xac_core::{AnnotateMode, Backend, FaultPlan, System};
+use xac_core::{AnnotateMode, Backend, FaultPlan, GuardedUpdate, System, Update};
 use xac_policy::Policy;
 use xac_serve::{BackendKind, ServeEngine};
 use xac_xml::{Document, Schema};
@@ -24,6 +27,16 @@ use xac_xmlgen::{
     coverage_policy, delete_updates, hospital_document, hospital_schema, query_workload,
     xmark_document, xmark_schema, XmarkConfig,
 };
+
+/// The VM program cache and its stats are process-global: every test
+/// here compiles through it, so each holds this lock, and
+/// `program_cache_hits_across_backends` counts only its own hits and
+/// misses.
+static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
+    CACHE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// One generated scenario: a (schema, policy, document) triple plus the
 /// seed that produced it (for failure messages).
@@ -78,6 +91,7 @@ fn signs(b: &mut (dyn Backend + '_)) -> BTreeMap<i64, char> {
 /// annotate → queries → update + re-annotate → queries.
 #[test]
 fn compiled_matches_interpreted_on_generated_workloads() {
+    let _cache = cache_lock();
     for sc in scenarios() {
         let system = build(&sc, AnnotateMode::PaperFaithful);
         let queries = query_workload(&sc.schema, 12, sc.seed);
@@ -103,8 +117,8 @@ fn compiled_matches_interpreted_on_generated_workloads() {
                 assert_eq!(di, dc, "{}/{kind:?}: decide({q})", sc.label);
             }
             for u in &updates {
-                let oi = system.apply_update(interp.as_mut(), u).unwrap();
-                let oc = system.apply_update(comp.as_mut(), u).unwrap();
+                let oi = system.apply(interp.as_mut(), &Update::Delete(u.clone())).unwrap();
+                let oc = system.apply(comp.as_mut(), &Update::Delete(u.clone())).unwrap();
                 assert_eq!(
                     oi.removed_elements, oc.removed_elements,
                     "{}/{kind:?}: delete({u})",
@@ -134,6 +148,7 @@ fn compiled_matches_interpreted_on_generated_workloads() {
 /// the VM against the interpreter.
 #[test]
 fn compiled_serve_reads_match_interpreted_engine() {
+    let _cache = cache_lock();
     for sc in scenarios().into_iter().take(3) {
         let interp_system = std::sync::Arc::new(build(&sc, AnnotateMode::PaperFaithful));
         let comp_system = std::sync::Arc::new(build(&sc, AnnotateMode::Compiled));
@@ -169,6 +184,7 @@ fn compiled_serve_reads_match_interpreted_engine() {
 /// throughout and no quarantine.
 #[test]
 fn compiled_engine_recovers_from_seeded_faults() {
+    let _cache = cache_lock();
     let sc = &scenarios()[0];
     // The guard only reaches the faultable delete when every designated
     // node is accessible, so pick the first generated update a live
@@ -232,6 +248,7 @@ fn compiled_engine_recovers_from_seeded_faults() {
 /// deltas are asserted.)
 #[test]
 fn program_cache_hits_across_backends() {
+    let _cache = cache_lock();
     let sc = &scenarios()[0];
     let system = build(sc, AnnotateMode::Compiled);
     let before = xac_vmc::cache_stats();
@@ -298,6 +315,7 @@ fn value_shapes(doc: &Document) -> Vec<xac_xpath::Path> {
 /// kept snapshot must still describe its own document.
 #[test]
 fn maintained_doc_index_matches_a_fresh_build() {
+    let _cache = cache_lock();
     use xac_vmc::{compile_path, execute_select, DocIndex};
     for sc in scenarios().into_iter().filter(|s| s.seed != 29 && s.seed != 83) {
         let system = build(&sc, AnnotateMode::Compiled);
@@ -356,6 +374,106 @@ fn maintained_doc_index_matches_a_fresh_build() {
                 "{}/{kind:?}: the script changes structure",
                 sc.label
             );
+        }
+    }
+}
+
+/// A seeded guarded update for [`writer_selection_matches_paper_mode_after_every_step`]:
+/// a delete from `deletes`, or the insert of a sibling of a random live
+/// element of `doc` under its parent's type, keyed by one of the
+/// parent's leaf values when it has one so the insert can be granted.
+fn seeded_update(
+    doc: &Document,
+    deletes: &[xac_xpath::Path],
+    rng: &mut xac_xmlgen::SplitMix64,
+    step: usize,
+) -> Update {
+    if rng.gen_bool(0.4) {
+        return Update::Delete(deletes[rng.gen_range(0..deletes.len())].clone());
+    }
+    let elems: Vec<_> = doc.all_elements().filter(|&n| doc.parent(n).is_some()).collect();
+    let e = elems[rng.gen_range(0..elems.len())];
+    let p = doc.parent(e).unwrap();
+    let pname = doc.name(p).unwrap();
+    let key = doc.child_elements(p).find(|&c| {
+        let v = doc.text_of(c);
+        doc.child_elements(c).next().is_none() && !v.is_empty() && !v.contains('"')
+    });
+    let parent = match key {
+        Some(c) => format!("//{pname}[{} = \"{}\"]", doc.name(c).unwrap(), doc.text_of(c)),
+        None => format!("//{pname}"),
+    };
+    Update::Insert {
+        parent: xac_xpath::parse(&parent).unwrap(),
+        name: doc.name(e).unwrap().to_string(),
+        text: (!doc.text_of(e).is_empty()).then(|| format!("v{step}")),
+    }
+}
+
+/// The guarded write path's selection: after every step of a seeded
+/// insert/delete sequence, on every backend, the compiled writer's
+/// `select` (the VM on its document index) returns the paper-mode
+/// writer's selection (the tree evaluator), which is `xac_xpath::eval`
+/// on the writer's document; and its guard decision is Table 2's on
+/// that document. Probes are the workload queries and the `[c = "v"]`
+/// value shapes. Each step runs `System::guarded` in both modes, which
+/// must agree on the decision, the write and the signs.
+#[test]
+fn writer_selection_matches_paper_mode_after_every_step() {
+    let _cache = cache_lock();
+    for sc in scenarios().into_iter().filter(|s| s.seed != 29 && s.seed != 83) {
+        let paper = build(&sc, AnnotateMode::PaperFaithful);
+        let compiled = build(&sc, AnnotateMode::Compiled);
+        let mut probes = query_workload(&sc.schema, 12, sc.seed);
+        probes.extend(value_shapes(&sc.doc));
+        let mut deletes = delete_updates(&sc.schema, 4, sc.seed ^ 0x5e1e);
+        deletes.extend(value_shapes(&sc.doc).into_iter().step_by(7));
+        for kind in BackendKind::ALL {
+            let mut p = kind.make(AnnotateMode::PaperFaithful);
+            let mut c = kind.make(AnnotateMode::Compiled);
+            paper.load(p.as_mut()).unwrap();
+            paper.annotate(p.as_mut()).unwrap();
+            compiled.load(c.as_mut()).unwrap();
+            compiled.annotate(c.as_mut()).unwrap();
+            let mut rng = xac_xmlgen::SplitMix64::seed_from_u64(sc.seed ^ 0x5e1ec7);
+            let (mut applied, mut denied) = (0, 0);
+            for step in 0..=12 {
+                let label = format!("{}/{kind:?} after step {step}", sc.label);
+                let snap = c.snapshot().unwrap();
+                let doc = snap.store().doc();
+                let reference = xac_policy::accessible_nodes(doc, compiled.policy());
+                for probe in &probes {
+                    let got = c.select(probe).unwrap();
+                    assert_eq!(got, p.select(probe).unwrap(), "{label}: select {probe}");
+                    assert_eq!(got.nodes, xac_xpath::eval(doc, probe), "{label}: eval {probe}");
+                    let table2 = got.nodes.iter().all(|n| reference.contains(n));
+                    assert_eq!(got.accessible, table2, "{label}: guard on {probe}");
+                }
+                if step == 12 {
+                    break;
+                }
+                let update = seeded_update(doc, &deletes, &mut rng, step);
+                let (gp, gc) = (
+                    paper.guarded(p.as_mut(), &update).unwrap(),
+                    compiled.guarded(c.as_mut(), &update).unwrap(),
+                );
+                match (&gp, &gc) {
+                    (GuardedUpdate::Applied(op), GuardedUpdate::Applied(oc)) => {
+                        applied += 1;
+                        let counts = |o: &xac_core::UpdateOutcome| {
+                            (o.removed_elements, o.inserted_elements, o.full_fallback.clone())
+                        };
+                        assert_eq!(counts(op), counts(oc), "{label}: {update:?}");
+                    }
+                    (GuardedUpdate::Denied(dp), GuardedUpdate::Denied(dc)) => {
+                        denied += 1;
+                        assert_eq!(dp, dc, "{label}: {update:?}");
+                    }
+                    _ => panic!("{label}: {update:?} decided {gp:?} vs {gc:?}"),
+                }
+                assert_eq!(signs(p.as_mut()), signs(c.as_mut()), "{label}: {update:?}");
+            }
+            assert!(applied > 0 && denied > 0, "{}/{kind:?}: {applied} applied", sc.label);
         }
     }
 }
