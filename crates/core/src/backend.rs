@@ -15,6 +15,13 @@
 //!   annotates by upserting `sign` attributes — storing signs only for
 //!   nodes whose accessibility differs from the default, the paper's
 //!   space optimization.
+//!
+//! Both keep the document half in one `Tree` and add only their sign
+//! storage. The relational tables follow the tree by universal id: after
+//! load, every write is an engine call keyed by id
+//! ([`Database::delete_ids`], [`Database::append_row`],
+//! [`Database::update_signs`]) except paper-mode (re-)annotation's
+//! Fig. 6 per-tuple `UPDATE`s.
 
 use crate::checkpoint::{Checkpoint, CheckpointData};
 use crate::document::PreparedDocument;
@@ -23,18 +30,13 @@ use crate::sign_diff::{positions_of, SignBaseline, SignDiff};
 use crate::snapshot::AccessSnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use xac_policy::{AnnotationQuery, Effect};
-use xac_reldb::{Database, StorageKind};
-use xac_shrex::{translate, Mapping, ShreddedDocument};
+use xac_policy::AnnotationQuery;
+use xac_reldb::{Database, StorageKind, Value};
+use xac_shrex::{translate, Mapping, ShreddedDocument, SIGN_COLUMN, VALUE_COLUMN};
 use xac_vmc::{Bitset, DocIndex};
 use xac_xml::{Document, NodeId};
 use xac_xmlstore::{sign_byte, NodeSetExpr, StoredDocument, NO_SIGN};
 use xac_xpath::Path;
-
-/// The sign character for an effect.
-fn sign_char(effect: Effect) -> char {
-    effect.sign()
-}
 
 /// The nodes an update path designates on a backend's live document,
 /// ascending ([`Backend::select`]): what a guarded update guards on and
@@ -70,8 +72,9 @@ pub trait Backend {
 
     /// Select the nodes an update path designates, for the guard and
     /// the write that follows: on the VM against the writer's document
-    /// index under [`AnnotateMode::Compiled`], else on the tree
-    /// evaluator. Accessibility is checked up to the first denied node.
+    /// index under [`AnnotateMode::Compiled`], else with the tree
+    /// evaluator ([`StoredDocument::eval`]), on every backend.
+    /// Accessibility is checked up to the first denied node.
     fn select(&mut self, path: &Path) -> Result<Selection>;
 
     /// Delete the subtrees rooted at the selected nodes (a node inside
@@ -161,6 +164,120 @@ pub trait Backend {
 }
 
 // ---------------------------------------------------------------------
+// The document half
+// ---------------------------------------------------------------------
+
+/// The document half of every backend — the native document, or the
+/// relational mapped tree whose nodes map to universal ids — with its
+/// columnar index: the lazy index build, the update selection, the
+/// structural writes and snapshot assembly. A clone (a checkpoint)
+/// copies two pointers; the next write copies what it touches.
+#[derive(Clone)]
+pub(crate) struct Tree {
+    sdoc: Arc<StoredDocument>,
+    /// Describes `sdoc` when present: built on first use, kept by sign
+    /// writes, patched by structural ones, dropped if one fails.
+    index: Option<Arc<DocIndex>>,
+}
+
+impl Tree {
+    pub(crate) fn new(doc: Document) -> Tree {
+        Tree { sdoc: Arc::new(StoredDocument::new(doc)), index: None }
+    }
+
+    pub(crate) fn doc(&self) -> &StoredDocument {
+        &self.sdoc
+    }
+
+    /// The stored document for a sign write (structural writes go
+    /// through [`Tree::delete`] and [`Tree::insert`]).
+    pub(crate) fn signs_mut(&mut self) -> &mut StoredDocument {
+        Arc::make_mut(&mut self.sdoc)
+    }
+
+    pub(crate) fn index(&mut self) -> Arc<DocIndex> {
+        let sdoc = &self.sdoc;
+        Arc::clone(self.index.get_or_insert_with(|| Arc::new(DocIndex::build(sdoc.doc()))))
+    }
+
+    /// The nodes `path` designates, ascending: on the VM against the
+    /// index under [`AnnotateMode::Compiled`], else with the tree
+    /// evaluator ([`StoredDocument::eval`]).
+    pub(crate) fn select(&mut self, path: &Path, mode: AnnotateMode) -> Result<Vec<NodeId>> {
+        Ok(match mode {
+            AnnotateMode::Compiled => {
+                let program = xac_vmc::cached_path_program(path)?;
+                xac_vmc::execute_select(&program, &self.index())
+            }
+            AnnotateMode::PaperFaithful => self.sdoc.eval(path),
+        })
+    }
+
+    /// Delete the subtrees rooted at `targets` (see
+    /// [`StoredDocument::delete_nodes`]); returns the elements removed.
+    pub(crate) fn delete(
+        &mut self,
+        targets: &[NodeId],
+        visit: impl FnMut(&Document, NodeId),
+    ) -> Result<usize> {
+        if targets.is_empty() {
+            return Ok(0);
+        }
+        // Held aside while the tree changes, so an error drops it.
+        let mut index = self.index.take();
+        let sdoc = Arc::make_mut(&mut self.sdoc);
+        let before = sdoc.doc().element_count();
+        let roots = sdoc.delete_nodes(targets, visit)?;
+        if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
+            Arc::make_mut(index).remove_subtrees(&roots);
+        }
+        self.index = index;
+        Ok(before - sdoc.doc().element_count())
+    }
+
+    /// Insert one `name` element, carrying `text` when given, under every
+    /// parent; returns the new, unsigned elements in `parents` order.
+    pub(crate) fn insert(
+        &mut self,
+        parents: &[NodeId],
+        name: &str,
+        text: Option<&str>,
+    ) -> Vec<NodeId> {
+        if parents.is_empty() {
+            return Vec::new();
+        }
+        let sdoc = Arc::make_mut(&mut self.sdoc);
+        let added = parents
+            .iter()
+            .map(|&parent| {
+                let node = sdoc.insert_element(parent, name);
+                if let Some(t) = text {
+                    sdoc.insert_text(node, t);
+                }
+                node
+            })
+            .collect();
+        if let Some(index) = self.index.as_mut() {
+            Arc::make_mut(index).append(sdoc.doc());
+        }
+        added
+    }
+
+    /// Publish the document and its index at `epoch`; `accessible` maps
+    /// the backend's signs onto the arena slots.
+    pub(crate) fn snapshot(
+        &mut self,
+        epoch: u64,
+        backend: &'static str,
+        accessible: impl FnOnce(&StoredDocument, &DocIndex) -> Bitset,
+    ) -> AccessSnapshot {
+        let index = self.index();
+        let accessible = accessible(&self.sdoc, &index);
+        AccessSnapshot::new(epoch, backend, Arc::clone(&self.sdoc), accessible, index)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Relational backend
 // ---------------------------------------------------------------------
 
@@ -235,10 +352,8 @@ impl std::str::FromStr for AnnotateMode {
 #[derive(Clone)]
 pub(crate) struct RelationalState {
     mapping: Arc<Mapping>,
-    /// The mapped tree behind its element-name index. Published
-    /// snapshots share it until the next structural write; inserts keep
-    /// the index current and deleted nodes are filtered lazily.
-    sdoc: Arc<StoredDocument>,
+    /// The mapped tree and its index; the tables follow it by id.
+    tree: Tree,
     /// Node ↔ universal-id correspondence: the shredding without its
     /// tuple list, which only the load reads.
     shredded: Arc<ShreddedDocument>,
@@ -266,11 +381,6 @@ pub struct RelationalBackend {
     signs: Vec<u8>,
     /// `signs` as of the last [`Backend::sign_changes`].
     baseline: SignBaseline,
-    /// Columnar document index, built once per load: sign writes leave
-    /// it valid, insert and delete patch it, load and restore drop it.
-    /// Compiled annotation runs on it and every published snapshot
-    /// shares it; the first patch after a publish copies it.
-    doc_index: Option<Arc<DocIndex>>,
     /// Monotone annotation epoch; see [`Backend::epoch`].
     epoch: u64,
 }
@@ -286,14 +396,8 @@ impl RelationalBackend {
             mode: AnnotateMode::default(),
             signs: Vec::new(),
             baseline: SignBaseline::default(),
-            doc_index: None,
             epoch: 0,
         }
-    }
-
-    /// Record a state mutation: bump the epoch.
-    fn mutated(&mut self) {
-        self.epoch += 1;
     }
 
     /// Rebuild the dense sign column from the tables, and make it the
@@ -316,21 +420,6 @@ impl RelationalBackend {
         self.baseline.reset(&signs);
         self.signs = signs;
         Ok(())
-    }
-
-    /// The column byte of a universal id, [`NO_SIGN`] when out of range.
-    fn sign_byte_of(&self, id: i64) -> u8 {
-        usize::try_from(id).ok().and_then(|i| self.signs.get(i)).copied().unwrap_or(NO_SIGN)
-    }
-
-    /// The columnar index over the loaded document, built lazily and
-    /// reused until the structure changes.
-    fn doc_index(&mut self) -> Result<Arc<DocIndex>> {
-        if self.doc_index.is_none() {
-            let state = self.state()?;
-            self.doc_index = Some(Arc::new(DocIndex::build(state.sdoc.doc())));
-        }
-        Ok(Arc::clone(self.doc_index.as_ref().expect("just populated")))
     }
 
     fn static_name(kind: StorageKind) -> &'static str {
@@ -373,6 +462,14 @@ impl RelationalBackend {
             .ok_or(Error::BackendNotLoaded { backend: Self::static_name(self.kind) })
     }
 
+    /// The loaded state, with the engine and the dense sign column
+    /// borrowed beside it.
+    fn parts(&mut self) -> Result<(&mut RelationalState, &mut Database, &mut Vec<u8>)> {
+        let backend = Self::static_name(self.kind);
+        let state = self.state.as_mut().ok_or(Error::BackendNotLoaded { backend })?;
+        Ok((state, &mut self.db, &mut self.signs))
+    }
+
     /// Render an annotation query as one SQL statement — the paper's
     /// `(Q1 UNION Q2 UNION Q6) EXCEPT (Q3 UNION Q5)`.
     pub fn render_annotation_sql(&self, query: &AnnotationQuery) -> Result<String> {
@@ -409,16 +506,10 @@ impl RelationalBackend {
     /// evaluation (which dominates `annotate`).
     pub fn write_signs(&mut self, targets: &BTreeSet<i64>, sign: char) -> Result<usize> {
         let _span = xac_obs::span("backend.write_signs");
-        self.mutated();
+        self.epoch += 1;
         if self.mode == AnnotateMode::Compiled {
-            self.state()?;
-            let state = self.state.as_ref().expect("state checked above");
-            return Ok(state.write_signs(
-                &mut self.db,
-                &mut self.signs,
-                targets.iter().copied(),
-                sign,
-            )?);
+            let (state, db, signs) = self.parts()?;
+            return Ok(state.write_signs(db, signs, targets.iter().copied(), sign)?);
         }
         // Fig. 6's inner loop as published: fetch each table's ids,
         // intersect with the target set, one UPDATE statement per
@@ -471,10 +562,10 @@ impl RelationalBackend {
     /// the selected set into [`RelationalState::write_signs`].
     fn annotate_compiled(&mut self, query: &AnnotationQuery) -> Result<usize> {
         let program = xac_vmc::cached_query_program(query, Some(self.state()?.mapping.schema()))?;
-        let index = self.doc_index()?;
-        self.mutated();
-        let state = self.state.as_ref().expect("state checked by doc_index");
-        let mut sink = RelationalSignSink { db: &mut self.db, signs: &mut self.signs, state };
+        self.epoch += 1;
+        let (state, db, signs) = self.parts()?;
+        let index = state.tree.index();
+        let mut sink = RelationalSignSink { db, signs, state };
         xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System)
     }
 }
@@ -508,6 +599,12 @@ impl RelationalState {
         }
         Ok(updated)
     }
+}
+
+/// The dense column's byte for universal id `id`, [`NO_SIGN`] when out
+/// of range.
+fn sign_at(signs: &[u8], id: i64) -> u8 {
+    usize::try_from(id).ok().and_then(|i| signs.get(i)).copied().unwrap_or(NO_SIGN)
 }
 
 /// The dense column's byte for universal id `id`, if in range.
@@ -547,10 +644,7 @@ impl xac_vmc::SignSink for RelationalSignSink<'_> {
 
 impl Backend for RelationalBackend {
     fn name(&self) -> &'static str {
-        match self.kind {
-            StorageKind::Row => "relational/row",
-            StorageKind::Column => "relational/column",
-        }
+        Self::static_name(self.kind)
     }
 
     fn load(&mut self, prepared: &PreparedDocument) -> Result<()> {
@@ -559,8 +653,7 @@ impl Backend for RelationalBackend {
         db.execute_script(&prepared.ddl)?;
         db.execute_script(&prepared.sql_text)?;
         self.db = db;
-        self.mutated();
-        self.doc_index = None;
+        self.epoch += 1;
         let table_index: HashMap<&str, usize> = prepared
             .mapping
             .tables()
@@ -576,7 +669,7 @@ impl Backend for RelationalBackend {
             .collect();
         self.state = Some(RelationalState {
             mapping: Arc::new(prepared.mapping.clone()),
-            sdoc: Arc::new(StoredDocument::new(prepared.doc.clone())),
+            tree: Tree::new(prepared.doc.clone()),
             shredded: Arc::new(prepared.shredded.id_map()),
             default_sign: prepared.default_sign,
             table_of: Arc::new(table_of),
@@ -591,11 +684,11 @@ impl Backend for RelationalBackend {
         }
         let sql = self.render_annotation_sql(query)?;
         let targets = self.db.query(&sql)?.column_as_int_set(0);
-        self.write_signs(&targets, sign_char(query.mark))
+        self.write_signs(&targets, query.mark.sign())
     }
 
     fn reset_annotations(&mut self) -> Result<usize> {
-        self.mutated();
+        self.epoch += 1;
         let state = self.state()?;
         let default = state.default_sign;
         let tables: Vec<String> =
@@ -622,7 +715,7 @@ impl Backend for RelationalBackend {
         if requested.is_empty() {
             return Ok((0, true));
         }
-        let allowed = requested.iter().all(|&id| self.sign_byte_of(id) == b'+');
+        let allowed = requested.iter().all(|&id| sign_at(&self.signs, id) == b'+');
         Ok((requested.len(), allowed))
     }
 
@@ -633,121 +726,84 @@ impl Backend for RelationalBackend {
 
     fn select(&mut self, path: &Path) -> Result<Selection> {
         let _span = xac_obs::span("backend.select");
-        let nodes = if self.mode == AnnotateMode::Compiled {
-            let program = xac_vmc::cached_path_program(path)?;
-            xac_vmc::execute_select(&program, &*self.doc_index()?)
-        } else {
-            xac_xpath::eval(self.state()?.sdoc.doc(), path)
-        };
+        let mode = self.mode;
+        let nodes = self.parts()?.0.tree.select(path, mode)?;
         let shredded = &self.state()?.shredded;
         let accessible =
-            nodes.iter().all(|&n| shredded.id_of(n).is_some_and(|id| self.sign_byte_of(id) == b'+'));
+            nodes.iter().all(|&n| shredded.id_of(n).is_some_and(|id| sign_at(&self.signs, id) == b'+'));
         Ok(Selection { nodes, accessible })
     }
 
     fn delete_selected(&mut self, at: &Selection) -> Result<usize> {
-        self.mutated();
-        // Held aside while the tree changes: an error part-way leaves it
-        // dropped (rebuilt on next use) rather than half patched.
-        let mut index = self.doc_index.take();
-        let mut roots = Vec::new();
-        // Structure lives in the mapping layer's copy of the tree; rows are
-        // removed tuple by tuple through SQL point deletes on the id index.
-        let mut removed = 0usize;
-        for &target in &at.nodes {
-            let rows: Vec<(String, i64)> = {
-                let state = self.state()?;
-                let doc = state.sdoc.doc();
-                if !doc.is_alive(target) {
-                    continue;
+        self.epoch += 1;
+        let (state, db, signs) = self.parts()?;
+        // The rows of every element in the removed subtrees, by table,
+        // gathered before each subtree goes: one `delete_ids` per table.
+        let mut rows: Vec<Vec<i64>> = vec![Vec::new(); state.mapping.tables().len()];
+        let (shredded, table_of) = (&state.shredded, &state.table_of);
+        let removed = state.tree.delete(&at.nodes, |doc, root| {
+            for id in doc.subtree(root).filter_map(|n| shredded.id_of(n)) {
+                if let Some(&table) = table_of.get(&id) {
+                    rows[table].push(id);
                 }
-                doc.subtree(target)
-                    .filter_map(|n| {
-                        let name = doc.name(n)?;
-                        Some((name.to_string(), state.shredded.id_of(n)?))
-                    })
-                    .collect()
-            };
-            for (table, id) in rows {
-                self.db.execute(&format!("DELETE FROM {table} WHERE id = {id}"))?;
-                if let Some(cell) = cell_mut(&mut self.signs, id) {
-                    *cell = NO_SIGN;
-                }
-                removed += 1;
             }
-            let state =
-                self.state.as_mut().expect("state checked above");
-            Arc::make_mut(&mut state.sdoc).remove_subtree(target)?;
-            roots.push(target);
+        })?;
+        for (table, ids) in state.mapping.tables().iter().zip(&rows) {
+            if !ids.is_empty() {
+                db.delete_ids(&table.name, ids)?;
+                for &id in ids {
+                    if let Some(cell) = cell_mut(signs, id) {
+                        *cell = NO_SIGN;
+                    }
+                }
+            }
         }
-        if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
-            Arc::make_mut(index).remove_subtrees(&roots);
-        }
-        self.doc_index = index;
         Ok(removed)
     }
 
     fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize> {
-        self.mutated();
-        // Held aside like `delete_selected`'s.
-        let mut index = self.doc_index.take();
-        if !self.state()?.mapping.schema().contains(name) {
+        self.epoch += 1;
+        let (state, db, signs) = self.parts()?;
+        let mapping = &state.mapping;
+        let (Some(table), Some(columns)) =
+            (mapping.tables().iter().position(|t| t.name == name), mapping.columns(name))
+        else {
             return Err(Error::Shrex(format!("element `{name}` is not part of the mapped schema")));
+        };
+        let added = state.tree.insert(&at.nodes, name, text);
+        if added.is_empty() {
+            return Ok(0);
         }
-        let has_value = self
-            .state()?
-            .mapping
-            .table(name)
-            .map(|t| t.has_value)
-            .unwrap_or(false);
-        let default = self.state()?.default_sign;
-        let table_idx = self
-            .state()?
-            .mapping
-            .tables()
-            .iter()
-            .position(|t| t.name == name);
-        let mut inserted = 0usize;
-        for &parent in &at.nodes {
-            let (id, pid) = {
-                let state = self.state.as_mut().expect("state checked above");
-                let sdoc = Arc::make_mut(&mut state.sdoc);
-                let node = sdoc.insert_element(parent, name);
-                if let Some(t) = text {
-                    sdoc.insert_text(node, t);
-                }
-                let shredded = Arc::make_mut(&mut state.shredded);
-                let id = shredded.register_insert(node);
-                if let Some(i) = table_idx {
-                    Arc::make_mut(&mut state.table_of).insert(id, i);
-                }
-                let pid = shredded.id_of(parent).ok_or_else(|| {
-                    Error::System("insert parent has no universal id".into())
-                })?;
-                (id, pid)
-            };
-            let sql = if has_value {
-                format!(
-                    "INSERT INTO {name} (id, pid, v, s) VALUES ({id}, {pid}, '{}', '{default}')",
-                    text.unwrap_or("").replace('\'', "''")
-                )
-            } else {
-                format!("INSERT INTO {name} (id, pid, s) VALUES ({id}, {pid}, '{default}')")
-            };
-            self.db.execute(&sql)?;
+        let default = state.default_sign;
+        let shredded = Arc::make_mut(&mut state.shredded);
+        let table_of = Arc::make_mut(&mut state.table_of);
+        for (&parent, &node) in at.nodes.iter().zip(&added) {
+            let id = shredded.register_insert(node);
+            table_of.insert(id, table);
+            let pid = shredded
+                .id_of(parent)
+                .ok_or_else(|| Error::System("insert parent has no universal id".into()))?;
+            // The cells a loaded tuple of this table carries, in the
+            // table's column order; `v` is empty when there is no text.
+            let row = columns
+                .iter()
+                .map(|&column| match column {
+                    "id" => Value::Int(id),
+                    "pid" => Value::Int(pid),
+                    VALUE_COLUMN => Value::Text(text.unwrap_or("").to_string()),
+                    SIGN_COLUMN => Value::Text(default.to_string()),
+                    other => unreachable!("mapped column `{other}`"),
+                })
+                .collect();
+            db.append_row(name, row)?;
             if let Ok(slot) = usize::try_from(id) {
-                if self.signs.len() <= slot {
-                    self.signs.resize(slot + 1, NO_SIGN);
+                if signs.len() <= slot {
+                    signs.resize(slot + 1, NO_SIGN);
                 }
-                self.signs[slot] = sign_byte(default);
+                signs[slot] = sign_byte(default);
             }
-            inserted += 1;
         }
-        if let (Some(index), Some(state)) = (index.as_mut().filter(|_| inserted > 0), &self.state) {
-            Arc::make_mut(index).append(state.sdoc.doc());
-        }
-        self.doc_index = index;
-        Ok(inserted)
+        Ok(added.len())
     }
 
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
@@ -758,11 +814,9 @@ impl Backend for RelationalBackend {
         let mut scope_ids: BTreeSet<i64> = BTreeSet::new();
         for p in scope {
             if self.mode == AnnotateMode::Compiled {
-                let program = xac_vmc::cached_path_program(p)?;
-                let index = self.doc_index()?;
-                let nodes = xac_vmc::execute_select(&program, &index);
-                let shredded = &self.state()?.shredded;
-                scope_ids.extend(nodes.iter().filter_map(|&n| shredded.id_of(n)));
+                let state = self.parts()?.0;
+                let nodes = state.tree.select(p, AnnotateMode::Compiled)?;
+                scope_ids.extend(nodes.iter().filter_map(|&n| state.shredded.id_of(n)));
             } else {
                 scope_ids.extend(self.path_ids(p)?);
             }
@@ -778,25 +832,21 @@ impl Backend for RelationalBackend {
     }
 
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
-        let epoch = self.epoch;
-        let index = self.doc_index()?;
-        let state = self.state()?;
-        // One pass over the node → id vector maps the dense id-keyed
-        // column onto arena slots. A deleted node keeps its id but its
-        // tuple is gone, so its byte is `NO_SIGN`.
-        let mut accessible = Bitset::new(state.sdoc.doc().arena_len());
-        for (slot, id) in state.shredded.ids() {
-            if self.sign_byte_of(id) == b'+' {
-                accessible.set(slot as u32);
+        let (epoch, name) = (self.epoch, self.name());
+        let (state, _, signs) = self.parts()?;
+        let shredded = &state.shredded;
+        Ok(state.tree.snapshot(epoch, name, |sdoc, _| {
+            // One pass over the node → id vector maps the dense id-keyed
+            // column onto arena slots. A deleted node keeps its id but
+            // its tuple is gone, so its byte is `NO_SIGN`.
+            let mut accessible = Bitset::new(sdoc.doc().arena_len());
+            for (slot, id) in shredded.ids() {
+                if sign_at(signs, id) == b'+' {
+                    accessible.set(slot as u32);
+                }
             }
-        }
-        Ok(AccessSnapshot::new(
-            epoch,
-            Self::static_name(self.kind),
-            Arc::clone(&state.sdoc),
-            accessible,
-            index,
-        ))
+            accessible
+        }))
     }
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
@@ -840,26 +890,16 @@ impl Backend for RelationalBackend {
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
-        let CheckpointData::Relational { db, state } = &checkpoint.data else {
-            return Err(Error::System(format!(
-                "checkpoint from `{}` cannot restore backend `{}`",
-                checkpoint.backend,
-                self.name()
-            )));
+        let (CheckpointData::Relational { db, state }, true) =
+            (&checkpoint.data, checkpoint.backend == self.name())
+        else {
+            return Err(checkpoint.foreign_to(self.name()));
         };
-        if checkpoint.backend != self.name() {
-            return Err(Error::System(format!(
-                "checkpoint from `{}` cannot restore backend `{}`",
-                checkpoint.backend,
-                self.name()
-            )));
-        }
         self.db = db.clone();
         self.state = state.clone();
         // Strictly advance the epoch: the restored state may differ from
         // whatever the current epoch number was stamped on.
         self.epoch = self.epoch.max(checkpoint.epoch) + 1;
-        self.doc_index = None;
         match self.state {
             Some(_) => self.rebuild_sign_column(),
             None => {
@@ -878,18 +918,14 @@ impl Backend for RelationalBackend {
 /// XML access control over the native XML store (the MonetDB/XQuery
 /// stand-in).
 pub struct NativeXmlBackend {
-    /// The document behind its element-name index, carrying the sign
+    /// The document and its index; the document carries the sign
     /// column. Snapshots and checkpoints share it; the first write after
     /// one copies it ([`Arc::make_mut`]) — the sign column and the
     /// arena's chunk pointers, while each arena chunk is copied only
     /// when a structural write touches it.
-    sdoc: Option<Arc<StoredDocument>>,
+    tree: Option<Tree>,
     default_sign: char,
     mode: AnnotateMode,
-    /// Columnar document index for compiled annotation and published
-    /// snapshots, cached across sign writes and patched by structural
-    /// ones — same discipline as the relational backend's `doc_index`.
-    index: Option<Arc<DocIndex>>,
     /// The store's sign column as of the last [`Backend::sign_changes`].
     baseline: SignBaseline,
     /// Monotone annotation epoch; see [`Backend::epoch`].
@@ -900,10 +936,9 @@ impl NativeXmlBackend {
     /// An empty native backend.
     pub fn new() -> NativeXmlBackend {
         NativeXmlBackend {
-            sdoc: None,
+            tree: None,
             default_sign: '-',
             mode: AnnotateMode::default(),
-            index: None,
             baseline: SignBaseline::default(),
             epoch: 0,
         }
@@ -924,36 +959,24 @@ impl NativeXmlBackend {
         self.mode
     }
 
-    /// The columnar index over the stored document, built lazily and
-    /// reused until the structure changes.
-    fn native_index(&mut self) -> Result<Arc<DocIndex>> {
-        if self.index.is_none() {
-            let sdoc = self.sdoc()?;
-            self.index = Some(Arc::new(DocIndex::build(sdoc.doc())));
-        }
-        Ok(Arc::clone(self.index.as_ref().expect("just populated")))
+    fn tree(&mut self) -> Result<&mut Tree> {
+        self.tree.as_mut().ok_or(Error::BackendNotLoaded { backend: "native/xml" })
     }
 
-    fn sdoc(&self) -> Result<&Arc<StoredDocument>> {
-        self.sdoc
-            .as_ref()
-            .ok_or(Error::BackendNotLoaded { backend: "native/xml" })
+    fn sdoc(&self) -> Result<&StoredDocument> {
+        self.stored().ok_or(Error::BackendNotLoaded { backend: "native/xml" })
     }
 
-    /// Mutable access to the store; every caller is a state mutation,
-    /// so the epoch advances here. Copies the document first when a
-    /// snapshot or checkpoint still shares it.
+    /// Mutable access to the store for a sign write; every caller is a
+    /// state mutation, so the epoch advances here.
     fn sdoc_mut(&mut self) -> Result<&mut StoredDocument> {
         self.epoch += 1;
-        self.sdoc
-            .as_mut()
-            .map(Arc::make_mut)
-            .ok_or(Error::BackendNotLoaded { backend: "native/xml" })
+        Ok(self.tree()?.signs_mut())
     }
 
     /// The stored document (for inspection in tests and examples).
     pub fn stored(&self) -> Option<&StoredDocument> {
-        self.sdoc.as_deref()
+        self.tree.as_ref().map(Tree::doc)
     }
 
     fn is_accessible(&self, sdoc: &StoredDocument, node: xac_xml::NodeId) -> bool {
@@ -1002,19 +1025,17 @@ impl Backend for NativeXmlBackend {
         // A native store loads from the serialized document — parsing is
         // the measured work, exactly like shipping the XML file to the
         // XQuery database.
-        let doc = Document::parse_str(&prepared.xml_text)?;
-        let sdoc = StoredDocument::new(doc);
-        self.baseline.reset(sdoc.sign_column());
-        self.sdoc = Some(Arc::new(sdoc));
+        let tree = Tree::new(Document::parse_str(&prepared.xml_text)?);
+        self.baseline.reset(tree.doc().sign_column());
+        self.tree = Some(tree);
         self.default_sign = prepared.default_sign;
-        self.index = None;
         self.epoch += 1;
         Ok(())
     }
 
     fn annotate(&mut self, query: &AnnotationQuery) -> Result<usize> {
         let _span = xac_obs::span("backend.annotate");
-        let mark = sign_char(query.mark);
+        let mark = query.mark.sign();
         if self.mode == AnnotateMode::Compiled {
             // Mirror the interpreted path: an empty include annotates
             // nothing and leaves the epoch untouched.
@@ -1022,7 +1043,7 @@ impl Backend for NativeXmlBackend {
                 return Ok(0);
             }
             let program = xac_vmc::cached_query_program(query, None)?;
-            let index = self.native_index()?;
+            let index = self.tree()?.index();
             let mut sink = NativeSignSink { sdoc: self.sdoc_mut()? };
             return xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System);
         }
@@ -1057,57 +1078,29 @@ impl Backend for NativeXmlBackend {
 
     fn select(&mut self, path: &Path) -> Result<Selection> {
         let _span = xac_obs::span("backend.select");
-        let nodes = if self.mode == AnnotateMode::Compiled {
-            let program = xac_vmc::cached_path_program(path)?;
-            xac_vmc::execute_select(&program, &*self.native_index()?)
-        } else {
-            self.sdoc()?.eval(path)
-        };
+        let mode = self.mode;
+        let nodes = self.tree()?.select(path, mode)?;
         let sdoc = self.sdoc()?;
         let accessible = nodes.iter().all(|&n| self.is_accessible(sdoc, n));
         Ok(Selection { nodes, accessible })
     }
 
     fn delete_selected(&mut self, at: &Selection) -> Result<usize> {
-        // Held aside while the tree changes, as on the relational side.
-        let mut index = self.index.take();
-        let sdoc = self.sdoc_mut()?;
-        let before = sdoc.doc().element_count();
-        let roots = sdoc.delete_nodes(&at.nodes)?;
-        let removed = before - sdoc.doc().element_count();
-        if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
-            Arc::make_mut(index).remove_subtrees(&roots);
-        }
-        self.index = index;
-        Ok(removed)
+        self.epoch += 1;
+        self.tree()?.delete(&at.nodes, |_, _| {})
     }
 
     fn insert_selected(&mut self, at: &Selection, name: &str, text: Option<&str>) -> Result<usize> {
-        let mut index = self.index.take();
-        let sdoc = self.sdoc_mut()?;
-        for &parent in &at.nodes {
-            let node = sdoc.insert_element(parent, name);
-            if let Some(t) = text {
-                sdoc.insert_text(node, t);
-            }
-        }
-        if let Some(index) = index.as_mut().filter(|_| !at.nodes.is_empty()) {
-            Arc::make_mut(index).append(sdoc.doc());
-        }
-        self.index = index;
-        Ok(at.nodes.len())
+        self.epoch += 1;
+        Ok(self.tree()?.insert(&at.nodes, name, text).len())
     }
 
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
-        let mut scope_nodes: BTreeSet<xac_xml::NodeId> = BTreeSet::new();
+        let mode = self.mode;
+        let tree = self.tree()?;
+        let mut scope_nodes: BTreeSet<NodeId> = BTreeSet::new();
         for p in scope {
-            if self.mode == AnnotateMode::Compiled {
-                let program = xac_vmc::cached_path_program(p)?;
-                let index = self.native_index()?;
-                scope_nodes.extend(xac_vmc::execute_select(&program, &index));
-            } else {
-                scope_nodes.extend(self.sdoc()?.eval(p));
-            }
+            scope_nodes.extend(tree.select(p, mode)?);
         }
         let reset = self.sdoc_mut()?.clear_signs(scope_nodes);
         let annotated = self.annotate(query)?;
@@ -1119,27 +1112,27 @@ impl Backend for NativeXmlBackend {
     }
 
     fn snapshot(&mut self) -> Result<AccessSnapshot> {
-        let epoch = self.epoch;
-        let index = self.native_index()?;
-        let sdoc = self.sdoc()?;
-        let signs = sdoc.sign_column();
-        let width = sdoc.doc().arena_len();
-        let accessible = if self.default_sign == '+' {
-            // Default allow grants every live element not signed `-`:
-            // the index's liveness column names the live elements.
-            let mut accessible = Bitset::new(width);
-            for &slot in index.element_runs().flatten() {
-                if signs.get(slot as usize) != Some(&b'-') {
-                    accessible.set(slot);
+        let (epoch, default_sign) = (self.epoch, self.default_sign);
+        Ok(self.tree()?.snapshot(epoch, "native/xml", |sdoc, index| {
+            let signs = sdoc.sign_column();
+            let width = sdoc.doc().arena_len();
+            if default_sign == '+' {
+                // Default allow grants every live element not signed `-`:
+                // the index's liveness column names the live elements.
+                let mut accessible = Bitset::new(width);
+                for &slot in index.element_runs().flatten() {
+                    if signs.get(slot as usize) != Some(&b'-') {
+                        accessible.set(slot);
+                    }
                 }
+                accessible
+            } else {
+                // Under default deny only `+` grants, and only live
+                // elements carry signs: one word pass over the column
+                // answers.
+                positions_of(signs, width, b'+')
             }
-            accessible
-        } else {
-            // Under default deny only `+` grants, and only live elements
-            // carry signs: one word pass over the column answers.
-            positions_of(signs, width, b'+')
-        };
-        Ok(AccessSnapshot::new(epoch, "native/xml", Arc::clone(sdoc), accessible, index))
+        }))
     }
 
     fn sign_state(&mut self) -> Result<BTreeMap<i64, char>> {
@@ -1147,8 +1140,8 @@ impl Backend for NativeXmlBackend {
     }
 
     fn sign_changes(&mut self) -> Result<SignDiff> {
-        let sdoc = self.sdoc.as_ref().ok_or(Error::BackendNotLoaded { backend: "native/xml" })?;
-        Ok(self.baseline.drain(sdoc.sign_column()))
+        let tree = self.tree.as_ref().ok_or(Error::BackendNotLoaded { backend: "native/xml" })?;
+        Ok(self.baseline.drain(tree.doc().sign_column()))
     }
 
     fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
@@ -1156,8 +1149,8 @@ impl Backend for NativeXmlBackend {
         // nodes appear), so the store clears everything and re-annotates
         // exactly the mapped nodes.
         self.sdoc_mut()?.apply_sign_map(signs);
-        let sdoc = self.sdoc.as_deref().expect("sdoc_mut succeeded");
-        self.baseline.reset(sdoc.sign_column());
+        let tree = self.tree.as_ref().expect("sdoc_mut succeeded");
+        self.baseline.reset(tree.doc().sign_column());
         self.epoch = self.epoch.max(min_epoch) + 1;
         Ok(())
     }
@@ -1167,24 +1160,19 @@ impl Backend for NativeXmlBackend {
             epoch: self.epoch,
             backend: "native/xml",
             data: CheckpointData::Native {
-                sdoc: self.sdoc.clone(),
+                tree: self.tree.clone(),
                 default_sign: self.default_sign,
             },
         })
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<()> {
-        let CheckpointData::Native { sdoc, default_sign } = &checkpoint.data else {
-            return Err(Error::System(format!(
-                "checkpoint from `{}` cannot restore backend `{}`",
-                checkpoint.backend,
-                self.name()
-            )));
+        let CheckpointData::Native { tree, default_sign } = &checkpoint.data else {
+            return Err(checkpoint.foreign_to(self.name()));
         };
-        self.sdoc = sdoc.clone();
-        self.baseline.reset(self.sdoc.as_deref().map_or(&[], StoredDocument::sign_column));
+        self.tree = tree.clone();
+        self.baseline.reset(self.tree.as_ref().map_or(&[], |t| t.doc().sign_column()));
         self.default_sign = *default_sign;
-        self.index = None;
         self.epoch = self.epoch.max(checkpoint.epoch) + 1;
         Ok(())
     }
@@ -1365,7 +1353,7 @@ mod tests {
         let empty = AnnotationQuery {
             include: vec![],
             except: vec![],
-            mark: Effect::Allow,
+            mark: xac_policy::Effect::Allow,
             shape: xac_policy::QueryShape::Grants,
         };
         let mut b = NativeXmlBackend::with_mode(AnnotateMode::Compiled);
@@ -1667,6 +1655,64 @@ mod tests {
                 b.restore(&checkpoint).unwrap();
                 let restored = b.snapshot().unwrap();
                 assert!(std::ptr::eq(signed.store(), restored.store()), "{kind:?}: restore shares");
+            }
+        }
+    }
+
+    /// Nested delete targets (`//treatment//*` selects `regular` and the
+    /// `med` inside it) remove each row once: tables, dense sign column
+    /// and tree agree afterwards.
+    #[test]
+    fn nested_delete_targets_remove_each_row_once() {
+        let p = prepared();
+        for mode in MODES {
+            for kind in [StorageKind::Row, StorageKind::Column] {
+                let mut b = RelationalBackend::with_mode(kind, mode);
+                b.load(&p).unwrap();
+                let rows = b.sign_map().unwrap().len();
+                assert_eq!(b.delete(&xac_xpath::parse("//treatment//*").unwrap()).unwrap(), 6);
+                let live = b.signs.iter().filter(|&&s| s != NO_SIGN).count();
+                let elements = b.state().unwrap().tree.doc().doc().element_count();
+                assert_eq!((b.sign_map().unwrap().len(), live), (rows - 6, rows - 6), "{kind:?}");
+                assert_eq!(elements, rows - 6, "{kind:?} ({mode})");
+            }
+        }
+    }
+
+    /// An inserted element's row carries the cells the load's SQL insert
+    /// of that tuple writes (`v = ''` without text), quotes, `;`, `--`
+    /// and non-ASCII text included.
+    #[test]
+    fn inserted_rows_carry_the_cells_of_the_sql_insert() {
+        let p = prepared();
+        let joy = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+        let texts = [None, Some("it's"), Some("''"), Some("a;b"), Some("--x"), Some("naïve ✓ 東京")];
+        let inserts = texts.iter().map(|&t| ("name", t)).chain([("treatment", None)]);
+        for mode in MODES {
+            for kind in [StorageKind::Row, StorageKind::Column] {
+                let mut b = RelationalBackend::with_mode(kind, mode);
+                b.load(&p).unwrap();
+                let parent = b.select(&joy).unwrap().nodes[0];
+                let pid = b.state().unwrap().shredded.id_of(parent).unwrap();
+                for (name, text) in inserts.clone() {
+                    let mut reference = b.db.clone();
+                    assert_eq!(b.insert(&joy, name, text).unwrap(), 1);
+                    let row = xac_shrex::ShreddedRow {
+                        table: name.to_string(),
+                        id: b.state().unwrap().shredded.id_bound() - 1,
+                        pid: Some(pid),
+                        value: (name == "name").then(|| text.unwrap_or("").to_string()),
+                        sign: '-',
+                    };
+                    reference.execute(&xac_shrex::shred::insert_statement(&row)).unwrap();
+                    for column in b.state().unwrap().mapping.columns(name).unwrap() {
+                        assert_eq!(
+                            b.db.column_values(name, column).unwrap(),
+                            reference.column_values(name, column).unwrap(),
+                            "{kind:?} ({mode}): {name} {text:?}, column {column}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,28 +1,22 @@
 //! Backend checkpoints: complete state images for transactional updates.
 //!
 //! A [`Checkpoint`] is everything a backend needs to return to an earlier
-//! state byte for byte: the native store's document plus sign map, or
-//! the relational backends' whole database (catalog + every table's
-//! storage) together with the shredding state. The serving engine
-//! captures one with every publication and restores it when an update
-//! fails past the point the existing full-re-annotation fallback can
-//! repair — see `xac-serve`'s degradation ladder and DESIGN.md §4d. It
-//! is the one rollback mechanism: a durable engine stages the checkpoint
-//! before its WAL commit and restores it like a volatile one, and
-//! replays the log only when it reopens.
+//! state byte for byte: the native store's document (with its sign
+//! column), or the relational backends' whole database together with the
+//! shredding state and mapped tree. The serving engine captures one with
+//! every publication and restores it when an update fails past what full
+//! re-annotation can repair (DESIGN.md §4d). It is the one rollback
+//! mechanism; a durable engine replays its log only when it reopens.
 //!
-//! Checkpoints are images rather than logs, with value semantics, but
-//! they copy nothing: the document, each table and the shredding state
-//! sit behind `Arc`s that the checkpoint shares with the backend and the
-//! published snapshot. Capture and restore cost O(tables); the backend's
-//! first write after a capture copies only the part it touches (one
-//! table, or the document on a structural update). Restore stays a
-//! wholesale replacement — no replay, no partial undo.
+//! Checkpoints are images with value semantics, but they copy nothing:
+//! the document, its index, each table and the shredding state sit
+//! behind `Arc`s shared with the backend and the published snapshot, so
+//! capture and restore cost O(tables) and the backend's next write copies
+//! only the part it touches.
 
-use crate::backend::RelationalState;
-use std::sync::Arc;
+use crate::backend::{RelationalState, Tree};
+use crate::error::Error;
 use xac_reldb::Database;
-use xac_xmlstore::StoredDocument;
 
 /// A full state image of one backend at one epoch.
 ///
@@ -41,10 +35,10 @@ pub struct Checkpoint {
 /// checkpointed one (modulo the epoch, which strictly advances).
 #[derive(Clone)]
 pub(crate) enum CheckpointData {
-    /// Native store: the shared document behind its element-name index
-    /// (which carries the sign map) plus the default sign.
+    /// Native store: the shared document (which carries the sign
+    /// column) and its index, plus the default sign.
     Native {
-        sdoc: Option<Arc<StoredDocument>>,
+        tree: Option<Tree>,
         default_sign: char,
     },
     /// Relational store: the table image plus the shredding state
@@ -65,6 +59,12 @@ impl Checkpoint {
     /// checkpoint from any other backend.
     pub fn backend(&self) -> &'static str {
         self.backend
+    }
+
+    /// The error restoring this image into `backend` returns when it
+    /// comes from another backend.
+    pub(crate) fn foreign_to(&self, backend: &str) -> Error {
+        Error::System(format!("checkpoint from `{}` cannot restore backend `{backend}`", self.backend))
     }
 }
 

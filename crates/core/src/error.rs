@@ -76,6 +76,9 @@ pub enum Error {
         /// What was being attempted, with paths/offsets where useful.
         context: String,
     },
+    /// An insert named an element type the schema does not declare;
+    /// [`crate::System`] refuses it before selecting anything.
+    UndeclaredElement(String),
     /// System-level misuse not covered by a structured variant.
     System(String),
 }
@@ -110,6 +113,9 @@ impl fmt::Display for Error {
             ),
             Error::Storage { source_kind, context } => {
                 write!(f, "storage {source_kind} error: {context}")
+            }
+            Error::UndeclaredElement(name) => {
+                write!(f, "update error: the schema declares no element `{name}` to insert")
             }
             Error::System(m) => write!(f, "system error: {m}"),
         }

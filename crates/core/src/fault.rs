@@ -481,33 +481,23 @@ impl FaultingBackend {
     }
 
     fn fire(&mut self, point: FaultPoint) -> Result<()> {
-        match self.plan.take(point) {
-            None => Ok(()),
-            Some(FaultAction::Error) => {
-                xac_obs::instant(&format!("fault:{}", point.name()));
-                Err(Error::FaultInjected { point: point.name().to_string() })
-            }
-            Some(FaultAction::Panic) => {
-                xac_obs::instant(&format!("fault:{}", point.name()));
-                panic!("{}", injected_panic_message(point))
-            }
-        }
+        let action = self.plan.take(point);
+        act(point, action)
     }
 
     fn fire_mid(&mut self, writes_done: usize) -> Result<()> {
-        match self.plan.take_mid(writes_done) {
-            None => Ok(()),
-            Some(FaultAction::Error) => {
-                xac_obs::instant(&format!("fault:{}", FaultPoint::MidReannotate.name()));
-                Err(Error::FaultInjected {
-                    point: FaultPoint::MidReannotate.name().to_string(),
-                })
-            }
-            Some(FaultAction::Panic) => {
-                xac_obs::instant(&format!("fault:{}", FaultPoint::MidReannotate.name()));
-                panic!("{}", injected_panic_message(FaultPoint::MidReannotate))
-            }
-        }
+        let action = self.plan.take_mid(writes_done);
+        act(FaultPoint::MidReannotate, action)
+    }
+}
+
+/// Carry out the action a fault plan drew at `point`, if any.
+fn act(point: FaultPoint, action: Option<FaultAction>) -> Result<()> {
+    let Some(action) = action else { return Ok(()) };
+    xac_obs::instant(&format!("fault:{}", point.name()));
+    match action {
+        FaultAction::Error => Err(Error::FaultInjected { point: point.name().to_string() }),
+        FaultAction::Panic => panic!("{}", injected_panic_message(point)),
     }
 }
 

@@ -288,13 +288,25 @@ impl System {
     /// the original document, which is what the experiment loop needs
     /// (each update runs on a fresh copy).
     pub fn apply(&self, b: &mut dyn Backend, update: &Update) -> Result<UpdateOutcome> {
-        let selection = b.select(update.target())?;
+        let selection = self.select(b, update)?;
         self.apply_selected(b, update, &selection, None)
+    }
+
+    /// Step 1: refuse an insert of an element the schema does not
+    /// declare, before touching the backend; else select the target.
+    fn select(&self, b: &mut dyn Backend, update: &Update) -> Result<Selection> {
+        if let Update::Insert { name, .. } = update {
+            if !self.schema.contains(name) {
+                return Err(Error::UndeclaredElement(name.clone()));
+            }
+        }
+        b.select(update.target())
     }
 
     /// Access-controlled update (§8 extension), the one guarded-update
     /// body: (1) select the delete path, or the insert's parent path,
-    /// once; (2) deny unless every selected node is accessible in the
+    /// once — an insert of an undeclared element is refused first;
+    /// (2) deny unless every selected node is accessible in the
     /// backend's current signs — a delete may only touch accessible
     /// nodes, an insert may only extend accessible parents; (3) apply
     /// the structural write to that selection; (4) run the Trigger
@@ -314,7 +326,7 @@ impl System {
         update: &Update,
         on_fallback: &mut dyn FnMut(&Error),
     ) -> Result<GuardedUpdate> {
-        let selection = b.select(update.target())?;
+        let selection = self.select(b, update)?;
         if !selection.accessible {
             return Ok(GuardedUpdate::Denied(Decision::Denied { nodes: selection.nodes.len() }));
         }

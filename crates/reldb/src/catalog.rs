@@ -137,11 +137,6 @@ impl Catalog {
             .ok_or_else(|| Error::plan(format!("unknown table `{name}`")))
     }
 
-    /// All table names, sorted.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(|s| s.as_str())
-    }
-
     /// Number of tables.
     pub fn len(&self) -> usize {
         self.tables.len()

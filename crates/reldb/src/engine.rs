@@ -271,28 +271,12 @@ impl Database {
                     })
                     .collect::<Result<_>>()?;
                 let targets = self.matching_rows(table, &schema, conditions)?;
-                if !targets.is_empty() {
-                    on_table!(mut &mut self.store, table, |t| {
-                        for &slot in &targets {
-                            for (col, value) in &sets {
-                                t.update_cell(slot, *col, value.clone())?;
-                            }
-                        }
-                    });
-                }
-                Ok(QueryResult::Count(targets.len()))
+                Ok(QueryResult::Count(self.set_cells(table, &targets, &sets)?))
             }
             Statement::Delete { table, conditions } => {
                 let schema = self.catalog.require_table(table)?.clone();
                 let targets = self.matching_rows(table, &schema, conditions)?;
-                if !targets.is_empty() {
-                    on_table!(mut &mut self.store, table, |t| {
-                        for &slot in &targets {
-                            t.delete_row(slot)?;
-                        }
-                    });
-                }
-                Ok(QueryResult::Count(targets.len()))
+                Ok(QueryResult::Count(self.delete_slots(table, &targets)?))
             }
         }
     }
@@ -313,17 +297,49 @@ impl Database {
     /// per-row index maintenance, none of the per-statement overhead. A
     /// call that matches no live row leaves a shared table shared.
     pub fn update_signs(&mut self, table: &str, ids: &[i64], sign: char) -> Result<usize> {
-        let (id_col, s_col) = self.id_and_sign_columns(table)?;
+        let slots = self.live_slots_of(table, ids)?;
+        self.write_sign_cells(table, &slots, sign)
+    }
+
+    /// Batched point delete, the delete counterpart of
+    /// [`Database::update_signs`]: remove the live rows of `table` whose
+    /// `id` is in `ids` — the rows `DELETE FROM {table} WHERE id = k`
+    /// removes for each `k` — through the primary-key index, without a
+    /// statement per row. Absent, repeated and already-deleted ids are
+    /// skipped. Returns the rows deleted.
+    pub fn delete_ids(&mut self, table: &str, ids: &[i64]) -> Result<usize> {
+        let mut slots = self.live_slots_of(table, ids)?;
+        slots.sort_unstable();
+        slots.dedup();
+        self.delete_slots(table, &slots)
+    }
+
+    /// Delete the given live, distinct slots of `table`. Copies a shared
+    /// table only when there is something to delete.
+    fn delete_slots(&mut self, table: &str, slots: &[usize]) -> Result<usize> {
+        if !slots.is_empty() {
+            on_table!(mut &mut self.store, table, |t| {
+                for &slot in slots {
+                    t.delete_row(slot)?;
+                }
+            });
+        }
+        Ok(slots.len())
+    }
+
+    /// The live slots of `table` whose `id` is in `ids`, through the
+    /// index on `id`; errors when that column is missing or unindexed.
+    fn live_slots_of(&self, table: &str, ids: &[i64]) -> Result<Vec<usize>> {
+        let id_col = self.column_of(table, "id")?;
         if !self.has_index(table, id_col) {
             return Err(Error::exec(format!("`{table}.id` is not indexed")));
         }
-        let slots: Vec<usize> = on_table!(ref &self.store, table, |t| ids
+        Ok(on_table!(ref &self.store, table, |t| ids
             .iter()
             .flat_map(|&id| t.index_lookup(id_col, &Value::Int(id)))
             .copied()
             .filter(|&slot| t.is_live(slot))
-            .collect());
-        self.write_sign_cells(table, s_col, &slots, sign)
+            .collect()))
     }
 
     /// Vectorized sign reset: set the `s` column of every live row of
@@ -332,9 +348,8 @@ impl Database {
     /// this; final table state is byte-identical to
     /// `UPDATE {table} SET s = '{sign}'`.
     pub fn reset_signs(&mut self, table: &str, sign: char) -> Result<usize> {
-        let (_, s_col) = self.id_and_sign_columns(table)?;
         let slots: Vec<usize> = on_table!(ref &self.store, table, |t| t.live_rows().collect());
-        self.write_sign_cells(table, s_col, &slots, sign)
+        self.write_sign_cells(table, &slots, sign)
     }
 
     /// The read counterpart of [`Database::update_signs`]: call
@@ -344,7 +359,7 @@ impl Database {
     /// character of `s`; rows whose `id` is not an integer or whose `s`
     /// is not non-empty text are skipped.
     pub fn scan_sign_cells(&self, table: &str, mut visit: impl FnMut(i64, char)) -> Result<()> {
-        let (id_col, s_col) = self.id_and_sign_columns(table)?;
+        let (id_col, s_col) = (self.column_of(table, "id")?, self.column_of(table, "s")?);
         let mut cell = |id: i64, s: &str| {
             if let Some(sign) = s.chars().next() {
                 visit(id, sign);
@@ -376,36 +391,34 @@ impl Database {
         Ok(())
     }
 
-    /// Positions of the `id` and `s` columns of a sign-carrying table.
-    fn id_and_sign_columns(&self, table: &str) -> Result<(usize, usize)> {
-        let schema = self.catalog.require_table(table)?;
-        let id_col = schema
-            .column_index("id")
-            .ok_or_else(|| Error::plan(format!("table `{table}` has no `id` column")))?;
-        let s_col = schema
-            .column_index("s")
-            .ok_or_else(|| Error::plan(format!("table `{table}` has no `s` column")))?;
-        Ok((id_col, s_col))
+    /// Position of column `column` of `table`.
+    fn column_of(&self, table: &str, column: &str) -> Result<usize> {
+        self.catalog
+            .require_table(table)?
+            .column_index(column)
+            .ok_or_else(|| Error::plan(format!("table `{table}` has no `{column}` column")))
     }
 
-    /// Write `sign` into column `s_col` of the given live slots. Copies
-    /// a shared table only when there is something to write.
-    fn write_sign_cells(
-        &mut self,
-        table: &str,
-        s_col: usize,
-        slots: &[usize],
-        sign: char,
-    ) -> Result<usize> {
+    /// Write `sign` into the `s` cells of the given live slots.
+    fn write_sign_cells(&mut self, table: &str, slots: &[usize], sign: char) -> Result<usize> {
+        let s_col = self.column_of(table, "s")?;
+        let written = self.set_cells(table, slots, &[(s_col, Value::Text(sign.to_string()))])?;
+        batch_sign_rows_total().add(written as u64);
+        Ok(written)
+    }
+
+    /// Overwrite the `(column, value)` cells of the given live slots.
+    /// Copies a shared table only when there is something to write.
+    fn set_cells(&mut self, table: &str, slots: &[usize], sets: &[(usize, Value)]) -> Result<usize> {
         if !slots.is_empty() {
-            let value = Value::Text(sign.to_string());
             on_table!(mut &mut self.store, table, |t| {
                 for &slot in slots {
-                    t.update_cell(slot, s_col, value.clone())?;
+                    for (col, value) in sets {
+                        t.update_cell(slot, *col, value.clone())?;
+                    }
                 }
             });
         }
-        batch_sign_rows_total().add(slots.len() as u64);
         Ok(slots.len())
     }
 
@@ -414,8 +427,7 @@ impl Database {
         on_table!(ref &self.store, table, |t| Ok(t.row_count()))
     }
 
-    /// All live values of one column (used by the annotation loop that
-    /// iterates every table's ids).
+    /// All live values of one column, in slot order.
     pub fn column_values(&self, table: &str, column: &str) -> Result<Vec<Value>> {
         let schema = self.catalog.require_table(table)?;
         let col = schema
@@ -608,6 +620,51 @@ mod tests {
     }
 
     #[test]
+    fn delete_ids_matches_per_row_deletes() {
+        for kind in [StorageKind::Row, StorageKind::Column] {
+            let mut db = Database::new(kind);
+            let mut reference = Database::new(kind);
+            load(&mut db);
+            load(&mut reference);
+            // An absent id, a repeated one, then ids deleted already.
+            for ids in [&[10, 999, 12, 10][..], &[12, 11], &[10, 11, 12]] {
+                let n = db.delete_ids("child", ids).unwrap();
+                let mut expected = 0;
+                for id in ids {
+                    let sql = format!("DELETE FROM child WHERE id = {id}");
+                    expected += reference.execute(&sql).unwrap().count().unwrap();
+                }
+                assert_eq!(n, expected, "{kind:?} {ids:?}");
+                assert_eq!(image(&db), image(&reference), "{kind:?} {ids:?}");
+                for sql in ["SELECT id, pid, v, s FROM child", "SELECT id FROM child WHERE id = 11"] {
+                    assert_eq!(
+                        db.query(sql).unwrap().sorted(),
+                        reference.query(sql).unwrap().sorted(),
+                        "{kind:?} {ids:?}: {sql}"
+                    );
+                }
+            }
+            assert_eq!(db.row_count("child").unwrap(), 0);
+            assert_eq!(db.row_count("parent").unwrap(), 2, "{kind:?}: other tables untouched");
+        }
+    }
+
+    #[test]
+    fn delete_ids_refuses_an_unindexed_id_and_skips_misses() {
+        for mut db in both() {
+            load(&mut db);
+            db.execute("CREATE TABLE loose (id INT, s TEXT)").unwrap();
+            db.execute("INSERT INTO loose (id, s) VALUES (1, '-')").unwrap();
+            assert!(db.delete_ids("loose", &[1]).is_err(), "`loose.id` has no index");
+            assert_eq!(db.row_count("loose").unwrap(), 1);
+            assert!(db.delete_ids("nope", &[1]).is_err());
+            assert_eq!(db.delete_ids("child", &[]).unwrap(), 0);
+            assert_eq!(db.delete_ids("child", &[999, 1]).unwrap(), 0, "ids of other tables miss");
+            assert_eq!(db.row_count("child").unwrap(), 3);
+        }
+    }
+
+    #[test]
     fn update_signs_skips_absent_ids_and_checks_schema() {
         for mut db in both() {
             load(&mut db);
@@ -644,7 +701,7 @@ mod tests {
     #[test]
     fn clone_shares_tables_and_copies_only_the_written_one() {
         type Write = fn(&mut Database);
-        let writers: [(&str, Write); 5] = [
+        let writers: [(&str, Write); 6] = [
             ("INSERT", |db| {
                 db.execute("INSERT INTO child (id, pid, v, s) VALUES (13, 2, 'c', '-')").unwrap();
             }),
@@ -659,6 +716,9 @@ mod tests {
             }),
             ("reset_signs", |db| {
                 db.reset_signs("child", '+').unwrap();
+            }),
+            ("delete_ids", |db| {
+                db.delete_ids("child", &[11]).unwrap();
             }),
         ];
         for kind in [StorageKind::Row, StorageKind::Column] {
@@ -685,6 +745,7 @@ mod tests {
             db.execute("UPDATE child SET s = '+' WHERE id = 999").unwrap();
             db.execute("DELETE FROM child WHERE id = 999").unwrap();
             assert_eq!(db.update_signs("child", &[999], '+').unwrap(), 0);
+            assert_eq!(db.delete_ids("child", &[999]).unwrap(), 0);
             assert!(db.shares_table(&clone, "child"), "{:?}", db.kind());
         }
     }

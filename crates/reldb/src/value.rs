@@ -53,14 +53,6 @@ impl Value {
         }
     }
 
-    /// The text content, if this is a `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Does the value fit the declared column type? `NULL` fits anything.
     pub fn fits(&self, dtype: DataType) -> bool {
         matches!(

@@ -697,7 +697,10 @@ impl ServeEngine {
                 // published snapshot.
                 self.note_fault(&e);
                 self.metrics.update_errors.fetch_add(1, Relaxed);
-                self.rollback(writer.as_mut(), &format!("guarded update failed: {e}"))?;
+                // A refused insert changed nothing: no rollback.
+                if !matches!(e, Error::UndeclaredElement(_)) {
+                    self.rollback(writer.as_mut(), &format!("guarded update failed: {e}"))?;
+                }
                 Err(e)
             }
             Err(payload) => {
@@ -880,6 +883,35 @@ mod tests {
                 assert_eq!(engine.epoch(), epoch, "{mode}/{kind}");
                 assert_eq!((m.rollbacks, m.update_errors), (0, 0), "{mode}/{kind}");
                 assert_eq!((m.read_errors, m.reads_issued()), (reads, reads), "{mode}/{kind}");
+            }
+        }
+    }
+
+    /// An insert of an element the schema does not declare is refused
+    /// by `System` before it selects anything, with one typed error on
+    /// every backend and mode: the update counts as an error, the epoch
+    /// and the signs stay, and no checkpoint is restored.
+    #[test]
+    fn undeclared_inserts_are_refused_without_a_rollback() {
+        for mode in [AnnotateMode::PaperFaithful, AnnotateMode::Compiled] {
+            let system = Arc::new(
+                System::builder(xac_core::hospital_schema_for_docs(), hospital_policy(), figure2())
+                    .annotate_mode(mode)
+                    .build()
+                    .unwrap(),
+            );
+            for kind in BackendKind::ALL {
+                let engine = ServeEngine::for_kind(Arc::clone(&system), kind).unwrap();
+                let writer = || engine.with_writer(|b| (b.epoch(), b.sign_state().unwrap()));
+                let (published, before) = (engine.epoch(), writer().unwrap());
+                let joy = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+                let err = engine.guarded_insert(&joy, "martian", None).unwrap_err();
+                assert_eq!(err, Error::UndeclaredElement("martian".into()), "{mode}/{kind}");
+                let m = engine.metrics();
+                assert_eq!((m.rollbacks, m.update_errors), (0, 1), "{mode}/{kind}");
+                assert_eq!(engine.epoch(), published, "{mode}/{kind}");
+                assert_eq!(writer().unwrap(), before, "{mode}/{kind}: epoch and signs");
+                assert!(engine.guarded_insert(&joy, "treatment", None).unwrap().applied());
             }
         }
     }

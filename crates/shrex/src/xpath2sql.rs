@@ -232,16 +232,19 @@ fn apply_qualifier(
             };
             let mut out = Vec::new();
             for mut ext in branches {
-                // The compared node must be a leaf type carrying a value.
-                if !schema.is_text_type(&ext.out_type) {
+                if schema.is_text_type(&ext.out_type) {
+                    ext.conds.push(format!(
+                        "{}.v {} {}",
+                        ext.out_alias,
+                        sql_op(*op),
+                        sql_literal(lit)
+                    ));
+                } else if !op.compare("", lit) {
+                    // A type without a `v` column holds no text: its
+                    // string value is "", so the comparison holds for
+                    // every such node or for none.
                     continue;
                 }
-                ext.conds.push(format!(
-                    "{}.v {} {}",
-                    ext.out_alias,
-                    sql_op(*op),
-                    sql_literal(lit)
-                ));
                 ext.out_alias = cq.out_alias.clone();
                 ext.out_type = cq.out_type.clone();
                 out.push(ext);
@@ -443,6 +446,12 @@ mod tests {
             "//patient[name = \"joy smith\"]",
             "//patient[treatment[regular]]",
             "//*",
+            // Value comparisons on types without a `v` column: their
+            // string value is "".
+            "//dept[. = \"\"]",
+            "//dept[. = \"x\"]",
+            "//patient[treatment != \"x\"]",
+            "//patient[treatment = \"x\"]",
         ];
 
         for kind in [StorageKind::Row, StorageKind::Column] {

@@ -288,32 +288,30 @@ impl StoredDocument {
     }
 
     /// Delete the subtrees of `nodes` (an [`StoredDocument::eval`]
-    /// answer); returns the roots of the detached subtrees (the nodes
-    /// not inside another one's subtree), in the given order. The name
-    /// index keeps stale entries (filtered lazily); call
-    /// [`StoredDocument::reindex`] after bulk deletions.
-    pub fn delete_nodes(&mut self, nodes: &[NodeId]) -> Result<Vec<NodeId>> {
+    /// answer), clearing their signs; returns the roots of the detached
+    /// subtrees (the nodes not inside another one's subtree), in the
+    /// given order. `visit` sees each root on the document just before
+    /// its subtree goes, so a caller can collect what the subtree held
+    /// exactly once. The name index keeps stale entries (filtered
+    /// lazily); call [`StoredDocument::reindex`] after bulk deletions.
+    pub fn delete_nodes(
+        &mut self,
+        nodes: &[NodeId],
+        mut visit: impl FnMut(&Document, NodeId),
+    ) -> Result<Vec<NodeId>> {
         let mut roots = Vec::new();
         for &node in nodes {
             // A target inside an already-removed subtree is gone.
             if self.doc.is_alive(node) {
-                self.remove_subtree(node)?;
+                visit(&self.doc, node);
+                for n in self.doc.subtree(node) {
+                    self.signs[n.index()] = NO_SIGN;
+                }
+                self.doc.remove_subtree(node)?;
                 roots.push(node);
             }
         }
         Ok(roots)
-    }
-
-    /// Remove one live node and its subtree, clearing their signs;
-    /// returns the number of nodes removed. The name index keeps the
-    /// stale entries (filtered lazily).
-    pub fn remove_subtree(&mut self, node: NodeId) -> Result<usize> {
-        if self.doc.is_alive(node) {
-            for n in self.doc.subtree(node) {
-                self.signs[n.index()] = NO_SIGN;
-            }
-        }
-        Ok(self.doc.remove_subtree(node)?)
     }
 
     /// Insert a new element under `parent`, keeping the index current.
@@ -445,7 +443,7 @@ mod tests {
         let mut sdoc = hospital();
         let before = sdoc.doc().element_count();
         let nodes = sdoc.doc().len();
-        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
+        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
         assert_eq!(roots.len(), 1, "one treatment subtree");
         assert_eq!(
             sdoc.doc().len(),
@@ -464,7 +462,7 @@ mod tests {
             Document::parse_str("<a><b><b/></b></a>").unwrap(),
         );
         // Both b elements match; the outer removal swallows the inner.
-        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//b").unwrap())).unwrap();
+        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//b").unwrap()), |_, _| {}).unwrap();
         assert_eq!(roots.len(), 1, "only the outer b is a detached root");
         assert_eq!(sdoc.doc().element_count(), 1);
     }
@@ -525,7 +523,7 @@ mod tests {
         sdoc.clear_signs(clone.eval(&parse("//patient").unwrap()));
         let psn = sdoc.eval(&parse("//psn").unwrap())[0];
         sdoc.annotate(psn, '+');
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
         let root = sdoc.doc().root();
         let added = sdoc.insert_element(root, "extra");
         sdoc.annotate(added, '+');
@@ -543,7 +541,7 @@ mod tests {
         let patient = sdoc.eval(&parse("//patient").unwrap())[0];
         let text = sdoc.doc().all_nodes().find(|&n| sdoc.doc().is_text(n)).unwrap();
         let treatment = sdoc.eval(&parse("//treatment").unwrap())[0];
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
         let map: std::collections::BTreeMap<i64, char> = [
             (-1, '+'),
             (1 << 40, '+'),
@@ -562,7 +560,7 @@ mod tests {
         let mut sdoc = hospital();
         sdoc.annotate_expr(&NodeSetExpr::path("//*").unwrap(), '-');
         let all = sdoc.sign_counts().1;
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
         assert_eq!(sdoc.sign_counts(), (0, all - 4), "treatment, regular, med, bill");
         assert_eq!(
             sdoc.signed_nodes().count(),

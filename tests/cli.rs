@@ -122,6 +122,31 @@ fn update_insert_flow() {
     assert!(text.contains("DENIED  //patient[psn = \"099\"]"), "{text}");
 }
 
+/// An insert of an element the schema does not declare exits 2 with one
+/// message on every backend, native included.
+#[test]
+fn update_insert_of_an_undeclared_element_exits_2_everywhere() {
+    let (schema, policy, doc) = (data("hospital.dtd"), data("hospital.pol"), data("figure2.xml"));
+    for backend in ["native", "row", "column"] {
+        let out = xmlac(&[
+            "update",
+            "--schema",
+            &schema,
+            "--policy",
+            &policy,
+            "--doc",
+            &doc,
+            "--backend",
+            backend,
+            "--insert",
+            "//patient[psn = \"099\"]:martian",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{backend}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(err.contains("the schema declares no element `martian`"), "{backend}: {err}");
+    }
+}
+
 #[test]
 fn shred_emits_ddl_and_inserts() {
     let out = xmlac(&["shred", "--schema", &data("hospital.dtd"), "--doc", &data("figure2.xml")]);

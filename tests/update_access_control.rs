@@ -2,7 +2,10 @@
 //! re-annotation, and access-controlled (guarded) updates with
 //! all-or-nothing write semantics — tested across all backends.
 
-use xac_core::{Backend, GuardedUpdate, NativeXmlBackend, RelationalBackend, System, Update};
+use xac_core::{
+    AnnotateMode, Backend, GuardedUpdate, NativeXmlBackend, RelationalBackend, System, Update,
+};
+use xac_reldb::StorageKind;
 use xac_policy::policy::hospital_policy;
 use xac_xmlgen::{figure2_document, hospital_document, hospital_schema};
 
@@ -153,6 +156,39 @@ fn relational_insert_of_unmapped_element_errors() {
     s.load(&mut b).unwrap();
     let parent = xac_xpath::parse("//patient").unwrap();
     assert!(b.insert(&parent, "martian", None).is_err());
+}
+
+/// An insert of an element the schema does not declare is refused by
+/// `System` before it selects anything, with one typed error on every
+/// backend in both modes — guarded or not — and the backend keeps its
+/// epoch, signs and document.
+#[test]
+fn undeclared_insert_is_refused_alike_on_every_backend_and_mode() {
+    let parent = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
+    let martian = insert(&parent, "martian");
+    let refused = xac_core::Error::UndeclaredElement("martian".into());
+    for mode in [AnnotateMode::PaperFaithful, AnnotateMode::Compiled] {
+        let s = System::builder(hospital_schema(), hospital_policy(), figure2_document())
+            .annotate_mode(mode)
+            .build()
+            .unwrap();
+        let backends: [Box<dyn Backend>; 3] = [
+            Box::new(RelationalBackend::with_mode(StorageKind::Row, mode)),
+            Box::new(RelationalBackend::with_mode(StorageKind::Column, mode)),
+            Box::new(NativeXmlBackend::with_mode(mode)),
+        ];
+        for mut b in backends {
+            s.load(b.as_mut()).unwrap();
+            s.annotate(b.as_mut()).unwrap();
+            let (epoch, signs) = (b.epoch(), b.sign_state().unwrap());
+            let xml = b.snapshot().unwrap().store().doc().to_xml();
+            let who = format!("{} ({mode})", b.name());
+            assert_eq!(s.guarded(b.as_mut(), &martian).unwrap_err(), refused, "{who}");
+            assert_eq!(s.apply(b.as_mut(), &martian).unwrap_err(), refused, "{who}");
+            assert_eq!((b.epoch(), b.sign_state().unwrap()), (epoch, signs), "{who}");
+            assert_eq!(b.snapshot().unwrap().store().doc().to_xml(), xml, "{who}");
+        }
+    }
 }
 
 /// A denied guarded update is a true no-op: the backend's sign state is

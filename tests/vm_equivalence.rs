@@ -378,18 +378,24 @@ fn maintained_doc_index_matches_a_fresh_build() {
     }
 }
 
+/// Texts the seeded inserts carry: SQL quoting and comment characters
+/// and non-ASCII text, which the relational rows must hold verbatim.
+const INSERTED_TEXTS: [&str; 5] = ["it's", "''", "a;b", "--c", "naïve ✓ 東京"];
+
 /// A seeded guarded update for [`writer_selection_matches_paper_mode_after_every_step`]:
 /// a delete from `deletes`, or the insert of a sibling of a random live
 /// element of `doc` under its parent's type, keyed by one of the
 /// parent's leaf values when it has one so the insert can be granted.
+/// An inserted valued element carries one of [`INSERTED_TEXTS`], and
+/// comes with the `//parent[name = "text"]` probe that finds it.
 fn seeded_update(
     doc: &Document,
     deletes: &[xac_xpath::Path],
     rng: &mut xac_xmlgen::SplitMix64,
     step: usize,
-) -> Update {
+) -> (Update, Option<xac_xpath::Path>) {
     if rng.gen_bool(0.4) {
-        return Update::Delete(deletes[rng.gen_range(0..deletes.len())].clone());
+        return (Update::Delete(deletes[rng.gen_range(0..deletes.len())].clone()), None);
     }
     let elems: Vec<_> = doc.all_elements().filter(|&n| doc.parent(n).is_some()).collect();
     let e = elems[rng.gen_range(0..elems.len())];
@@ -403,11 +409,16 @@ fn seeded_update(
         Some(c) => format!("//{pname}[{} = \"{}\"]", doc.name(c).unwrap(), doc.text_of(c)),
         None => format!("//{pname}"),
     };
-    Update::Insert {
+    let name = doc.name(e).unwrap();
+    let text = (!doc.text_of(e).is_empty())
+        .then(|| format!("{} {step}", INSERTED_TEXTS[step % INSERTED_TEXTS.len()]));
+    let probe = text.as_ref().map(|t| xac_xpath::parse(&format!("//{pname}[{name} = \"{t}\"]")));
+    let update = Update::Insert {
         parent: xac_xpath::parse(&parent).unwrap(),
-        name: doc.name(e).unwrap().to_string(),
-        text: (!doc.text_of(e).is_empty()).then(|| format!("v{step}")),
-    }
+        name: name.to_string(),
+        text,
+    };
+    (update, probe.map(Result::unwrap))
 }
 
 /// The guarded write path's selection: after every step of a seeded
@@ -417,7 +428,11 @@ fn seeded_update(
 /// on the writer's document; and its guard decision is Table 2's on
 /// that document. Probes are the workload queries and the `[c = "v"]`
 /// value shapes. Each step runs `System::guarded` in both modes, which
-/// must agree on the decision, the write and the signs.
+/// must agree on the decision, the write and the signs. On the
+/// relational stores the tables must mirror the tree:
+/// `query_nodes_allowed`, XPath→SQL over the rows' `id`/`pid`/`v`
+/// cells, agrees with the selection on every probe, including one per
+/// inserted text.
 #[test]
 fn writer_selection_matches_paper_mode_after_every_step() {
     let _cache = cache_lock();
@@ -429,6 +444,7 @@ fn writer_selection_matches_paper_mode_after_every_step() {
         let mut deletes = delete_updates(&sc.schema, 4, sc.seed ^ 0x5e1e);
         deletes.extend(value_shapes(&sc.doc).into_iter().step_by(7));
         for kind in BackendKind::ALL {
+            let mut probes = probes.clone();
             let mut p = kind.make(AnnotateMode::PaperFaithful);
             let mut c = kind.make(AnnotateMode::Compiled);
             paper.load(p.as_mut()).unwrap();
@@ -448,11 +464,18 @@ fn writer_selection_matches_paper_mode_after_every_step() {
                     assert_eq!(got.nodes, xac_xpath::eval(doc, probe), "{label}: eval {probe}");
                     let table2 = got.nodes.iter().all(|n| reference.contains(n));
                     assert_eq!(got.accessible, table2, "{label}: guard on {probe}");
+                    if kind != BackendKind::Native {
+                        let tree = (got.nodes.len(), got.accessible);
+                        for b in [&mut p, &mut c] {
+                            let rows = b.query_nodes_allowed(probe).unwrap();
+                            assert_eq!(rows, tree, "{label}: {} rows for {probe}", b.name());
+                        }
+                    }
                 }
                 if step == 12 {
                     break;
                 }
-                let update = seeded_update(doc, &deletes, &mut rng, step);
+                let (update, probe) = seeded_update(doc, &deletes, &mut rng, step);
                 let (gp, gc) = (
                     paper.guarded(p.as_mut(), &update).unwrap(),
                     compiled.guarded(c.as_mut(), &update).unwrap(),
@@ -472,6 +495,7 @@ fn writer_selection_matches_paper_mode_after_every_step() {
                     _ => panic!("{label}: {update:?} decided {gp:?} vs {gc:?}"),
                 }
                 assert_eq!(signs(p.as_mut()), signs(c.as_mut()), "{label}: {update:?}");
+                probes.extend(probe);
             }
             assert!(applied > 0 && denied > 0, "{}/{kind:?}: {applied} applied", sc.label);
         }
