@@ -3,13 +3,13 @@
 //! A [`Checkpoint`] is everything a backend needs to return to an earlier
 //! state byte for byte: the native store's document (with its sign
 //! column), or the relational backends' whole database together with the
-//! shredding state and mapped tree. The serving engine captures one with
+//! mapping and the mapped tree (whose sign column mirrors the tables). The serving engine captures one with
 //! every publication and restores it when an update fails past what full
 //! re-annotation can repair (DESIGN.md §4d). It is the one rollback
 //! mechanism; a durable engine replays its log only when it reopens.
 //!
 //! Checkpoints are images with value semantics, but they copy nothing:
-//! the document, its index, each table and the shredding state sit
+//! the document, its index, each table and the mapping sit
 //! behind `Arc`s shared with the backend and the published snapshot, so
 //! capture and restore cost O(tables) and the backend's next write copies
 //! only the part it touches.
@@ -36,13 +36,10 @@ pub struct Checkpoint {
 #[derive(Clone)]
 pub(crate) enum CheckpointData {
     /// Native store: the shared document (which carries the sign
-    /// column) and its index, plus the default sign.
-    Native {
-        tree: Option<Tree>,
-        default_sign: char,
-    },
-    /// Relational store: the table image plus the shredding state
-    /// (mapping, document tree, id bookkeeping), each part shared.
+    /// column) and its index.
+    Native { tree: Option<Tree> },
+    /// Relational store: the table image plus the mapping and the
+    /// mapped tree, each part shared.
     Relational {
         db: Database,
         state: Option<RelationalState>,

@@ -3,11 +3,12 @@
 //! The paper's experiments pre-materialize two artifacts per document —
 //! the XML text (loaded by the native store) and the SQL `INSERT` file
 //! (executed by the relational stores; Table 5 lists both sizes). A
-//! [`PreparedDocument`] bundles those with the parsed tree, the derived
-//! relational mapping and the node↔universal-id correspondence.
+//! [`PreparedDocument`] bundles those with the parsed tree and the derived
+//! relational mapping. A tuple's universal id is its element's arena
+//! slot in `doc`, so no node↔id correspondence is kept.
 
 use crate::error::Result;
-use xac_shrex::{Mapping, ShreddedDocument};
+use xac_shrex::Mapping;
 use xac_xml::{Document, Schema};
 
 /// A document prepared for loading into any backend.
@@ -23,8 +24,6 @@ pub struct PreparedDocument {
     pub ddl: String,
     /// SQL `INSERT` script (relational load input).
     pub sql_text: String,
-    /// Tuple-level view with the node↔universal-id mapping.
-    pub shredded: ShreddedDocument,
     /// The sign every node starts from (the policy default).
     pub default_sign: char,
 }
@@ -36,9 +35,8 @@ impl PreparedDocument {
         let mapping = Mapping::derive(schema)?;
         let xml_text = doc.to_xml();
         let ddl = mapping.ddl();
-        let shredded = xac_shrex::shred_document(&doc, &mapping, default_sign)?;
         let sql_text = xac_shrex::shred_to_sql(&doc, &mapping, default_sign)?;
-        Ok(PreparedDocument { doc, xml_text, mapping, ddl, sql_text, shredded, default_sign })
+        Ok(PreparedDocument { doc, xml_text, mapping, ddl, sql_text, default_sign })
     }
 
     /// Size in bytes of the XML artifact (Table 5, column "XML").
@@ -74,7 +72,7 @@ mod tests {
         let p = PreparedDocument::prepare(&schema(), doc(), '-').unwrap();
         assert!(p.xml_bytes() > 0);
         assert!(p.sql_bytes() > p.xml_bytes(), "INSERT text is bulkier than XML");
-        assert_eq!(p.shredded.len(), p.doc.element_count());
+        assert_eq!(p.sql_text.lines().count(), p.doc.element_count(), "one INSERT per element");
         assert!(p.ddl.contains("CREATE TABLE patient"));
         assert_eq!(p.default_sign, '-');
     }

@@ -79,6 +79,10 @@ pub enum Error {
     /// An insert named an element type the schema does not declare;
     /// [`crate::System`] refuses it before selecting anything.
     UndeclaredElement(String),
+    /// An insert carried text for an element type whose content model
+    /// holds none (its table has no `v` column); [`crate::System`]
+    /// refuses it before selecting anything.
+    UndeclaredText(String),
     /// System-level misuse not covered by a structured variant.
     System(String),
 }
@@ -116,6 +120,9 @@ impl fmt::Display for Error {
             }
             Error::UndeclaredElement(name) => {
                 write!(f, "update error: the schema declares no element `{name}` to insert")
+            }
+            Error::UndeclaredText(name) => {
+                write!(f, "update error: the schema declares no text in element `{name}`")
             }
             Error::System(m) => write!(f, "system error: {m}"),
         }

@@ -2,11 +2,10 @@
 //!
 //! A [`SignDiff`] is the net change between two [`Backend::sign_state`]
 //! maps. The serving engine's durable commit does not build those maps:
-//! each backend keeps a byte column of its signs (one byte per arena
-//! slot on the native store, one per universal id on the relational
-//! ones; both in the native store's encoding, [`NO_SIGN`] for no entry,
-//! else `b'+'` or `b'-'`) and a [`SignBaseline`] copy of that column as
-//! of the last drain. [`Backend::sign_changes`] diffs the two a word at
+//! each backend's tree keeps a byte column of its signs (one byte per
+//! arena slot, which is also the relational stores' universal id;
+//! [`NO_SIGN`] for no entry, else `b'+'` or `b'-'`) and a
+//! [`SignBaseline`] copy of that column as of the last drain. [`Backend::sign_changes`] diffs the two a word at
 //! a time and decodes only the bytes that differ, so a commit costs
 //! O(changed signs) plus one pass over the column's words.
 //!

@@ -293,11 +293,16 @@ impl System {
     }
 
     /// Step 1: refuse an insert of an element the schema does not
-    /// declare, before touching the backend; else select the target.
+    /// declare, or of text under a type that holds none (it has no `v`
+    /// column to carry it), before touching the backend; else select the
+    /// target.
     fn select(&self, b: &mut dyn Backend, update: &Update) -> Result<Selection> {
-        if let Update::Insert { name, .. } = update {
+        if let Update::Insert { name, text, .. } = update {
             if !self.schema.contains(name) {
                 return Err(Error::UndeclaredElement(name.clone()));
+            }
+            if text.is_some() && !self.schema.is_text_type(name) {
+                return Err(Error::UndeclaredText(name.clone()));
             }
         }
         b.select(update.target())
@@ -305,7 +310,8 @@ impl System {
 
     /// Access-controlled update (§8 extension), the one guarded-update
     /// body: (1) select the delete path, or the insert's parent path,
-    /// once — an insert of an undeclared element is refused first;
+    /// once — an insert of an undeclared element, or of text the
+    /// element's type does not hold, is refused first;
     /// (2) deny unless every selected node is accessible in the
     /// backend's current signs — a delete may only touch accessible
     /// nodes, an insert may only extend accessible parents; (3) apply

@@ -698,7 +698,7 @@ impl ServeEngine {
                 self.note_fault(&e);
                 self.metrics.update_errors.fetch_add(1, Relaxed);
                 // A refused insert changed nothing: no rollback.
-                if !matches!(e, Error::UndeclaredElement(_)) {
+                if !matches!(e, Error::UndeclaredElement(_) | Error::UndeclaredText(_)) {
                     self.rollback(writer.as_mut(), &format!("guarded update failed: {e}"))?;
                 }
                 Err(e)
@@ -887,12 +887,17 @@ mod tests {
         }
     }
 
-    /// An insert of an element the schema does not declare is refused
-    /// by `System` before it selects anything, with one typed error on
-    /// every backend and mode: the update counts as an error, the epoch
-    /// and the signs stay, and no checkpoint is restored.
+    /// An insert of an element the schema does not declare, or of text
+    /// under a type that holds none, is refused by `System` before it
+    /// selects anything, with one typed error on every backend and
+    /// mode: the update counts as an error, the epoch and the signs
+    /// stay, and no checkpoint is restored.
     #[test]
     fn undeclared_inserts_are_refused_without_a_rollback() {
+        let refusals = [
+            ("martian", None, Error::UndeclaredElement("martian".into())),
+            ("treatment", Some("x"), Error::UndeclaredText("treatment".into())),
+        ];
         for mode in [AnnotateMode::PaperFaithful, AnnotateMode::Compiled] {
             let system = Arc::new(
                 System::builder(xac_core::hospital_schema_for_docs(), hospital_policy(), figure2())
@@ -905,12 +910,14 @@ mod tests {
                 let writer = || engine.with_writer(|b| (b.epoch(), b.sign_state().unwrap()));
                 let (published, before) = (engine.epoch(), writer().unwrap());
                 let joy = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
-                let err = engine.guarded_insert(&joy, "martian", None).unwrap_err();
-                assert_eq!(err, Error::UndeclaredElement("martian".into()), "{mode}/{kind}");
-                let m = engine.metrics();
-                assert_eq!((m.rollbacks, m.update_errors), (0, 1), "{mode}/{kind}");
-                assert_eq!(engine.epoch(), published, "{mode}/{kind}");
-                assert_eq!(writer().unwrap(), before, "{mode}/{kind}: epoch and signs");
+                for (errors, (name, text, refused)) in (1..).zip(&refusals) {
+                    let err = engine.guarded_insert(&joy, name, *text).unwrap_err();
+                    assert_eq!(&err, refused, "{mode}/{kind}");
+                    let m = engine.metrics();
+                    assert_eq!((m.rollbacks, m.update_errors), (0, errors), "{mode}/{kind}");
+                    assert_eq!(engine.epoch(), published, "{mode}/{kind}");
+                    assert_eq!(writer().unwrap(), before, "{mode}/{kind}: epoch and signs");
+                }
                 assert!(engine.guarded_insert(&joy, "treatment", None).unwrap().applied());
             }
         }

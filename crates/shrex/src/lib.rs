@@ -5,8 +5,9 @@
 //!
 //! * every element type `E` of the (non-recursive) schema maps to a table
 //!   `E(id, pid[, v], s)` — `id` a database-wide *universal identifier*,
-//!   `pid` the parent node's id, `v` the text value for leaf types, and
-//!   `s` the accessibility sign column;
+//!   which is the element's arena slot ([`shred::id_of`]), `pid` the
+//!   parent node's id, `v` the text value for leaf types, and `s` the
+//!   accessibility sign column;
 //! * documents *shred* into one tuple per element
 //!   ([`shred::shred_document`]), or into the SQL `INSERT` text whose
 //!   execution the paper measures as loading time
@@ -23,7 +24,7 @@ pub mod shred;
 pub mod xpath2sql;
 
 pub use mapping::{Mapping, SIGN_COLUMN, VALUE_COLUMN};
-pub use shred::{shred_document, shred_to_sql, ShreddedDocument, ShreddedRow};
+pub use shred::{shred_document, shred_to_sql, ShreddedRow};
 pub use xpath2sql::translate;
 
 /// Errors from mapping, shredding or translation.

@@ -315,7 +315,7 @@ mod tests {
     use super::*;
     use crate::mapping::tests::hospital_schema;
     use crate::mapping::Mapping;
-    use crate::shred::{shred_document, shred_to_sql};
+    use crate::shred::{id_of, shred_to_sql};
     use std::collections::BTreeSet;
     use xac_reldb::{Database, StorageKind};
     use xac_xml::Document;
@@ -423,7 +423,6 @@ mod tests {
              </staffinfo></dept></hospital>",
         )
         .unwrap();
-        let shredded = shred_document(&doc, &mapping, '-').unwrap();
         let sql_text = shred_to_sql(&doc, &mapping, '-').unwrap();
 
         let queries = [
@@ -462,7 +461,7 @@ mod tests {
                 let path = xac_xpath::parse(q).unwrap();
                 let expected: BTreeSet<i64> = xac_xpath::eval(&doc, &path)
                     .into_iter()
-                    .map(|n| shredded.id_of(n).unwrap())
+                    .map(id_of)
                     .collect();
                 let sql = translate(&path, &schema).unwrap();
                 let got = db.query(&sql).unwrap().column_as_int_set(0);

@@ -6,8 +6,7 @@
 
 use xac_xml::NodeId;
 
-/// A fixed-width dense bitset. Positions are arena slots (or, in the
-/// relational backends' per-epoch cache, universal ids).
+/// A fixed-width dense bitset. Positions are arena slots.
 #[derive(Debug, Clone)]
 pub struct Bitset {
     words: Vec<u64>,

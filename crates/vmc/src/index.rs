@@ -384,23 +384,13 @@ impl DocIndex {
     /// removed slots and of the roots' parents, and the removed names'
     /// lists.
     pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
-        let mut removed: Vec<u32> = Vec::new();
         let mut dirty: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = roots.iter().map(|r| r.index() as u32).collect();
-        for &r in &stack {
+        for r in roots.iter().map(|r| r.index() as u32) {
             if (r as usize) < self.n && self.parent_of(r) != NONE {
                 dirty.push(self.parent_of(r) >> SHIFT);
             }
         }
-        while let Some(slot) = stack.pop() {
-            if (slot as usize) < self.n && self.name_id_at(slot) != NONE {
-                removed.push(slot);
-                stack.extend_from_slice(self.children_of(slot));
-            }
-        }
-        // A root nested under another root is walked twice.
-        removed.sort_unstable();
-        removed.dedup();
+        let removed = self.subtree_slots(roots);
         let mut gone = Bitset::new(self.n);
         removed.iter().for_each(|&s| gone.set(s));
         let gone = |s: u32| gone.test(s);
@@ -431,6 +421,30 @@ impl DocIndex {
         self.element_count -= removed.len();
     }
 
+    /// The live element slots in the subtrees of `roots`, ascending and
+    /// each listed once (a root nested under another is walked twice).
+    /// The walk follows the index's own child lists.
+    pub fn subtree_slots(&self, roots: &[NodeId]) -> Vec<u32> {
+        let mut slots: Vec<u32> = Vec::new();
+        let mut stack: Vec<u32> = roots.iter().map(|r| r.index() as u32).collect();
+        while let Some(slot) = stack.pop() {
+            if (slot as usize) < self.n && self.name_id_at(slot) != NONE {
+                slots.push(slot);
+                stack.extend_from_slice(self.children_of(slot));
+            }
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// The name id of the live element at `slot`; `None` for a text
+    /// node, a dead slot or a slot past the width.
+    pub fn element_name(&self, slot: usize) -> Option<u32> {
+        let name = if slot < self.n { self.name_id_at(slot as u32) } else { NONE };
+        (name != NONE).then_some(name)
+    }
+
     /// Bitset width (arena capacity).
     pub fn width(&self) -> usize {
         self.n
@@ -446,8 +460,8 @@ impl DocIndex {
         self.root
     }
 
-    /// Interned name id for `name`, if any element carries it.
-    pub(crate) fn name_of(&self, name: &str) -> Option<u32> {
+    /// Interned name id for `name`, if any element carries or carried it.
+    pub fn name_of(&self, name: &str) -> Option<u32> {
         self.lookup.get(name).copied()
     }
 

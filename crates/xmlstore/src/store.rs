@@ -246,6 +246,25 @@ impl StoredDocument {
         cleared
     }
 
+    /// Set the sign of every live element to `sign`, with no counter:
+    /// a store that keeps an explicit sign per element (the relational
+    /// backends' copy of their tables' sign cells) fills its column so
+    /// after a load.
+    pub fn sign_every_element(&mut self, sign: char) {
+        let byte = sign_byte(sign);
+        for (n, _) in self.doc.element_nodes() {
+            self.signs[n.index()] = byte;
+        }
+    }
+
+    /// Overwrite every sign present with `sign`, with no counter: the
+    /// reset of a store that keeps an explicit sign per element, in one
+    /// pass over the column rather than the arena.
+    pub fn overwrite_signs(&mut self, sign: char) {
+        let byte = sign_byte(sign);
+        self.signs.iter_mut().filter(|b| **b != NO_SIGN).for_each(|b| *b = byte);
+    }
+
     /// Remove every sign attribute in the document.
     pub fn clear_all_signs(&mut self) -> usize {
         let cleared = self.signs.iter().filter(|&&b| b != NO_SIGN).count();
@@ -290,20 +309,13 @@ impl StoredDocument {
     /// Delete the subtrees of `nodes` (an [`StoredDocument::eval`]
     /// answer), clearing their signs; returns the roots of the detached
     /// subtrees (the nodes not inside another one's subtree), in the
-    /// given order. `visit` sees each root on the document just before
-    /// its subtree goes, so a caller can collect what the subtree held
-    /// exactly once. The name index keeps stale entries (filtered
+    /// given order. The name index keeps stale entries (filtered
     /// lazily); call [`StoredDocument::reindex`] after bulk deletions.
-    pub fn delete_nodes(
-        &mut self,
-        nodes: &[NodeId],
-        mut visit: impl FnMut(&Document, NodeId),
-    ) -> Result<Vec<NodeId>> {
+    pub fn delete_nodes(&mut self, nodes: &[NodeId]) -> Result<Vec<NodeId>> {
         let mut roots = Vec::new();
         for &node in nodes {
             // A target inside an already-removed subtree is gone.
             if self.doc.is_alive(node) {
-                visit(&self.doc, node);
                 for n in self.doc.subtree(node) {
                     self.signs[n.index()] = NO_SIGN;
                 }
@@ -443,7 +455,7 @@ mod tests {
         let mut sdoc = hospital();
         let before = sdoc.doc().element_count();
         let nodes = sdoc.doc().len();
-        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
+        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
         assert_eq!(roots.len(), 1, "one treatment subtree");
         assert_eq!(
             sdoc.doc().len(),
@@ -462,7 +474,7 @@ mod tests {
             Document::parse_str("<a><b><b/></b></a>").unwrap(),
         );
         // Both b elements match; the outer removal swallows the inner.
-        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//b").unwrap()), |_, _| {}).unwrap();
+        let roots = sdoc.delete_nodes(&sdoc.eval(&parse("//b").unwrap())).unwrap();
         assert_eq!(roots.len(), 1, "only the outer b is a detached root");
         assert_eq!(sdoc.doc().element_count(), 1);
     }
@@ -523,7 +535,7 @@ mod tests {
         sdoc.clear_signs(clone.eval(&parse("//patient").unwrap()));
         let psn = sdoc.eval(&parse("//psn").unwrap())[0];
         sdoc.annotate(psn, '+');
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
         let root = sdoc.doc().root();
         let added = sdoc.insert_element(root, "extra");
         sdoc.annotate(added, '+');
@@ -541,7 +553,7 @@ mod tests {
         let patient = sdoc.eval(&parse("//patient").unwrap())[0];
         let text = sdoc.doc().all_nodes().find(|&n| sdoc.doc().is_text(n)).unwrap();
         let treatment = sdoc.eval(&parse("//treatment").unwrap())[0];
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
         let map: std::collections::BTreeMap<i64, char> = [
             (-1, '+'),
             (1 << 40, '+'),
@@ -560,7 +572,7 @@ mod tests {
         let mut sdoc = hospital();
         sdoc.annotate_expr(&NodeSetExpr::path("//*").unwrap(), '-');
         let all = sdoc.sign_counts().1;
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap()), |_, _| {}).unwrap();
+        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
         assert_eq!(sdoc.sign_counts(), (0, all - 4), "treatment, regular, med, bill");
         assert_eq!(
             sdoc.signed_nodes().count(),

@@ -18,18 +18,13 @@ fn backends() -> Vec<Box<dyn Backend>> {
     ]
 }
 
-/// Accessible universal ids of a relational backend; accessible node ids
-/// of the native backend mapped through the shredded correspondence.
+/// The reference's accessible nodes as universal ids (each node's
+/// arena slot), after checking the backend's accessible count.
 fn accessible_ids(s: &System, b: &mut dyn Backend) -> BTreeSet<i64> {
-    // Reference mapping from the prepared document.
-    let shredded = &s.prepared().shredded;
-    // Use counts for the trait-level check and the reference mapping for
-    // set-level checks on the native backend.
-    let reference: BTreeSet<i64> = s
-        .reference_accessible()
-        .into_iter()
-        .map(|n| shredded.id_of(n).expect("accessible nodes are elements"))
-        .collect();
+    // Use counts for the trait-level check and the reference ids for
+    // set-level checks across backends.
+    let reference: BTreeSet<i64> =
+        s.reference_accessible().into_iter().map(xac_shrex::shred::id_of).collect();
     assert_eq!(b.accessible_count().unwrap(), reference.len(), "{}", b.name());
     reference
 }
@@ -65,7 +60,7 @@ fn relational_accessible_set_matches_reference_exactly() {
     let reference: BTreeSet<i64> = s
         .reference_accessible()
         .into_iter()
-        .map(|n| s.prepared().shredded.id_of(n).unwrap())
+        .map(xac_shrex::shred::id_of)
         .collect();
     for kind in [xac_reldb::StorageKind::Row, xac_reldb::StorageKind::Column] {
         let mut b = RelationalBackend::new(kind);

@@ -127,23 +127,20 @@ fn update_insert_flow() {
 #[test]
 fn update_insert_of_an_undeclared_element_exits_2_everywhere() {
     let (schema, policy, doc) = (data("hospital.dtd"), data("hospital.pol"), data("figure2.xml"));
+    let refusals = [
+        ("//patient[psn = \"099\"]:martian", "the schema declares no element `martian`"),
+        ("//patients:patient:x", "the schema declares no text in element `patient`"),
+    ];
     for backend in ["native", "row", "column"] {
-        let out = xmlac(&[
-            "update",
-            "--schema",
-            &schema,
-            "--policy",
-            &policy,
-            "--doc",
-            &doc,
-            "--backend",
-            backend,
-            "--insert",
-            "//patient[psn = \"099\"]:martian",
-        ]);
-        assert_eq!(out.status.code(), Some(2), "{backend}: {}", stdout(&out));
-        let err = stderr(&out);
-        assert!(err.contains("the schema declares no element `martian`"), "{backend}: {err}");
+        for (spec, message) in refusals {
+            let out = xmlac(&[
+                "update", "--schema", &schema, "--policy", &policy, "--doc", &doc,
+                "--backend", backend, "--insert", spec,
+            ]);
+            assert_eq!(out.status.code(), Some(2), "{backend} {spec}: {}", stdout(&out));
+            let err = stderr(&out);
+            assert!(err.contains(message), "{backend} {spec}: {err}");
+        }
     }
 }
 

@@ -191,7 +191,6 @@ fn sql_translation_matches_eval() {
         let schema = xac_xmlgen::hospital_schema();
         let doc = xac_xmlgen::hospital_document(1, 12, seed);
         let mapping = xac_shrex::Mapping::derive(&schema).unwrap();
-        let shredded = xac_shrex::shred_document(&doc, &mapping, '-').unwrap();
         let sql_text = xac_shrex::shred_to_sql(&doc, &mapping, '-').unwrap();
         let mut db = xac_reldb::Database::new(xac_reldb::StorageKind::Row);
         db.execute_script(&mapping.ddl()).unwrap();
@@ -200,7 +199,7 @@ fn sql_translation_matches_eval() {
         for q in xac_xmlgen::query_workload(&schema, 6, qseed) {
             let expected: std::collections::BTreeSet<i64> = eval(&doc, &q)
                 .into_iter()
-                .map(|n| shredded.id_of(n).unwrap())
+                .map(xac_shrex::shred::id_of)
                 .collect();
             let sql = xac_shrex::translate(&q, &schema).unwrap();
             let got = db.query(&sql).unwrap().column_as_int_set(0);

@@ -158,15 +158,20 @@ fn relational_insert_of_unmapped_element_errors() {
     assert!(b.insert(&parent, "martian", None).is_err());
 }
 
-/// An insert of an element the schema does not declare is refused by
-/// `System` before it selects anything, with one typed error on every
-/// backend in both modes — guarded or not — and the backend keeps its
-/// epoch, signs and document.
+/// An insert of an element the schema does not declare, or of text
+/// under a type that holds none (its table has no `v` column), is
+/// refused by `System` before it selects anything, with one typed error
+/// on every backend in both modes — guarded or not — and the backend
+/// keeps its epoch, signs and document.
 #[test]
 fn undeclared_insert_is_refused_alike_on_every_backend_and_mode() {
     let parent = xac_xpath::parse("//patient[psn = \"099\"]").unwrap();
-    let martian = insert(&parent, "martian");
-    let refused = xac_core::Error::UndeclaredElement("martian".into());
+    let patients = xac_xpath::parse("//patients").unwrap();
+    let text = Update::Insert { parent: patients, name: "patient".into(), text: Some("x".into()) };
+    let refusals = [
+        (insert(&parent, "martian"), xac_core::Error::UndeclaredElement("martian".into())),
+        (text, xac_core::Error::UndeclaredText("patient".into())),
+    ];
     for mode in [AnnotateMode::PaperFaithful, AnnotateMode::Compiled] {
         let s = System::builder(hospital_schema(), hospital_policy(), figure2_document())
             .annotate_mode(mode)
@@ -183,8 +188,10 @@ fn undeclared_insert_is_refused_alike_on_every_backend_and_mode() {
             let (epoch, signs) = (b.epoch(), b.sign_state().unwrap());
             let xml = b.snapshot().unwrap().store().doc().to_xml();
             let who = format!("{} ({mode})", b.name());
-            assert_eq!(s.guarded(b.as_mut(), &martian).unwrap_err(), refused, "{who}");
-            assert_eq!(s.apply(b.as_mut(), &martian).unwrap_err(), refused, "{who}");
+            for (update, refused) in &refusals {
+                assert_eq!(&s.guarded(b.as_mut(), update).unwrap_err(), refused, "{who}");
+                assert_eq!(&s.apply(b.as_mut(), update).unwrap_err(), refused, "{who}");
+            }
             assert_eq!((b.epoch(), b.sign_state().unwrap()), (epoch, signs), "{who}");
             assert_eq!(b.snapshot().unwrap().store().doc().to_xml(), xml, "{who}");
         }
