@@ -195,12 +195,20 @@ impl TryFrom<&LoggedOp> for Update {
     }
 }
 
+/// The mark `Meta`'s backend tag ends with: every backend keys its sign
+/// records by arena slot. Logs written before relational universal ids
+/// became slots keyed relational signs by pre-order rank and carry no
+/// mark; [`Durability::recover`] refuses them rather than apply a rank's
+/// sign to whatever element holds that slot now.
+const SLOT_IDS: &str = "@slot-ids";
+
 /// What a reopen found and repaired; surfaced by
 /// [`ServeEngine::recovery`](crate::ServeEngine::recovery) and printed
 /// by the CLI on restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Backend tag from the log's `Meta` record.
+    /// Backend tag from the log's `Meta` record, without its
+    /// `SLOT_IDS` mark.
     pub backend: String,
     /// Annotate-mode tag from the log's `Meta` record.
     pub mode: String,
@@ -268,7 +276,8 @@ impl Durability {
                 ),
             });
         }
-        let meta = WalRecord::Meta { backend: backend.to_string(), mode: mode.to_string() };
+        let backend = format!("{backend}{SLOT_IDS}");
+        let meta = WalRecord::Meta { backend, mode: mode.to_string() };
         let sets = signs.iter().map(|(&id, &sign)| WalRecord::SignSet { id, sign });
         wal.append_batch(std::iter::once(meta).chain(sets)).map_err(storage_error)?;
         wal.commit(epoch, config.sync).map_err(storage_error)?;
@@ -289,10 +298,10 @@ impl Durability {
     }
 
     /// Reopen after a crash (or clean shutdown — same path): fold the
-    /// committed records, check the `Meta` backend tag against the
-    /// backend being recovered, reload the document, replay the
-    /// structural operations, apply the folded sign map wholesale, and
-    /// repair the pages to it.
+    /// committed records, check the `Meta` backend tag for the
+    /// `SLOT_IDS` mark and against the backend being recovered,
+    /// reload the document, replay the structural operations, apply the
+    /// folded sign map wholesale, and repair the pages to it.
     pub fn recover(
         config: &DurabilityConfig,
         plan: FaultPlan,
@@ -323,11 +332,21 @@ impl Durability {
                 WalRecord::Commit { epoch } => last_epoch = epoch,
             }
         }
-        let Some((backend_tag, mode_tag)) = meta else {
+        let Some((marked_tag, mode_tag)) = meta else {
             return Err(Error::Storage {
                 source_kind: "corrupt".to_string(),
                 context: format!(
                     "wal {} holds no Meta record; cannot recover",
+                    config.wal_path().display()
+                ),
+            });
+        };
+        let Some(backend_tag) = marked_tag.strip_suffix(SLOT_IDS).map(str::to_string) else {
+            return Err(Error::Storage {
+                source_kind: "corrupt".to_string(),
+                context: format!(
+                    "wal {} (backend `{marked_tag}`) predates slot-keyed signs; \
+                     cannot recover, remove the data dir",
                     config.wal_path().display()
                 ),
             });

@@ -32,6 +32,7 @@ use xac_serve::{
     BackendKind, Durability, DurabilityConfig, LoggedOp, Request, Response, ServeEngine,
     SignDiff,
 };
+use xac_store::{Wal, WalRecord};
 use xac_xmlgen::{figure2_document, hospital_schema};
 
 fn system() -> System {
@@ -381,6 +382,41 @@ fn recovery_rejects_backend_tag_mismatch() {
     let engine =
         ServeEngine::durable(Arc::new(system()), BackendKind::Native, &config).unwrap();
     assert!(engine.recovery().is_some());
+}
+
+/// A log written before relational universal ids became arena slots
+/// keyed relational signs by pre-order rank, and its `Meta` backend tag
+/// carries no slot-id mark. Recovery refuses such a log (the CLI exits
+/// 8) on every backend, rather than give each rank's sign to whatever
+/// element holds that slot now.
+#[test]
+fn recovery_refuses_a_log_without_the_slot_id_mark() {
+    for kind in BackendKind::ALL {
+        let dir = data_dir(&format!("unmarked_{}", kind.cli_name()));
+        let config = DurabilityConfig::new(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = system();
+        let (mut wal, _) = Wal::open(&config.wal_path()).unwrap();
+        let meta = WalRecord::Meta {
+            backend: kind.make(s.annotate_mode()).name().to_string(),
+            mode: s.annotate_mode().name().to_string(),
+        };
+        wal.append_batch([meta, WalRecord::SignSet { id: 1, sign: '+' }]).unwrap();
+        wal.commit(1, true).unwrap();
+        drop(wal);
+        let err = match ServeEngine::durable(Arc::new(s), kind, &config) {
+            Err(e) => e,
+            Ok(_) => panic!("{}: an unmarked wal must not recover", kind.cli_name()),
+        };
+        match &err {
+            Error::Storage { source_kind, context } => {
+                assert_eq!(source_kind, "corrupt");
+                assert!(context.contains("predates slot-keyed signs"), "{context}");
+            }
+            other => panic!("expected a storage error, got {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Booting fresh over a populated WAL is refused rather than silently
