@@ -817,7 +817,10 @@ fn ablation_cam() {
 /// 1–3 nodes) with their cost per answer node, which must stay within
 /// 2x from the smallest factor to the largest. A second table times the
 /// first structural write after a publish at f = 0.1, 0.3 and 1
-/// ([`first_write_us`]), which must also stay within 2x across them.
+/// ([`first_write_us`]), which must also stay within 2x across them; a
+/// third times one single-element insert's footprint re-annotation per
+/// backend at the same factors ([`footprint_us`]), within 2x across
+/// them and writing exactly the net sign change.
 /// Emits `BENCH_serve.json` so the serving perf trajectory is tracked
 /// across revisions.
 fn serve(factors: &[f64]) {
@@ -974,6 +977,38 @@ fn serve(factors: &[f64]) {
         );
         first_writes.push(us);
     }
+    let t = TablePrinter::new(vec![8, 18, 16, 12, 12]);
+    t.row(&[
+        "factor".into(),
+        "backend".into(),
+        "footprint µs".into(),
+        "sign writes".into(),
+        "net change".into(),
+    ]);
+    t.rule();
+    let mut footprints: Vec<(&'static str, f64)> = Vec::new();
+    let factors = [0.1, 0.3, 1.0];
+    let systems: Vec<_> =
+        factors.iter().map(|&f| xmark_system_with_mode(f, 0.5, 1, AnnotateMode::Compiled)).collect();
+    for kind in BackendKind::ALL {
+        let name = kind.make(AnnotateMode::Compiled).name();
+        for (f, (us, writes, net)) in factors.iter().zip(footprint_us(&systems, kind)) {
+            t.row(&[
+                format!("{f}"),
+                name.into(),
+                format!("{us:.1}"),
+                writes.to_string(),
+                net.to_string(),
+            ]);
+            let _ = write!(
+                json,
+                ",\n  {{\"factor\": {f}, \"backend\": \"{name}\", \
+                 \"footprint_reannotate_us\": {us}, \"footprint_sign_writes\": {writes}, \
+                 \"footprint_net_change\": {net}}}"
+            );
+            footprints.push((name, us));
+        }
+    }
     json.push_str("\n]\n");
     write_csv("serve.csv", &csv);
     std::fs::write("BENCH_serve.json", &json).expect("write json");
@@ -996,6 +1031,14 @@ fn serve(factors: &[f64]) {
         max <= 2.0 * min,
         "first write after a publish: {max:.1} µs exceeds 2x {min:.1} µs across f=0.1..1"
     );
+    // Footprint re-annotation re-signs what one insert can change, not
+    // the scopes of the rules it triggers.
+    for kind in BackendKind::ALL {
+        let name = kind.make(AnnotateMode::Compiled).name();
+        let us = footprints.iter().filter(|r| r.0 == name).map(|r| r.1);
+        let (min, max) = us.fold((f64::MAX, 0.0f64), |(lo, hi), x| (lo.min(x), hi.max(x)));
+        assert!(max <= 2.0 * min, "{name}: footprint pass {max:.1} µs exceeds 2x {min:.1} µs");
+    }
     println!(
         "(reads run lock-free against the published epoch snapshot while the\n \
          writer re-annotates; applied+denied reflects which of the {UPDATES} guarded\n \
@@ -1003,7 +1046,8 @@ fn serve(factors: &[f64]) {
          dec-vm/dec-sel = single-threaded per-request decide latency of the\n \
          broad workload and of selective value queries on the same snapshot;\n \
          ns/node = selective decide cost per answer node; first write = copying\n \
-         the index a snapshot shares and patching it for one inserted element)"
+         the index a snapshot shares and patching it for one inserted element;\n \
+         footprint = the compiled re-annotation of that insert)"
     );
 }
 
@@ -1035,6 +1079,55 @@ fn first_write_us(f: f64) -> (usize, usize, f64) {
         .collect();
     times.sort_by(f64::total_cmp);
     (published.element_count(), published.width().div_ceil(xac_xml::CHUNK), times[REPS / 2])
+}
+
+/// One single-element insert's footprint re-annotation on a `kind`
+/// backend of each compiled system: an element the policy's first rule
+/// grants goes under the first `//namerica/item`, its own sign changes
+/// are drained, and the pass runs with the whole policy. The systems'
+/// passes alternate, so load on the machine hits them alike. Returns,
+/// per system, the median pass time in µs, and the sign writes and net
+/// sign change of the last pass (equal, which is asserted for every
+/// pass).
+fn footprint_us(
+    systems: &[xac_core::System],
+    kind: xac_serve::BackendKind,
+) -> Vec<(f64, usize, usize)> {
+    const REPS: usize = 101;
+    let items = xac_xpath::parse("//namerica/item").expect("path");
+    let mut runs: Vec<_> = systems
+        .iter()
+        .map(|system| {
+            let mut b = kind.make(xac_core::AnnotateMode::Compiled);
+            system.load(b.as_mut()).expect("load");
+            system.annotate(b.as_mut()).expect("annotate");
+            let mut at = b.select(&items).expect("select");
+            at.nodes.truncate(1);
+            let granted = system.policy().rules[0].resource.to_string();
+            let name = granted.strip_prefix("//").expect("coverage rules are `//name`").to_string();
+            (system, b, at, name, Vec::new(), (0, 0))
+        })
+        .collect();
+    // The first passes warm the program cache and the allocator: untimed.
+    for rep in 0..REPS + 20 {
+        for (system, b, at, name, times, last) in &mut runs {
+            b.insert_selected(at, name, None).expect("insert");
+            b.sign_changes().expect("drain the insert's own signs");
+            let progress = &mut |_| Ok(());
+            let (writes, d) = time(|| b.reannotate_footprint(system.analysis(), progress));
+            *last = (writes.expect("footprint pass"), b.sign_changes().expect("diff").len());
+            assert_eq!(last.0, last.1, "{}: footprint writes vs net change", b.name());
+            if rep >= 20 {
+                times.push(d.as_secs_f64() * 1e6);
+            }
+        }
+    }
+    runs.into_iter()
+        .map(|(_, _, _, _, mut times, (writes, net))| {
+            times.sort_by(f64::total_cmp);
+            (times[REPS / 2], writes, net)
+        })
+        .collect()
 }
 
 /// Up to `n` selective value queries `//P[C = "v"]` on `doc`, with

@@ -31,14 +31,15 @@ use crate::error::{Error, Result};
 use crate::sign_diff::{positions_of, SignBaseline, SignDiff};
 use crate::snapshot::AccessSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::take;
 use std::sync::Arc;
-use xac_policy::AnnotationQuery;
+use xac_policy::{AnnotationQuery, PolicyAnalysis};
 use xac_reldb::{Database, StorageKind, Value};
 use xac_shrex::shred::{id_of, node_of};
 use xac_shrex::{translate, Mapping, SIGN_COLUMN, VALUE_COLUMN};
-use xac_vmc::{Bitset, DocIndex};
+use xac_vmc::{Bitset, Collect, DocIndex, Program};
 use xac_xml::{Document, NodeId};
-use xac_xmlstore::{NodeSetExpr, StoredDocument};
+use xac_xmlstore::{NodeSetExpr, StoredDocument, NO_SIGN};
 use xac_xpath::Path;
 
 /// The nodes an update path designates on a backend's live document,
@@ -105,6 +106,13 @@ pub trait Backend {
     /// then apply the (triggered-rules) annotation query. Returns total
     /// sign writes.
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize>;
+
+    /// Footprint re-annotation (compiled): evaluate the whole policy on
+    /// the footprint of the structural writes since the last pass
+    /// ([`DocIndex::footprint`]) and write only the signs that differ
+    /// from a full annotation's. `progress` gets the writes landed after
+    /// each half; its error stops the pass. Returns the sign writes.
+    fn reannotate_footprint(&mut self, analysis: &PolicyAnalysis, progress: Progress) -> Result<usize>;
 
     /// The backend's annotation epoch: a monotone counter bumped by every
     /// state mutation (load, sign writes, resets, document updates).
@@ -180,8 +188,8 @@ pub trait Backend {
 /// store's sparse one ([`xac_xmlstore::NO_SIGN`] means the default
 /// sign) and the relational one, an explicit sign on every live element
 /// (a copy of the tables' `s` cells). A clone (a checkpoint) copies two
-/// pointers and starts with an empty sign baseline, which a restore
-/// resets; the next write copies what it touches.
+/// pointers, with an empty sign baseline (a restore resets it) and no
+/// pending footprint; the next write copies what it touches.
 pub(crate) struct Tree {
     sdoc: Arc<StoredDocument>,
     /// Describes `sdoc` when present: built on first use, kept by sign
@@ -192,6 +200,8 @@ pub(crate) struct Tree {
     default_sign: char,
     /// The sign column as of the last [`Tree::sign_changes`].
     baseline: SignBaseline,
+    /// The update points since the last re-annotation ([`DocIndex::footprint`]).
+    touched: Vec<NodeId>,
 }
 
 impl Clone for Tree {
@@ -201,6 +211,7 @@ impl Clone for Tree {
             index: self.index.clone(),
             default_sign: self.default_sign,
             baseline: SignBaseline::default(),
+            touched: Vec::new(),
         }
     }
 }
@@ -214,6 +225,7 @@ impl Tree {
             index: None,
             default_sign,
             baseline: SignBaseline::default(),
+            touched: Vec::new(),
         };
         tree.reset_baseline();
         tree
@@ -281,6 +293,7 @@ impl Tree {
         }
         // Held aside while the tree changes, so an error drops it.
         let mut index = self.index.take();
+        self.touched.extend(targets.iter().filter_map(|&t| self.sdoc.doc().parent(t)));
         let sdoc = Arc::make_mut(&mut self.sdoc);
         let before = sdoc.doc().element_count();
         let roots = sdoc.delete_nodes(targets)?;
@@ -303,7 +316,7 @@ impl Tree {
             return Vec::new();
         }
         let sdoc = Arc::make_mut(&mut self.sdoc);
-        let added = parents
+        let added: Vec<NodeId> = parents
             .iter()
             .map(|&parent| {
                 let node = sdoc.insert_element(parent, name);
@@ -316,7 +329,30 @@ impl Tree {
         if let Some(index) = self.index.as_mut() {
             Arc::make_mut(index).append(sdoc.doc());
         }
+        self.touched.extend(parents.iter().chain(&added));
         added
+    }
+
+    /// Compare for compare-then-write: run `program` within the domain; the
+    /// scope's unselected elements not at `reset`, the selected not at mark.
+    pub(crate) fn changes(
+        &mut self,
+        program: &Program,
+        (scope, domain): Footprint,
+        reset: u8,
+    ) -> Result<[Vec<NodeId>; 2]> {
+        let mut selected = Collect::default();
+        xac_vmc::execute(program, &self.index(), domain.as_deref(), &mut selected)
+            .map_err(Error::System)?;
+        let (signs, selected) = (self.sdoc.sign_column(), selected.nodes);
+        let differs = |n: &NodeId, want: u8| signs.get(n.index()) != Some(&want);
+        let mut picked = selected.iter().peekable();
+        let reset = scope.into_iter().map(|s| NodeId::from_index(s as usize)).filter(|n| {
+            while picked.next_if(|&p| p < n).is_some() {}
+            picked.peek() != Some(&n) && differs(n, reset)
+        });
+        let mark = selected.iter().copied().filter(|n| differs(n, program.mark as u8)).collect();
+        Ok([reset.collect(), mark])
     }
 
     /// Publish the document, its index and its accessible elements at
@@ -349,10 +385,37 @@ impl Tree {
         self.baseline.drain(self.sdoc.sign_column())
     }
 
-    /// Forget every pending sign change: the baseline becomes the column.
+    /// Forget every pending sign change and footprint: the baseline
+    /// becomes the column.
     pub(crate) fn reset_baseline(&mut self) {
+        self.touched.clear();
         self.baseline.reset(self.sdoc.sign_column());
     }
+}
+
+/// Slots to compare, ascending, and the VM domain (`None`: the document).
+pub(crate) type Footprint = (Vec<u32>, Option<Vec<u32>>);
+
+/// A repair's progress hook: called with the sign writes landed so far.
+pub type Progress<'a> = &'a mut dyn FnMut(usize) -> Result<()>;
+
+/// Write [`Tree::changes`] in two halves, calling `progress` after each:
+/// a fault between them leaves the repair half-written.
+fn write_halves(
+    [reset, mark]: &[Vec<NodeId>; 2],
+    progress: Progress,
+    mut write: impl FnMut(&[NodeId], bool) -> Result<usize>,
+) -> Result<usize> {
+    let cut = (reset.len() + mark.len()) / 2;
+    let (r, m) = (cut.min(reset.len()), cut.saturating_sub(reset.len()));
+    let mut done = 0;
+    for (resets, marks) in [(&reset[..r], &mark[..m]), (&reset[r..], &mark[m..])] {
+        for (nodes, is_mark) in [(resets, false), (marks, true)] {
+            done += if nodes.is_empty() { 0 } else { write(nodes, is_mark)? };
+        }
+        progress(done)?;
+    }
+    Ok(done)
 }
 
 // ---------------------------------------------------------------------
@@ -595,7 +658,20 @@ impl RelationalBackend {
         let (state, db) = self.parts()?;
         let index = state.tree.index();
         let mut sink = RelationalSignSink { db, state };
-        xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System)
+        xac_vmc::execute(&program, &index, None, &mut sink).map_err(Error::System)
+    }
+
+    /// Compiled compare-then-write repair ([`Tree::changes`], [`write_halves`]).
+    fn repair(&mut self, query: &AnnotationQuery, scope: Footprint, progress: Progress) -> Result<usize> {
+        let program = xac_vmc::cached_query_program(query, Some(self.state()?.mapping.schema()))?;
+        self.epoch += 1;
+        let (state, db) = self.parts()?;
+        let signs = [state.tree.default_sign(), program.mark];
+        let changes = state.tree.changes(&program, scope, signs[0] as u8)?;
+        write_halves(&changes, progress, |nodes, mark| {
+            let slots = nodes.iter().map(|n| n.index());
+            Ok(state.write_signs(db, slots, signs[usize::from(mark)])?)
+        })
     }
 }
 
@@ -781,10 +857,8 @@ impl Backend for RelationalBackend {
     }
 
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
-        // Phase 1: reset the triggered scopes to the default sign. In
-        // compiled mode the scope paths run on the VM, otherwise through
-        // XPath→SQL.
-        let default = self.state()?.tree.default_sign();
+        // Compiled: VM scopes, compare-then-write. Paper: SQL scopes reset, then the query.
+        self.parts()?.0.tree.touched.clear();
         let mut scope_ids: BTreeSet<i64> = BTreeSet::new();
         for p in scope {
             if self.mode == AnnotateMode::Compiled {
@@ -794,10 +868,18 @@ impl Backend for RelationalBackend {
                 scope_ids.extend(self.path_ids(p)?);
             }
         }
-        let reset = self.write_signs(&scope_ids, default)?;
-        // Phase 2: apply the triggered-rules annotation query.
-        let annotated = self.annotate(query)?;
-        Ok(reset + annotated)
+        if self.mode == AnnotateMode::Compiled {
+            let slots = scope_ids.into_iter().map(|id| id as u32).collect();
+            return self.repair(query, (slots, None), &mut |_| Ok(()));
+        }
+        let reset = self.write_signs(&scope_ids, self.state()?.tree.default_sign())?;
+        Ok(reset + self.annotate(query)?)
+    }
+
+    fn reannotate_footprint(&mut self, analysis: &PolicyAnalysis, progress: Progress) -> Result<usize> {
+        let tree = &mut self.parts()?.0.tree;
+        let footprint = tree.index().footprint(&take(&mut tree.touched), analysis.qualifier_labels());
+        self.repair(analysis.annotation_query(), footprint, progress)
     }
 
     fn epoch(&self) -> u64 {
@@ -925,6 +1007,20 @@ impl NativeXmlBackend {
         self.tree.as_ref().map(Tree::doc)
     }
 
+    /// Compiled compare-then-write repair ([`Tree::changes`], [`write_halves`]).
+    fn repair(&mut self, query: &AnnotationQuery, scope: Footprint, progress: Progress) -> Result<usize> {
+        let program = xac_vmc::cached_query_program(query, None)?;
+        let changes = self.tree()?.changes(&program, scope, NO_SIGN)?;
+        let sdoc = self.sdoc_mut()?;
+        write_halves(&changes, progress, |nodes, mark| {
+            Ok(if mark {
+                sdoc.annotate_nodes(nodes, program.mark)
+            } else {
+                sdoc.clear_signs(nodes.iter().copied())
+            })
+        })
+    }
+
     fn expr_of(query: &AnnotationQuery) -> Option<NodeSetExpr> {
         let include = NodeSetExpr::union_of(query.include.clone())?;
         match NodeSetExpr::union_of(query.except.clone()) {
@@ -981,7 +1077,7 @@ impl Backend for NativeXmlBackend {
             let program = xac_vmc::cached_query_program(query, None)?;
             let index = self.tree()?.index();
             let mut sink = NativeSignSink { sdoc: self.sdoc_mut()? };
-            return xac_vmc::execute(&program, &index, &mut sink).map_err(Error::System);
+            return xac_vmc::execute(&program, &index, None, &mut sink).map_err(Error::System);
         }
         let Some(expr) = Self::expr_of(query) else {
             return Ok(0);
@@ -1023,13 +1119,23 @@ impl Backend for NativeXmlBackend {
     fn reannotate(&mut self, scope: &[Path], query: &AnnotationQuery) -> Result<usize> {
         let mode = self.mode;
         let tree = self.tree()?;
+        tree.touched.clear();
         let mut scope_nodes: BTreeSet<NodeId> = BTreeSet::new();
         for p in scope {
             scope_nodes.extend(tree.select(p, mode)?);
         }
+        if mode == AnnotateMode::Compiled {
+            let slots = scope_nodes.into_iter().map(|n| n.index() as u32).collect();
+            return self.repair(query, (slots, None), &mut |_| Ok(()));
+        }
         let reset = self.sdoc_mut()?.clear_signs(scope_nodes);
-        let annotated = self.annotate(query)?;
-        Ok(reset + annotated)
+        Ok(reset + self.annotate(query)?)
+    }
+
+    fn reannotate_footprint(&mut self, analysis: &PolicyAnalysis, progress: Progress) -> Result<usize> {
+        let tree = self.tree()?;
+        let footprint = tree.index().footprint(&take(&mut tree.touched), analysis.qualifier_labels());
+        self.repair(analysis.annotation_query(), footprint, progress)
     }
 
     fn epoch(&self) -> u64 {
@@ -1086,7 +1192,6 @@ mod tests {
     use super::*;
     use crate::Update;
     use xac_policy::policy::hospital_policy;
-    use xac_xmlstore::NO_SIGN;
 
     fn prepared() -> PreparedDocument {
         let schema = crate::hospital_schema_for_docs();

@@ -10,24 +10,24 @@
 //! built in `xac-serve` from the in-repo SplitMix64 generator and
 //! reduce to the same explicit specs.
 //!
-//! The one point that needs cooperation from the decorator is
-//! `mid_reannotate`: to fail *inside* the two-phase §5.3 repair (after
-//! phase 1's reset but before — or partway through — phase 2's
-//! annotation writes), the decorator splits `reannotate` into the reset
-//! (an annotation query with empty include/except sets) followed by a
-//! separate `annotate`, firing between the phases once the configured
-//! sign-write count is reached. When no `mid_reannotate` spec is armed
-//! the call delegates unsplit, so the no-fault path is byte- and
-//! epoch-identical to the undecorated backend.
+//! The one point that needs cooperation is `mid_reannotate`, which fails
+//! *inside* a repair once the configured sign-write count is reached. In
+//! the two-phase §5.3 scope repair the decorator splits `reannotate` into
+//! the reset (a query with empty include/except sets) and a separate
+//! `annotate`, firing between them; the compiled footprint pass reports
+//! its writes after each half of its changes, and fires there. When no
+//! `mid_reannotate` spec is armed the scope repair delegates unsplit, so
+//! the no-fault path is byte- and epoch-identical to the undecorated
+//! backend.
 
-use crate::backend::{Backend, Selection};
+use crate::backend::{Backend, Progress, Selection};
 use crate::checkpoint::Checkpoint;
 use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
 use crate::sign_diff::SignDiff;
 use crate::snapshot::AccessSnapshot;
 use std::collections::BTreeMap;
-use xac_policy::AnnotationQuery;
+use xac_policy::{AnnotationQuery, PolicyAnalysis};
 use xac_xpath::Path;
 
 /// Named instants in a backend's lifecycle where a fault can fire.
@@ -46,9 +46,9 @@ pub enum FaultPoint {
     AfterInsert,
     /// Before partial re-annotation starts.
     BeforeReannotate,
-    /// Inside the two-phase re-annotation, once at least
-    /// `after_sign_writes` sign writes have landed — the store is left
-    /// genuinely half-repaired.
+    /// Inside a re-annotation (between a scope pass's phases, after
+    /// either half of a footprint pass) once at least `after_sign_writes`
+    /// sign writes have landed: the store is left genuinely half-repaired.
     MidReannotate,
     /// After re-annotation completed.
     AfterReannotate,
@@ -574,6 +574,18 @@ impl Backend for FaultingBackend {
         Ok(total)
     }
 
+    /// `mid_reannotate` fires after either half of the footprint's writes.
+    fn reannotate_footprint(&mut self, analysis: &PolicyAnalysis, progress: Progress) -> Result<usize> {
+        self.fire(FaultPoint::BeforeReannotate)?;
+        let plan = &mut self.plan;
+        let total = self.inner.reannotate_footprint(analysis, &mut |done| {
+            progress(done)?;
+            act(FaultPoint::MidReannotate, plan.take_mid(done))
+        })?;
+        self.fire(FaultPoint::AfterReannotate)?;
+        Ok(total)
+    }
+
     fn epoch(&self) -> u64 {
         self.inner.epoch()
     }
@@ -721,6 +733,47 @@ mod tests {
             injected_panic_point(&Box::new("unrelated panic") as &(dyn std::any::Any + Send)),
             None
         );
+    }
+
+    /// On the compiled footprint pass, `mid_reannotate` fires after the
+    /// first half of the changes: neither the stale nor the repaired
+    /// signs remain.
+    #[test]
+    fn mid_reannotate_leaves_a_half_written_footprint() {
+        use crate::backend::AnnotateMode::Compiled;
+        use xac_reldb::StorageKind;
+        let p = prepared();
+        let policy = xac_policy::Policy::parse(
+            "default deny\nconflict deny-overrides\n\
+             A1 allow //patient[psn]/name\nA2 allow //patient[psn]\n",
+        )
+        .unwrap();
+        let analysis = PolicyAnalysis::build(&policy, None);
+        let psn = xac_xpath::parse("//psn").unwrap();
+        let compiled = || -> [Box<dyn Backend + Send>; 3] {
+            [
+                Box::new(RelationalBackend::with_mode(StorageKind::Row, Compiled)),
+                Box::new(RelationalBackend::with_mode(StorageKind::Column, Compiled)),
+                Box::new(NativeXmlBackend::with_mode(Compiled)),
+            ]
+        };
+        for (mut clean, inner) in compiled().into_iter().zip(compiled()) {
+            let plan = FaultPlan::parse("mid_reannotate@1").unwrap();
+            let mut b = FaultingBackend::new(inner, plan);
+            for x in [clean.as_mut(), &mut b as &mut dyn Backend] {
+                x.load(&p).unwrap();
+                x.annotate(analysis.annotation_query()).unwrap();
+                assert_eq!(x.delete(&psn).unwrap(), 2);
+            }
+            let stale = clean.sign_state().unwrap();
+            let writes = clean.reannotate_footprint(&analysis, &mut |_| Ok(())).unwrap();
+            assert_eq!(writes, 4, "{}: both patients and their names", clean.name());
+            let repaired = clean.sign_state().unwrap();
+            let err = b.reannotate_footprint(&analysis, &mut |_| Ok(())).unwrap_err();
+            assert_eq!(err, Error::FaultInjected { point: "mid_reannotate".into() });
+            let half = b.sign_state().unwrap();
+            assert!(half != stale && half != repaired, "{}: {half:?}", b.name());
+        }
     }
 
     #[test]

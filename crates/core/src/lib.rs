@@ -59,7 +59,7 @@ pub mod system;
 pub mod timing;
 pub mod view;
 
-pub use backend::{AnnotateMode, Backend, NativeXmlBackend, RelationalBackend, Selection};
+pub use backend::{AnnotateMode, Backend, NativeXmlBackend, Progress, RelationalBackend, Selection};
 pub use checkpoint::Checkpoint;
 pub use document::PreparedDocument;
 pub use error::{Error, Result};

@@ -1,25 +1,30 @@
 //! The re-annotator module of Figure 3 (paper §5.3).
 //!
-//! When an update `u` hits the document, full re-annotation would reset
-//! everything and re-run the whole policy. Instead, the re-annotator:
+//! After an update, **Trigger** (expansion + containment + dependency
+//! closure: static analysis only, run *before* the update at `O(n · h)`
+//! containment tests) finds the rules whose scopes may have changed. In
+//! `paper` mode, which Fig. 12 measures, [`apply`] resets those rules'
+//! scopes to the default sign and applies the triggered rules' query
+//! (`compiled` backends compare first and write only what changes).
 //!
-//! 1. runs **Trigger** (expansion + containment + dependency closure) to
-//!    find the rules whose scopes may have changed;
-//! 2. resets only those rules' scopes to the default sign;
-//! 3. applies the annotation query built from the triggered rules alone.
+//! In `compiled` mode a non-empty plan runs the footprint pass instead
+//! ([`crate::Backend::reannotate_footprint`]). The fragment has only child
+//! and descendant axes, so qualifiers look only down: an update under `p`
+//! can change signs only of new nodes and under the highest
+//! ancestor-or-self of `p` at which a rule evaluates a qualifier (Cheney's
+//! static enforceability; the edit footprint of Bravo, Cheney &
+//! Fundulaki). The whole policy runs on the VM over that footprint, and
+//! only the signs that differ are written, so the result equals a full
+//! annotation. A qualifier on a wildcard step widens it to the document.
 //!
-//! The plan is computed *before* the update is applied (static analysis
-//! only — no document access), matching the paper's architecture where
-//! `Trigger` costs `O(n · h)` containment tests.
-//!
-//! **Known approximation (inherited from the paper):** the dependency
-//! graph links rules related by *containment*. Two rules whose scopes
-//! overlap without either containing the other are not linked, so a node
-//! covered by a triggered rule and an untriggered overlapping rule of the
-//! same effect can briefly lose the untriggered rule's sign until the next
-//! full annotation. Redundancy elimination removes the same-effect
-//! *contained* cases; the paper's future-work note on "schema-aware
-//! optimizations … more accurate results" refers to the remainder.
+//! **Known approximation of the paper plan:** the dependency graph links
+//! rules related by *containment*. Two rules whose scopes overlap without
+//! either containing the other are not linked, so a node covered by a
+//! triggered rule and an untriggered overlapping rule of the same effect
+//! can briefly lose the untriggered rule's sign until the next full
+//! annotation. Redundancy elimination removes the same-effect *contained*
+//! cases; the paper's future-work note on "schema-aware optimizations …
+//! more accurate results" refers to the remainder.
 
 use crate::backend::Backend;
 use crate::error::Result;

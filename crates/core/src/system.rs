@@ -4,8 +4,8 @@
 //! Updates have one body ([`System::guarded`], and [`System::apply`]
 //! without the guard or the fallback), which the serving engine calls
 //! inside its transaction: select the designated nodes once, guard on
-//! that selection, apply the structural write to it, run the Trigger
-//! plan, and fall back to full re-annotation when the partial one fails.
+//! that selection, apply the structural write to it, re-annotate when the
+//! Trigger plan is not empty, and fall back to full re-annotation.
 
 use crate::annotator;
 use crate::backend::{AnnotateMode, Backend, Selection};
@@ -315,9 +315,10 @@ impl System {
     /// (2) deny unless every selected node is accessible in the
     /// backend's current signs — a delete may only touch accessible
     /// nodes, an insert may only extend accessible parents; (3) apply
-    /// the structural write to that selection; (4) run the Trigger
-    /// plan's partial re-annotation; (5) if it fails, fall back to full
-    /// re-annotation, reported in [`UpdateOutcome::full_fallback`].
+    /// the structural write to that selection; (4) unless the Trigger
+    /// plan is empty, re-annotate: the footprint pass under `compiled`,
+    /// the plan's partial re-annotation under `paper`; (5) if that fails,
+    /// fall back to full re-annotation ([`UpdateOutcome::full_fallback`]).
     pub fn guarded(&self, b: &mut dyn Backend, update: &Update) -> Result<GuardedUpdate> {
         self.guarded_observed(b, update, &mut |_| {})
     }
@@ -351,7 +352,12 @@ impl System {
     ) -> Result<UpdateOutcome> {
         let plan = self.plan_update(&update.trigger_path());
         let (removed_elements, inserted_elements) = update.write(b, selection)?;
-        let (sign_writes, full_fallback) = match (reannotator::apply(b, &plan), fallback) {
+        let reannotated = if self.annotate_mode == AnnotateMode::Compiled && !plan.is_empty() {
+            b.reannotate_footprint(&self.analysis, &mut |_| Ok(()))
+        } else {
+            reannotator::apply(b, &plan)
+        };
+        let (sign_writes, full_fallback) = match (reannotated, fallback) {
             (Ok(writes), _) => (writes, None),
             (Err(e), Some(on_fallback)) => {
                 on_fallback(&e);

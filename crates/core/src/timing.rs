@@ -1,4 +1,4 @@
-//! Wall-clock measurement helpers for the experiment harness.
+//! Wall-clock measurement helper for the experiment harness.
 
 use std::time::{Duration, Instant};
 
@@ -7,64 +7,6 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// A named series of measurements with simple statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Timings {
-    samples: Vec<Duration>,
-}
-
-impl Timings {
-    /// Empty series.
-    pub fn new() -> Timings {
-        Timings::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, d: Duration) {
-        self.samples.push(d);
-    }
-
-    /// Run and record `f`, passing its result through.
-    pub fn measure<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (out, d) = time(f);
-        self.record(d);
-        out
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total recorded time.
-    pub fn total(&self) -> Duration {
-        self.samples.iter().sum()
-    }
-
-    /// Mean sample (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        self.total() / self.samples.len() as u32
-    }
-
-    /// Minimum sample (zero when empty).
-    pub fn min(&self) -> Duration {
-        self.samples.iter().min().copied().unwrap_or(Duration::ZERO)
-    }
-
-    /// Maximum sample (zero when empty).
-    pub fn max(&self) -> Duration {
-        self.samples.iter().max().copied().unwrap_or(Duration::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -76,27 +18,5 @@ mod tests {
         let (v, d) = time(|| 2 + 2);
         assert_eq!(v, 4);
         assert!(d < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn statistics() {
-        let mut t = Timings::new();
-        assert!(t.is_empty());
-        assert_eq!(t.mean(), Duration::ZERO);
-        t.record(Duration::from_millis(10));
-        t.record(Duration::from_millis(30));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total(), Duration::from_millis(40));
-        assert_eq!(t.mean(), Duration::from_millis(20));
-        assert_eq!(t.min(), Duration::from_millis(10));
-        assert_eq!(t.max(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn measure_passes_through() {
-        let mut t = Timings::new();
-        let out = t.measure(|| "ok");
-        assert_eq!(out, "ok");
-        assert_eq!(t.len(), 1);
     }
 }

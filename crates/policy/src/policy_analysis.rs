@@ -15,18 +15,21 @@
 //! * the dependency graph (Fig. 7) with its transitive closure;
 //! * a shared [`ContainmentOracle`], so even the update-dependent
 //!   containment tests are answered from cache after the first update
-//!   that asks them.
+//!   that asks them;
+//! * for the footprint re-annotation, the whole policy's annotation
+//!   query and the labels of its qualifier-bearing steps.
 //!
 //! Per update, only the update path's own expansion remains — the rest is
 //! table lookups. Results are *identical* to the free-function pipeline
 //! (`DependencyGraph::build` + [`crate::trigger`]); this type changes the
 //! cost model, never the answers.
 
+use crate::annotation_query::AnnotationQuery;
 use crate::dependency::DependencyGraph;
 use crate::policy::Policy;
 use crate::trigger::{expand_update, trigger_with_expansions};
 use xac_xml::Schema;
-use xac_xpath::{expand, ContainmentOracle, OracleStats, Path};
+use xac_xpath::{expand, ContainmentOracle, NodeTest, OracleStats, Path};
 
 /// Everything Trigger needs, computed once per `(policy, schema)`.
 pub struct PolicyAnalysis {
@@ -36,6 +39,10 @@ pub struct PolicyAnalysis {
     expansions: Vec<Vec<Path>>,
     graph: DependencyGraph,
     oracle: ContainmentOracle,
+    /// The whole policy's annotation query (Fig. 5).
+    query: AnnotationQuery,
+    /// See [`PolicyAnalysis::qualifier_labels`].
+    labels: Option<Vec<String>>,
 }
 
 impl PolicyAnalysis {
@@ -67,7 +74,25 @@ impl PolicyAnalysis {
             expansions,
             graph,
             oracle,
+            query: AnnotationQuery::from_policy(policy),
+            labels: qualifier_labels(policy),
         }
+    }
+
+    /// The whole policy's annotation query, built once.
+    pub fn annotation_query(&self) -> &AnnotationQuery {
+        &self.query
+    }
+
+    /// The element names at which some rule evaluates a qualifier — the
+    /// name test of every qualifier-bearing step of a rule resource —
+    /// sorted and deduplicated; `None` when such a step is a wildcard.
+    /// Qualifiers look only down, so an update under node `p` can change
+    /// signs only of new nodes and under the highest ancestor-or-self of
+    /// `p` carrying one of these labels: the update's footprint, which a
+    /// wildcard widens to the whole document.
+    pub fn qualifier_labels(&self) -> Option<&[String]> {
+        self.labels.as_deref()
     }
 
     /// The analyzed policy.
@@ -125,6 +150,20 @@ impl PolicyAnalysis {
             .map(|i| self.policy.rules[i].id.as_str())
             .collect()
     }
+}
+
+fn qualifier_labels(policy: &Policy) -> Option<Vec<String>> {
+    let mut labels = Vec::new();
+    for step in policy.rules.iter().flat_map(|r| &r.resource.steps) {
+        match &step.test {
+            _ if step.predicates.is_empty() => {}
+            NodeTest::Name(name) => labels.push(name.clone()),
+            NodeTest::Wildcard => return None,
+        }
+    }
+    labels.sort();
+    labels.dedup();
+    Some(labels)
 }
 
 impl std::fmt::Debug for PolicyAnalysis {
@@ -289,5 +328,20 @@ mod tests {
         let analysis = PolicyAnalysis::build(&policy, None);
         assert!(analysis.trigger(&xac_xpath::parse("//anything").unwrap()).is_empty());
         assert!(analysis.graph().is_empty());
+    }
+
+    #[test]
+    fn qualifier_labels_name_the_qualified_steps() {
+        let analysis = PolicyAnalysis::build(&hospital_policy(), None);
+        assert_eq!(analysis.qualifier_labels().unwrap(), ["patient", "regular"]);
+        assert_eq!(*analysis.annotation_query(), AnnotationQuery::from_policy(&hospital_policy()));
+        let nested = Policy::parse(
+            "default deny\nconflict deny\nR1 allow /a/b[c[d]]//e[. = \"v\"]\nR2 allow //f\n",
+        )
+        .unwrap();
+        let analysis = PolicyAnalysis::build(&nested, None);
+        assert_eq!(analysis.qualifier_labels().unwrap(), ["b", "e"]);
+        let wildcard = Policy::parse("default deny\nconflict deny\nR1 allow //a/*[b]\n").unwrap();
+        assert_eq!(PolicyAnalysis::build(&wildcard, None).qualifier_labels(), None);
     }
 }

@@ -438,6 +438,44 @@ impl DocIndex {
         slots
     }
 
+    /// The footprint of structural writes at the `touched` elements
+    /// (insert parents, deleted roots' parents and inserted elements):
+    /// for each live one, the subtree of its highest ancestor-or-self
+    /// named in `labels`, else the element alone; every live element
+    /// when `labels` is `None`. Returned ascending with its domain for
+    /// [`crate::execute`], the footprint and its ancestors, which the
+    /// whole document does not need.
+    pub fn footprint(
+        &self,
+        touched: &[NodeId],
+        labels: Option<&[String]>,
+    ) -> (Vec<u32>, Option<Vec<u32>>) {
+        let Some(labels) = labels else {
+            return (self.element_runs().flatten().copied().collect(), None);
+        };
+        let labelled: Vec<u32> = labels.iter().filter_map(|l| self.name_of(l)).collect();
+        let up = |s: u32| {
+            std::iter::successors(Some(s), |&s| Some(self.parent_of(s)).filter(|&p| p != NONE))
+        };
+        let (mut footprint, mut roots) = (Vec::new(), Vec::new());
+        for s in touched.iter().map(|n| n.index()).filter(|&s| self.element_name(s).is_some()) {
+            match up(s as u32).filter(|&a| labelled.contains(&self.name_id_at(a))).last() {
+                Some(top) => roots.push(NodeId::from_index(top as usize)),
+                None => footprint.push(s as u32),
+            }
+        }
+        // Every ancestor of a subtree's slot is in it or above its root.
+        let tops = roots.iter().map(|r| r.index() as u32).chain(footprint.iter().copied());
+        let mut domain: Vec<u32> = tops.flat_map(up).collect();
+        footprint.extend(self.subtree_slots(&roots));
+        footprint.sort_unstable();
+        footprint.dedup();
+        domain.extend_from_slice(&footprint);
+        domain.sort_unstable();
+        domain.dedup();
+        (footprint, Some(domain))
+    }
+
     /// The name id of the live element at `slot`; `None` for a text
     /// node, a dead slot or a slot past the width.
     pub fn element_name(&self, slot: usize) -> Option<u32> {

@@ -393,4 +393,126 @@ mod tests {
                04  sign.write r0, '+'"
         );
     }
+
+    /// `/a` with a chain of nested `a`s eight deep; each level holds
+    /// twelve `c`s and, at levels 3 and 6, one `b` with a `c` child.
+    fn deep_doc() -> Document {
+        let mut d = Document::new("a");
+        let mut at = d.root();
+        for level in 0..8 {
+            for _ in 0..12 {
+                let c = d.add_element(at, "c");
+                d.add_text(c, "x");
+            }
+            if level % 3 == 0 && level > 0 {
+                let b = d.add_element(at, "b");
+                d.add_element(b, "c");
+            }
+            at = d.add_element(at, "a");
+        }
+        d
+    }
+
+    #[test]
+    fn descendant_steps_agree_on_both_sides_of_the_crossover() {
+        let doc = deep_doc();
+        let index = DocIndex::build(&doc);
+        let count = |name: &str| doc.all_elements().filter(|&n| doc.name(n) == Some(name)).count();
+        // `b` candidates walk their parent chains; `c` and `a` run the
+        // closure.
+        assert!(count("b") < index.width() / 32, "sparse b: {} of {}", count("b"), index.width());
+        assert!(count("c") >= index.width() / 32 && count("a") >= index.width() / 32);
+        for src in [
+            "//a//b",
+            "/a//b",
+            "//a//c",
+            "//b//c",
+            "//a/a//b",
+            "//a[b]//b",
+            "//a[b]//c",
+            "//b//a",
+            "/a/a/a//b/c",
+            "//a//*",
+            "//c//b",
+        ] {
+            assert_eq!(vm_select(&doc, src), interp(&doc, src), "path `{src}` diverged");
+        }
+    }
+
+    /// `nodes` and every ancestor of theirs, as ascending slots.
+    fn closed(doc: &Document, nodes: &[NodeId]) -> Vec<u32> {
+        let mut out: Vec<u32> = Vec::new();
+        for &n in nodes {
+            let mut at = Some(n);
+            while let Some(x) = at {
+                out.push(x.index() as u32);
+                at = doc.parent(x);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn a_domain_selects_the_full_selection_within_it() {
+        for doc in [figure2(), tricky_doc(40), deep_doc()] {
+            let index = DocIndex::build(&doc);
+            let elements: Vec<NodeId> = doc.all_elements().collect();
+            let every_fifth: Vec<NodeId> = elements.iter().step_by(5).copied().collect();
+            let domains = [
+                closed(&doc, &elements[elements.len() / 2..]),
+                closed(&doc, &every_fifth),
+                closed(&doc, &elements[..1]),
+                Vec::new(),
+            ];
+            for src in [
+                "//patient",
+                "/hospital/dept//bill",
+                "//patient[treatment]/name",
+                "//regular[med = \"enoxaparin\"]",
+                "//patient[name = \"joy smith\"]",
+                "//p[c = \"7\"]",
+                "//r//p[. = \"7\"]",
+                "/r/*[c = \"7\"]",
+                "//q//c",
+                "//a//b",
+                "//a[b]//c",
+                "//*",
+            ] {
+                let program = compile_path(&parse(src).unwrap()).unwrap();
+                let full = execute_select(&program, &index);
+                for domain in &domains {
+                    let mut sink = Collect::default();
+                    execute(&program, &index, Some(domain), &mut sink).unwrap();
+                    let within = |n: &&NodeId| domain.binary_search(&(n.index() as u32)).is_ok();
+                    let want: Vec<NodeId> = full.iter().filter(within).copied().collect();
+                    assert_eq!(sink.nodes, want, "`{src}` within {} slots", domain.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprints_take_the_highest_labelled_ancestor_subtree() {
+        let doc = figure2();
+        let index = DocIndex::build(&doc);
+        let one = |src: &str| interp(&doc, src)[0];
+        let slots = |src: &str| -> Vec<u32> {
+            interp(&doc, src).iter().map(|n| n.index() as u32).collect()
+        };
+        let labels = ["patient".to_string(), "regular".to_string()];
+        // Under a labelled `patient`: its whole subtree.
+        let (fp, domain) = index.footprint(&[one("//regular/med")], Some(&labels));
+        assert_eq!(fp, index.subtree_slots(&[one("//patient[psn = \"033\"]")]));
+        assert_eq!(domain.unwrap(), closed(&doc, &interp(&doc, "//patient[psn = \"033\"]//*")));
+        // No labelled ancestor-or-self: the node alone, with its ancestors.
+        let (fp, domain) = index.footprint(&[one("//staffinfo")], Some(&labels));
+        assert_eq!(fp, slots("//staffinfo"));
+        assert_eq!(domain.unwrap(), closed(&doc, &[one("//staffinfo")]));
+        // A wildcard qualifier: every live element, no domain.
+        let (fp, domain) = index.footprint(&[one("//staffinfo")], None);
+        assert_eq!(fp, slots("//*"));
+        assert!(domain.is_none());
+    }
 }

@@ -10,10 +10,20 @@
 //! arena width; the descendant step and a dense operand make the other
 //! side dense.
 //!
-//! The descendant step runs as a single forward closure pass over the
-//! parent column (parents occupy lower arena slots than their children,
-//! an invariant of the append-only arena), so `//a//b` costs O(n)
-//! regardless of how many `a` contexts were selected.
+//! The descendant step walks each candidate's parent chain when the
+//! candidates are sparse (fewer than width/32): O(candidates × depth).
+//! Dense candidates take one forward closure pass over the parent
+//! column instead (parents occupy lower arena slots than their
+//! children, an invariant of the append-only arena): O(n), however many
+//! contexts were selected.
+//!
+//! An execution may be restricted to a *domain*: an ascending slot list
+//! closed under parent. Scans, child and descendant steps and probes
+//! then take their candidates from the domain alone, while qualifiers
+//! still look at the whole document. Since every main-path step moves
+//! down, a node's membership depends only on its ancestors-or-self, so
+//! the restricted run selects exactly the full run's selection within
+//! the domain — the footprint re-annotation's evaluation.
 
 use crate::bitset::Bitset;
 use crate::bytecode::{Inst, NameSel, Pred, Program, RelStep};
@@ -135,10 +145,12 @@ fn merge(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Execute `program` against `index`, streaming the terminal node set to
-/// `sink`. Returns the sink's written-cell count.
+/// `sink`; with a `domain` (ascending slots, closed under parent), only
+/// the selected nodes within it. Returns the sink's written-cell count.
 pub fn execute(
     program: &Program,
     index: &DocIndex,
+    domain: Option<&[u32]>,
     sink: &mut dyn SignSink,
 ) -> Result<usize, String> {
     let _span = xac_obs::span("vm.execute");
@@ -156,21 +168,22 @@ pub fn execute(
         match inst {
             Inst::ScanRoot { dst, name } => {
                 let root = index.root_slot();
-                let hit = sel_admits(&resolved, *name, index.name_id_at(root));
+                let hit = domain.is_none_or(|d| d.binary_search(&root).is_ok())
+                    && sel_admits(&resolved, *name, index.name_id_at(root));
                 regs[*dst as usize] = Reg::of(if hit { vec![root] } else { Vec::new() }, width);
             }
             Inst::ScanAll { dst, name } => {
-                let mut slots = Vec::new();
-                for run in candidate_runs(index, &resolved, *name) {
-                    slots.extend_from_slice(run);
-                }
+                let slots = match domain {
+                    Some(_) => candidates(index, &resolved, domain, *name, |_| true),
+                    None => candidate_runs(index, &resolved, *name).collect::<Vec<_>>().concat(),
+                };
                 regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::StepChild { dst, src, name } => {
-                let slots = match &regs[*src as usize] {
+                let slots = match (&regs[*src as usize], domain) {
                     // Children of the source slots, filtered by name;
                     // each has one parent, so sorting leaves no duplicate.
-                    Reg::Sparse(from) => {
+                    (Reg::Sparse(from), None) => {
                         let mut out: Vec<u32> = from
                             .iter()
                             .flat_map(|&p| index.children_of(p))
@@ -180,48 +193,47 @@ pub fn execute(
                         out.sort_unstable();
                         out
                     }
-                    Reg::Dense(from) => candidates(index, &resolved, *name, |c| {
+                    (Reg::Dense(from), _) => candidates(index, &resolved, domain, *name, |c| {
                         let p = index.parent_of(c);
                         p != NONE && from.test(p)
+                    }),
+                    (from, Some(_)) => candidates(index, &resolved, domain, *name, |c| {
+                        below(index, c, from, Axis::Child)
                     }),
                 };
                 regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::StepDesc { dst, src, name } => {
-                // Forward closure over the parent column: a slot is
-                // "under" the source set iff its parent is in the set or
-                // its parent is already under it. Parents precede
-                // children in slot order, so one ascending pass suffices.
-                let under = under.get_or_insert_with(|| Bitset::new(width));
-                under.clear();
-                let srcm = regs[*src as usize].dense(width);
-                index.for_each_element_parent(|slot, p| {
-                    if p != NONE && (srcm.test(p) || under.test(p)) {
-                        under.set(slot);
-                    }
-                });
-                let slots = candidates(index, &resolved, *name, |s| under.test(s));
+                let slots = if candidate_count(index, &resolved, domain, *name) < width / 32 {
+                    let from = &regs[*src as usize];
+                    candidates(index, &resolved, domain, *name, |s| {
+                        below(index, s, from, Axis::Descendant)
+                    })
+                } else {
+                    // Forward closure over the parent column: a slot is
+                    // "under" the source set iff its parent is in the set
+                    // or its parent is already under it. Parents precede
+                    // children in slot order, so one ascending pass
+                    // suffices.
+                    let under = under.get_or_insert_with(|| Bitset::new(width));
+                    under.clear();
+                    let srcm = regs[*src as usize].dense(width);
+                    index.for_each_element_parent(|slot, p| {
+                        if p != NONE && (srcm.test(p) || under.test(p)) {
+                            under.set(slot);
+                        }
+                    });
+                    candidates(index, &resolved, domain, *name, |s| under.test(s))
+                };
                 regs[*dst as usize] = Reg::of(slots, width);
             }
             Inst::Probe { dst, name, child, value } => {
-                let hits = probe(index, &resolved, *name, *child, value);
+                let hits = probe(index, &resolved, domain, *name, *child, value);
                 regs[*dst as usize] = Reg::of(hits, width);
             }
             Inst::Within { reg, src, axis } => {
                 let (regm, srcm) = two_regs(&mut regs, *reg, *src);
-                regm.retain(|s| {
-                    let mut p = index.parent_of(s);
-                    while p != NONE {
-                        if srcm.contains(p) {
-                            return true;
-                        }
-                        if *axis == Axis::Child {
-                            break;
-                        }
-                        p = index.parent_of(p);
-                    }
-                    false
-                });
+                regm.retain(|s| below(index, s, srcm, *axis));
             }
             Inst::Filter { reg, pred } => {
                 let pred = &program.preds[*pred as usize];
@@ -263,12 +275,31 @@ pub fn execute(
     Ok(written)
 }
 
+/// Whether the parent (`Axis::Child`) or some strict ancestor
+/// (`Axis::Descendant`) of `slot` is in `src`: a walk up the parent
+/// chain.
+fn below(index: &DocIndex, slot: u32, src: &Reg, axis: Axis) -> bool {
+    let mut p = index.parent_of(slot);
+    while p != NONE {
+        if src.contains(p) {
+            return true;
+        }
+        if axis == Axis::Child {
+            break;
+        }
+        p = index.parent_of(p);
+    }
+    false
+}
+
 /// The elements named `name` whose own value (`child: None`) or some
-/// `child` child's value equals `value`, ascending. Every posting hit
-/// is re-checked with `CmpOp::compare`.
+/// `child` child's value equals `value`, ascending. Without a domain
+/// the index's postings answer and every hit is re-checked with
+/// `CmpOp::compare`; with one, each domain slot of that name is checked.
 fn probe(
     index: &DocIndex,
     resolved: &[Option<u32>],
+    domain: Option<&[u32]>,
     name: u16,
     child: Option<u16>,
     value: &str,
@@ -277,6 +308,14 @@ fn probe(
         return Vec::new();
     };
     let equal = |s: &u32| CmpOp::Eq.compare(index.value_of(*s), value);
+    if let Some(domain) = domain {
+        let child = child.map(|c| resolved[c as usize].unwrap_or(NONE));
+        let hit = |s: u32| match child {
+            None => equal(&s),
+            Some(c) => index.children_of(s).iter().any(|&k| index.name_id_at(k) == c && equal(&k)),
+        };
+        return domain.iter().copied().filter(|&s| index.name_id_at(s) == name && hit(s)).collect();
+    }
     match child.map(|c| resolved[c as usize]) {
         None => index.probe(name, value).filter(equal).collect(),
         Some(Some(child)) => {
@@ -297,7 +336,7 @@ fn probe(
 /// Execute and return the selected node set (decide path, tests).
 pub fn execute_select(program: &Program, index: &DocIndex) -> Vec<NodeId> {
     let mut sink = Collect::default();
-    execute(program, index, &mut sink).expect("collector sink never fails");
+    execute(program, index, None, &mut sink).expect("collector sink never fails");
     sink.nodes
 }
 
@@ -315,19 +354,40 @@ fn candidate_runs<'a>(
     typed.into_iter().chain(all.into_iter().flatten())
 }
 
-/// The candidate slots `keep` accepts, ascending, a run at a time, so
-/// the inner loop is a plain slice walk.
+/// The candidate slots `keep` accepts, ascending: the domain's slots of
+/// that name, else the index's, a run at a time, so the inner loop is a
+/// plain slice walk.
 fn candidates(
     index: &DocIndex,
     resolved: &[Option<u32>],
+    domain: Option<&[u32]>,
     name: NameSel,
     mut keep: impl FnMut(u32) -> bool,
 ) -> Vec<u32> {
+    if let Some(domain) = domain {
+        let admits = |s: &u32| sel_admits(resolved, name, index.name_id_at(*s));
+        return domain.iter().copied().filter(|s| admits(s) && keep(*s)).collect();
+    }
     let mut out = Vec::new();
     for run in candidate_runs(index, resolved, name) {
         out.extend(run.iter().copied().filter(|&s| keep(s)));
     }
     out
+}
+
+/// How many slots [`candidates`] walks: the domain's, one name's or
+/// every live element.
+fn candidate_count(
+    index: &DocIndex,
+    resolved: &[Option<u32>],
+    domain: Option<&[u32]>,
+    name: NameSel,
+) -> usize {
+    match (domain, name) {
+        (Some(domain), _) => domain.len(),
+        (None, NameSel::Any) => index.element_count(),
+        (None, NameSel::Name(i)) => resolved[i as usize].map_or(0, |id| index.slots_of(id).len()),
+    }
 }
 
 fn sel_admits(resolved: &[Option<u32>], name: NameSel, name_id: u32) -> bool {

@@ -18,15 +18,17 @@ fn backends() -> Vec<Box<dyn Backend>> {
     ]
 }
 
-/// The reference's accessible nodes as universal ids (each node's
-/// arena slot), after checking the backend's accessible count.
+/// The backend's own accessible set as universal ids (each node's arena
+/// slot), read from its published snapshot's bitset, after checking it
+/// equals the Table 2 reference's.
 fn accessible_ids(s: &System, b: &mut dyn Backend) -> BTreeSet<i64> {
-    // Use counts for the trait-level check and the reference ids for
-    // set-level checks across backends.
+    let snapshot = b.snapshot().unwrap();
+    let ids: BTreeSet<i64> = snapshot.accessible().ones().into_iter().map(i64::from).collect();
     let reference: BTreeSet<i64> =
         s.reference_accessible().into_iter().map(xac_shrex::shred::id_of).collect();
-    assert_eq!(b.accessible_count().unwrap(), reference.len(), "{}", b.name());
-    reference
+    assert_eq!(ids, reference, "{}: accessible set vs Table 2", b.name());
+    assert_eq!(b.accessible_count().unwrap(), ids.len(), "{}", b.name());
+    ids
 }
 
 #[test]
