@@ -2,7 +2,8 @@
 
 use crate::error::{Error, Result};
 use crate::value::DataType;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A column declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,10 +106,12 @@ impl TableSchema {
     }
 }
 
-/// The set of known tables.
+/// The set of known tables, in creation order: a table's position is
+/// where the database keeps its storage.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableSchema>,
+    schemas: Vec<Arc<TableSchema>>,
+    positions: HashMap<String, usize>,
 }
 
 impl Catalog {
@@ -117,18 +120,31 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a table; errors when the name is taken.
-    pub fn add_table(&mut self, schema: TableSchema) -> Result<()> {
-        if self.tables.contains_key(&schema.name) {
+    /// Register a table; errors when the name is taken. Returns its
+    /// position.
+    pub fn add_table(&mut self, schema: TableSchema) -> Result<usize> {
+        if self.positions.contains_key(&schema.name) {
             return Err(Error::plan(format!("table `{}` already exists", schema.name)));
         }
-        self.tables.insert(schema.name.clone(), schema);
-        Ok(())
+        let position = self.schemas.len();
+        self.positions.insert(schema.name.clone(), position);
+        self.schemas.push(Arc::new(schema));
+        Ok(position)
     }
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.get(name)
+        self.position(name).map(|p| &*self.schemas[p])
+    }
+
+    /// The position of table `name`.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.positions.get(name).copied()
+    }
+
+    /// The shared schema at `position`.
+    pub(crate) fn schema_at(&self, position: usize) -> &Arc<TableSchema> {
+        &self.schemas[position]
     }
 
     /// Look up a table or fail with a planning error.
@@ -139,12 +155,12 @@ impl Catalog {
 
     /// Number of tables.
     pub fn len(&self) -> usize {
-        self.tables.len()
+        self.schemas.len()
     }
 
     /// True when no tables exist.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.schemas.is_empty()
     }
 }
 

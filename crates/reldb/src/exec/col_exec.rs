@@ -10,9 +10,9 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::plan::{Plan, Pred};
 use crate::sql::SqlCmpOp;
-use crate::storage::{ColTable, ColumnData};
+use crate::storage::ColTable;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A column-major intermediate result.
@@ -28,12 +28,8 @@ impl Batch {
     }
 }
 
-/// Execute a plan against column tables.
-pub fn execute(
-    plan: &Plan,
-    catalog: &Catalog,
-    tables: &BTreeMap<String, Arc<ColTable>>,
-) -> Result<ResultSet> {
+/// Execute a plan against column tables, stored by catalog position.
+pub fn execute(plan: &Plan, catalog: &Catalog, tables: &[Arc<ColTable>]) -> Result<ResultSet> {
     let batch = eval(plan, catalog, tables)?;
     // Transpose to row-major at the boundary.
     let mut rows = Vec::with_capacity(batch.len);
@@ -43,16 +39,12 @@ pub fn execute(
     Ok(ResultSet { columns: super::row_exec::output_names(plan, catalog), rows })
 }
 
-#[allow(clippy::only_used_in_recursion)]
-fn eval(
-    plan: &Plan,
-    catalog: &Catalog,
-    tables: &BTreeMap<String, Arc<ColTable>>,
-) -> Result<Batch> {
+fn eval(plan: &Plan, catalog: &Catalog, tables: &[Arc<ColTable>]) -> Result<Batch> {
     match plan {
         Plan::Scan { table, filters } => {
-            let t = tables
-                .get(table)
+            let t = catalog
+                .position(table)
+                .map(|p| &tables[p])
                 .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
             Ok(scan(t, filters))
         }
@@ -78,11 +70,13 @@ fn eval(
                 sel = match p {
                     Pred::ColLit { col, op, value } => sel
                         .into_iter()
-                        .filter(|&i| op.compare(&b.cols[*col][i], value))
+                        .filter(|&i| op.compare(b.cols[*col][i].as_ref(), value.as_ref()))
                         .collect(),
                     Pred::ColCol { left, op, right } => sel
                         .into_iter()
-                        .filter(|&i| op.compare(&b.cols[*left][i], &b.cols[*right][i]))
+                        .filter(|&i| {
+                            op.compare(b.cols[*left][i].as_ref(), b.cols[*right][i].as_ref())
+                        })
                         .collect(),
                 };
             }
@@ -122,24 +116,19 @@ fn scan(t: &ColTable, filters: &[(usize, SqlCmpOp, Value)]) -> Batch {
         .find(|(col, op, _)| *op == SqlCmpOp::Eq && t.has_index(*col))
         .map(|(c, _, v)| (*c, v))
     {
-        t.index_lookup(col, key).iter().copied().filter(|&r| t.is_live(r)).collect()
+        t.index_lookup(col, key.as_ref()).collect()
     } else {
         t.live_rows().collect()
     };
-    // One column sweep per filter.
+    // One column sweep per filter, reading the cells in place.
     for (col, op, lit) in filters {
-        let column = t.column(*col);
-        sel.retain(|&r| op.compare(&column.get(r), lit));
+        sel.retain(|&r| op.compare(t.get(r, *col), lit.as_ref()));
     }
     // Gather the surviving rows column by column.
     let cols = (0..t.schema().arity())
-        .map(|c| gather_column(t.column(c), &sel))
+        .map(|c| sel.iter().map(|&r| t.get(r, c).to_value()).collect())
         .collect();
     Batch { cols, len: sel.len() }
-}
-
-fn gather_column(col: &ColumnData, sel: &[usize]) -> Vec<Value> {
-    sel.iter().map(|&r| col.get(r)).collect()
 }
 
 fn gather(b: &Batch, sel: &[usize]) -> Batch {
@@ -210,9 +199,9 @@ mod tests {
     use crate::sql::{parse_statement, Statement};
     use crate::value::DataType;
 
-    fn setup() -> (Catalog, BTreeMap<String, Arc<ColTable>>) {
+    fn setup() -> (Catalog, Vec<Arc<ColTable>>) {
         let mut catalog = Catalog::new();
-        let mut tables = BTreeMap::new();
+        let mut tables = Vec::new();
         for name in ["parent", "child"] {
             let schema = TableSchema::new(
                 name,
@@ -223,16 +212,16 @@ mod tests {
                 ],
             )
             .unwrap();
-            catalog.add_table(schema.clone()).unwrap();
-            tables.insert(name.to_string(), Arc::new(ColTable::new(schema)));
+            let at = catalog.add_table(schema).unwrap();
+            tables.push(Arc::new(ColTable::new(Arc::clone(catalog.schema_at(at)))));
         }
-        let p = Arc::get_mut(tables.get_mut("parent").unwrap()).unwrap();
-        p.append(vec![Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
-        p.append(vec![Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
-        let c = Arc::get_mut(tables.get_mut("child").unwrap()).unwrap();
-        c.append(vec![Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
-        c.append(vec![Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
-        c.append(vec![Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();
+        let p = Arc::get_mut(&mut tables[0]).unwrap();
+        p.append(&[Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
+        p.append(&[Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
+        let c = Arc::get_mut(&mut tables[1]).unwrap();
+        c.append(&[Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
+        c.append(&[Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
+        c.append(&[Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();
         (catalog, tables)
     }
 

@@ -9,16 +9,12 @@ use crate::plan::{Plan, Pred};
 use crate::sql::SqlCmpOp;
 use crate::storage::RowTable;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Execute a plan against row tables.
-pub fn execute(
-    plan: &Plan,
-    catalog: &Catalog,
-    tables: &BTreeMap<String, Arc<RowTable>>,
-) -> Result<ResultSet> {
-    let rows = eval(plan, tables)?;
+/// Execute a plan against row tables, stored by catalog position.
+pub fn execute(plan: &Plan, catalog: &Catalog, tables: &[Arc<RowTable>]) -> Result<ResultSet> {
+    let rows = eval(plan, catalog, tables)?;
     Ok(ResultSet { columns: output_names(plan, catalog), rows })
 }
 
@@ -42,22 +38,24 @@ pub(crate) fn output_names(plan: &Plan, catalog: &Catalog) -> Vec<String> {
     }
 }
 
-fn eval(plan: &Plan, tables: &BTreeMap<String, Arc<RowTable>>) -> Result<Vec<Vec<Value>>> {
+fn eval(plan: &Plan, catalog: &Catalog, tables: &[Arc<RowTable>]) -> Result<Vec<Vec<Value>>> {
+    let eval = |plan| eval(plan, catalog, tables);
     match plan {
         Plan::Scan { table, filters } => {
-            let t = tables
-                .get(table)
+            let t = catalog
+                .position(table)
+                .map(|p| &tables[p])
                 .ok_or_else(|| Error::exec(format!("missing table `{table}`")))?;
             Ok(scan(t, filters))
         }
         Plan::Join { left, right, left_col, right_col } => {
-            let l = eval(left, tables)?;
-            let r = eval(right, tables)?;
+            let l = eval(left)?;
+            let r = eval(right)?;
             Ok(hash_join(l, r, *left_col, *right_col))
         }
         Plan::Cross { left, right } => {
-            let l = eval(left, tables)?;
-            let r = eval(right, tables)?;
+            let l = eval(left)?;
+            let r = eval(right)?;
             let mut out = Vec::with_capacity(l.len() * r.len());
             for lr in &l {
                 for rr in &r {
@@ -69,19 +67,19 @@ fn eval(plan: &Plan, tables: &BTreeMap<String, Arc<RowTable>>) -> Result<Vec<Vec
             Ok(out)
         }
         Plan::Filter { input, preds } => {
-            let mut rows = eval(input, tables)?;
+            let mut rows = eval(input)?;
             rows.retain(|row| preds.iter().all(|p| pred_holds(p, row)));
             Ok(rows)
         }
         Plan::Project { input, cols, .. } => {
-            let rows = eval(input, tables)?;
+            let rows = eval(input)?;
             Ok(rows
                 .into_iter()
                 .map(|row| cols.iter().map(|&c| row[c].clone()).collect())
                 .collect())
         }
         Plan::Aggregate { input, col } => {
-            let rows = eval(input, tables)?;
+            let rows = eval(input)?;
             let n = match col {
                 None => rows.len(),
                 Some(c) => rows.iter().filter(|r| !r[*c].is_null()).count(),
@@ -90,8 +88,8 @@ fn eval(plan: &Plan, tables: &BTreeMap<String, Arc<RowTable>>) -> Result<Vec<Vec
         }
         Plan::Empty { .. } => Ok(Vec::new()),
         Plan::SetOp { kind, left, right } => {
-            let l = eval(left, tables)?;
-            let r = eval(right, tables)?;
+            let l = eval(left)?;
+            let r = eval(right)?;
             Ok(set_op(*kind, l, r))
         }
     }
@@ -106,28 +104,26 @@ fn scan(t: &RowTable, filters: &[(usize, SqlCmpOp, Value)]) -> Vec<Vec<Value>> {
         .map(|(c, o, v)| (*c, *o, v))
     {
         return t
-            .index_lookup(col, key)
-            .iter()
-            .copied()
-            .filter(|&r| t.is_live(r))
+            .index_lookup(col, key.as_ref())
             .filter(|&r| row_passes(t, r, filters))
-            .map(|r| t.row(r).to_vec())
+            .map(|r| t.row_values(r))
             .collect();
     }
     t.live_rows()
         .filter(|&r| row_passes(t, r, filters))
-        .map(|r| t.row(r).to_vec())
+        .map(|r| t.row_values(r))
         .collect()
 }
 
+/// Whether stored row `row` passes every filter, read in place.
 fn row_passes(t: &RowTable, row: usize, filters: &[(usize, SqlCmpOp, Value)]) -> bool {
-    filters.iter().all(|(col, op, lit)| op.compare(&t.row(row)[*col], lit))
+    filters.iter().all(|(col, op, lit)| op.compare(t.get(row, *col), lit.as_ref()))
 }
 
 fn pred_holds(pred: &Pred, row: &[Value]) -> bool {
     match pred {
-        Pred::ColLit { col, op, value } => op.compare(&row[*col], value),
-        Pred::ColCol { left, op, right } => op.compare(&row[*left], &row[*right]),
+        Pred::ColLit { col, op, value } => op.compare(row[*col].as_ref(), value.as_ref()),
+        Pred::ColCol { left, op, right } => op.compare(row[*left].as_ref(), row[*right].as_ref()),
     }
 }
 
@@ -169,9 +165,9 @@ mod tests {
     use crate::sql::{parse_statement, Statement};
     use crate::value::DataType;
 
-    fn setup() -> (Catalog, BTreeMap<String, Arc<RowTable>>) {
+    fn setup() -> (Catalog, Vec<Arc<RowTable>>) {
         let mut catalog = Catalog::new();
-        let mut tables = BTreeMap::new();
+        let mut tables = Vec::new();
         for name in ["parent", "child"] {
             let schema = TableSchema::new(
                 name,
@@ -182,16 +178,16 @@ mod tests {
                 ],
             )
             .unwrap();
-            catalog.add_table(schema.clone()).unwrap();
-            tables.insert(name.to_string(), Arc::new(RowTable::new(schema)));
+            let at = catalog.add_table(schema).unwrap();
+            tables.push(Arc::new(RowTable::new(Arc::clone(catalog.schema_at(at)))));
         }
-        let p = Arc::get_mut(tables.get_mut("parent").unwrap()).unwrap();
-        p.append(vec![Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
-        p.append(vec![Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
-        let c = Arc::get_mut(tables.get_mut("child").unwrap()).unwrap();
-        c.append(vec![Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
-        c.append(vec![Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
-        c.append(vec![Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();
+        let p = Arc::get_mut(&mut tables[0]).unwrap();
+        p.append(&[Value::Int(1), Value::Null, Value::Text("p1".into())]).unwrap();
+        p.append(&[Value::Int(2), Value::Null, Value::Text("p2".into())]).unwrap();
+        let c = Arc::get_mut(&mut tables[1]).unwrap();
+        c.append(&[Value::Int(10), Value::Int(1), Value::Text("a".into())]).unwrap();
+        c.append(&[Value::Int(11), Value::Int(1), Value::Text("b".into())]).unwrap();
+        c.append(&[Value::Int(12), Value::Int(2), Value::Text("a".into())]).unwrap();
         (catalog, tables)
     }
 

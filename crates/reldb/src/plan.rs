@@ -240,7 +240,7 @@ fn plan_select(catalog: &Catalog, sel: &Select) -> Result<Plan> {
     for cond in &sel.conditions {
         match (&cond.left, &cond.right) {
             (Operand::Lit(a), Operand::Lit(b)) => {
-                if !cond.op.compare(&a.to_value(), &b.to_value()) {
+                if !cond.op.compare(a.to_value().as_ref(), b.to_value().as_ref()) {
                     let names = projection_names(sel);
                     return Ok(Plan::Empty { names });
                 }

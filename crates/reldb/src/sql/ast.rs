@@ -1,6 +1,6 @@
 //! SQL abstract syntax.
 
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Value, ValueRef};
 use std::fmt;
 
 /// A literal operand.
@@ -51,7 +51,7 @@ impl SqlCmpOp {
     }
 
     /// Three-valued application on values (`NULL` makes it false).
-    pub fn compare(self, a: &Value, b: &Value) -> bool {
+    pub fn compare(self, a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
         a.sql_cmp(b).map(|o| self.eval(o)).unwrap_or(false)
     }
 }
@@ -216,9 +216,9 @@ mod tests {
 
     #[test]
     fn null_comparisons_false() {
-        assert!(!SqlCmpOp::Eq.compare(&Value::Null, &Value::Null));
-        assert!(!SqlCmpOp::Ne.compare(&Value::Null, &Value::Int(1)));
-        assert!(SqlCmpOp::Gt.compare(&Value::Int(2), &Value::Int(1)));
+        assert!(!SqlCmpOp::Eq.compare(ValueRef::Null, ValueRef::Null));
+        assert!(!SqlCmpOp::Ne.compare(ValueRef::Null, ValueRef::Int(1)));
+        assert!(SqlCmpOp::Gt.compare(ValueRef::Int(2), ValueRef::Int(1)));
     }
 
     #[test]

@@ -55,21 +55,21 @@ impl Value {
 
     /// Does the value fit the declared column type? `NULL` fits anything.
     pub fn fits(&self, dtype: DataType) -> bool {
-        matches!(
-            (self, dtype),
-            (Value::Null, _) | (Value::Int(_), DataType::Int) | (Value::Text(_), DataType::Text)
-        )
+        self.as_ref().fits(dtype)
     }
 
     /// SQL comparison with numeric coercion. Returns `None` when either
     /// side is `NULL` (three-valued logic: the predicate is unknown).
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Text(a), Value::Text(b)) => Some(coerced_cmp(a, b)),
-            (Value::Int(a), Value::Text(b)) => Some(num_text_cmp(*a, b)),
-            (Value::Text(a), Value::Int(b)) => Some(num_text_cmp(*b, a).reverse()),
+        self.as_ref().sql_cmp(other.as_ref())
+    }
+
+    /// A borrowed view of the value.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Text(t) => ValueRef::Text(t),
         }
     }
 
@@ -84,6 +84,55 @@ impl Value {
             Value::Null => "NULL".to_string(),
             Value::Int(i) => i.to_string(),
             Value::Text(t) => format!("'{}'", t.replace('\'', "''")),
+        }
+    }
+}
+
+/// A cell value borrowed from a table: what the executors compare
+/// without copying text out of the storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// An integer.
+    Int(i64),
+    /// A string.
+    Text(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// True for [`ValueRef::Null`].
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// [`Value::fits`] on a borrowed value.
+    pub fn fits(self, dtype: DataType) -> bool {
+        matches!(
+            (self, dtype),
+            (ValueRef::Null, _)
+                | (ValueRef::Int(_), DataType::Int)
+                | (ValueRef::Text(_), DataType::Text)
+        )
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Text(t) => Value::Text(t.to_string()),
+        }
+    }
+
+    /// [`Value::sql_cmp`] on borrowed values.
+    pub fn sql_cmp(self, other: ValueRef<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (ValueRef::Null, _) | (_, ValueRef::Null) => None,
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a.cmp(&b)),
+            (ValueRef::Text(a), ValueRef::Text(b)) => Some(coerced_cmp(a, b)),
+            (ValueRef::Int(a), ValueRef::Text(b)) => Some(num_text_cmp(a, b)),
+            (ValueRef::Text(a), ValueRef::Int(b)) => Some(num_text_cmp(b, a).reverse()),
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::error::{Error, Result};
 use crate::model::{Document, NodeId};
+use std::borrow::Cow;
 
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document> {
@@ -119,8 +120,8 @@ impl<'a> Parser<'a> {
     /// Parse the root element and build the document around it.
     fn parse_root(&mut self) -> Result<Document> {
         self.expect("<")?;
-        let name = self.parse_name()?.to_string();
-        let mut doc = Document::new(name.clone());
+        let name = self.parse_name()?;
+        let mut doc = Document::new(name);
         let root = doc.root();
         self.parse_attributes(&mut doc, root)?;
         self.skip_ws();
@@ -130,7 +131,7 @@ impl<'a> Parser<'a> {
         }
         self.expect(">")?;
         self.parse_content(&mut doc, root)?;
-        self.parse_close_tag(&name)?;
+        self.parse_close_tag(name)?;
         Ok(doc)
     }
 
@@ -162,14 +163,14 @@ impl<'a> Parser<'a> {
             }
             let raw = &self.input[start..self.pos];
             self.bump(1);
-            doc.set_attribute(node, name, decode_entities(raw, start)?);
+            doc.set_attribute(node, name, decode_entities(raw, start)?.into_owned());
         }
     }
 
     fn parse_element(&mut self, doc: &mut Document, parent: NodeId) -> Result<()> {
         self.expect("<")?;
-        let name = self.parse_name()?.to_string();
-        let node = doc.add_element(parent, name.clone());
+        let name = self.parse_name()?;
+        let node = doc.add_element_named(parent, name);
         self.parse_attributes(doc, node)?;
         self.skip_ws();
         if self.starts_with("/>") {
@@ -178,7 +179,7 @@ impl<'a> Parser<'a> {
         }
         self.expect(">")?;
         self.parse_content(doc, node)?;
-        self.parse_close_tag(&name)
+        self.parse_close_tag(name)
     }
 
     fn parse_close_tag(&mut self, name: &str) -> Result<()> {
@@ -217,7 +218,7 @@ impl<'a> Parser<'a> {
                     let raw = &self.input[start..self.pos];
                     let text = decode_entities(raw, start)?;
                     if !text.trim().is_empty() {
-                        doc.add_text(parent, text.trim().to_string());
+                        doc.add_text_value(parent, text.trim());
                     }
                 }
             }
@@ -225,9 +226,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn decode_entities(raw: &str, offset: usize) -> Result<String> {
+fn decode_entities(raw: &str, offset: usize) -> Result<Cow<'_, str>> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -251,7 +252,7 @@ fn decode_entities(raw: &str, offset: usize) -> Result<String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]

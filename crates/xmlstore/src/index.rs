@@ -1,4 +1,4 @@
-//! Element-name index: element name → node ids, in arena order (document
+//! Element-name index: interned element-name id → node ids, in arena order (document
 //! order for a parsed document; inserted elements append).
 //!
 //! This is the structural index a native XML database maintains so that
@@ -10,31 +10,26 @@
 //! copied [`crate::StoredDocument`] does) copies one pointer per name,
 //! and an insert into a shared clone copies only the bucket it touches.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use xac_xml::{Document, NodeId};
 
 /// An element-name index over one document.
 #[derive(Debug, Clone, Default)]
 pub struct NameIndex {
-    buckets: HashMap<String, Arc<Vec<NodeId>>>,
+    /// Bucket per interned name id of the document (a name interned
+    /// after the build has none until an element of it is inserted).
+    buckets: Vec<Arc<Vec<NodeId>>>,
 }
 
 impl NameIndex {
     /// Build the index for a document in one sweep over its arena.
     pub fn build(doc: &Document) -> NameIndex {
-        let mut buckets: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for (id, node) in doc.element_nodes() {
-            let name = node.name().expect("element has a name");
-            match buckets.get_mut(name) {
-                Some(bucket) => bucket.push(id),
-                None => {
-                    buckets.insert(name.to_string(), vec![id]);
-                }
-            }
+        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); doc.name_id_count()];
+        for id in doc.all_elements() {
+            let name = doc.name_id(id).expect("element has a name id");
+            buckets[name as usize].push(id);
         }
-        let buckets = buckets.into_iter().map(|(name, ids)| (name, Arc::new(ids))).collect();
-        NameIndex { buckets }
+        NameIndex { buckets: buckets.into_iter().map(Arc::new).collect() }
     }
 
     /// Live nodes named `name`, in arena order.
@@ -43,28 +38,26 @@ impl NameIndex {
         doc: &'d Document,
         name: &str,
     ) -> impl Iterator<Item = NodeId> + 'd {
-        self.buckets
-            .get(name)
-            .map(|ids| ids.as_slice())
-            .unwrap_or(&[])
+        doc.name_id_of(name)
+            .and_then(|id| self.buckets.get(id as usize))
+            .map_or(&[][..], |ids| ids.as_slice())
             .iter()
             .copied()
             .filter(move |&n| doc.is_alive(n))
     }
 
-    /// Register a newly inserted element.
-    pub fn insert(&mut self, name: &str, node: NodeId) {
-        match self.buckets.get_mut(name) {
-            Some(bucket) => Arc::make_mut(bucket).push(node),
-            None => {
-                self.buckets.insert(name.to_string(), Arc::new(vec![node]));
-            }
+    /// Register element `node`, newly inserted into `doc`.
+    pub fn insert(&mut self, doc: &Document, node: NodeId) {
+        let name = doc.name_id(node).expect("an element has a name id") as usize;
+        if self.buckets.len() <= name {
+            self.buckets.resize_with(name + 1, Default::default);
         }
+        Arc::make_mut(&mut self.buckets[name]).push(node);
     }
 
     /// Distinct element names indexed.
     pub fn name_count(&self) -> usize {
-        self.buckets.len()
+        self.buckets.iter().filter(|ids| !ids.is_empty()).count()
     }
 
     /// Rebuild from scratch (drops stale entries for deleted nodes).
@@ -75,7 +68,7 @@ impl NameIndex {
     /// Total bucket entries, including stale ones (observability hook used
     /// to decide when to rebuild).
     pub fn entry_count(&self) -> usize {
-        self.buckets.values().map(|ids| ids.len()).sum()
+        self.buckets.iter().map(|ids| ids.len()).sum()
     }
 }
 
@@ -112,7 +105,7 @@ mod tests {
         let mut doc = Document::parse_str("<a/>").unwrap();
         let mut idx = NameIndex::build(&doc);
         let b = doc.add_element(doc.root(), "b");
-        idx.insert("b", b);
+        idx.insert(&doc, b);
         assert_eq!(idx.lookup(&doc, "b").collect::<Vec<_>>(), vec![b]);
     }
 
@@ -130,9 +123,10 @@ mod tests {
         let idx = NameIndex::build(&doc);
         let mut copy = idx.clone();
         let b = doc.add_element(doc.root(), "b");
-        copy.insert("b", b);
-        for (name, bucket) in &idx.buckets {
-            assert_eq!(Arc::ptr_eq(bucket, &copy.buckets[name]), name != "b", "bucket {name}");
+        copy.insert(&doc, b);
+        for (id, bucket) in idx.buckets.iter().enumerate() {
+            let name = doc.name_of_id(id as u32);
+            assert_eq!(Arc::ptr_eq(bucket, &copy.buckets[id]), name != "b", "bucket {name}");
         }
         assert_eq!(idx.lookup(&doc, "b").count(), 1, "the original is unchanged");
         assert_eq!(copy.lookup(&doc, "b").count(), 2);
