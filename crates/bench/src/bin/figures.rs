@@ -1365,16 +1365,16 @@ fn fault_recovery(factors: &[f64]) {
 
             // The durable engine's counterpart: committing one guarded
             // update through the WAL (drain the backend's sign changes,
-            // op record + sign diff in one write, fsync, dirty-page
-            // writeback) replaces the checkpoint entirely. O(diff) work
-            // plus a word pass over the sign column, dominated by the
-            // fsync — the same calls the engine makes.
+            // then the op record and its commit in one write and one
+            // fsync). O(diff) work plus a word pass over the sign column,
+            // dominated by the fsync — the same calls the engine makes.
             let ddir = std::env::temp_dir()
                 .join(format!("xac_bench_wal_{}_{f}_{name}", std::process::id()));
             let _ = std::fs::remove_dir_all(&ddir);
             std::fs::create_dir_all(&ddir).expect("bench data dir");
+            let config = xac_serve::DurabilityConfig::new(&ddir);
             let mut dur = xac_serve::Durability::fresh(
-                &xac_serve::DurabilityConfig::new(&ddir),
+                &config,
                 FaultPlan::new(),
                 b.name(),
                 system.annotate_mode().name(),
@@ -1395,7 +1395,6 @@ fn fault_recovery(factors: &[f64]) {
                 let (_, d) = time(|| {
                     let diff = b.sign_changes().expect("sign changes");
                     dur.commit(&op, &diff, epoch).expect("commit");
-                    dur.write_behind(&diff);
                 });
                 committed.push(d);
             }
@@ -1405,6 +1404,16 @@ fn fault_recovery(factors: &[f64]) {
             let median = Some(committed[applied / 2]);
             record(f, name, elements, "checkpoint_wal", median, Some(applied), &mut csv, &mut json);
             drop(dur);
+
+            // Reopen after those commits: load, replay the logged deletes,
+            // annotate once, publish the first snapshot.
+            let (engine, d) = time(|| {
+                ServeEngine::durable(Arc::clone(&system), kind, &config).expect("reopen")
+            });
+            let replayed = engine.recovery().expect("a reopen recovers").ops_replayed;
+            assert_eq!(replayed, applied, "{name}: the reopen replays every commit");
+            record(f, name, elements, "reopen_wal", Some(d), Some(applied), &mut csv, &mut json);
+            drop(engine);
             let _ = std::fs::remove_dir_all(&ddir);
 
             // Ladder rung latency: the wall time of the guarded update
@@ -1444,7 +1453,6 @@ fn fault_recovery(factors: &[f64]) {
             // commit until `wal_before_commit` fails the last applied one
             // before its commit record, and the engine restores its
             // last-good checkpoint; the row follows `applied - 1` commits.
-            let config = xac_serve::DurabilityConfig::new(&ddir);
             let plan = FaultPlan::parse(&format!("wal_before_commit:error+{}", applied - 1))
                 .expect("plan");
             let engine =
@@ -1478,9 +1486,10 @@ fn fault_recovery(factors: &[f64]) {
          copy-on-write image: O(tables), since the image shares the\n \
          document and every table, and the next write copies only what it\n \
          touches; checkpoint_wal = the median durable per-update commit\n \
-         over the row's `applied` granted deletes (sign_changes + commit\n \
-         + write_behind) — O(sign diff) plus a\n \
-         word pass over the sign column and an fsync;\n \
+         over the row's `applied` granted deletes (sign_changes + commit:\n \
+         one op record and one fsync) — O(sign diff) plus a word pass\n \
+         over the sign column; reopen_wal = ServeEngine::durable over\n \
+         those commits until its first snapshot (load, replay, annotate);\n \
          recover_* rows time the guarded update on which the armed fault\n \
          fired — the full-fallback rung re-annotates in place, the\n \
          rollback rung additionally restores the checkpoint and\n \

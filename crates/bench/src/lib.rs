@@ -200,10 +200,12 @@ mod tests {
 
     /// The tracked artifact carries the durable commit's cost: one
     /// positive `checkpoint_wal` row per backend × factor, the median
-    /// over at least 20 commits.
+    /// over at least 20 commits, and the reopen after them
+    /// (`reopen_wal`).
     #[test]
     fn tracked_fault_recovery_artifact_has_a_checkpoint_wal_row_per_backend_and_factor() {
         require_fault_recovery_row_per_cell("checkpoint_wal");
+        require_fault_recovery_row_per_cell("reopen_wal");
     }
 
     /// ... and the durable engine's rollback rung: one positive

@@ -139,22 +139,19 @@ pub trait Backend {
     /// word pass over the backend's sign column; the call then advances
     /// the baseline to the current state. The result always equals
     /// [`SignDiff::between`] of the `sign_state` at the baseline and the
-    /// `sign_state` now. [`Backend::load`], [`Backend::restore`] and
-    /// [`Backend::apply_sign_state`] reset the baseline to the state they
-    /// leave; the durable engine drains the changes once after logging
-    /// its first state and then once per committed transaction.
+    /// `sign_state` now. [`Backend::load`] and [`Backend::restore`]
+    /// reset the baseline to the state they leave; the durable engine
+    /// drains the changes once after its boot or recovery and then once
+    /// per committed transaction.
     fn sign_changes(&mut self) -> Result<SignDiff>;
 
-    /// Overwrite the materialized sign state wholesale with `signs`
-    /// (the [`Backend::sign_state`] encoding), leaving document
-    /// structure untouched. The WAL recovery path: after replaying
-    /// structural operations, the serving durability layer folds the
-    /// log's sign records into a map and applies it here in one pass.
-    /// The epoch strictly advances past both the current epoch and
-    /// `min_epoch` (the last committed epoch from the log), so epoch
-    /// numbers are never reused for possibly-different state across a
-    /// crash — same invariant as [`Backend::restore`].
-    fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()>;
+    /// Advance the epoch strictly past both the current epoch and
+    /// `min_epoch`, changing no state. The WAL recovery path calls it
+    /// with the log's last committed epoch after it has replayed and
+    /// annotated, so epoch numbers are never reused for
+    /// possibly-different state across a crash — the same invariant as
+    /// [`Backend::restore`].
+    fn advance_epoch(&mut self, min_epoch: u64);
 
     /// Capture a complete state image at the current epoch: the tree
     /// (document, index and sign column) for the native store, table
@@ -899,24 +896,8 @@ impl Backend for RelationalBackend {
         Ok(self.parts()?.0.tree.sign_changes())
     }
 
-    fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
-        // `signs` is a complete `sign_state` image (every live tuple
-        // carries a sign in the relational encoding), so two writes,
-        // one per sign, cover the whole map.
-        let mut plus = BTreeSet::new();
-        let mut minus = BTreeSet::new();
-        for (&id, &sign) in signs {
-            if sign == '+' {
-                plus.insert(id);
-            } else {
-                minus.insert(id);
-            }
-        }
-        self.write_signs(&minus, '-')?;
-        self.write_signs(&plus, '+')?;
+    fn advance_epoch(&mut self, min_epoch: u64) {
         self.epoch = self.epoch.max(min_epoch) + 1;
-        self.parts()?.0.tree.reset_baseline();
-        Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<Checkpoint> {
@@ -1156,14 +1137,8 @@ impl Backend for NativeXmlBackend {
         Ok(self.tree()?.sign_changes())
     }
 
-    fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
-        // The native encoding is sparse (only explicitly-annotated
-        // nodes appear), so the store clears everything and re-annotates
-        // exactly the mapped nodes.
-        self.sdoc_mut()?.apply_sign_map(signs);
-        self.tree()?.reset_baseline();
+    fn advance_epoch(&mut self, min_epoch: u64) {
         self.epoch = self.epoch.max(min_epoch) + 1;
-        Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<Checkpoint> {
@@ -1515,8 +1490,8 @@ mod tests {
     }
 
     /// Every writer in turn, then a seeded sequence of guarded updates,
-    /// full re-annotations, wholesale sign applies and checkpoint
-    /// restores; each step is followed by [`after_step`]'s checks, and
+    /// full re-annotations, epoch advances and checkpoint restores;
+    /// each step is followed by [`after_step`]'s checks, and
     /// about half of the seeded steps leave their changes undrained, so
     /// a drain also covers several steps at once (the serving engine's
     /// maintenance writes between transactions).
@@ -1550,10 +1525,13 @@ mod tests {
         assert_eq!(reset.accessible().len(), expected, "{}: reset to the default", b.name());
         oracle(b);
         assert_drain_is_the_map_diff(b, &mut prev, "reset");
-        let epoch = b.epoch();
-        b.apply_sign_state(&signs, epoch).unwrap();
-        assert_baseline_reset(b, &mut prev, "apply_sign_state");
-        after_step(b, system, oracle, &mut prev, "apply_sign_state", true);
+        // Re-derive the signs and floor the epoch, as WAL recovery does.
+        let epoch = b.epoch() + 5;
+        system.annotate(b).unwrap();
+        b.advance_epoch(epoch);
+        assert_eq!(b.epoch(), epoch + 1, "{}: the epoch passes the floor", b.name());
+        after_step(b, system, oracle, &mut prev, "annotate after reset", true);
+        assert_eq!(b.sign_state().unwrap(), signs, "{}: annotation re-derives", b.name());
         let checkpoint = b.checkpoint().unwrap();
         assert!(b.delete(&joy).unwrap() > 0);
         b.reset_annotations().unwrap();
@@ -1593,12 +1571,10 @@ mod tests {
                     format!("seeded step {i}: full re-annotation")
                 }
                 5 => {
-                    let signs = b.sign_state().unwrap();
-                    b.reset_annotations().unwrap();
                     let epoch = b.epoch();
-                    b.apply_sign_state(&signs, epoch).unwrap();
-                    assert_baseline_reset(b, &mut prev, "seeded apply_sign_state");
-                    format!("seeded step {i}: apply_sign_state")
+                    b.advance_epoch(epoch);
+                    assert!(b.epoch() > epoch, "{}: the epoch advances", b.name());
+                    format!("seeded step {i}: advance the epoch")
                 }
                 _ => {
                     b.restore(&checkpoint).unwrap();

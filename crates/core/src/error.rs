@@ -70,8 +70,8 @@ pub enum Error {
     /// errors instead of panics, and the CLI can give them a stable
     /// exit code.
     Storage {
-        /// The storage failure class (`io`, `checksum`, `torn_write`,
-        /// `corrupt` — `xac_store::StoreErrorKind` spellings).
+        /// The storage failure class (`io` or `corrupt` —
+        /// `xac_store::StoreErrorKind` spellings).
         source_kind: String,
         /// What was being attempted, with paths/offsets where useful.
         context: String,

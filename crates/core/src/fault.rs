@@ -72,8 +72,8 @@ pub enum FaultPoint {
     /// length exceeds the server's frame-size cap. Client-side, action
     /// ignored (see [`FaultPoint::NetSlowClient`]).
     NetOversizedFrame,
-    /// Storage harness: crash after the transaction's WAL records are
-    /// appended but before the commit record — recovery must roll the
+    /// Storage harness: crash after the transaction's operation record
+    /// is appended but before the commit record — recovery must roll the
     /// transaction back. Fired by the `xac-serve` durability layer,
     /// never by [`FaultingBackend`].
     WalBeforeCommit,
@@ -82,22 +82,12 @@ pub enum FaultPoint {
     /// detect and truncate it. Durability-layer-fired (see
     /// [`FaultPoint::WalBeforeCommit`]).
     WalMidRecord,
-    /// Storage harness: crash mid-page-write *after* commit, leaving a
-    /// checksum-failing page on disk — recovery must rebuild the page
-    /// from the WAL, and the committed transaction must survive.
-    /// Durability-layer-fired (see [`FaultPoint::WalBeforeCommit`]).
-    PageTornWrite,
-    /// Storage harness: crash partway through the multi-page checkpoint
-    /// flush *after* commit — some dirty pages written, the rest stale.
-    /// Recovery reconciles from the WAL. Durability-layer-fired (see
-    /// [`FaultPoint::WalBeforeCommit`]).
-    CheckpointMidFlush,
 }
 
 impl FaultPoint {
     /// Every fault point, in lifecycle order (the sweep test iterates
     /// this).
-    pub const ALL: [FaultPoint; 18] = [
+    pub const ALL: [FaultPoint; 16] = [
         FaultPoint::BeforeAnnotate,
         FaultPoint::BeforeDelete,
         FaultPoint::AfterDelete,
@@ -114,8 +104,6 @@ impl FaultPoint {
         FaultPoint::NetOversizedFrame,
         FaultPoint::WalBeforeCommit,
         FaultPoint::WalMidRecord,
-        FaultPoint::PageTornWrite,
-        FaultPoint::CheckpointMidFlush,
     ];
 
     /// The network fault points, fired by the `xac-net` client-side
@@ -127,15 +115,12 @@ impl FaultPoint {
     ];
 
     /// The durable-storage fault points, fired by the `xac-serve`
-    /// durability layer (WAL + pager) rather than by
-    /// [`FaultingBackend`]. The first two fire *before* the commit
-    /// record (the crashed transaction must roll back); the last two
-    /// fire *after* it (the transaction must survive recovery).
-    pub const STORAGE: [FaultPoint; 4] = [
+    /// durability layer around its WAL commit rather than by
+    /// [`FaultingBackend`]. Both fire *before* the commit record: the
+    /// crashed transaction must roll back.
+    pub const STORAGE: [FaultPoint; 2] = [
         FaultPoint::WalBeforeCommit,
         FaultPoint::WalMidRecord,
-        FaultPoint::PageTornWrite,
-        FaultPoint::CheckpointMidFlush,
     ];
 
     /// True for the points in [`FaultPoint::NET`].
@@ -167,8 +152,6 @@ impl FaultPoint {
             FaultPoint::NetOversizedFrame => "net_oversized_frame",
             FaultPoint::WalBeforeCommit => "wal_before_commit",
             FaultPoint::WalMidRecord => "wal_mid_record",
-            FaultPoint::PageTornWrite => "page_torn_write",
-            FaultPoint::CheckpointMidFlush => "checkpoint_mid_flush",
         }
     }
 
@@ -604,10 +587,10 @@ impl Backend for FaultingBackend {
     }
 
     /// Transparent: the storage points ([`FaultPoint::STORAGE`]) are
-    /// fired by the durability layer around its own WAL/page writes,
-    /// not here.
-    fn apply_sign_state(&mut self, signs: &BTreeMap<i64, char>, min_epoch: u64) -> Result<()> {
-        self.inner.apply_sign_state(signs, min_epoch)
+    /// fired by the durability layer around its own WAL writes, not
+    /// here.
+    fn advance_epoch(&mut self, min_epoch: u64) {
+        self.inner.advance_epoch(min_epoch)
     }
 
     fn checkpoint(&mut self) -> Result<Checkpoint> {

@@ -28,14 +28,15 @@
 //! being absorbed by the degradation ladder, 5 `analyze` found errors,
 //! 6 `analyze --deny warn` found warnings, 7 the server refused a
 //! request because the session's role may not issue it, 8 the durable
-//! storage layer failed (WAL/page I/O, checksum, or a backend-tag
-//! mismatch against an existing data dir).
+//! storage layer failed (WAL I/O, a log from an older format, or a
+//! backend-tag mismatch against an existing data dir).
 //!
 //! `serve` and `serve-bench` take `--data-dir DIR` to run the engine on
-//! the durable storage layer (4 KB pager + write-ahead log): guarded
-//! updates commit through the WAL, a failed one rolls back to the
-//! last-good checkpoint as on a volatile engine, and a restart over the
-//! same dir replays the log to recover the exact committed state.
+//! the durable storage layer (an operation-only write-ahead log):
+//! guarded updates commit through the WAL, a failed one rolls back to
+//! the last-good checkpoint as on a volatile engine, and a restart over
+//! the same dir replays the log and re-annotates to recover the exact
+//! committed state.
 //! `--wal sync|nosync` picks whether each commit fsyncs (default
 //! `sync`).
 
@@ -777,7 +778,7 @@ fn vm_dump(args: &Args) -> CliResult<()> {
 }
 
 /// Build an engine on the storage the flags select: durable over
-/// `--data-dir` (the storage half of `--fault-plan` arms the WAL/page
+/// `--data-dir` (the storage half of `--fault-plan` arms the WAL
 /// crash seams, the rest the backend) or in-memory otherwise. A reopen
 /// that recovered from the log reports what the replay did.
 fn engine_on_selected_storage(
@@ -792,14 +793,13 @@ fn engine_on_selected_storage(
             match engine.recovery() {
                 Some(r) => println!(
                     "recovered {} from {}: {} ops replayed, {} sign entries, epoch {}, \
-                     {} wal bytes truncated, {} torn pages repaired",
+                     {} wal bytes truncated",
                     r.backend,
                     config.data_dir.display(),
                     r.ops_replayed,
                     r.sign_entries,
                     r.last_epoch,
                     r.wal_truncated_bytes,
-                    r.torn_pages_repaired,
                 ),
                 None => println!(
                     "fresh durable boot at {} (wal {})",
@@ -812,7 +812,7 @@ fn engine_on_selected_storage(
         None => {
             if plan.specs().iter().any(|s| s.point.is_storage()) {
                 return Err(
-                    "--fault-plan: wal_*/page_*/checkpoint_* points arm the durable \
+                    "--fault-plan: wal_* points arm the durable \
                      storage layer; add --data-dir"
                         .to_string()
                         .into(),

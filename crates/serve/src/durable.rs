@@ -1,82 +1,69 @@
 //! The durability layer: crash-consistent guarded updates over
 //! `xac-store` (DESIGN.md §4i).
 //!
-//! A [`Durability`] pairs one write-ahead [`Wal`] with one
-//! [`SignPageStore`] and composes them into the commit protocol the
-//! engine runs for each guarded transaction. [`Durability::commit`] is
-//! the transaction's last faultable step:
+//! A [`Durability`] owns one write-ahead [`Wal`], which is the whole
+//! durable state: a `Meta` record and a `Commit` at a fresh boot, then
+//! one structural operation record and one `Commit` per applied
+//! update. Signs are never logged: they are a function of the document
+//! and the policy (Table 2), so a reopen re-derives them.
+//! [`Durability::commit`] is the transaction's last faultable step:
 //!
 //! 1. truncate any dead tail left by an earlier failure
 //!    ([`Wal::abort_to_last_commit`] — cleanup is lazy, so the on-disk
 //!    state at a crash instant *is* the crash state);
-//! 2. write the structural operation record and one
-//!    `SignSet`/`SignClear` record per entry of the transaction's
-//!    [`SignDiff`] — framed into one buffer, one `write`;
-//! 3. append the `Commit` boundary and fsync — **the durability
+//! 2. append the operation record and the `Commit` boundary, framed
+//!    into one buffer and one `write`, then fsync — **the durability
 //!    point** — and patch the in-memory committed sign map with the
-//!    diff.
+//!    transaction's [`SignDiff`].
 //!
 //! The engine runs it after it has staged the rollback checkpoint and
-//! the new snapshot, so a failure before step 3 leaves the log on the
-//! previous commit and the engine's rollback is the same checkpoint
-//! restore the volatile engine runs. After publishing, the engine calls
-//! [`Durability::write_behind`]:
+//! the new snapshot, so a failure before step 2's fsync leaves the log
+//! on the previous commit and the engine's rollback is the same
+//! checkpoint restore the volatile engine runs. Nothing is written
+//! after the publish. The engine gets the diff from
+//! [`Backend::sign_changes`]; the committed map it patches is what the
+//! benchmark's reopen check compares with the recovered sign state.
 //!
-//! 4. write the diff's entries into the slotted pages and flush the
-//!    dirty ones — O(diff). Its errors and panics are absorbed and
-//!    counted (`xac_wal_post_commit_errors_total`): the commit is
-//!    durable and a reopen repairs the pages from the log.
+//! The two storage fault points ([`FaultPoint::STORAGE`]) land on the
+//! commit's seams: `wal_mid_record` tears the operation record,
+//! `wal_before_commit` writes it without its `Commit`.
 //!
-//! The engine gets the diff from [`Backend::sign_changes`], so no step
-//! touches the whole sign map. The four storage fault points
-//! ([`FaultPoint::STORAGE`]) land exactly on those seams:
-//! `wal_mid_record` and `wal_before_commit` pre-commit,
-//! `page_torn_write` and `checkpoint_mid_flush` in the write-behind.
-//!
-//! The very first annotation is logged as the log's first transaction
-//! (`Meta` + the full sign map + `Commit`), so recovery never re-runs
-//! annotation: [`Durability::recover`] — the only log replay — reloads
-//! the document, replays the structural operations in order, folds the
-//! sign records into one map, and applies it wholesale via
-//! [`Backend::apply_sign_state`].
+//! [`Durability::recover`] — the only log replay — reloads the
+//! document, replays the structural operations in order, runs one full
+//! [`System::annotate`] in the backend's own mode, and floors the epoch
+//! at the log's last one ([`Backend::advance_epoch`]). The reopening
+//! system's policy decides every sign, so a reopen under a changed
+//! policy serves the new policy.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use xac_core::{
     injected_panic_message, Backend, Error, FaultAction, FaultPlan, FaultPoint, Result, System,
     Update,
 };
-use xac_store::{PagerStats, SignPageStore, StoreError, Wal, WalRecord, WalStats};
+use xac_store::{PagerStats, StoreError, Wal, WalRecord, WalStats};
 
 pub use xac_core::SignDiff;
 
 /// Where and how the engine persists (CLI: `--data-dir`, `--wal`).
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the log and page files (created if absent).
+    /// Directory holding the log (created if absent).
     pub data_dir: PathBuf,
     /// Fsync on every commit (`--wal sync`, the default) or leave
     /// durability to the OS (`--wal nosync`).
     pub sync: bool,
-    /// Buffer-pool capacity of the page store, in pages.
-    pub pool_pages: usize,
 }
 
 impl DurabilityConfig {
-    /// A config with the default knobs (`sync`, 64-page pool).
+    /// A config with the default knob (`sync`).
     pub fn new(data_dir: impl Into<PathBuf>) -> DurabilityConfig {
-        DurabilityConfig { data_dir: data_dir.into(), sync: true, pool_pages: 64 }
+        DurabilityConfig { data_dir: data_dir.into(), sync: true }
     }
 
     /// The write-ahead log file.
     pub fn wal_path(&self) -> PathBuf {
         self.data_dir.join("xmlac.wal")
-    }
-
-    /// The slotted-page sign-store file.
-    pub fn pages_path(&self) -> PathBuf {
-        self.data_dir.join("signs.pages")
     }
 }
 
@@ -86,20 +73,21 @@ pub(crate) fn storage_error(e: StoreError) -> Error {
 }
 
 /// True when the log at `config.wal_path()` holds at least one
-/// committed transaction — the boot-vs-recover decision. Opening the
-/// log also truncates any torn tail, so a crash during the very first
-/// (initial-annotation) transaction correctly reads as "no history"
-/// and boots fresh.
+/// committed transaction — the boot-vs-recover decision. The scan
+/// writes nothing: a crash during the very first transaction reads as
+/// "no history" and the fresh boot truncates its torn tail, while a log
+/// with history is left for [`Durability::recover`] to accept or refuse
+/// as it found it.
 pub(crate) fn has_committed_history(config: &DurabilityConfig) -> Result<bool> {
     if !config.wal_path().exists() {
         return Ok(false);
     }
-    let (_, records) = Wal::open(&config.wal_path()).map_err(storage_error)?;
+    let (_, records) = Wal::scan(&config.wal_path()).map_err(storage_error)?;
     Ok(!records.is_empty())
 }
 
 /// Partition a fault plan into (storage specs, everything else) — the
-/// storage points are fired by [`Durability`] around its own WAL/page
+/// storage points are fired by [`Durability`] around its own WAL
 /// writes, the rest arm the usual
 /// [`FaultingBackend`](xac_core::FaultingBackend) decorator. Same shape
 /// as the net layer's client/server plan split.
@@ -153,9 +141,8 @@ impl LoggedOp {
     /// Re-apply this operation to a freshly loaded backend: the
     /// structural step of [`System::guarded`] (select, then
     /// [`Update::write`]), without guard or re-annotation. Replay is
-    /// deterministic: both stores assign ids sequentially, so the same
-    /// operation sequence over the same document reproduces the same
-    /// id space the sign records refer to.
+    /// deterministic: the same operation sequence over the same document
+    /// reproduces the same document and arena slots.
     fn replay(&self, b: &mut dyn Backend) -> Result<()> {
         let update = Update::try_from(self)?;
         let selection = b.select(update.target())?;
@@ -195,43 +182,41 @@ impl TryFrom<&LoggedOp> for Update {
     }
 }
 
-/// The mark `Meta`'s backend tag ends with: every backend keys its sign
-/// records by arena slot. Logs written before relational universal ids
-/// became slots keyed relational signs by pre-order rank and carry no
-/// mark; [`Durability::recover`] refuses them rather than apply a rank's
-/// sign to whatever element holds that slot now.
-const SLOT_IDS: &str = "@slot-ids";
+/// The mark `Meta`'s backend tag ends with: the log holds operations
+/// only, and a reopen re-derives the signs. Older logs carry sign
+/// records (keyed by arena slot under a `@slot-ids` mark, or by
+/// pre-order rank with no mark) and no operation mark;
+/// [`Durability::recover`] refuses them, leaving the file as it was,
+/// rather than replay a history it can no longer check.
+const OP_LOG: &str = "@op-log";
 
-/// What a reopen found and repaired; surfaced by
+/// What a reopen found; surfaced by
 /// [`ServeEngine::recovery`](crate::ServeEngine::recovery) and printed
 /// by the CLI on restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Backend tag from the log's `Meta` record, without its
-    /// `SLOT_IDS` mark.
+    /// Backend tag from the log's `Meta` record, without its `OP_LOG`
+    /// mark.
     pub backend: String,
-    /// Annotate-mode tag from the log's `Meta` record.
+    /// Annotate-mode tag from the log's `Meta` record (the mode that
+    /// wrote the log; recovery annotates in the backend's own mode,
+    /// which gives the same signs).
     pub mode: String,
     /// Structural operations replayed.
     pub ops_replayed: usize,
-    /// Entries in the recovered sign map.
+    /// Entries in the recovered sign state.
     pub sign_entries: usize,
     /// Epoch of the last committed transaction.
     pub last_epoch: u64,
     /// Torn/uncommitted bytes truncated from the log tail.
     pub wal_truncated_bytes: u64,
-    /// Pages that failed their checksum and were rebuilt from the log.
-    pub torn_pages_repaired: usize,
-    /// Page entries changed while reconciling pages to the log's map.
-    pub page_entries_repaired: usize,
 }
 
-/// One WAL + one page store + the committed sign map the next
-/// transaction's diff is checked against. Owned by the engine behind a
-/// mutex; every method runs under the writer lock's serialization.
+/// One WAL + the committed sign map the next transaction's diff is
+/// checked against. Owned by the engine behind a mutex; every method
+/// runs under the writer lock's serialization.
 pub struct Durability {
     wal: Wal,
-    store: SignPageStore,
     /// Sign map as of the last committed transaction.
     committed_signs: BTreeMap<i64, char>,
     /// Epoch of the last committed transaction.
@@ -239,22 +224,19 @@ pub struct Durability {
     /// Armed storage fault points (see [`FaultPoint::STORAGE`]).
     plan: FaultPlan,
     sync: bool,
-    /// Test hook: fail the next post-commit page write this way.
-    #[cfg(test)]
-    fail_next_page_write: Option<FaultAction>,
 }
 
-/// Post-commit page-write failures absorbed, process-wide.
-fn post_commit_errors_total() -> &'static std::sync::Arc<xac_obs::Counter> {
-    static C: std::sync::OnceLock<std::sync::Arc<xac_obs::Counter>> = std::sync::OnceLock::new();
-    C.get_or_init(|| xac_obs::counter("xac_wal_post_commit_errors_total"))
+/// A refusal to touch the log at `config.wal_path()`.
+fn corrupt(context: String) -> Error {
+    Error::Storage { source_kind: "corrupt".to_string(), context }
 }
 
 impl Durability {
     /// Fresh boot: the backend was just loaded and fully annotated;
-    /// log that state as the first transaction (`Meta` + the full sign
-    /// map + `Commit`) and materialize it onto pages. Errors if the
-    /// log already holds committed transactions — that state must go
+    /// log the first transaction (`Meta` + `Commit`, one write and one
+    /// fsync). `signs` is the backend's [`Backend::sign_state`], which
+    /// seeds the committed map; `epoch` is its epoch. Errors if the log
+    /// already holds committed transactions — that state must go
     /// through [`Durability::recover`] instead.
     pub fn fresh(
         config: &DurabilityConfig,
@@ -266,52 +248,39 @@ impl Durability {
     ) -> Result<Durability> {
         let (mut wal, records) = Wal::open(&config.wal_path()).map_err(storage_error)?;
         if !records.is_empty() {
-            return Err(Error::Storage {
-                source_kind: "corrupt".to_string(),
-                context: format!(
-                    "refusing to overwrite populated wal {} ({} committed records); \
-                     recover it or remove the data dir",
-                    config.wal_path().display(),
-                    records.len()
-                ),
-            });
+            return Err(corrupt(format!(
+                "refusing to overwrite populated wal {} ({} committed records); \
+                 recover it or remove the data dir",
+                config.wal_path().display(),
+                records.len()
+            )));
         }
-        let backend = format!("{backend}{SLOT_IDS}");
-        let meta = WalRecord::Meta { backend, mode: mode.to_string() };
-        let sets = signs.iter().map(|(&id, &sign)| WalRecord::SignSet { id, sign });
-        wal.append_batch(std::iter::once(meta).chain(sets)).map_err(storage_error)?;
-        wal.commit(epoch, config.sync).map_err(storage_error)?;
-        let mut store =
-            SignPageStore::open(&config.pages_path(), config.pool_pages).map_err(storage_error)?;
-        store.reconcile(signs).map_err(storage_error)?;
-        store.flush().map_err(storage_error)?;
+        let meta = WalRecord::Meta { backend: format!("{backend}{OP_LOG}"), mode: mode.to_string() };
+        wal.commit_batch([meta], epoch, config.sync).map_err(storage_error)?;
         Ok(Durability {
             wal,
-            store,
             committed_signs: signs.clone(),
             last_epoch: epoch,
             plan,
             sync: config.sync,
-            #[cfg(test)]
-            fail_next_page_write: None,
         })
     }
 
-    /// Reopen after a crash (or clean shutdown — same path): fold the
-    /// committed records, check the `Meta` backend tag for the
-    /// `SLOT_IDS` mark and against the backend being recovered,
-    /// reload the document, replay the structural operations, apply the
-    /// folded sign map wholesale, and repair the pages to it.
+    /// Reopen after a crash (or clean shutdown — same path): scan the
+    /// committed records, check the `Meta` backend tag for the `OP_LOG`
+    /// mark and against the backend being recovered (a refused log is
+    /// left byte for byte as it was), truncate the torn tail, reload the
+    /// document, replay the structural operations, annotate once, and
+    /// floor the epoch at the log's last one. The committed map becomes
+    /// the recovered sign state.
     pub fn recover(
         config: &DurabilityConfig,
         plan: FaultPlan,
         system: &System,
         b: &mut dyn Backend,
     ) -> Result<(Durability, RecoveryReport)> {
-        let (wal, records) = Wal::open(&config.wal_path()).map_err(storage_error)?;
-        let wal_truncated_bytes = wal.stats().truncated_bytes;
+        let (mut wal, records) = Wal::scan(&config.wal_path()).map_err(storage_error)?;
         let mut meta: Option<(String, String)> = None;
-        let mut signs = BTreeMap::new();
         let mut ops = Vec::new();
         let mut last_epoch = 0u64;
         for record in records {
@@ -323,76 +292,51 @@ impl Durability {
                 WalRecord::Insert { parent, name, text } => {
                     ops.push(LoggedOp::Insert { parent, name, text })
                 }
-                WalRecord::SignSet { id, sign } => {
-                    signs.insert(id, sign);
-                }
-                WalRecord::SignClear { id } => {
-                    signs.remove(&id);
-                }
+                WalRecord::SignSet { .. } | WalRecord::SignClear { .. } => {}
                 WalRecord::Commit { epoch } => last_epoch = epoch,
             }
         }
+        let wal_path = config.wal_path();
         let Some((marked_tag, mode_tag)) = meta else {
-            return Err(Error::Storage {
-                source_kind: "corrupt".to_string(),
-                context: format!(
-                    "wal {} holds no Meta record; cannot recover",
-                    config.wal_path().display()
-                ),
-            });
+            return Err(corrupt(format!(
+                "wal {} holds no Meta record; cannot recover",
+                wal_path.display()
+            )));
         };
-        let Some(backend_tag) = marked_tag.strip_suffix(SLOT_IDS).map(str::to_string) else {
-            return Err(Error::Storage {
-                source_kind: "corrupt".to_string(),
-                context: format!(
-                    "wal {} (backend `{marked_tag}`) predates slot-keyed signs; \
-                     cannot recover, remove the data dir",
-                    config.wal_path().display()
-                ),
-            });
+        let Some(backend_tag) = marked_tag.strip_suffix(OP_LOG).map(str::to_string) else {
+            return Err(corrupt(format!(
+                "wal {} (backend `{marked_tag}`) predates operation-only logs; \
+                 cannot recover, remove the data dir",
+                wal_path.display()
+            )));
         };
         if backend_tag != b.name() {
-            return Err(Error::Storage {
-                source_kind: "corrupt".to_string(),
-                context: format!(
-                    "wal written by backend `{backend_tag}` cannot recover backend `{}`",
-                    b.name()
-                ),
-            });
+            return Err(corrupt(format!(
+                "wal written by backend `{backend_tag}` cannot recover backend `{}`",
+                b.name()
+            )));
         }
+        wal.truncate_tail().map_err(storage_error)?;
         system.load(b)?;
         for op in &ops {
             op.replay(b)?;
         }
-        b.apply_sign_state(&signs, last_epoch)?;
-        let mut store =
-            SignPageStore::open(&config.pages_path(), config.pool_pages).map_err(storage_error)?;
-        let torn_pages_repaired = store.torn_pages().len();
-        let page_entries_repaired = store.reconcile(&signs).map_err(storage_error)?;
-        store.flush().map_err(storage_error)?;
+        system.annotate(b)?;
+        b.advance_epoch(last_epoch);
+        // The recovered state is the committed one: the next
+        // transaction's `sign_changes` diffs against it.
+        b.sign_changes()?;
+        let committed_signs = b.sign_state()?;
         let report = RecoveryReport {
             backend: backend_tag,
             mode: mode_tag,
             ops_replayed: ops.len(),
-            sign_entries: signs.len(),
+            sign_entries: committed_signs.len(),
             last_epoch,
-            wal_truncated_bytes,
-            torn_pages_repaired,
-            page_entries_repaired,
+            wal_truncated_bytes: wal.stats().truncated_bytes,
         };
-        Ok((
-            Durability {
-                wal,
-                store,
-                committed_signs: signs,
-                last_epoch,
-                plan,
-                sync: config.sync,
-                #[cfg(test)]
-                fail_next_page_write: None,
-            },
-            report,
-        ))
+        let sync = config.sync;
+        Ok((Durability { wal, committed_signs, last_epoch, plan, sync }, report))
     }
 
     /// Fire a pre-commit storage fault: error or panic, exactly like
@@ -408,9 +352,8 @@ impl Durability {
 
     /// Commit one guarded transaction from the backend's full
     /// post-update [`Backend::sign_state`] `new_signs`: the diff against
-    /// the committed map, [`Durability::commit`], then
-    /// [`Durability::write_behind`]. The serving engine commits
-    /// [`Backend::sign_changes`] directly instead.
+    /// the committed map, then [`Durability::commit`]. The serving
+    /// engine commits [`Backend::sign_changes`] directly instead.
     pub fn log_txn(
         &mut self,
         op: &LoggedOp,
@@ -419,16 +362,14 @@ impl Durability {
     ) -> Result<SignDiff> {
         let diff = SignDiff::between(&self.committed_signs, new_signs);
         self.commit(op, &diff, epoch)?;
-        self.write_behind(&diff);
         Ok(diff)
     }
 
-    /// Steps 1–3 of the protocol in the [module docs](self). `diff`
-    /// takes the committed sign map to the backend's post-update state;
-    /// `epoch` is its post-update epoch. On `Ok` the transaction is
-    /// durable; on `Err` it is not, and the caller must roll the backend
-    /// back to the previous commit. The pages are written by the
-    /// following [`Durability::write_behind`].
+    /// The protocol in the [module docs](self). `diff` takes the
+    /// committed sign map to the backend's post-update state (it patches
+    /// the map and is not logged); `epoch` is the post-update epoch. On
+    /// `Ok` the transaction is durable; on `Err` it is not, and the
+    /// caller must roll the backend back to the previous commit.
     pub fn commit(&mut self, op: &LoggedOp, diff: &SignDiff, epoch: u64) -> Result<()> {
         // Lazy cleanup: a previous transaction that failed pre-commit
         // left its records as a dead tail. Dropping it here (not at
@@ -441,70 +382,23 @@ impl Durability {
             self.wal.append_torn(&record).map_err(storage_error)?;
             Durability::fail(FaultPoint::WalMidRecord, action)?;
         }
-        let sets = diff.set.iter().map(|&(id, sign)| WalRecord::SignSet { id, sign });
-        let clears = diff.clear.iter().map(|&id| WalRecord::SignClear { id });
-        self.wal
-            .append_batch(std::iter::once(record).chain(sets).chain(clears))
-            .map_err(storage_error)?;
         if let Some(action) = self.plan.fire_at(FaultPoint::WalBeforeCommit) {
-            // Every record written, no commit boundary: a reopen must
-            // treat the whole transaction as an implicit abort.
+            // The operation record written, no commit boundary: a
+            // reopen must treat the transaction as an implicit abort.
+            self.wal.append(&record).map_err(storage_error)?;
             Durability::fail(FaultPoint::WalBeforeCommit, action)?;
         }
         {
-            // The durability point itself — the commit record + fsync —
-            // gets its own span so a trace shows how much of a guarded
-            // update was spent waiting on stable storage.
+            // The durability point itself — the operation and commit
+            // records in one write, then the fsync — gets its own span so
+            // a trace shows how much of a guarded update was spent
+            // waiting on stable storage.
             let _span = xac_obs::span("wal.commit");
-            self.wal.commit(epoch, self.sync).map_err(storage_error)?;
+            self.wal.commit_batch([record], epoch, self.sync).map_err(storage_error)?;
         }
         diff.apply_to(&mut self.committed_signs);
         self.last_epoch = epoch;
         Ok(())
-    }
-
-    /// Step 4, after the commit (and, in the engine, after the publish):
-    /// write `diff` into the pages and flush them. Errors and panics are
-    /// absorbed and counted, and post-commit fault actions are ignored
-    /// (like the net layer's client points): failing here would answer
-    /// "failed" for a durable update, and a client retry would apply it
-    /// twice. The pages lag the log until the next reopen reconciles
-    /// them.
-    pub fn write_behind(&mut self, diff: &SignDiff) {
-        let written = catch_unwind(AssertUnwindSafe(|| self.write_pages(diff)));
-        if !matches!(written, Ok(Ok(()))) {
-            xac_obs::instant("wal.post_commit_error");
-            post_commit_errors_total().inc();
-        }
-    }
-
-    fn write_pages(&mut self, diff: &SignDiff) -> std::result::Result<(), StoreError> {
-        #[cfg(test)]
-        match self.fail_next_page_write.take() {
-            Some(FaultAction::Error) => {
-                return Err(StoreError::new(
-                    xac_store::StoreErrorKind::Io,
-                    "injected post-commit page write failure",
-                ))
-            }
-            Some(FaultAction::Panic) => panic!("injected post-commit page write panic"),
-            None => {}
-        }
-        for &(id, sign) in &diff.set {
-            self.store.put_sign(id, sign)?;
-        }
-        for &id in &diff.clear {
-            self.store.clear_sign(id)?;
-        }
-        if self.plan.fire_at(FaultPoint::PageTornWrite).is_some() {
-            xac_obs::instant("fault:page_torn_write");
-            return self.store.tear_first_dirty_page().map(drop);
-        }
-        if self.plan.fire_at(FaultPoint::CheckpointMidFlush).is_some() {
-            xac_obs::instant("fault:checkpoint_mid_flush");
-            return self.store.flush_capped(1).map(drop);
-        }
-        self.store.flush().map(drop)
     }
 
     /// Sign map as of the last committed transaction.
@@ -522,15 +416,11 @@ impl Durability {
         self.wal.stats()
     }
 
-    /// The page store's buffer-pool counters.
+    /// All-zero buffer-pool counters: there is no page store. Kept
+    /// for the benchmark ledger's `store.pool_hit_ratio` (which reads
+    /// 1.0) until the ledger drops it.
     pub fn pager_stats(&self) -> PagerStats {
-        self.store.pager_stats()
-    }
-
-    /// The durable page image's sign map (for audits; the pages lag the
-    /// log only between a commit and its flush).
-    pub fn page_sign_state(&self) -> BTreeMap<i64, char> {
-        self.store.sign_state()
+        PagerStats::default()
     }
 }
 
@@ -628,42 +518,6 @@ mod tests {
         engine.with_durability(|d| d.committed_signs().clone()).unwrap()
     }
 
-    /// An error or a panic in the write-behind page writes, both
-    /// absorbed: the update is applied and published, and a reopen
-    /// repairs the pages.
-    #[test]
-    fn a_page_write_failure_after_the_commit_does_not_fail_the_update() {
-        let regular = xac_xpath::parse("//regular").unwrap();
-        for kind in crate::BackendKind::ALL {
-            for action in [FaultAction::Error, FaultAction::Panic] {
-                let label = format!("{kind}/{}", action.name());
-                let config = data_dir(&format!("post_commit_{}", action.name()), kind);
-                let engine = crate::ServeEngine::durable(system(), kind, &config).unwrap();
-                engine.with_durability(|d| d.fail_next_page_write = Some(action)).unwrap();
-                let (errors, epoch) = (post_commit_errors_total().get(), engine.epoch());
-                let update =
-                    engine.guarded_delete(&regular).expect("a committed update succeeds");
-                assert!(update.applied(), "{label}");
-                assert!(engine.epoch() > epoch, "{label}: the committed state is published");
-                assert!(post_commit_errors_total().get() > errors, "{label}: it is counted");
-                let metrics = engine.metrics();
-                assert_eq!((metrics.update_errors, metrics.rollbacks), (0, 0), "{label}");
-                let signs = engine_signs(&engine);
-                assert_eq!(committed(&engine), signs, "{label}");
-                let pages = engine.with_durability(|d| d.page_sign_state()).unwrap();
-                assert_ne!(pages, signs, "{label}: the pages lag the log");
-                drop(engine);
-                let reopened = crate::ServeEngine::durable(system(), kind, &config).unwrap();
-                let report = reopened.recovery().unwrap();
-                assert_eq!(report.ops_replayed, 1, "{label}: the update is durable, once");
-                assert!(report.page_entries_repaired > 0, "{label}: reopen repairs the pages");
-                assert_eq!(engine_signs(&reopened), signs, "{label}");
-                assert_eq!(reopened.with_durability(|d| d.page_sign_state()).unwrap(), signs);
-                let _ = std::fs::remove_dir_all(&config.data_dir);
-            }
-        }
-    }
-
     #[test]
     fn log_txn_commits_the_diff_from_the_committed_map() {
         let config = data_dir("log_txn", crate::BackendKind::Native);
@@ -674,24 +528,21 @@ mod tests {
             Durability::fresh(&config, FaultPlan::new(), "native/xml", "compiled", &old, 1)
                 .unwrap();
         let op = LoggedOp::Delete { path: "//regular".to_string() };
-        let before = dur.wal_stats().records_appended;
+        let before = dur.wal_stats();
         let diff = dur.log_txn(&op, &new, 2).unwrap();
         assert_eq!(diff, SignDiff::between(&old, &new));
         assert_eq!(dur.committed_signs(), &new, "patched in place to the new map");
-        assert_eq!(dur.page_sign_state(), new);
-        let appended = dur.wal_stats().records_appended - before;
-        assert_eq!(appended, 1 + 3 + 1, "op, three entries, commit");
+        let after = dur.wal_stats();
+        assert_eq!(after.records_appended - before.records_appended, 2, "op and commit");
+        assert_eq!(after.fsyncs - before.fsyncs, 1);
         drop(dur);
         let (_, records) = Wal::open(&config.wal_path()).unwrap();
-        let mut folded = BTreeMap::new();
-        for record in records {
-            match record {
-                WalRecord::SignSet { id, sign } => drop(folded.insert(id, sign)),
-                WalRecord::SignClear { id } => drop(folded.remove(&id)),
-                _ => {}
-            }
-        }
-        assert_eq!(folded, new, "the log folds to the committed map");
+        let meta = WalRecord::Meta {
+            backend: format!("native/xml{OP_LOG}"),
+            mode: "compiled".to_string(),
+        };
+        let logged = [meta, WalRecord::Commit { epoch: 1 }, op.to_record(), WalRecord::Commit { epoch: 2 }];
+        assert_eq!(records, logged, "the log holds operations, never signs");
         let _ = std::fs::remove_dir_all(&config.data_dir);
     }
 
@@ -740,7 +591,7 @@ mod tests {
     #[test]
     fn storage_plan_split_partitions_by_point() {
         let plan = FaultPlan::parse(
-            "wal_before_commit:panic,after_delete,page_torn_write,net_slow_client",
+            "wal_before_commit:panic,after_delete,wal_mid_record,net_slow_client",
         )
         .unwrap();
         let (storage, rest) = split_storage_plan(&plan);

@@ -36,8 +36,9 @@
 //!   faultable step, so a failure anywhere before the commit record
 //!   leaves log, writer and published snapshot on the previous
 //!   committed state and the checkpoint restore is the whole rollback.
-//!   The sign pages are written behind the publish. The log is replayed
-//!   only by [`Durability::recover`] at reopen.
+//!   A commit is one operation record and one fsync; nothing is written
+//!   after the publish. The log is replayed only by
+//!   [`Durability::recover`] at reopen.
 
 use crate::durable::{
     split_storage_plan, Durability, DurabilityConfig, LoggedOp, RecoveryReport, SignDiff,
@@ -145,9 +146,6 @@ enum TxnOutcome {
         /// Boxed: a checkpoint is much larger than the denied variant.
         checkpoint: Box<Checkpoint>,
         snapshot: Arc<AccessSnapshot>,
-        /// The committed sign changes the durable engine writes to its
-        /// pages after publishing; empty on volatile engines.
-        diff: SignDiff,
     },
 }
 
@@ -169,7 +167,7 @@ pub struct ServeEngine {
     /// `Some(cause)` once the ladder is exhausted: the engine is
     /// read-only and every guarded update is rejected.
     quarantine: Mutex<Option<String>>,
-    /// The WAL + page store when the engine persists (`--data-dir`).
+    /// The WAL when the engine persists (`--data-dir`).
     /// Mutated only under the writer lock's serialization; the mutex
     /// satisfies `Sync` for the read paths that sample its counters.
     durability: Option<Mutex<Durability>>,
@@ -250,11 +248,11 @@ impl ServeEngine {
 
     /// Build a **durable** engine persisting under
     /// `config.data_dir` (DESIGN.md §4i). An empty data dir boots
-    /// fresh — load, annotate, log the initial state as the WAL's
-    /// first transaction; a populated one *recovers* — replay the log,
-    /// repair the pages, and come up serving the last committed state
-    /// without re-running annotation ([`ServeEngine::recovery`]
-    /// reports what was found).
+    /// fresh — load, annotate, and log the WAL's first transaction
+    /// (`Meta` + `Commit`); a populated one *recovers* — reload, replay
+    /// the logged operations, annotate once under this system's policy,
+    /// and come up serving the last committed document
+    /// ([`ServeEngine::recovery`] reports what was found).
     pub fn durable(
         system: Arc<System>,
         kind: BackendKind,
@@ -301,8 +299,9 @@ impl ServeEngine {
                 &signs,
                 epoch,
             )?;
-            // The log now holds `signs`: make them the baseline the
-            // first transaction's `sign_changes` diffs against.
+            // The committed map now holds `signs`: make them the
+            // baseline the first transaction's `sign_changes` diffs
+            // against.
             backend.sign_changes()?;
             ServeEngine::finish(system, backend, Some(dur), None)
         }
@@ -366,20 +365,22 @@ impl ServeEngine {
         self.metrics.snapshot()
     }
 
-    /// True when the engine persists through a WAL + page store.
+    /// True when the engine persists through a WAL.
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
     }
 
-    /// What reopen found and repaired, when this engine came up by
+    /// What reopen found, when this engine came up by
     /// recovering an existing data dir; `None` on fresh boots and
     /// non-durable engines.
     pub fn recovery(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
 
-    /// The durability layer's WAL and buffer-pool counters, when the
-    /// engine is durable.
+    /// The durability layer's WAL counters, when the engine is durable,
+    /// paired with all-zero buffer-pool counters: there is no page
+    /// store (the pair stays for the benchmark ledger's
+    /// `store.pool_hit_ratio` until the ledger drops it).
     pub fn storage_stats(&self) -> Option<(xac_store::WalStats, xac_store::PagerStats)> {
         let dur = unpoison(self.durability.as_ref()?.lock());
         Some((dur.wal_stats(), dur.pager_stats()))
@@ -645,8 +646,8 @@ impl ServeEngine {
         // under `catch_unwind`, so neither an injected nor an organic
         // panic can poison the lock or escape with the backend
         // half-mutated, and nothing can fail once the commit record is
-        // durable. Publication (pure pointer swaps in `install`) and the
-        // write-behind page writes happen after, outside.
+        // durable. Publication (pure pointer swaps in `install`) happens
+        // after, outside.
         let b = writer.as_mut();
         let staged = catch_unwind(AssertUnwindSafe(|| -> Result<TxnOutcome> {
             // Rung 2 is counted before full re-annotation runs, so a
@@ -672,7 +673,7 @@ impl ServeEngine {
                         );
                         dur.commit(&LoggedOp::from(update), &diff, snapshot.epoch())?;
                     }
-                    Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot, diff })
+                    Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot })
                 }
             }
         }));
@@ -681,11 +682,8 @@ impl ServeEngine {
                 self.metrics.updates_denied.fetch_add(1, Relaxed);
                 Ok(denied)
             }
-            Ok(Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot, diff })) => {
+            Ok(Ok(TxnOutcome::Ready { outcome, checkpoint, snapshot })) => {
                 self.install(*checkpoint, snapshot);
-                if let Some(dur) = &self.durability {
-                    unpoison(dur.lock()).write_behind(&diff);
-                }
                 self.metrics.updates_applied.fetch_add(1, Relaxed);
                 self.metrics.sign_writes.fetch_add(outcome.sign_writes as u64, Relaxed);
                 Ok(GuardedUpdate::Applied(outcome))

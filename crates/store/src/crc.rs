@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial), table-driven, built from scratch —
-//! the workspace carries no external crates (DESIGN.md §6). Frames both
-//! the page checksums and the WAL record framing, so a torn or bit-rotted
-//! write is detected on reopen rather than silently replayed.
+//! the workspace carries no external crates (DESIGN.md §6). Frames the
+//! WAL records, so a torn or bit-rotted write is detected on reopen
+//! rather than silently replayed.
 
 /// The reflected IEEE polynomial (0x04C11DB7 bit-reversed).
 const POLY: u32 = 0xEDB8_8320;

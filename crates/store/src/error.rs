@@ -1,4 +1,4 @@
-//! Typed storage failures. Everything the pager and WAL can hit is
+//! Typed storage failures. Everything the WAL can hit is
 //! classified into a small closed set of kinds so the layers above
 //! (xac-core's `Error::Storage`, the serve ladder, the CLI exit code)
 //! can act on the class without parsing message text.
@@ -10,14 +10,8 @@ use std::fmt;
 pub enum StoreErrorKind {
     /// An OS-level I/O failure (open, read, write, fsync, truncate).
     Io,
-    /// A page's stored checksum did not match its contents — a torn or
-    /// corrupted page write detected on load.
-    Checksum,
-    /// A WAL frame was incomplete or failed its CRC — the torn tail a
-    /// crash mid-append leaves behind.
-    TornWrite,
-    /// Structurally invalid on-disk state (bad magic, impossible
-    /// offsets, mismatched backend tag).
+    /// Structurally invalid on-disk state (an undecodable record, a
+    /// log that predates the current format, a mismatched backend tag).
     Corrupt,
 }
 
@@ -27,8 +21,6 @@ impl StoreErrorKind {
     pub fn name(self) -> &'static str {
         match self {
             StoreErrorKind::Io => "io",
-            StoreErrorKind::Checksum => "checksum",
-            StoreErrorKind::TornWrite => "torn_write",
             StoreErrorKind::Corrupt => "corrupt",
         }
     }

@@ -15,19 +15,27 @@
 //! 1 Meta      backend:string mode:string       first record of every log
 //! 2 Delete    path:string                      guarded structural delete
 //! 3 Insert    parent:string name:string text:option<string>
-//! 4 SignSet   id:i64 sign:u8                   sign diff entry
-//! 5 SignClear id:i64                           sign diff entry (sign removed)
+//! 4 SignSet   id:i64 sign:u8                   decoded only (older logs)
+//! 5 SignClear id:i64                           decoded only (older logs)
 //! 6 Commit    epoch:u64                        transaction boundary, fsync'd
 //! ```
 //!
 //! A transaction is every record since the previous `Commit` up to and
 //! including its own; recovery replays whole committed transactions
-//! only. On reopen the log is scanned front to back: the first
-//! incomplete or CRC-failing frame is the **torn tail** a crash
-//! mid-append leaves behind, and everything from the last `Commit`
-//! boundary onward (torn bytes and valid-but-uncommitted records alike)
-//! is truncated away — an implicit abort of the interrupted
-//! transaction.
+//! only. The serving engine writes `Meta` + `Commit` at a fresh boot
+//! and then one operation record + `Commit` per update, in one `write`
+//! and one fsync. Logs written before signs were re-derived at reopen
+//! also hold sign records; they still decode, so such a log reads as
+//! committed history that recovery can refuse by its `Meta` tag, rather
+//! than as a torn first transaction.
+//!
+//! On reopen the log is scanned front to back: the first incomplete or
+//! CRC-failing frame is the **torn tail** a crash mid-append leaves
+//! behind, and everything from the last `Commit` boundary onward (torn
+//! bytes and valid-but-uncommitted records alike) is the interrupted
+//! transaction. [`Wal::open`] truncates it away — an implicit abort;
+//! [`Wal::scan`] leaves the file untouched until
+//! [`Wal::truncate_tail`].
 
 use crate::crc::crc32;
 use crate::error::{Result, StoreError, StoreErrorKind};
@@ -40,11 +48,10 @@ use std::sync::{Arc, OnceLock};
 /// bigger declared length means a corrupt header, not a big record.
 const MAX_FRAME: u32 = 1 << 20;
 
-/// Bytes [`Wal::append_batch`] buffers before a `write`: a typical
-/// transaction (a few hundred 22-byte sign frames) fits in one, and the
-/// buffer stays below the allocator's default `mmap` threshold, so a
-/// whole-document batch reuses one heap block instead of mapping and
-/// unmapping a large one.
+/// Bytes [`Wal::append_batch`] buffers before a `write`: a transaction
+/// (one operation record and its `Commit`) fits in one, and the buffer
+/// stays below the allocator's default `mmap` threshold, so a large
+/// batch reuses one heap block instead of mapping and unmapping one.
 const BATCH_BYTES: usize = 64 << 10;
 
 fn wal_records() -> &'static Arc<xac_obs::Counter> {
@@ -98,14 +105,16 @@ pub enum WalRecord {
         /// Optional text content.
         text: Option<String>,
     },
-    /// Sign diff entry: node/tuple `id` now carries `sign`.
+    /// Sign diff entry of an older log: node/tuple `id` now carries
+    /// `sign`. Decoded so such a log is recognised; no longer written.
     SignSet {
         /// The backend-assigned node/tuple id.
         id: i64,
         /// `'+'` or `'-'`.
         sign: char,
     },
-    /// Sign diff entry: node/tuple `id` no longer carries a sign.
+    /// Sign diff entry of an older log: node/tuple `id` no longer
+    /// carries a sign. Decoded only, like [`WalRecord::SignSet`].
     SignClear {
         /// The backend-assigned node/tuple id.
         id: i64,
@@ -292,6 +301,17 @@ impl Wal {
     /// any torn or uncommitted tail, and return the log positioned for
     /// appending together with every *committed* record in order.
     pub fn open(path: &Path) -> Result<(Wal, Vec<WalRecord>)> {
+        let (mut wal, records) = Wal::scan(path)?;
+        wal.truncate_tail()?;
+        Ok((wal, records))
+    }
+
+    /// [`Wal::open`] without the truncation: the torn or uncommitted
+    /// tail stays on disk, so a caller can inspect the committed records
+    /// (and refuse the log) before anything is written. The next
+    /// [`Wal::truncate_tail`] or [`Wal::abort_to_last_commit`] drops the
+    /// tail.
+    pub fn scan(path: &Path) -> Result<(Wal, Vec<WalRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -330,32 +350,24 @@ impl Wal {
                 committed = records.len();
             }
         }
-        // Drop valid-but-uncommitted records, then physically truncate
-        // both them and any torn bytes beyond.
+        // Drop valid-but-uncommitted records; their bytes and any torn
+        // bytes beyond stay on disk until the tail is truncated.
         records.truncate(committed);
-        let truncated = bytes.len() as u64 - last_commit_end;
-        if truncated > 0 {
-            file.set_len(last_commit_end)
-                .map_err(|e| StoreError::io("truncate wal tail", e))?;
-        }
-        file.seek(SeekFrom::Start(last_commit_end))
+        let len = bytes.len() as u64;
+        file.seek(SeekFrom::Start(len))
             .map_err(|e| StoreError::io("seek wal end", e))?;
-        let stats = WalStats {
-            records_replayed: records.len() as u64,
-            truncated_bytes: truncated,
-            ..WalStats::default()
-        };
+        let stats = WalStats { records_replayed: records.len() as u64, ..WalStats::default() };
         wal_replayed().add(records.len() as u64);
-        Ok((
-            Wal {
-                file,
-                path: path.to_path_buf(),
-                len: last_commit_end,
-                last_commit_end,
-                stats,
-            },
-            records,
-        ))
+        Ok((Wal { file, path: path.to_path_buf(), len, last_commit_end, stats }, records))
+    }
+
+    /// Truncate the torn or uncommitted tail a [`Wal::scan`] left on
+    /// disk, counting its bytes in [`WalStats::truncated_bytes`].
+    pub fn truncate_tail(&mut self) -> Result<()> {
+        let tail = self.len - self.last_commit_end;
+        self.abort_to_last_commit()?;
+        self.stats.truncated_bytes += tail;
+        Ok(())
     }
 
     /// The log file's path.
@@ -442,7 +454,20 @@ impl Wal {
     /// Append the `Commit` boundary and (when `sync`) fsync everything
     /// up to it — the transaction's durability point.
     pub fn commit(&mut self, epoch: u64, sync: bool) -> Result<()> {
-        self.append(&WalRecord::Commit { epoch })?;
+        self.commit_batch([], epoch, sync)
+    }
+
+    /// Append `records` and the `Commit` boundary framed into one
+    /// buffer — one `write` for a transaction's operation record and its
+    /// commit — then (when `sync`) one fsync: [`Wal::append_batch`]
+    /// followed by [`Wal::commit`], in one system call fewer.
+    pub fn commit_batch(
+        &mut self,
+        records: impl IntoIterator<Item = WalRecord>,
+        epoch: u64,
+        sync: bool,
+    ) -> Result<()> {
+        self.append_batch(records.into_iter().chain([WalRecord::Commit { epoch }]))?;
         if sync {
             self.file
                 .sync_data()

@@ -274,33 +274,6 @@ impl StoredDocument {
         cleared
     }
 
-    /// Overwrite the sign state wholesale with `signs`, keyed by
-    /// `NodeId::index() as i64` (the native `sign_state` encoding used
-    /// by the serving durability layer's WAL). Every existing sign is
-    /// cleared, then exactly the mapped nodes are re-annotated; nodes
-    /// whose index is not in the map end up unannotated (default sign).
-    /// Returns the number of sign writes (clears + annotations).
-    pub fn apply_sign_map(&mut self, signs: &std::collections::BTreeMap<i64, char>) -> usize {
-        let mut writes = self.clear_all_signs();
-        let mut plus: Vec<NodeId> = Vec::new();
-        let mut minus: Vec<NodeId> = Vec::new();
-        for (&id, &sign) in signs {
-            let slot = usize::try_from(id).ok().filter(|&slot| slot < self.signs.len());
-            let Some(n) = slot.map(NodeId::from_index) else { continue };
-            if !self.doc.is_alive(n) || !self.doc.is_element(n) {
-                continue;
-            }
-            if sign == '+' {
-                plus.push(n);
-            } else {
-                minus.push(n);
-            }
-        }
-        writes += self.annotate_nodes(&plus, '+');
-        writes += self.annotate_nodes(&minus, '-');
-        writes
-    }
-
     /// Count of nodes annotated with each sign `(plus, minus)`.
     pub fn sign_counts(&self) -> (usize, usize) {
         let plus = count_bytes(&self.signs, |b| b == b'+');
@@ -565,26 +538,6 @@ mod tests {
         assert_eq!(clone.signed_nodes().collect::<Vec<_>>(), signs, "signs unchanged");
         assert_eq!(clone.sign_counts(), (2, 0));
         assert_eq!(clone.sign_of(added), None, "the clone has no such slot");
-    }
-
-    #[test]
-    fn sign_maps_skip_ids_that_name_no_live_element() {
-        let mut sdoc = hospital();
-        let patient = sdoc.eval(&parse("//patient").unwrap())[0];
-        let text = sdoc.doc().all_nodes().find(|&n| sdoc.doc().is_text(n)).unwrap();
-        let treatment = sdoc.eval(&parse("//treatment").unwrap())[0];
-        sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
-        let map: std::collections::BTreeMap<i64, char> = [
-            (-1, '+'),
-            (1 << 40, '+'),
-            ((1 << 32) + patient.index() as i64, '-'),
-            (text.index() as i64, '+'),
-            (treatment.index() as i64, '+'),
-            (patient.index() as i64, '+'),
-        ]
-        .into();
-        assert_eq!(sdoc.apply_sign_map(&map), 1);
-        assert_eq!(sdoc.signed_nodes().collect::<Vec<_>>(), vec![(patient, '+')]);
     }
 
     #[test]

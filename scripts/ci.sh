@@ -45,7 +45,7 @@ test -s BENCH_serve.json
 echo "== fault sweep: every injection point x every backend =="
 cargo test --release -q -p xac-serve --test fault_recovery
 
-echo "== storage: kill-and-reopen crash sweep (wal + pager) =="
+echo "== storage: kill-and-reopen crash sweep (operation-only wal) =="
 cargo test --release -q -p xac-serve --test durability_recovery
 
 echo "== figures smoke: fault-recovery artifact =="

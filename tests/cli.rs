@@ -484,9 +484,9 @@ fn errors_are_reported_with_nonzero_exit() {
 }
 
 /// The durable exit-code contract: a fresh boot on an empty data
-/// directory writes its log and page files (exit 0), a reopen recovers
-/// from them (exit 0), and a backend-tag mismatch against the same
-/// directory exits 8, the storage-error code.
+/// directory writes its log, the only file it keeps (exit 0), a reopen
+/// recovers from it (exit 0), and a backend-tag mismatch against the
+/// same directory exits 8, the storage-error code.
 #[test]
 fn durable_serve_bench_boots_reopens_and_refuses_a_mismatched_backend() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_durable_data_dir");
@@ -505,14 +505,18 @@ fn durable_serve_bench_boots_reopens_and_refuses_a_mismatched_backend() {
     let boot = run(&["--readers", "2", "--reads", "50", "--delete", "//regular"]);
     assert_eq!(boot.status.code(), Some(0), "{}", stderr(&boot));
     assert!(stdout(&boot).contains("fresh durable boot"), "{}", stdout(&boot));
-    for file in ["xmlac.wal", "signs.pages"] {
-        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
-        assert!(len > 0, "{file} written by the fresh boot");
-    }
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    assert_eq!(files, ["xmlac.wal"], "the log is the whole durable state");
+    assert!(std::fs::metadata(dir.join("xmlac.wal")).expect("wal").len() > 0);
 
     let reopen = run(&["--readers", "2", "--reads", "50"]);
     assert_eq!(reopen.status.code(), Some(0), "{}", stderr(&reopen));
     assert!(stdout(&reopen).contains("recovered native/xml"), "{}", stdout(&reopen));
+    assert!(stdout(&reopen).contains("1 ops replayed"), "{}", stdout(&reopen));
+    assert!(!stdout(&reopen).contains("torn pages"), "{}", stdout(&reopen));
 
     let mismatch = run(&["--backend", "row"]);
     assert_eq!(mismatch.status.code(), Some(8), "{}", stderr(&mismatch));

@@ -1,27 +1,23 @@
 //! Kill-and-reopen crash-recovery acceptance suite (DESIGN.md §4i).
 //!
-//! The tentpole invariant: for every storage fault point
-//! (`wal_mid_record`, `wal_before_commit`, `page_torn_write`,
-//! `checkpoint_mid_flush`), at every transaction position, on all three
-//! backends, killing the process at the fault instant and reopening the
-//! data dir recovers a `sign_state()` **byte-identical** to an
-//! uncrashed reference run:
-//!
-//! 1. pre-commit faults (`wal_*`) lose exactly the crashed transaction —
-//!    recovery lands on the state after the previous commit;
-//! 2. post-commit faults (`page_torn_write`, `checkpoint_mid_flush`)
-//!    lose nothing — the commit record is durable and the pages are
-//!    repaired from the log;
-//! 3. the log's folded sign map, the repaired pages, and the replayed
-//!    backend agree byte for byte.
+//! The log holds operations only; a reopen reloads the document,
+//! replays them and annotates once. The invariant: for every storage
+//! fault point (`wal_mid_record`, `wal_before_commit`), at every
+//! transaction position, on all three backends, killing the process at
+//! the fault instant and reopening the data dir recovers a
+//! `sign_state()` **byte-identical** to an uncrashed reference run that
+//! lost exactly the crashed transaction, and the committed sign map the
+//! engine patched equals it.
 //!
 //! The direct harness drives [`Durability`] itself so the on-disk bytes
 //! at the fault instant are exactly what a crash leaves (cleanup is
 //! lazy). The engine-level tests check the same seams through the
 //! serving ladder: a WAL fault rolls back by restoring the last-good
-//! checkpoint (the log is replayed only at reopen), an absorbed page
-//! fault commits, quarantine does not outlive a reopen, and recovery is
-//! idempotent.
+//! checkpoint (the log is replayed only at reopen), quarantine does not
+//! outlive a reopen, and recovery is idempotent. Further tests pin what
+//! the log format promises: an older log is refused and left as it was,
+//! a reopen under a changed policy serves the new policy, and a commit
+//! appends the same bytes and one fsync whatever the document's size.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -103,8 +99,8 @@ fn reference_states(kind: BackendKind) -> Vec<BTreeMap<i64, char>> {
 
 /// One kill-and-reopen cycle: crash at `point` while committing
 /// transaction index `crash_at`, reopen, and return the recovered
-/// backend's sign state (asserting the log's folded map and the
-/// repaired pages agree with it).
+/// backend's sign state (asserting the recovered committed map agrees
+/// with it).
 fn crash_and_recover(
     kind: BackendKind,
     point: FaultPoint,
@@ -114,8 +110,6 @@ fn crash_and_recover(
     let dir = data_dir(name);
     std::fs::create_dir_all(&dir).unwrap();
     let config = DurabilityConfig::new(&dir);
-    let pre_commit =
-        matches!(point, FaultPoint::WalMidRecord | FaultPoint::WalBeforeCommit);
     {
         let s = system();
         let mut b = kind.make(s.annotate_mode());
@@ -140,11 +134,8 @@ fn crash_and_recover(
             let diff = b.sign_changes().unwrap();
             let signs = b.sign_state().unwrap();
             assert_eq!(diff, SignDiff::between(dur.committed_signs(), &signs), "{name}: txn {i}");
-            match dur.commit(op, &diff, b.epoch()).map(|()| dur.write_behind(&diff)) {
-                Ok(_) => assert!(
-                    i < crash_at || !pre_commit,
-                    "{name}: a pre-commit fault must fail txn {crash_at}"
-                ),
+            match dur.commit(op, &diff, b.epoch()) {
+                Ok(()) => assert!(i < crash_at, "{name}: the fault must fail txn {crash_at}"),
                 Err(e) => {
                     assert_eq!(i, crash_at, "{name}: fault fired at the wrong txn");
                     assert!(
@@ -154,8 +145,8 @@ fn crash_and_recover(
                 }
             }
         }
-        // Kill: drop with no cleanup. The dead WAL tail / torn page is
-        // left exactly as the fault wrote it.
+        // Kill: drop with no cleanup. The dead WAL tail is left exactly
+        // as the fault wrote it.
     }
     let s = system();
     let mut b = kind.make(s.annotate_mode());
@@ -166,31 +157,27 @@ fn crash_and_recover(
     assert_eq!(
         dur.committed_signs(),
         &recovered,
-        "{name}: recovered backend diverged from the log's committed map"
+        "{name}: the committed map diverged from the recovered backend"
     );
-    assert_eq!(
-        dur.page_sign_state(),
-        recovered,
-        "{name}: repaired pages diverged from the recovered state"
-    );
+    assert_eq!(report.sign_entries, recovered.len(), "{name}");
+    assert_eq!(report.ops_replayed, crash_at, "{name}: the crashed txn is not replayed");
+    assert!(report.wal_truncated_bytes > 0, "{name}: the dead tail is truncated");
     recovered
 }
 
 fn kill_and_reopen_sweep(kind: BackendKind) {
     let reference = reference_states(kind);
     for point in FaultPoint::STORAGE {
-        let pre_commit =
-            matches!(point, FaultPoint::WalMidRecord | FaultPoint::WalBeforeCommit);
-        for crash_at in 0..txns().len() {
+        // `reference[i]` follows `i` commits; the last has no txn to crash.
+        for (crash_at, expected) in reference.iter().enumerate().take(txns().len()) {
             let name = format!("{}_{}_{crash_at}", kind.cli_name(), point.name());
             let recovered = crash_and_recover(kind, point, crash_at, &name);
-            // A pre-commit crash loses exactly the in-flight txn; a
-            // post-commit crash loses nothing.
-            let expected = if pre_commit { crash_at } else { crash_at + 1 };
+            // Every storage point fires before the commit record: the
+            // crash loses exactly the in-flight txn.
             assert_eq!(
-                recovered, reference[expected],
+                &recovered, expected,
                 "{name}: recovered sign state diverged from the uncrashed \
-                 reference after {expected} txns"
+                 reference after {crash_at} txns"
             );
         }
     }
@@ -211,8 +198,8 @@ fn kill_and_reopen_sweep_column() {
     kill_and_reopen_sweep(BackendKind::Column);
 }
 
-/// Clean shutdown + reopen through the engine: recovery replays the ops
-/// and serves the exact pre-shutdown state without re-annotating.
+/// Clean shutdown + reopen through the engine: recovery replays the ops,
+/// annotates once, and serves the exact pre-shutdown state.
 #[test]
 fn durable_engine_reopens_byte_identical() {
     for kind in BackendKind::ALL {
@@ -238,16 +225,17 @@ fn durable_engine_reopens_byte_identical() {
             assert!(!denied.applied());
             assert!(engine_txn(&engine, &ops[2]).unwrap());
             let (wal, _pager) = engine.storage_stats().unwrap();
-            // The initial annotation is txn 1; then one commit per
-            // applied guarded update.
+            // The boot is txn 1 (`Meta` + `Commit`); then one operation
+            // record and one commit per applied guarded update.
             assert_eq!(wal.commits, 4, "{kind}");
+            assert_eq!(wal.records_appended, 2 + 3 * 2, "{kind}: no sign is logged");
             (engine_signs(&engine), engine.epoch())
         };
         let engine = ServeEngine::durable(Arc::new(system()), kind, &config).unwrap();
         let report = engine.recovery().expect("a reopen must recover");
         assert_eq!(report.ops_replayed, 3, "{kind}");
         assert_eq!(report.wal_truncated_bytes, 0, "clean shutdown leaves no tail");
-        assert_eq!(report.torn_pages_repaired, 0, "{kind}");
+        assert_eq!(report.sign_entries, golden.len(), "{kind}");
         assert_eq!(engine_signs(&engine), golden, "{kind}: reopened state diverged");
         assert!(engine.epoch() >= epoch_before, "epochs never regress across reopen");
         assert!(matches!(
@@ -313,49 +301,6 @@ fn wal_faults_roll_back_by_restoring_the_checkpoint() {
     }
 }
 
-/// Post-commit faults are absorbed: the update succeeds, no error
-/// surfaces, and a reopen repairs the torn page from the log. The tear
-/// is armed on the last transaction so no later flush repairs the disk
-/// before the "crash".
-#[test]
-fn absorbed_page_faults_commit_and_reopen_repairs() {
-    let reference = reference_states(BackendKind::Column);
-    let dir = data_dir("absorbed");
-    let config = DurabilityConfig::new(&dir);
-    let plan = FaultPlan::parse("checkpoint_mid_flush+1,page_torn_write+2").unwrap();
-    {
-        let engine = ServeEngine::durable_with_faults(
-            Arc::new(system()),
-            BackendKind::Column,
-            &config,
-            plan,
-        )
-        .unwrap();
-        for op in txns() {
-            assert!(
-                engine_txn(&engine, &op).unwrap(),
-                "absorbed faults must not fail the update"
-            );
-        }
-        let m = engine.metrics();
-        assert_eq!(m.update_errors, 0, "post-commit faults never surface");
-        assert_eq!(m.rollbacks, 0);
-        assert_eq!(engine_signs(&engine), *reference.last().unwrap());
-    }
-    let engine =
-        ServeEngine::durable(Arc::new(system()), BackendKind::Column, &config).unwrap();
-    let report = engine.recovery().unwrap();
-    assert!(
-        report.torn_pages_repaired >= 1,
-        "the torn page must be detected and rebuilt: {report:?}"
-    );
-    assert_eq!(
-        engine_signs(&engine),
-        *reference.last().unwrap(),
-        "absorbed faults lose no committed transaction"
-    );
-}
-
 /// A WAL written by one backend refuses to recover another — the
 /// checkpoint backend-tag-mismatch matrix, ported to the durable path.
 #[test]
@@ -386,9 +331,8 @@ fn recovery_rejects_backend_tag_mismatch() {
 
 /// A log written before relational universal ids became arena slots
 /// keyed relational signs by pre-order rank, and its `Meta` backend tag
-/// carries no slot-id mark. Recovery refuses such a log (the CLI exits
-/// 8) on every backend, rather than give each rank's sign to whatever
-/// element holds that slot now.
+/// carries no mark at all. Recovery refuses such a log (the CLI exits
+/// 8) on every backend.
 #[test]
 fn recovery_refuses_a_log_without_the_slot_id_mark() {
     for kind in BackendKind::ALL {
@@ -411,7 +355,7 @@ fn recovery_refuses_a_log_without_the_slot_id_mark() {
         match &err {
             Error::Storage { source_kind, context } => {
                 assert_eq!(source_kind, "corrupt");
-                assert!(context.contains("predates slot-keyed signs"), "{context}");
+                assert!(context.contains("predates operation-only logs"), "{context}");
             }
             other => panic!("expected a storage error, got {other}"),
         }
@@ -555,4 +499,179 @@ fn every_committed_prefix_is_recoverable() {
         );
         assert_eq!(engine.recovery().unwrap().ops_replayed, committed);
     }
+}
+
+/// The log a data directory held before signs were re-derived at
+/// reopen: `Meta` under the `@slot-ids` mark, the boot's whole sign
+/// state as `SignSet` records, `Commit`; then per update an operation
+/// record, its sign diff and `Commit`. `first_txn_signs` sets the size
+/// of the boot transaction; a real fresh boot logs one entry per signed
+/// node, tens of thousands at benchmark scale.
+fn write_sign_record_log(config: &DurabilityConfig, backend: &str, first_txn_signs: i64) {
+    let (mut wal, _) = Wal::open(&config.wal_path()).unwrap();
+    let meta = WalRecord::Meta {
+        backend: format!("{backend}@slot-ids"),
+        mode: "compiled".to_string(),
+    };
+    let signs = (0..first_txn_signs)
+        .map(|id| WalRecord::SignSet { id, sign: if id % 3 == 0 { '-' } else { '+' } });
+    wal.append_batch(std::iter::once(meta).chain(signs)).unwrap();
+    wal.commit(1, true).unwrap();
+    wal.append_batch([
+        WalRecord::Delete { path: "//regular".to_string() },
+        WalRecord::SignClear { id: 4 },
+        WalRecord::SignSet { id: 5, sign: '-' },
+    ])
+    .unwrap();
+    wal.commit(2, true).unwrap();
+}
+
+/// An old data directory is refused, never truncated or rebooted: its
+/// sign records still decode, so the log reads as committed history,
+/// and recovery refuses it by its `Meta` mark with a storage error (the
+/// CLI's exit 8). The file is byte for byte what it was, including an
+/// uncommitted tail, whether the boot transaction is small or as large
+/// as a real fresh boot's.
+#[test]
+fn an_old_sign_record_log_is_refused_and_left_unchanged() {
+    for (kind, first_txn_signs) in
+        [(BackendKind::Native, 41_000), (BackendKind::Row, 12), (BackendKind::Column, 41_000)]
+    {
+        let dir = data_dir(&format!("old_log_{}_{first_txn_signs}", kind.cli_name()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = DurabilityConfig::new(&dir);
+        let s = system();
+        write_sign_record_log(&config, kind.make(s.annotate_mode()).name(), first_txn_signs);
+        // A crash inside a third transaction: its frames stay on disk.
+        let (mut wal, _) = Wal::scan(&config.wal_path()).unwrap();
+        wal.append(&WalRecord::Delete { path: "//bill".to_string() }).unwrap();
+        wal.append_torn(&WalRecord::SignSet { id: 9, sign: '+' }).unwrap();
+        drop(wal);
+        let before = std::fs::read(config.wal_path()).unwrap();
+        for _ in 0..2 {
+            let err = match ServeEngine::durable(Arc::new(system()), kind, &config) {
+                Err(e) => e,
+                Ok(_) => panic!("{kind}: an old log must not recover or boot fresh"),
+            };
+            match &err {
+                Error::Storage { source_kind, context } => {
+                    assert_eq!(source_kind, "corrupt", "{kind}");
+                    assert!(context.contains("predates operation-only logs"), "{context}");
+                }
+                other => panic!("{kind}: expected a storage error, got {other}"),
+            }
+            assert_eq!(
+                std::fs::read(config.wal_path()).unwrap(),
+                before,
+                "{kind}: a refused log is left byte for byte"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Signs are a function of the document and the policy, so a reopen
+/// under a changed policy serves the new policy: the recovered
+/// accessible set is Table 2 over the committed document under the
+/// reopening system's policy, not the signs the old policy wrote.
+#[test]
+fn a_reopen_under_a_changed_policy_serves_the_new_policy() {
+    let mut flipped = hospital_policy();
+    let r2 = flipped.rules.iter_mut().find(|r| r.id == "R2").unwrap();
+    assert_eq!(r2.effect, xac_policy::Effect::Allow);
+    r2.effect = xac_policy::Effect::Deny;
+    // The committed document: the canonical transactions applied to the
+    // base tree in order, which allocates the same arena slots a replay
+    // does.
+    let mut doc = figure2_document();
+    for op in txns() {
+        match Update::try_from(&op).unwrap() {
+            Update::Delete(path) => {
+                for n in xac_xpath::eval(&doc, &path) {
+                    if doc.is_alive(n) {
+                        doc.remove_subtree(n).unwrap();
+                    }
+                }
+            }
+            Update::Insert { parent, name, text } => {
+                assert!(text.is_none());
+                for p in xac_xpath::eval(&doc, &parent) {
+                    doc.add_element(p, &name);
+                }
+            }
+        }
+    }
+    // `System::reference_accessible`'s evaluator: the committed
+    // document no longer validates, so no `System` can be built on it.
+    let table2 = |policy: &xac_policy::Policy| -> std::collections::BTreeSet<i64> {
+        xac_policy::accessible_nodes(&doc, policy)
+            .into_iter()
+            .map(xac_shrex::shred::id_of)
+            .collect()
+    };
+    let (old, new) = (table2(&hospital_policy()), table2(&flipped));
+    assert_ne!(old, new, "the flipped rule changes the accessible set");
+    for kind in BackendKind::ALL {
+        let dir = data_dir(&format!("changed_policy_{}", kind.cli_name()));
+        let config = DurabilityConfig::new(&dir);
+        let served = |engine: &ServeEngine| -> std::collections::BTreeSet<i64> {
+            engine.snapshot().accessible().ones().into_iter().map(i64::from).collect()
+        };
+        {
+            let engine = ServeEngine::durable(Arc::new(system()), kind, &config).unwrap();
+            for op in txns() {
+                assert!(engine_txn(&engine, &op).unwrap(), "{kind}");
+            }
+            assert_eq!(served(&engine), old, "{kind}: the old policy before the reopen");
+        }
+        let s = System::builder(hospital_schema(), flipped.clone(), figure2_document())
+            .build()
+            .unwrap();
+        let engine = ServeEngine::durable(Arc::new(s), kind, &config).unwrap();
+        assert_eq!(engine.recovery().unwrap().ops_replayed, txns().len(), "{kind}");
+        assert_eq!(served(&engine), new, "{kind}: the reopen serves the new policy");
+        assert_eq!(engine.accessible_count(), new.len(), "{kind}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A commit costs the same whatever the document's size: one single
+/// element insert, at xmark f = 0.02 and f = 0.2, appends the same WAL
+/// bytes (one operation record and one `Commit`) with exactly one
+/// fsync, though the larger document has ten times the signs.
+#[test]
+fn a_commit_appends_the_same_bytes_and_one_fsync_at_any_document_size() {
+    let policy = xac_policy::Policy::parse(
+        "default allow\nconflict deny-overrides\nR1 deny //person\nR2 allow //person/name\n",
+    )
+    .unwrap();
+    let parent = xac_xpath::parse("/site/regions").unwrap();
+    let mut costs = Vec::new();
+    for factor in [0.02, 0.2] {
+        let doc = xac_xmlgen::xmark_document(xac_xmlgen::XmarkConfig::with_factor(factor));
+        let s = System::builder(xac_xmlgen::xmark_schema(), policy.clone(), doc)
+            .annotate_mode(xac_core::AnnotateMode::Compiled)
+            .build()
+            .unwrap();
+        let dir = data_dir(&format!("commit_cost_{factor}"));
+        let config = DurabilityConfig::new(&dir);
+        let engine = ServeEngine::durable(Arc::new(s), BackendKind::Native, &config).unwrap();
+        let signs = engine_signs(&engine).len();
+        let (before, _) = engine.storage_stats().unwrap();
+        let update = engine.guarded_insert(&parent, "africa", None).unwrap();
+        assert!(update.applied(), "f={factor}: the insert is granted");
+        let (after, _) = engine.storage_stats().unwrap();
+        assert_eq!(after.fsyncs - before.fsyncs, 1, "f={factor}: one fsync per commit");
+        assert_eq!(after.commits - before.commits, 1, "f={factor}");
+        assert_eq!(after.records_appended - before.records_appended, 2, "f={factor}");
+        costs.push((after.bytes_appended - before.bytes_appended, signs));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let [(small_bytes, small_signs), (large_bytes, large_signs)] = costs[..] else {
+        unreachable!()
+    };
+    assert!(large_signs > 5 * small_signs, "{small_signs} vs {large_signs} signs");
+    assert_eq!(small_bytes, large_bytes, "the commit's bytes do not grow with the document");
+    assert!(small_bytes < 100, "one op record and a commit: {small_bytes} B");
 }
