@@ -28,7 +28,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointData};
 use crate::document::PreparedDocument;
 use crate::error::{Error, Result};
-use crate::sign_diff::{positions_of, SignBaseline, SignDiff};
+use crate::sign_diff::{column_diff, SignDiff};
 use crate::snapshot::AccessSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::take;
@@ -37,9 +37,9 @@ use xac_policy::{AnnotationQuery, PolicyAnalysis};
 use xac_reldb::{Database, StorageKind, Value};
 use xac_shrex::shred::{id_of, node_of};
 use xac_shrex::{translate, Mapping, SIGN_COLUMN, VALUE_COLUMN};
-use xac_vmc::{Bitset, Collect, DocIndex, Program};
+use xac_vmc::{Collect, DocIndex, Program};
 use xac_xml::{Document, NodeId};
-use xac_xmlstore::{NodeSetExpr, StoredDocument, NO_SIGN};
+use xac_xmlstore::{NodeSetExpr, SignColumn, StoredDocument, NO_SIGN};
 use xac_xpath::Path;
 
 /// The nodes an update path designates on a backend's live document,
@@ -184,9 +184,11 @@ pub trait Backend {
 /// either of two encodings, which every read here accepts: the native
 /// store's sparse one ([`xac_xmlstore::NO_SIGN`] means the default
 /// sign) and the relational one, an explicit sign on every live element
-/// (a copy of the tables' `s` cells). A clone (a checkpoint) copies two
-/// pointers, with an empty sign baseline (a restore resets it) and no
-/// pending footprint; the next write copies what it touches.
+/// (a copy of the tables' `s` cells). A clone (a checkpoint) copies
+/// pointers (a restore resets its baseline and footprint); the next write
+/// copies what it touches: the stored document's chunk pointers, then
+/// each arena, index and sign chunk it writes.
+#[derive(Clone)]
 pub(crate) struct Tree {
     sdoc: Arc<StoredDocument>,
     /// Describes `sdoc` when present: built on first use, kept by sign
@@ -195,37 +197,20 @@ pub(crate) struct Tree {
     /// The sign of an element whose column byte is
     /// [`xac_xmlstore::NO_SIGN`].
     default_sign: char,
-    /// The sign column as of the last [`Tree::sign_changes`].
-    baseline: SignBaseline,
+    /// The sign column as of the last [`Tree::sign_changes`]: a clone
+    /// of its chunk pointers.
+    baseline: SignColumn,
     /// The update points since the last re-annotation ([`DocIndex::footprint`]).
     touched: Vec<NodeId>,
-}
-
-impl Clone for Tree {
-    fn clone(&self) -> Tree {
-        Tree {
-            sdoc: Arc::clone(&self.sdoc),
-            index: self.index.clone(),
-            default_sign: self.default_sign,
-            baseline: SignBaseline::default(),
-            touched: Vec::new(),
-        }
-    }
 }
 
 impl Tree {
     /// A tree over `doc` whose unsigned elements take `default_sign`;
     /// the baseline is the column it starts with.
     pub(crate) fn new(doc: Document, default_sign: char) -> Tree {
-        let mut tree = Tree {
-            sdoc: Arc::new(StoredDocument::new(doc)),
-            index: None,
-            default_sign,
-            baseline: SignBaseline::default(),
-            touched: Vec::new(),
-        };
-        tree.reset_baseline();
-        tree
+        let sdoc = Arc::new(StoredDocument::new(doc));
+        let baseline = sdoc.sign_column().clone();
+        Tree { sdoc, index: None, default_sign, baseline, touched: Vec::new() }
     }
 
     pub(crate) fn doc(&self) -> &StoredDocument {
@@ -272,13 +257,12 @@ impl Tree {
         self.sdoc.sign_of(node).unwrap_or(self.default_sign) == '+'
     }
 
-    /// Number of accessible elements.
+    /// Number of accessible elements: only live elements carry signs.
     pub(crate) fn accessible_count(&self) -> usize {
-        let (plus, minus) = self.sdoc.sign_counts();
         if self.default_sign == '+' {
-            self.sdoc.doc().element_count() - minus
+            self.sdoc.doc().element_count() - self.sdoc.sign_count('-')
         } else {
-            plus
+            self.sdoc.sign_count('+')
         }
     }
 
@@ -341,8 +325,9 @@ impl Tree {
         let mut selected = Collect::default();
         xac_vmc::execute(program, &self.index(), domain.as_deref(), &mut selected)
             .map_err(Error::System)?;
-        let (signs, selected) = (self.sdoc.sign_column(), selected.nodes);
-        let differs = |n: &NodeId, want: u8| signs.get(n.index()) != Some(&want);
+        let selected = selected.nodes;
+        let sign = |n: &NodeId| self.sdoc.sign_of(*n).map_or(NO_SIGN, |s| s as u8);
+        let differs = |n: &NodeId, want: u8| sign(n) != want;
         let mut picked = selected.iter().peekable();
         let reset = scope.into_iter().map(|s| NodeId::from_index(s as usize)).filter(|n| {
             while picked.next_if(|&p| p < n).is_some() {}
@@ -352,41 +337,25 @@ impl Tree {
         Ok([reset.collect(), mark])
     }
 
-    /// Publish the document, its index and its accessible elements at
-    /// `epoch`.
+    /// Publish the document, its sign column and its index at `epoch`.
     pub(crate) fn snapshot(&mut self, epoch: u64, backend: &'static str) -> AccessSnapshot {
-        let index = self.index();
-        let signs = self.sdoc.sign_column();
-        let width = self.sdoc.doc().arena_len();
-        let accessible = if self.default_sign == '+' {
-            // Default allow grants every live element not signed `-`:
-            // the index's liveness column names the live elements.
-            let mut accessible = Bitset::new(width);
-            for &slot in index.element_runs().flatten() {
-                if signs.get(slot as usize) != Some(&b'-') {
-                    accessible.set(slot);
-                }
-            }
-            accessible
-        } else {
-            // Under default deny only `+` grants, and only live elements
-            // carry signs: one word pass over the column answers.
-            positions_of(signs, width, b'+')
-        };
-        AccessSnapshot::new(epoch, backend, Arc::clone(&self.sdoc), accessible, index)
+        let (index, count) = (self.index(), self.accessible_count());
+        AccessSnapshot::new(epoch, backend, Arc::clone(&self.sdoc), self.default_sign, count, index)
     }
 
     /// The net sign change since the baseline, which then advances
     /// ([`Backend::sign_changes`]).
     pub(crate) fn sign_changes(&mut self) -> SignDiff {
-        self.baseline.drain(self.sdoc.sign_column())
+        let diff = column_diff(&self.baseline, self.sdoc.sign_column());
+        self.baseline = self.sdoc.sign_column().clone();
+        diff
     }
 
     /// Forget every pending sign change and footprint: the baseline
     /// becomes the column.
     pub(crate) fn reset_baseline(&mut self) {
         self.touched.clear();
-        self.baseline.reset(self.sdoc.sign_column());
+        self.baseline = self.sdoc.sign_column().clone();
     }
 }
 
@@ -631,8 +600,8 @@ impl RelationalBackend {
     /// The set of accessible universal ids (sign `'+'`), read from the
     /// tree's sign column.
     pub fn accessible_ids(&mut self) -> Result<BTreeSet<i64>> {
-        let signs = self.state()?.tree.doc().sign_column();
-        Ok((0i64..).zip(signs).filter(|(_, &b)| b == b'+').map(|(id, _)| id).collect())
+        let signed = self.state()?.tree.doc().signed_nodes();
+        Ok(signed.filter(|&(_, s)| s == '+').map(|(n, _)| id_of(n)).collect())
     }
 
     /// The complete sign state: every live universal id mapped to its
@@ -708,8 +677,8 @@ impl RelationalState {
         for (table, ids) in self.mapping.tables().iter().zip(rows) {
             if !ids.is_empty() {
                 updated += db.update_signs(&table.name, &ids, sign)?;
-                let sdoc = self.tree.signs_mut();
-                ids.iter().for_each(|&id| sdoc.annotate(node_of(id), sign));
+                let nodes: Vec<NodeId> = ids.iter().map(|&id| node_of(id)).collect();
+                self.tree.signs_mut().set_signs(&nodes, sign);
             }
         }
         Ok(updated)
@@ -1435,8 +1404,16 @@ mod tests {
         xac_policy::Policy::parse(&text.replace("default deny", "default allow")).unwrap()
     }
 
-    /// Publish a snapshot and check its bitset against the Table 2
-    /// reference evaluated on the snapshot's own document.
+    /// The arena slots a snapshot's accessible set contains, ascending.
+    fn accessible_slots(snap: &AccessSnapshot) -> Vec<u32> {
+        let accessible = snap.accessible();
+        (0..snap.store().doc().arena_len() as u32)
+            .filter(|&s| accessible.contains(&NodeId::from_index(s as usize)))
+            .collect()
+    }
+
+    /// Publish a snapshot and check its accessible set against the
+    /// Table 2 reference evaluated on the snapshot's own document.
     fn assert_snapshot_is_reference(b: &mut dyn Backend, system: &crate::System, step: &str) {
         let snap = b.snapshot().unwrap();
         let expected: Vec<u32> = xac_policy::accessible_nodes(snap.store().doc(), system.policy())
@@ -1444,7 +1421,7 @@ mod tests {
             .map(|n| n.index() as u32)
             .collect();
         let who = format!("{} ({}) after {step}", b.name(), system.annotate_mode());
-        assert_eq!(snap.accessible().ones(), expected, "{who}");
+        assert_eq!(accessible_slots(&snap), expected, "{who}");
         assert_eq!(snap.accessible_count(), expected.len(), "{who}");
     }
 
@@ -1522,7 +1499,8 @@ mod tests {
         let reset = b.snapshot().unwrap();
         let default_grants = system.policy().default_semantics.sign() == '+';
         let expected = if default_grants { reset.element_count() } else { 0 };
-        assert_eq!(reset.accessible().len(), expected, "{}: reset to the default", b.name());
+        assert_eq!(accessible_slots(&reset).len(), expected, "{}: reset to the default", b.name());
+        assert_eq!(reset.accessible_count(), expected, "{}: reset to the default", b.name());
         oracle(b);
         assert_drain_is_the_map_diff(b, &mut prev, "reset");
         // Re-derive the signs and floor the epoch, as WAL recovery does.
@@ -1603,7 +1581,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bitsets_match_the_reference_after_every_writer() {
+    fn snapshots_match_the_reference_after_every_writer() {
         for (mode, policy) in MODES
             .into_iter()
             .flat_map(|m| [(m, hospital_policy()), (m, default_allow_policy())])
@@ -1617,11 +1595,12 @@ mod tests {
                     // of the row whose id is the slot, or no sign.
                     let tables = b.sign_map().unwrap();
                     let column = b.state().unwrap().tree.doc().sign_column();
-                    for (slot, &byte) in (0i64..).zip(column) {
+                    let bytes = column.iter().flat_map(|chunk| chunk.0.iter());
+                    for (slot, &byte) in (0i64..).zip(bytes) {
                         let cell = tables.get(&slot).map_or(NO_SIGN, |&s| s as u8);
                         assert_eq!(byte, cell, "{}: column = tables at slot {slot}", b.name());
                     }
-                    let past = tables.range(column.len() as i64..).next();
+                    let past = tables.range((column.len() * xac_xml::CHUNK) as i64..).next();
                     assert_eq!(past, None, "{}: a row past the column", b.name());
                 });
             }
@@ -1651,15 +1630,94 @@ mod tests {
             && names.iter().all(|name| ia.lookup(da, name).eq(ib.lookup(db, name)))
     }
 
-    /// A sign write copies the store's sign column, and shares the rest
-    /// of the published document (the signs live in the tree's column,
-    /// as on the native store); a structural write copies the chunk it
-    /// touches; a restore shares the checkpointed store.
+    /// The chunks of two per-slot structures with `len` chunks at most
+    /// that are not one allocation, ascending.
+    fn unshared(len: usize, shares: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..len).filter(|&c| !shares(c)).collect()
+    }
+
+    /// After a publish — a snapshot held and the sign changes drained —
+    /// one sign write copies only the sign chunk it lands in, and one
+    /// single-element insert only the chunks it touches: the arena
+    /// chunks of its parent, of its previous sibling and of its own
+    /// slot, and at most its own slot's sign chunk. Every other sign
+    /// chunk stays shared with the snapshot and with the baseline.
+    fn assert_writes_copy_only_their_chunks<B: Backend>(
+        b: &mut B,
+        tree: fn(&mut B) -> &mut Tree,
+        write_sign: fn(&mut B, NodeId),
+    ) {
+        use xac_xml::{locate, CHUNK};
+        let name = b.name();
+        let signs = |snap: &AccessSnapshot| snap.store().sign_column().clone();
+        b.sign_changes().unwrap();
+        let published = b.snapshot().unwrap();
+        let chunks = published.store().sign_column().len();
+        assert!(chunks >= 4, "{name}: the document spans {chunks} chunks");
+        let doc = published.store().doc();
+        let target = doc.all_elements().find(|n| locate(n.index()).0 == 2).unwrap();
+        write_sign(b, target);
+        let signed = b.snapshot().unwrap();
+        let column = signs(&signed);
+        let ours = |other: &xac_xmlstore::SignColumn| unshared(chunks, |c| column.shares(other, c));
+        assert_eq!(ours(&signs(&published)), [2], "{name}: a sign write vs the snapshot");
+        assert_eq!(ours(&tree(b).baseline), [2], "{name}: a sign write vs the baseline");
+        assert!(share_all_but_signs(&published, &signed), "{name}: a sign write's arena");
+
+        let published = signed;
+        b.sign_changes().unwrap();
+        let mut at = b.select(&xac_xpath::parse("//namerica/item").unwrap()).unwrap();
+        at.nodes.truncate(1);
+        let doc = published.store().doc();
+        let (parent, width) = (at.nodes[0], doc.arena_len());
+        let last = doc.children(parent).last();
+        let slots = last.into_iter().chain([parent]).map(|n| n.index()).chain([width]);
+        let mut touched: Vec<usize> = slots.map(|s| locate(s).0).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(b.insert_selected(&at, "location", None).unwrap(), 1);
+        let inserted = b.snapshot().unwrap();
+        let (old, new) = (published.store().doc(), inserted.store().doc());
+        let shares = |c: usize| new.shares_chunk_of(old, NodeId::from_index(c * CHUNK));
+        let arena = unshared(new.arena_len().div_ceil(CHUNK), shares);
+        assert_eq!(arena, touched, "{name}: an insert's arena chunks");
+        let column = signs(&inserted);
+        let tail = [locate(width).0];
+        for other in [signs(&published), tree(b).baseline.clone()] {
+            let copied = unshared(column.len(), |c| column.shares(&other, c));
+            assert!(tail.starts_with(&copied), "{name}: an insert copied sign chunks {copied:?}");
+        }
+    }
+
+    /// An xmark system spanning several chunks, with a coverage policy.
+    fn xmark_system(mode: AnnotateMode) -> crate::System {
+        let doc = xac_xmlgen::xmark_document(xac_xmlgen::XmarkConfig::with_factor(0.03));
+        let policy = xac_xmlgen::coverage_policy(&doc, 0.5, 7);
+        crate::System::builder(xac_xmlgen::xmark_schema(), policy, doc)
+            .annotate_mode(mode)
+            .build()
+            .unwrap()
+    }
+
+    /// A sign write copies the sign chunk it lands in, and shares the
+    /// rest of the published document (the signs live in the tree's
+    /// column, as on the native store); a structural write copies the
+    /// chunks it touches; a restore shares the checkpointed store.
     #[test]
     fn relational_snapshots_share_the_document_until_a_structural_write() {
         for mode in MODES {
             let system = system(mode);
             for kind in [StorageKind::Row, StorageKind::Column] {
+                let mut b = RelationalBackend::with_mode(kind, mode);
+                let xmark = xmark_system(mode);
+                xmark.load(&mut b).unwrap();
+                xmark.annotate(&mut b).unwrap();
+                assert_writes_copy_only_their_chunks(
+                    &mut b,
+                    |b| &mut b.state.as_mut().unwrap().tree,
+                    |b, n| assert_eq!(b.write_signs(&[id_of(n)].into(), '+').unwrap(), 1),
+                );
+
                 let mut b = RelationalBackend::with_mode(kind, mode);
                 system.load(&mut b).unwrap();
                 system.annotate(&mut b).unwrap();
@@ -1683,6 +1741,23 @@ mod tests {
         }
     }
 
+    /// The native store's sign column and arena share like the
+    /// relational ones ([`assert_writes_copy_only_their_chunks`]).
+    #[test]
+    fn native_writes_copy_only_the_chunks_they_touch() {
+        for mode in MODES {
+            let mut b = NativeXmlBackend::with_mode(mode);
+            let xmark = xmark_system(mode);
+            xmark.load(&mut b).unwrap();
+            xmark.annotate(&mut b).unwrap();
+            assert_writes_copy_only_their_chunks(
+                &mut b,
+                |b| b.tree.as_mut().unwrap(),
+                |b, n| b.sdoc_mut().unwrap().annotate(n, '+'),
+            );
+        }
+    }
+
     /// Nested delete targets (`//treatment//*` selects `regular` and the
     /// `med` inside it) remove each row once: tables, sign column and
     /// tree agree afterwards.
@@ -1696,7 +1771,7 @@ mod tests {
                 let rows = b.sign_map().unwrap().len();
                 assert_eq!(b.delete(&xac_xpath::parse("//treatment//*").unwrap()).unwrap(), 6);
                 let column = b.state().unwrap().tree.doc().sign_column();
-                let live = column.iter().filter(|&&s| s != NO_SIGN).count();
+                let live = column.iter().flat_map(|c| c.0.iter()).filter(|&&s| s != NO_SIGN).count();
                 let elements = b.state().unwrap().tree.doc().doc().element_count();
                 assert_eq!((b.sign_map().unwrap().len(), live), (rows - 6, rows - 6), "{kind:?}");
                 assert_eq!(elements, rows - 6, "{kind:?} ({mode})");

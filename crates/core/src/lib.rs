@@ -70,7 +70,7 @@ pub use fault::{
 pub use reannotator::ReannotationPlan;
 pub use requester::Decision;
 pub use sign_diff::SignDiff;
-pub use snapshot::AccessSnapshot;
+pub use snapshot::{AccessSnapshot, Accessible};
 pub use system::{GuardedUpdate, System, SystemBuilder, Update, UpdateOutcome};
 pub use timing::time;
 pub use view::{security_view, ViewMode};

@@ -1,11 +1,11 @@
 //! Epoch-stamped accessibility snapshots.
 //!
-//! PR 1 cached the relational accessible-id set *inside* the backend,
-//! invalidated on every sign write. This module lifts that idea into a
-//! first-class, **immutable** artifact a backend can publish: the
-//! document tree (behind the native store's element-name index) plus
-//! the set of accessible nodes, stamped with the backend's annotation
-//! epoch. Because a snapshot never changes after construction, any
+//! An [`AccessSnapshot`] is the immutable artifact a backend publishes:
+//! the writer's stored document (tree, element-name index and sign
+//! column), the default sign of an unsigned element, and the columnar
+//! index, stamped with the backend's annotation epoch. It shares all of
+//! them with the writer, whose next write copies only the chunks it
+//! touches. Because a snapshot never changes after construction, any
 //! number of threads can answer requests against it through `&self`
 //! with no locking at all — the basis of the `xac-serve` engine, where
 //! readers keep serving an old epoch while the writer re-annotates and
@@ -13,7 +13,7 @@
 
 use crate::requester::Decision;
 use std::sync::Arc;
-use xac_vmc::{Bitset, DocIndex};
+use xac_vmc::DocIndex;
 use xac_xml::NodeId;
 use xac_xmlstore::StoredDocument;
 use xac_xpath::Path;
@@ -29,10 +29,12 @@ use xac_xpath::Path;
 pub struct AccessSnapshot {
     epoch: u64,
     backend: &'static str,
-    /// The writer's document, shared until its next write copies it.
+    /// The writer's document and sign column, shared until its next
+    /// write copies the chunks it touches.
     store: Arc<StoredDocument>,
-    /// The accessible element slots of `store`'s arena.
-    accessible: Bitset,
+    /// The sign of an element without one in the column.
+    default_sign: char,
+    accessible_count: usize,
     /// The writer's columnar index of this document. Sign writes leave
     /// an index valid and structural writes patch it, so a snapshot
     /// shares the writer's index until the writer's next insert or
@@ -40,19 +42,41 @@ pub struct AccessSnapshot {
     index: Arc<DocIndex>,
 }
 
+/// The accessible elements of one snapshot: the live elements whose
+/// sign, else the default one, is `+`.
+pub struct Accessible<'a> {
+    store: &'a StoredDocument,
+    default_sign: char,
+}
+
+impl Accessible<'_> {
+    /// Whether `node` is a live, accessible element.
+    pub fn contains(&self, node: &NodeId) -> bool {
+        let doc = self.store.doc();
+        doc.is_alive(*node) && doc.is_element(*node) && self.grants(*node)
+    }
+
+    /// Whether the live element `node` is accessible: one sign lookup.
+    #[inline]
+    fn grants(&self, node: NodeId) -> bool {
+        self.store.sign_of(node).unwrap_or(self.default_sign) == '+'
+    }
+}
+
 impl AccessSnapshot {
     /// Assemble a snapshot (backends call this; see
-    /// [`crate::Backend::snapshot`]). `store` is the writer's shared
-    /// document, `accessible` holds the accessible arena slots of it,
-    /// and `index` must describe it.
+    /// [`crate::Backend::snapshot`]) of the writer's shared document
+    /// `store`, whose unsigned elements take `default_sign`, with
+    /// `accessible_count` accessible elements; `index` must describe it.
     pub fn new(
         epoch: u64,
         backend: &'static str,
         store: Arc<StoredDocument>,
-        accessible: Bitset,
+        default_sign: char,
+        accessible_count: usize,
         index: Arc<DocIndex>,
     ) -> AccessSnapshot {
-        AccessSnapshot { epoch, backend, store, accessible, index }
+        AccessSnapshot { epoch, backend, store, default_sign, accessible_count, index }
     }
 
     /// The backend annotation epoch this snapshot was taken at.
@@ -85,8 +109,11 @@ impl AccessSnapshot {
         }
     }
 
+    /// Both evaluators select live elements only, so the decision needs
+    /// no liveness check.
     fn decide(&self, nodes: &[NodeId]) -> Decision {
-        if nodes.iter().all(|n| self.accessible.contains(n)) {
+        let accessible = self.accessible();
+        if nodes.iter().all(|&n| accessible.grants(n)) {
             Decision::Granted { nodes: nodes.len() }
         } else {
             Decision::Denied { nodes: nodes.len() }
@@ -95,7 +122,7 @@ impl AccessSnapshot {
 
     /// Number of accessible nodes at this epoch.
     pub fn accessible_count(&self) -> usize {
-        self.accessible.len()
+        self.accessible_count
     }
 
     /// Number of element nodes in the snapshot document.
@@ -103,13 +130,14 @@ impl AccessSnapshot {
         self.store.doc().element_count()
     }
 
-    /// The accessible node set, a bitset over the snapshot document's
-    /// arena slots.
-    pub fn accessible(&self) -> &Bitset {
-        &self.accessible
+    /// The accessible node set, read from the snapshot document's sign
+    /// column.
+    pub fn accessible(&self) -> Accessible<'_> {
+        Accessible { store: &self.store, default_sign: self.default_sign }
     }
 
-    /// The snapshot document behind its element-name index.
+    /// The snapshot document behind its element-name index, with its
+    /// sign column.
     pub fn store(&self) -> &StoredDocument {
         &self.store
     }

@@ -50,6 +50,24 @@ use xac_policy::Policy;
 use xac_serve::{BackendKind, DurabilityConfig, ErrorKind, Request, Response, Role, ServeEngine};
 use xac_xml::{parse_dtd, Document, Schema};
 
+/// `print!` and `println!` through [`emit`], the CLI's one stdout writer.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write to stdout. A closed stdout (`BrokenPipe`, as under `| head`)
+/// ends the output: the process exits 0 rather than panicking.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+        std::process::exit(0);
+    }
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -288,7 +306,7 @@ fn run() -> CliResult<()> {
         "obs" => obs(&args),
         "vm" => vm(&args),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
@@ -299,7 +317,7 @@ fn check(args: &Args) -> CliResult<()> {
     let schema = args.schema()?;
     let doc = args.doc()?;
     schema.validate(&doc).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "ok: {} elements, {} nodes, height {}, conforms to schema rooted at <{}>",
         doc.element_count(),
         doc.len(),
@@ -320,7 +338,7 @@ fn optimize(args: &Args) -> CliResult<()> {
     } else {
         eprintln!("# removed: {}", report.removed.join(", "));
     }
-    print!("{}", report.optimized.to_text());
+    out!("{}", report.optimized.to_text());
     Ok(())
 }
 
@@ -335,7 +353,7 @@ fn shred(args: &Args) -> CliResult<()> {
             std::fs::write(path, &output).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote {} bytes to {path}", output.len());
         }
-        None => print!("{output}"),
+        None => out!("{output}"),
     }
     Ok(())
 }
@@ -352,7 +370,7 @@ fn annotate(args: &Args) -> CliResult<()> {
     let (system, mut backend) = build_system(args)?;
     let accessible = backend.accessible_count().map_err(|e| e.to_string())?;
     let total = system.prepared().doc.element_count();
-    println!(
+    outln!(
         "annotated on {}: {accessible}/{total} nodes accessible ({:.1}%), policy `{}` rules after optimization: {}",
         backend.name(),
         100.0 * accessible as f64 / total as f64,
@@ -370,7 +388,7 @@ fn query(args: &Args) -> CliResult<()> {
     let mut denied = 0;
     for q in &args.queries {
         let d = system.request(backend.as_mut(), q).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{:<7} {} ({} nodes)",
             if d.granted() { "GRANTED" } else { "DENIED" },
             q,
@@ -393,7 +411,7 @@ fn update(args: &Args) -> CliResult<()> {
         let outcome = system
             .apply(backend.as_mut(), &Update::Delete(path))
             .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "deleted {} elements; triggered rules {:?}; {} sign writes",
             outcome.removed_elements,
             outcome.plan.triggered_ids(),
@@ -409,7 +427,7 @@ fn update(args: &Args) -> CliResult<()> {
             text: text.map(str::to_string),
         };
         let outcome = system.apply(backend.as_mut(), &insert).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "inserted {} <{name}> elements; triggered rules {:?}; {} sign writes",
             outcome.inserted_elements,
             outcome.plan.triggered_ids(),
@@ -421,7 +439,7 @@ fn update(args: &Args) -> CliResult<()> {
     }
     for q in &args.queries {
         let d = system.request(backend.as_mut(), q).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{:<7} {} ({} nodes)",
             if d.granted() { "GRANTED" } else { "DENIED" },
             q,
@@ -464,7 +482,7 @@ fn view(args: &Args) -> CliResult<()> {
                 system.prepared().doc.element_count()
             );
         }
-        None => print!("{xml}"),
+        None => out!("{xml}"),
     }
     Ok(())
 }
@@ -475,11 +493,11 @@ fn audit(args: &Args) -> CliResult<()> {
     let doc = args.doc()?;
     schema.validate(&doc).map_err(|e| e.to_string())?;
     let report = xac_policy::analyze(&doc, &policy);
-    println!("{:<6} {:<6} {:>8} {:>10}", "rule", "effect", "scope", "exclusive");
+    outln!("{:<6} {:<6} {:>8} {:>10}", "rule", "effect", "scope", "exclusive");
     for r in &report.rules {
-        println!("{:<6} {:<6} {:>8} {:>10}", r.id, r.effect.to_string(), r.scope, r.exclusive);
+        outln!("{:<6} {:<6} {:>8} {:>10}", r.id, r.effect.to_string(), r.scope, r.exclusive);
     }
-    println!(
+    outln!(
         "nodes: {} total, {} accessible ({:.1}%), {} conflicted, {} defaulted",
         report.total_nodes,
         report.accessible,
@@ -488,7 +506,7 @@ fn audit(args: &Args) -> CliResult<()> {
         report.defaulted
     );
     if !report.dead_rules().is_empty() {
-        println!("dead on this document: {}", report.dead_rules().join(", "));
+        outln!("dead on this document: {}", report.dead_rules().join(", "));
     }
     Ok(())
 }
@@ -559,7 +577,7 @@ fn analyze(args: &Args) -> CliResult<()> {
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote report to {path}");
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
     analyze_exit(&report, deny_warnings, &policy_path)
 }
@@ -643,14 +661,14 @@ fn analyze_fix(
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote report to {path}");
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
     for repair in &outcome.repairs {
         eprintln!("repair [{}] {}", repair.kind.label(), repair.description);
     }
     if dry_run {
         if !outcome.diff.is_empty() {
-            print!("{}", outcome.diff);
+            out!("{}", outcome.diff);
         }
         return analyze_exit(&before, deny_warnings, policy_path);
     }
@@ -716,7 +734,7 @@ fn obs_dump(args: &Args) -> CliResult<()> {
             std::fs::write(path, &text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote metrics to {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -730,7 +748,7 @@ fn obs_check(args: &Args) -> CliResult<()> {
             .map_err(|e| format!("cannot read metrics `{path}`: {e}"))?;
         xac_obs::validate_prometheus(&text)
             .map_err(|e| format!("metrics `{path}` invalid: {e}"))?;
-        println!("metrics ok: {path} ({} lines)", text.lines().count());
+        outln!("metrics ok: {path} ({} lines)", text.lines().count());
     }
     if let Some(path) = args.options.get("trace") {
         let text = std::fs::read_to_string(path)
@@ -742,7 +760,7 @@ fn obs_check(args: &Args) -> CliResult<()> {
         // arrows.
         xac_obs::validate_flow_pairing(&text)
             .map_err(|e| format!("trace `{path}` flow pairing invalid: {e}"))?;
-        println!("trace ok: {path} ({} bytes)", text.len());
+        outln!("trace ok: {path} ({} bytes)", text.len());
     }
     Ok(())
 }
@@ -772,7 +790,7 @@ fn vm_dump(args: &Args) -> CliResult<()> {
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("wrote listing to {path}");
         }
-        None => print!("{listing}"),
+        None => out!("{listing}"),
     }
     Ok(())
 }
@@ -791,7 +809,7 @@ fn engine_on_selected_storage(
         Some(config) => {
             let engine = ServeEngine::durable_with_faults(system, kind, &config, plan)?;
             match engine.recovery() {
-                Some(r) => println!(
+                Some(r) => outln!(
                     "recovered {} from {}: {} ops replayed, {} sign entries, epoch {}, \
                      {} wal bytes truncated",
                     r.backend,
@@ -801,7 +819,7 @@ fn engine_on_selected_storage(
                     r.last_epoch,
                     r.wal_truncated_bytes,
                 ),
-                None => println!(
+                None => outln!(
                     "fresh durable boot at {} (wal {})",
                     config.data_dir.display(),
                     if config.sync { "sync" } else { "nosync" },
@@ -867,7 +885,7 @@ fn serve(args: &Args) -> CliResult<()> {
     let server = NetServer::start(Arc::clone(&engine), config)
         .map_err(|e| format!("cannot start server: {e}"))?;
     let addr = server.local_addr();
-    println!("listening on {addr} ({}, role-gated, epoch {})", engine.backend_name(), engine.epoch());
+    outln!("listening on {addr} ({}, role-gated, epoch {})", engine.backend_name(), engine.epoch());
     if let Some(path) = args.options.get("addr-file") {
         std::fs::write(path, addr.to_string())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -877,7 +895,7 @@ fn serve(args: &Args) -> CliResult<()> {
             let ms = args.count("linger-ms", 0)?;
             std::thread::sleep(Duration::from_millis(ms as u64));
             server.shutdown();
-            println!("drained and shut down after {ms}ms");
+            outln!("drained and shut down after {ms}ms");
         }
         None => loop {
             // Foreground mode: serve until the process is killed.
@@ -1009,8 +1027,8 @@ fn client(args: &Args) -> CliResult<()> {
     }
     let mut session = NetClient::connect(addr, role)
         .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
-    println!("connected to {} as `{role}` (epoch {})", session.backend(), session.welcome_epoch());
-    println!("{:<8} {:<14} {:<44} {:>6}", "verb", "outcome", "detail", "epoch");
+    outln!("connected to {} as `{role}` (epoch {})", session.backend(), session.welcome_epoch());
+    outln!("{:<8} {:<14} {:<44} {:>6}", "verb", "outcome", "detail", "epoch");
     let mut worst: u8 = 0;
     let mut worst_message = String::new();
     for req in &requests {
@@ -1018,7 +1036,7 @@ fn client(args: &Args) -> CliResult<()> {
             .request(req)
             .map_err(|e| format!("{} failed on the wire: {e}", req.verb()))?;
         let (outcome, detail, epoch) = render_response(req, &resp);
-        println!("{:<8} {:<14} {:<44} {:>6}", req.verb(), outcome, detail, epoch);
+        outln!("{:<8} {:<14} {:<44} {:>6}", req.verb(), outcome, detail, epoch);
         match &resp {
             // The scraped exposition is an artifact, not table content:
             // `--scrape-out F` saves it for `obs check`/CI, otherwise it
@@ -1029,11 +1047,11 @@ fn client(args: &Args) -> CliResult<()> {
                         .map_err(|e| format!("cannot write `{path}`: {e}"))?;
                     eprintln!("wrote scrape to {path}");
                 }
-                None => print!("{exposition}"),
+                None => out!("{exposition}"),
             },
             Response::Tail { records } => {
                 for r in records {
-                    println!(
+                    outln!(
                         "  {} {:<8} {:<10} {:<18} epoch {:>4}  decode {:>5}µs  queue {:>5}µs  \
                          execute {:>7}µs  total {:>7}µs",
                         xac_obs::trace::trace_id_hex(r.trace_id),
@@ -1049,9 +1067,9 @@ fn client(args: &Args) -> CliResult<()> {
                 }
             }
             Response::Analysis { report_json, diff, .. } => {
-                print!("{report_json}");
+                out!("{report_json}");
                 if let Some(diff) = diff {
-                    print!("{diff}");
+                    out!("{diff}");
                 }
             }
             _ => {}
@@ -1120,7 +1138,7 @@ fn top(args: &Args) -> CliResult<()> {
         };
         if live {
             // Home + clear: repaint in place, like top(1).
-            print!("\x1b[H\x1b[2J");
+            out!("\x1b[H\x1b[2J");
         }
         render_top(&backend, iter, &exposition, &records);
         if iterations != 0 && iter >= iterations {
@@ -1212,18 +1230,18 @@ fn render_top(
     exposition: &str,
     records: &[xac_obs::FlightRecord],
 ) {
-    println!("xmlac top — {backend} (sample {iter})");
-    println!();
-    println!(
+    outln!("xmlac top — {backend} (sample {iter})");
+    outln!("");
+    outln!(
         "{:<10} {:>8} {:>10} {:>9} {:>9} {:>9}",
         "verb", "count", "mean_us", "p50_us", "p99_us", "p999_us"
     );
     let histograms = parse_verb_histograms(exposition);
     if histograms.is_empty() {
-        println!("(no xac_net_request_us samples yet — has the server served a request?)");
+        outln!("(no xac_net_request_us samples yet — has the server served a request?)");
     }
     for (verb, snap) in &histograms {
-        println!(
+        outln!(
             "{:<10} {:>8} {:>10.1} {:>9.0} {:>9.0} {:>9.0}",
             verb,
             snap.count,
@@ -1243,17 +1261,17 @@ fn render_top(
             .or_default() += 1;
     }
     if !outcomes.is_empty() {
-        println!();
-        println!("{:<12} {:<10} {:<18} {:>6}", "backend", "verb", "outcome", "n");
+        outln!("");
+        outln!("{:<12} {:<10} {:<18} {:>6}", "backend", "verb", "outcome", "n");
         for ((backend, verb, outcome), n) in &outcomes {
-            println!("{backend:<12} {verb:<10} {outcome:<18} {n:>6}");
+            outln!("{backend:<12} {verb:<10} {outcome:<18} {n:>6}");
         }
     }
     if !records.is_empty() {
-        println!();
-        println!("recent requests (newest last):");
+        outln!("");
+        outln!("recent requests (newest last):");
         for r in records {
-            println!(
+            outln!(
                 "  {} {:<8} {:<18} epoch {:>4}  decode {:>4}µs  queue {:>4}µs  \
                  execute {:>6}µs  total {:>6}µs",
                 &xac_obs::trace::trace_id_hex(r.trace_id)[..16],
@@ -1329,7 +1347,7 @@ fn serve_bench(args: &Args) -> CliResult<()> {
         }
         if let Some(update) = &delete {
             match engine.guarded_delete(update) {
-                Ok(g) => println!(
+                Ok(g) => outln!(
                     "writer: guarded delete {} at epoch {}",
                     if g.applied() { "applied" } else { "denied" },
                     engine.epoch()
@@ -1341,13 +1359,13 @@ fn serve_bench(args: &Args) -> CliResult<()> {
             }
         }
     });
-    println!(
+    outln!(
         "served {} readers × {} reads on {}",
         readers,
         reads,
         engine.backend_name()
     );
-    println!("{}", engine.metrics().render());
+    outln!("{}", engine.metrics().render());
     // Telemetry artifacts are written before the exit-code
     // classification below so they exist even for runs that end
     // quarantined or with an unabsorbed fault.
@@ -1488,11 +1506,11 @@ fn serve_bench_net(args: &Args) -> CliResult<()> {
                 match writer.delete(expr) {
                     Ok(Response::Update { applied: true, epoch, .. }) => {
                         updates_applied += 1;
-                        println!("writer: guarded delete applied at epoch {epoch}");
+                        outln!("writer: guarded delete applied at epoch {epoch}");
                     }
                     Ok(Response::Update { applied: false, .. }) => {
                         updates_refused += 1;
-                        println!("writer: guarded delete denied");
+                        outln!("writer: guarded delete denied");
                     }
                     Ok(Response::Error { kind, message }) => {
                         eprintln!("writer: guarded delete failed: {message}");
@@ -1535,13 +1553,13 @@ fn serve_bench_net(args: &Args) -> CliResult<()> {
     let answered = granted + denied + errors;
     let elapsed_ms = elapsed.as_secs_f64() * 1e3;
     let rps = answered as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
+    outln!(
         "net: {clients} clients × {reads} requests over {} = {answered} answered \
          ({granted} granted, {denied} denied, {errors} errors, {wire_errors} wire errors) \
          in {elapsed_ms:.1}ms ({rps:.0} req/s)",
         engine.backend_name()
     );
-    println!("{}", engine.metrics().render());
+    outln!("{}", engine.metrics().render());
     let out = args
         .options
         .get("out")

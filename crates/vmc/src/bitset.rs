@@ -1,5 +1,4 @@
-//! A dense bitset over arena slots: the VM's dense registers, and the
-//! per-epoch "accessible" set a published snapshot decides against.
+//! A dense bitset over arena slots: the VM's dense registers.
 //!
 //! Ascending bit order is arena order, which is document order for the
 //! nodes of one document.
@@ -16,12 +15,6 @@ impl Bitset {
     /// An empty set over positions `0..width`.
     pub fn new(width: usize) -> Bitset {
         Bitset { words: vec![0; width.div_ceil(64)] }
-    }
-
-    /// A set from its words: position `p` is bit `p % 64` of word
-    /// `p / 64`, so the width is `64 * words.len()`.
-    pub fn from_words(words: Vec<u64>) -> Bitset {
-        Bitset { words }
     }
 
     /// Add a position; it must be below the width.

@@ -19,24 +19,19 @@
 //! patch it across structural updates ([`DocIndex::append`] after an
 //! insert, [`DocIndex::remove_subtrees`] after a delete) instead of
 //! rebuilding it. A snapshot shares the index with the writer, so the
-//! index is copy-on-write in pieces: the per-slot columns sit in [`Arc`]
-//! chunks of [`CHUNK`] slots, aligned with the arena's own chunks, and
-//! each name's slot list and postings sit behind their own [`Arc`].
+//! index is copy-on-write in pieces: the per-slot columns sit in
+//! [`Chunks`] of [`CHUNK`] slots, aligned with the arena's own chunks,
+//! and each name's slot list and postings sit behind their own [`Arc`].
 //! Copying a shared index copies one pointer per chunk and per name; a
 //! patch then copies only the chunks and name lists it changes.
 
 use crate::bitset::Bitset;
 use std::sync::Arc;
 use xac_obs::{fnv1a, FNV_OFFSET};
-use xac_xml::{Document, NameTable, NodeId, CHUNK};
+use xac_xml::{locate, Chunks, Document, NameTable, NodeId, CHUNK};
 
 /// Sentinel for "no name" (text node or dead slot) and "no parent".
 pub(crate) const NONE: u32 = u32::MAX;
-
-/// Slot `s` lives at offset `s & MASK` of chunk `s >> SHIFT`.
-const SHIFT: u32 = CHUNK.trailing_zeros();
-const MASK: usize = CHUNK - 1;
-const _: () = assert!(CHUNK.is_power_of_two());
 
 /// Columnar view of one document, copy-on-write per chunk and per name.
 #[derive(Debug, Clone)]
@@ -47,9 +42,9 @@ pub struct DocIndex {
     root: u32,
     /// Number of live elements.
     element_count: usize,
-    /// Chunk `c` covers slots `c * CHUNK .. (c + 1) * CHUNK`; slots at or
-    /// past `n` in the last chunk are empty.
-    chunks: Vec<Arc<Chunk>>,
+    /// The per-slot columns; slots at or past `n` in the last chunk are
+    /// empty.
+    chunks: Chunks<Chunk>,
     /// The document's interned element names, shared with it: the index
     /// keys everything by the document's own name ids.
     name_table: Arc<NameTable>,
@@ -132,8 +127,8 @@ fn merge_tail(postings: &mut Vec<u64>, sorted: usize) {
     }
 }
 
-impl Chunk {
-    fn empty() -> Chunk {
+impl Default for Chunk {
+    fn default() -> Chunk {
         Chunk {
             name_id: [NONE; CHUNK],
             parent: [NONE; CHUNK],
@@ -144,11 +139,13 @@ impl Chunk {
             child_list: Vec::new(),
         }
     }
+}
 
+impl Chunk {
     /// Index the live element at `slot` under name id `name`, at the end
     /// of this chunk's element list; returns its value.
     fn set_element(&mut self, doc: &Document, slot: usize, name: u32) -> &str {
-        let o = slot & MASK;
+        let o = locate(slot).1;
         let node = NodeId::from_index(slot);
         self.name_id[o] = name;
         self.parent[o] = doc.parent(node).map_or(NONE, |p| p.index() as u32);
@@ -158,7 +155,7 @@ impl Chunk {
     }
 
     fn value(&self, o: usize) -> &str {
-        let (s, e) = self.span[o & MASK];
+        let (s, e) = self.span[o];
         &self.text[s as usize..e as usize]
     }
 
@@ -205,9 +202,10 @@ fn build_children(chunks: &mut [&mut Chunk]) {
         for c in 0..chunks.len() {
             for i in 0..chunks[c].elements.len() {
                 let s = chunks[c].elements[i];
-                let p = chunks[c].parent[s as usize & MASK];
+                let p = chunks[c].parent[locate(s as usize).1];
                 if p != NONE {
-                    visit(chunks[(p >> SHIFT) as usize], p as usize & MASK, s);
+                    let (pc, o) = locate(p as usize);
+                    visit(chunks[pc], o, s);
                 }
             }
         }
@@ -238,18 +236,16 @@ impl DocIndex {
     pub fn build(doc: &Document) -> DocIndex {
         let _span = xac_obs::span("vm.index");
         let n = doc.arena_len();
-        // Allocated in place once: a chunk is too large to move cheaply.
-        let mut chunks: Vec<Arc<Chunk>> =
-            (0..n.div_ceil(CHUNK)).map(|_| Arc::new(Chunk::empty())).collect();
-        let mut columns: Vec<&mut Chunk> =
-            chunks.iter_mut().map(|c| Arc::get_mut(c).expect("fresh chunk")).collect();
+        let mut chunks: Chunks<Chunk> = Chunks::default();
+        chunks.cover(n);
+        let mut columns: Vec<&mut Chunk> = chunks.iter_mut().collect();
         let mut names: Vec<NameList> = vec![NameList::default(); doc.name_id_count()];
         let mut element_count = 0;
         for id in doc.all_elements() {
             element_count += 1;
             let slot = id.index();
             let name = doc.name_id(id).expect("element has a name id");
-            let value = columns[slot >> SHIFT].set_element(doc, slot, name);
+            let value = columns[locate(slot).0].set_element(doc, slot, name);
             let list = &mut names[name as usize];
             list.slots.push(slot as u32);
             list.postings.push(posting(name, value, slot as u32));
@@ -284,9 +280,7 @@ impl DocIndex {
             return;
         }
         self.n = n;
-        while self.chunks.len() * CHUNK < n {
-            self.chunks.push(Arc::new(Chunk::empty()));
-        }
+        self.chunks.cover(n);
         // Names interned since the last patch get empty lists.
         self.name_table = Arc::clone(doc.name_table());
         self.names.resize_with(self.name_table.len(), Arc::default);
@@ -300,8 +294,7 @@ impl DocIndex {
                 continue;
             }
             if let Some(name) = doc.name_id(id) {
-                let chunk = Arc::make_mut(&mut self.chunks[slot >> SHIFT]);
-                let value = chunk.set_element(doc, slot, name);
+                let value = self.chunks.at_mut(slot).0.set_element(doc, slot, name);
                 let key = posting(name, value, slot as u32);
                 let list = self.list_mut(name, &mut sorted);
                 list.slots.push(slot as u32);
@@ -323,8 +316,7 @@ impl DocIndex {
         for p in revalued {
             let name = self.name_id_at(p);
             let stale = posting(name, self.value_of(p), p);
-            let chunk = Arc::make_mut(&mut self.chunks[(p >> SHIFT) as usize]);
-            let o = p as usize & MASK;
+            let (chunk, o) = self.chunks.at_mut(p as usize);
             chunk.span[o] = chunk.push_value(doc, NodeId::from_index(p as usize));
             let fresh = posting(name, chunk.value(o), p);
             let list = self.list_mut(name, &mut sorted);
@@ -342,12 +334,11 @@ impl DocIndex {
         }
         // New children join their parents' lists, chunk by chunk.
         added.sort_unstable();
-        for group in added.chunk_by(|a, b| a.0 >> SHIFT == b.0 >> SHIFT) {
+        self.chunks.write_runs(&added, |&(p, _)| p as usize, |chunk, run| {
             let pairs: Vec<(usize, u32)> =
-                group.iter().map(|&(p, c)| (p as usize & MASK, c)).collect();
-            Arc::make_mut(&mut self.chunks[(group[0].0 >> SHIFT) as usize])
-                .patch_children(|_| false, &pairs);
-        }
+                run.iter().map(|&(p, c)| (locate(p as usize).1, c)).collect();
+            chunk.patch_children(|_| false, &pairs);
+        });
     }
 
     /// Name `name`'s list, unshared, recording its sorted postings prefix
@@ -365,12 +356,6 @@ impl DocIndex {
     /// removed slots and of the roots' parents, and the removed names'
     /// lists.
     pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
-        let mut dirty: Vec<u32> = Vec::new();
-        for r in roots.iter().map(|r| r.index() as u32) {
-            if (r as usize) < self.n && self.parent_of(r) != NONE {
-                dirty.push(self.parent_of(r) >> SHIFT);
-            }
-        }
         let removed = self.subtree_slots(roots);
         let mut gone = Bitset::new(self.n);
         removed.iter().for_each(|&s| gone.set(s));
@@ -378,22 +363,21 @@ impl DocIndex {
         let mut touched: Vec<u32> = removed.iter().map(|&s| self.name_id_at(s)).collect();
         touched.sort_unstable();
         touched.dedup();
-        dirty.extend(removed.iter().map(|&s| s >> SHIFT));
+        // The removed slots and the roots' parents, whose child lists change.
+        let roots = roots.iter().map(|r| r.index() as u32).filter(|&r| (r as usize) < self.n);
+        let parents: Vec<u32> = roots.map(|r| self.parent_of(r)).filter(|&p| p != NONE).collect();
+        let mut dirty = [&removed[..], &parents].concat();
         dirty.sort_unstable();
         dirty.dedup();
-        for c in dirty {
-            let chunk = Arc::make_mut(&mut self.chunks[c as usize]);
-            let lo = removed.partition_point(|&s| s >> SHIFT < c);
-            let hi = removed.partition_point(|&s| s >> SHIFT <= c);
-            for &s in &removed[lo..hi] {
-                let o = s as usize & MASK;
+        self.chunks.write_runs(&dirty, |&s| s as usize, |chunk, run| {
+            for o in run.iter().filter(|&&s| gone(s)).map(|&s| locate(s as usize).1) {
                 chunk.name_id[o] = NONE;
                 chunk.parent[o] = NONE;
                 chunk.span[o] = (0, 0);
             }
             chunk.elements.retain(|&s| !gone(s));
             chunk.patch_children(gone, &[]);
-        }
+        });
         for name in touched {
             let list = Arc::make_mut(&mut self.names[name as usize]);
             list.slots.retain(|&s| !gone(s));
@@ -484,16 +468,14 @@ impl DocIndex {
         self.name_table.id_of(name)
     }
 
-    fn chunk(&self, slot: u32) -> &Chunk {
-        &self.chunks[(slot >> SHIFT) as usize]
-    }
-
     pub(crate) fn name_id_at(&self, slot: u32) -> u32 {
-        self.chunk(slot).name_id[slot as usize & MASK]
+        let (chunk, o) = self.chunks.at(slot as usize);
+        chunk.name_id[o]
     }
 
     pub(crate) fn parent_of(&self, slot: u32) -> u32 {
-        self.chunk(slot).parent[slot as usize & MASK]
+        let (chunk, o) = self.chunks.at(slot as usize);
+        chunk.parent[o]
     }
 
     /// Live element slots of one name id, ascending.
@@ -510,23 +492,23 @@ impl DocIndex {
     /// Call `f(slot, parent)` for every live element, ascending; the
     /// parent is read from the element's own chunk.
     pub(crate) fn for_each_element_parent(&self, mut f: impl FnMut(u32, u32)) {
-        for chunk in &self.chunks {
+        for chunk in self.chunks.iter() {
             for &s in &chunk.elements {
-                f(s, chunk.parent[s as usize & MASK]);
+                f(s, chunk.parent[locate(s as usize).1]);
             }
         }
     }
 
     /// Element children of a slot, in document order.
     pub(crate) fn children_of(&self, slot: u32) -> &[u32] {
-        let chunk = self.chunk(slot);
-        let o = slot as usize & MASK;
+        let (chunk, o) = self.chunks.at(slot as usize);
         &chunk.child_list[chunk.child_start[o] as usize..chunk.child_start[o + 1] as usize]
     }
 
     /// String value of a slot (concatenated direct text children).
     pub(crate) fn value_of(&self, slot: u32) -> &str {
-        self.chunk(slot).value(slot as usize)
+        let (chunk, o) = self.chunks.at(slot as usize);
+        chunk.value(o)
     }
 
     /// Arena handle for a slot known to hold a live element.
@@ -709,12 +691,11 @@ mod tests {
     /// Chunks and name lists of `ix` not shared with `base` (a chunk or
     /// name past `base`'s counts is new, so not shared).
     fn copied(ix: &DocIndex, base: &DocIndex) -> (usize, usize) {
-        fn unshared<T>(ours: &[Arc<T>], theirs: &[Arc<T>]) -> usize {
-            let shared =
-                |(i, a): &(usize, &Arc<T>)| theirs.get(*i).is_some_and(|b| Arc::ptr_eq(a, b));
-            ours.iter().enumerate().filter(|e| !shared(e)).count()
-        }
-        (unshared(&ix.chunks, &base.chunks), unshared(&ix.names, &base.names))
+        let chunks = (0..ix.chunks.len()).filter(|&c| !ix.chunks.shares(&base.chunks, c));
+        let shared = |(i, a): &(usize, &Arc<NameList>)| {
+            base.names.get(*i).is_some_and(|b| Arc::ptr_eq(a, b))
+        };
+        (chunks.count(), ix.names.iter().enumerate().filter(|e| !shared(e)).count())
     }
 
     #[test]
@@ -734,8 +715,8 @@ mod tests {
 
         // A write may copy the chunks of the parents it changes and the
         // tail chunks the new slots land in, and the one name it adds.
-        let mut bound: Vec<usize> = parents.iter().map(|p| p.index() >> SHIFT).collect();
-        bound.extend((width - 1) >> SHIFT..=(d.arena_len() - 1) >> SHIFT);
+        let mut bound: Vec<usize> = parents.iter().map(|p| locate(p.index()).0).collect();
+        bound.extend(locate(width - 1).0..=locate(d.arena_len() - 1).0);
         bound.sort_unstable();
         bound.dedup();
         let chunks = ix.chunks.len();

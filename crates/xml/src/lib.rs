@@ -12,9 +12,11 @@
 //! realises that model with:
 //!
 //! * [`Document`] — an arena of plain node records addressed by dense [`NodeId`]s,
-//!   stored in copy-on-write chunks of [`CHUNK`] nodes, supporting O(1)
+//!   stored in copy-on-write [`Chunks`] of [`CHUNK`] nodes, supporting O(1)
 //!   parent/child navigation, subtree iteration, in-place mutation
 //!   (insert/delete), O(chunks) clones, and per-element attributes;
+//! * [`Chunks`] — the copy-on-write chunk layout every per-slot structure
+//!   shares: the arena, the VM's columnar index and the native sign column;
 //! * [`parse`]/[`Document::parse_str`] — a parser for the XML subset the
 //!   system manipulates (elements, attributes, character data, comments);
 //! * [`serialize`] — a serializer that round-trips parsed documents;
@@ -33,6 +35,7 @@
 //! assert_eq!(doc.children(root).count(), 2);
 //! ```
 
+pub mod chunks;
 pub mod dtd;
 pub mod error;
 pub mod model;
@@ -40,7 +43,8 @@ pub mod parse;
 pub mod schema;
 pub mod serialize;
 
+pub use chunks::{locate, Chunks, CHUNK};
 pub use dtd::parse_dtd;
 pub use error::{Error, Result};
-pub use model::{Document, NameTable, NodeId, NodeKind, CHUNK};
+pub use model::{Document, NameTable, NodeId, NodeKind};
 pub use schema::{ContentModel, ElementType, Occurs, Particle, Schema};

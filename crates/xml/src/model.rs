@@ -13,26 +13,24 @@
 //! the span of its value in its chunk's text buffer. Attributes, absent
 //! from the generated documents, live in a document-level side map.
 //!
-//! The arena is stored in fixed-size chunks of [`CHUNK`] records plus
-//! their text, each chunk behind an [`Arc`]. Cloning a document therefore
-//! copies one pointer per chunk, and the first write to a chunk that a
-//! clone still shares copies that chunk alone ([`Arc::make_mut`]) — two
-//! flat buffers, no per-node allocation. The name table and the attribute
-//! map are shared the same way and copied only when a new name appears or
-//! an attribute is written.
+//! The arena is stored in copy-on-write [`Chunks`] of [`CHUNK`] records
+//! plus their text. Cloning a document therefore copies one pointer per
+//! chunk, and the first write to a chunk that a clone still shares
+//! copies that chunk alone — two flat buffers, no per-node allocation.
+//! The name table and the attribute map are shared behind their own
+//! [`Arc`]s and copied only when a new name appears or an attribute is
+//! written.
 //!
 //! Nodes are never physically removed from the arena; deletion marks the
 //! subtree as *detached* so that outstanding [`NodeId`]s can be detected as
 //! stale instead of silently aliasing new nodes. Documents subject to heavy
 //! update churn can be compacted with [`Document::compact`].
 
+use crate::chunks::{locate, Chunks, CHUNK};
 use crate::error::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-
-/// Nodes per arena chunk, the unit a copy-on-write clone shares and copies.
-pub const CHUNK: usize = 1024;
 
 /// Identifier of a node inside one [`Document`] arena.
 ///
@@ -117,6 +115,12 @@ struct Chunk {
     text: String,
 }
 
+impl Default for Chunk {
+    fn default() -> Chunk {
+        Chunk { nodes: Vec::with_capacity(CHUNK), text: String::new() }
+    }
+}
+
 /// A document's interned element names: id → name and name → id. Ids
 /// are dense, stable for the document's lifetime (compaction included)
 /// and shared by its clones, so side structures built over a document
@@ -155,9 +159,8 @@ type Attributes = BTreeMap<NodeId, Vec<(String, String)>>;
 /// A rooted, labelled XML tree.
 #[derive(Debug, Clone)]
 pub struct Document {
-    /// The arena: slot `i` is `chunks[i / CHUNK].nodes[i % CHUNK]`, and
-    /// every chunk but the last is full.
-    chunks: Vec<Arc<Chunk>>,
+    /// The arena: every chunk but the last is full.
+    chunks: Chunks<Chunk>,
     names: Arc<NameTable>,
     attributes: Arc<Attributes>,
     root: NodeId,
@@ -175,7 +178,7 @@ impl Document {
     /// A one-element document over an existing name table.
     fn with_root(root_name: &str, names: Arc<NameTable>) -> Self {
         let mut doc = Document {
-            chunks: Vec::new(),
+            chunks: Chunks::default(),
             names,
             attributes: Arc::default(),
             root: NodeId(0),
@@ -209,32 +212,29 @@ impl Document {
     /// side-tables indexed by [`NodeId::index`].
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.chunks.len().saturating_sub(1) * CHUNK
-            + self.chunks.last().map_or(0, |c| c.nodes.len())
+        let full = self.chunks.len().saturating_sub(1);
+        full * CHUNK + self.chunks.get(full).map_or(0, |c| c.nodes.len())
     }
 
     /// The arena record of `id`.
     #[inline]
     fn node(&self, id: NodeId) -> &Node {
-        let i = id.index();
-        &self.chunks[i / CHUNK].nodes[i % CHUNK]
+        let (chunk, o) = self.chunks.at(id.index());
+        &chunk.nodes[o]
     }
 
     /// Write access to one record, copying its chunk first if a clone
     /// still shares it.
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let i = id.index();
-        &mut Arc::make_mut(&mut self.chunks[i / CHUNK]).nodes[i % CHUNK]
+        let (chunk, o) = self.chunks.at_mut(id.index());
+        &mut chunk.nodes[o]
     }
 
     /// Whether `id` refers to a live (attached) node of this document.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        let i = id.index();
-        self.chunks
-            .get(i / CHUNK)
-            .and_then(|c| c.nodes.get(i % CHUNK))
-            .is_some_and(Node::is_alive)
+        let (c, o) = locate(id.index());
+        self.chunks.get(c).and_then(|c| c.nodes.get(o)).is_some_and(Node::is_alive)
     }
 
     /// The id of element name `name`, interning it if it is new. The
@@ -308,11 +308,8 @@ impl Document {
     /// parent's and the previous last child's if a clone shares them.
     fn push(&mut self, parent: u32, label: u32, text: &str) -> NodeId {
         let id = NodeId::from_index(self.arena_len());
-        if self.chunks.last().is_none_or(|c| c.nodes.len() == CHUNK) {
-            let nodes = Vec::with_capacity(CHUNK);
-            self.chunks.push(Arc::new(Chunk { nodes, text: String::new() }));
-        }
-        let chunk = Arc::make_mut(self.chunks.last_mut().expect("a tail chunk"));
+        self.chunks.cover(id.index() + 1);
+        let (chunk, _) = self.chunks.at_mut(id.index());
         let mut node = Node {
             label,
             len: 0,
@@ -349,9 +346,8 @@ impl Document {
 
     /// The text value, or `None` for element nodes.
     pub fn text_value(&self, id: NodeId) -> Option<&str> {
-        let i = id.index();
-        let chunk = &self.chunks[i / CHUNK];
-        let node = &chunk.nodes[i % CHUNK];
+        let (chunk, o) = self.chunks.at(id.index());
+        let node = &chunk.nodes[o];
         let start = node.label as usize;
         (!node.is_element()).then(|| &chunk.text[start..start + node.len as usize])
     }
@@ -628,11 +624,7 @@ impl Document {
     /// Whether the arena chunk holding slot `id` is one allocation in
     /// both documents: the probe copy-on-write tests use.
     pub fn shares_chunk_of(&self, other: &Document, id: NodeId) -> bool {
-        let c = id.index() / CHUNK;
-        match (self.chunks.get(c), other.chunks.get(c)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        self.chunks.shares(&other.chunks, locate(id.index()).0)
     }
 }
 

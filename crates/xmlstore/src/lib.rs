@@ -1,10 +1,9 @@
 //! # xac-xmlstore
 //!
 //! The native XML store substrate of the **xmlac** system — the role
-//! MonetDB/XQuery plays in the paper. It stores parsed documents by name,
-//! keeps an element-name index per document, evaluates the paper's XPath
-//! fragment (accelerated through the index), exposes the XQuery-lite
-//! node-set algebra the annotation query needs (`union` / `except`), and
+//! MonetDB/XQuery plays in the paper. It keeps a parsed document with an
+//! element-name index, evaluates the paper's XPath fragment (accelerated
+//! through the index), exposes the XQuery-lite node-set algebra the annotation query needs (`union` / `except`), and
 //! implements the paper's `xmlac:annotate()` update function: accessibility
 //! is materialized as a `sign` attribute on elements, inserted when absent
 //! and replaced when present. The attribute is backed by a per-slot byte
@@ -12,11 +11,11 @@
 //! in a table of their own.
 //!
 //! ```
-//! use xac_xmlstore::{XmlStore, NodeSetExpr, SIGN_ATTR};
+//! use xac_xml::Document;
+//! use xac_xmlstore::{NodeSetExpr, StoredDocument};
 //!
-//! let mut store = XmlStore::new();
-//! store.load_xml("demo", "<a><b/><b><c/></b></a>").unwrap();
-//! let sdoc = store.get_mut("demo").unwrap();
+//! let doc = Document::parse_str("<a><b/><b><c/></b></a>").unwrap();
+//! let mut sdoc = StoredDocument::new(doc);
 //! let expr = NodeSetExpr::path("//b[c]").unwrap();
 //! let n = sdoc.annotate_expr(&expr, '+');
 //! assert_eq!(n, 1);
@@ -29,14 +28,12 @@ pub mod xquery;
 
 pub use cam::Cam;
 pub use index::NameIndex;
-pub use store::{sign_byte, StoredDocument, XmlStore, NO_SIGN, SIGN_ATTR};
+pub use store::{sign_byte, SignChunk, SignColumn, StoredDocument, NO_SIGN, SIGN_ATTR};
 pub use xquery::NodeSetExpr;
 
 /// Errors from the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// Document name already in use or unknown.
-    Store(String),
     /// Underlying XML failure.
     Xml(String),
     /// Malformed query expression.
@@ -46,7 +43,6 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::Store(m) => write!(f, "store error: {m}"),
             Error::Xml(m) => write!(f, "xml error: {m}"),
             Error::Query(m) => write!(f, "query error: {m}"),
         }

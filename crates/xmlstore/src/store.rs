@@ -1,12 +1,12 @@
-//! The document store and per-document operations.
+//! The stored document and its operations.
 
 use crate::index::NameIndex;
 use crate::xquery::NodeSetExpr;
-use crate::{Error, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::Result;
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use xac_obs::metrics::Counter;
-use xac_xml::{Document, NodeId};
+use xac_xml::{locate, Chunks, Document, NodeId, CHUNK};
 use xac_xpath::{Axis, Path};
 
 /// Sign attributes written through `annotate_expr`, process-wide.
@@ -25,63 +25,19 @@ pub const SIGN_ATTR: &str = "sign";
 /// Sign-column value of an element without a `sign` attribute.
 pub const NO_SIGN: u8 = 0;
 
-/// A named collection of XML documents.
-#[derive(Debug, Default)]
-pub struct XmlStore {
-    docs: BTreeMap<String, StoredDocument>,
-}
+/// The signs of [`CHUNK`] consecutive arena slots: [`NO_SIGN`], `b'+'`
+/// or `b'-'` each.
+#[derive(Debug, Clone)]
+pub struct SignChunk(pub [u8; CHUNK]);
 
-impl XmlStore {
-    /// Empty store.
-    pub fn new() -> XmlStore {
-        XmlStore::default()
-    }
-
-    /// Parse and load a document under a name.
-    pub fn load_xml(&mut self, name: &str, xml: &str) -> Result<()> {
-        let doc = Document::parse_str(xml)?;
-        self.insert_document(name, doc)
-    }
-
-    /// Load an already-parsed document under a name.
-    pub fn insert_document(&mut self, name: &str, doc: Document) -> Result<()> {
-        if self.docs.contains_key(name) {
-            return Err(Error::Store(format!("document `{name}` already loaded")));
-        }
-        self.docs.insert(name.to_string(), StoredDocument::new(doc));
-        Ok(())
-    }
-
-    /// Drop a document; true when it existed.
-    pub fn remove_document(&mut self, name: &str) -> bool {
-        self.docs.remove(name).is_some()
-    }
-
-    /// Shared access to a stored document.
-    pub fn get(&self, name: &str) -> Option<&StoredDocument> {
-        self.docs.get(name)
-    }
-
-    /// Mutable access to a stored document.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut StoredDocument> {
-        self.docs.get_mut(name)
-    }
-
-    /// Loaded document names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.docs.keys().map(String::as_str)
-    }
-
-    /// Number of loaded documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when no documents are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+impl Default for SignChunk {
+    fn default() -> SignChunk {
+        SignChunk([NO_SIGN; CHUNK])
     }
 }
+
+/// A sign column: one byte per arena slot, in copy-on-write chunks.
+pub type SignColumn = Chunks<SignChunk>;
 
 /// A document plus its structural index and its sign column.
 ///
@@ -90,31 +46,34 @@ impl XmlStore {
 /// attributes: a sign write is a byte store that touches no arena chunk,
 /// so re-annotating thousands of nodes leaves a copy-on-write clone of
 /// the document shared. This is how MonetDB/XQuery stores attributes too —
-/// in a table of their own beside the node table.
+/// in a table of their own beside the node table. The column is chunked
+/// like the arena, so a write after a clone copies only the sign chunks
+/// it touches.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     doc: Document,
     index: NameIndex,
-    /// Per-slot sign, `doc.arena_len()` long.
-    signs: Vec<u8>,
+    /// Per-slot sign, covering `doc.arena_len()` slots.
+    signs: SignColumn,
 }
 
 impl StoredDocument {
     /// Wrap a document, building its index. Any `sign` attributes of the
     /// input move into the sign column (a non-`+` value reads as `-`) and
     /// are stripped from the tree, so the column is the only copy.
-    pub fn new(mut doc: Document) -> StoredDocument {
-        let index = NameIndex::build(&doc);
-        let mut signs = vec![NO_SIGN; doc.arena_len()];
+    pub fn new(doc: Document) -> StoredDocument {
         let signed: Vec<NodeId> =
             doc.all_elements().filter(|&n| doc.attribute(n, SIGN_ATTR).is_some()).collect();
+        let index = NameIndex::build(&doc);
+        let mut sdoc = StoredDocument { doc, index, signs: Chunks::default() };
+        sdoc.signs.cover(sdoc.doc.arena_len());
         for n in signed {
-            let value = doc.remove_attribute(n, SIGN_ATTR).unwrap_or_default();
+            let value = sdoc.doc.remove_attribute(n, SIGN_ATTR).unwrap_or_default();
             if let Some(sign) = value.chars().next() {
-                signs[n.index()] = sign_byte(sign);
+                sdoc.annotate(n, sign);
             }
         }
-        StoredDocument { doc, index, signs }
+        sdoc
     }
 
     /// The underlying document.
@@ -180,17 +139,39 @@ impl StoredDocument {
     /// attribute if absent, replace its value otherwise. A sign other
     /// than `+` is stored as `-`.
     pub fn annotate(&mut self, node: NodeId, sign: char) {
-        self.signs[node.index()] = sign_byte(sign);
+        let (chunk, o) = self.signs.at_mut(node.index());
+        chunk.0[o] = sign_byte(sign);
+    }
+
+    /// Set the sign of every node of `nodes`, with no counter: one copy
+    /// check per run of nodes in one chunk.
+    pub fn set_signs(&mut self, nodes: &[NodeId], sign: char) {
+        let byte = sign_byte(sign);
+        self.signs.write_runs(nodes, |n| n.index(), |chunk, run| {
+            run.iter().for_each(|n| chunk.0[locate(n.index()).1] = byte)
+        });
+    }
+
+    /// Clear the sign of every node of `nodes` like [`Self::set_signs`];
+    /// returns how many carried one.
+    fn unsign(&mut self, nodes: &[NodeId]) -> usize {
+        let mut cleared = 0;
+        self.signs.write_runs(nodes, |n| n.index(), |chunk, run| {
+            for n in run {
+                let b = &mut chunk.0[locate(n.index()).1];
+                cleared += usize::from(*b != NO_SIGN);
+                *b = NO_SIGN;
+            }
+        });
+        cleared
     }
 
     /// Annotate every node selected by an expression; returns how many
     /// nodes were touched.
     pub fn annotate_expr(&mut self, expr: &NodeSetExpr, sign: char) -> usize {
         let _span = xac_obs::span("backend.write_signs");
-        let nodes = self.eval_expr(expr);
-        for &n in &nodes {
-            self.annotate(n, sign);
-        }
+        let nodes: Vec<NodeId> = self.eval_expr(expr).into_iter().collect();
+        self.set_signs(&nodes, sign);
         sign_writes_total().add(nodes.len() as u64);
         nodes.len()
     }
@@ -201,24 +182,24 @@ impl StoredDocument {
     /// without re-evaluating anything.
     pub fn annotate_nodes(&mut self, nodes: &[NodeId], sign: char) -> usize {
         let _span = xac_obs::span("backend.write_signs");
-        for &n in nodes {
-            self.annotate(n, sign);
-        }
+        self.set_signs(nodes, sign);
         sign_writes_total().add(nodes.len() as u64);
         nodes.len()
     }
 
     /// The sign of a node, if annotated.
     pub fn sign_of(&self, node: NodeId) -> Option<char> {
-        match self.signs.get(node.index()) {
-            Some(&b) if b != NO_SIGN => Some(b as char),
+        let (c, o) = locate(node.index());
+        match self.signs.get(c).map(|chunk| chunk.0[o]) {
+            Some(b) if b != NO_SIGN => Some(b as char),
             _ => None,
         }
     }
 
     /// The sign column itself: one byte per arena slot, `0` for no
-    /// sign, else `b'+'` or `b'-'`.
-    pub fn sign_column(&self) -> &[u8] {
+    /// sign, else `b'+'` or `b'-'`, in chunks a clone shares until a
+    /// write copies them.
+    pub fn sign_column(&self) -> &SignColumn {
         &self.signs
     }
 
@@ -227,6 +208,7 @@ impl StoredDocument {
     pub fn signed_nodes(&self) -> impl Iterator<Item = (NodeId, char)> + '_ {
         self.signs
             .iter()
+            .flat_map(|chunk| chunk.0.iter())
             .enumerate()
             .filter(|(_, &b)| b != NO_SIGN)
             .map(|(slot, &b)| (NodeId::from_index(slot), b as char))
@@ -235,15 +217,8 @@ impl StoredDocument {
     /// Remove the sign attribute from the given nodes; returns how many
     /// actually carried one.
     pub fn clear_signs<I: IntoIterator<Item = NodeId>>(&mut self, nodes: I) -> usize {
-        let mut cleared = 0;
-        for n in nodes {
-            let sign = &mut self.signs[n.index()];
-            if *sign != NO_SIGN {
-                *sign = NO_SIGN;
-                cleared += 1;
-            }
-        }
-        cleared
+        let nodes: Vec<NodeId> = nodes.into_iter().collect();
+        self.unsign(&nodes)
     }
 
     /// Set the sign of every live element to `sign`, with no counter:
@@ -251,10 +226,8 @@ impl StoredDocument {
     /// backends' copy of their tables' sign cells) fills its column so
     /// after a load.
     pub fn sign_every_element(&mut self, sign: char) {
-        let byte = sign_byte(sign);
-        for n in self.doc.all_elements() {
-            self.signs[n.index()] = byte;
-        }
+        let elements: Vec<NodeId> = self.doc.all_elements().collect();
+        self.set_signs(&elements, sign);
     }
 
     /// Overwrite every sign present with `sign`, with no counter: the
@@ -262,23 +235,31 @@ impl StoredDocument {
     /// pass over the column rather than the arena.
     pub fn overwrite_signs(&mut self, sign: char) {
         let byte = sign_byte(sign);
-        for b in &mut self.signs {
-            *b = if *b == NO_SIGN { NO_SIGN } else { byte };
+        for chunk in self.signs.iter_mut() {
+            for b in &mut chunk.0 {
+                *b = if *b == NO_SIGN { NO_SIGN } else { byte };
+            }
         }
     }
 
-    /// Remove every sign attribute in the document.
+    /// Remove every sign attribute in the document. Copies only the
+    /// chunks that hold a sign.
     pub fn clear_all_signs(&mut self) -> usize {
-        let cleared = count_bytes(&self.signs, |b| b != NO_SIGN);
-        self.signs.fill(NO_SIGN);
+        let mut cleared = 0;
+        for c in 0..self.signs.len() {
+            let signed = count_bytes(&self.signs.get(c).expect("a chunk").0, |b| b != NO_SIGN);
+            if signed > 0 {
+                self.signs.chunk_mut(c).0.fill(NO_SIGN);
+                cleared += signed;
+            }
+        }
         cleared
     }
 
-    /// Count of nodes annotated with each sign `(plus, minus)`.
-    pub fn sign_counts(&self) -> (usize, usize) {
-        let plus = count_bytes(&self.signs, |b| b == b'+');
-        let minus = count_bytes(&self.signs, |b| b == b'-');
-        (plus, minus)
+    /// Count of nodes annotated with `sign`: one byte-wide pass.
+    pub fn sign_count(&self, sign: char) -> usize {
+        let byte = sign_byte(sign);
+        self.signs.iter().map(|chunk| count_bytes(&chunk.0, |b| b == byte)).sum()
     }
 
     /// Delete the subtrees of `nodes` (an [`StoredDocument::eval`]
@@ -291,9 +272,8 @@ impl StoredDocument {
         for &node in nodes {
             // A target inside an already-removed subtree is gone.
             if self.doc.is_alive(node) {
-                for n in self.doc.subtree(node) {
-                    self.signs[n.index()] = NO_SIGN;
-                }
+                let subtree: Vec<NodeId> = self.doc.subtree(node).collect();
+                self.unsign(&subtree);
                 self.doc.remove_subtree(node)?;
                 roots.push(node);
             }
@@ -305,14 +285,14 @@ impl StoredDocument {
     pub fn insert_element(&mut self, parent: NodeId, name: &str) -> NodeId {
         let node = self.doc.add_element(parent, name);
         self.index.insert(&self.doc, node);
-        self.signs.push(NO_SIGN);
+        self.signs.cover(self.doc.arena_len());
         node
     }
 
     /// Insert a text child (no index entry — text nodes are values).
     pub fn insert_text(&mut self, parent: NodeId, value: &str) -> NodeId {
         let node = self.doc.add_text(parent, value);
-        self.signs.push(NO_SIGN);
+        self.signs.cover(self.doc.arena_len());
         node
     }
 
@@ -417,11 +397,11 @@ mod tests {
         );
         let n = sdoc.annotate_expr(&expr, '+');
         assert_eq!(n, 1, "only the treatment-less patient");
-        assert_eq!(sdoc.sign_counts(), (1, 0));
+        assert_eq!((sdoc.sign_count('+'), sdoc.sign_count('-')), (1, 0));
         // Re-annotating replaces (upsert semantics).
         let n = sdoc.annotate_expr(&expr, '-');
         assert_eq!(n, 1);
-        assert_eq!(sdoc.sign_counts(), (0, 1));
+        assert_eq!((sdoc.sign_count('+'), sdoc.sign_count('-')), (0, 1));
     }
 
     #[test]
@@ -437,10 +417,10 @@ mod tests {
     fn clear_signs() {
         let mut sdoc = hospital();
         sdoc.annotate_expr(&NodeSetExpr::path("//patient").unwrap(), '+');
-        assert_eq!(sdoc.sign_counts().0, 2);
+        assert_eq!(sdoc.sign_count('+'), 2);
         let cleared = sdoc.clear_all_signs();
         assert_eq!(cleared, 2);
-        assert_eq!(sdoc.sign_counts(), (0, 0));
+        assert_eq!((sdoc.sign_count('+'), sdoc.sign_count('-')), (0, 0));
     }
 
     #[test]
@@ -473,19 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn store_namespacing() {
-        let mut store = XmlStore::new();
-        store.load_xml("one", "<a/>").unwrap();
-        store.load_xml("two", "<b/>").unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(store.load_xml("one", "<c/>").is_err(), "duplicate name");
-        assert!(store.get("one").is_some());
-        assert!(store.remove_document("one"));
-        assert!(!store.remove_document("one"));
-        assert_eq!(store.names().collect::<Vec<_>>(), vec!["two"]);
-    }
-
-    #[test]
     fn insert_element_updates_index() {
         let mut sdoc = StoredDocument::new(Document::parse_str("<a/>").unwrap());
         let root = sdoc.doc().root();
@@ -508,7 +475,7 @@ mod tests {
             sdoc.doc().all_elements().map(|n| sdoc.sign_of(n)).collect();
         assert_eq!(read, expected);
         assert_eq!(read, vec![Some('+'), Some('-'), Some('+'), None, None]);
-        assert_eq!(sdoc.sign_counts(), (2, 1));
+        assert_eq!((sdoc.sign_count('+'), sdoc.sign_count('-')), (2, 1));
         assert!(
             sdoc.doc().all_elements().all(|n| sdoc.doc().attribute(n, SIGN_ATTR).is_none()),
             "the column is the only copy"
@@ -532,11 +499,11 @@ mod tests {
         let root = sdoc.doc().root();
         let added = sdoc.insert_element(root, "extra");
         sdoc.annotate(added, '+');
-        assert_eq!(sdoc.sign_counts(), (2, 2));
+        assert_eq!((sdoc.sign_count('+'), sdoc.sign_count('-')), (2, 2));
 
         assert_eq!(clone.doc().to_xml(), xml, "structure unchanged");
         assert_eq!(clone.signed_nodes().collect::<Vec<_>>(), signs, "signs unchanged");
-        assert_eq!(clone.sign_counts(), (2, 0));
+        assert_eq!((clone.sign_count('+'), clone.sign_count('-')), (2, 0));
         assert_eq!(clone.sign_of(added), None, "the clone has no such slot");
     }
 
@@ -544,9 +511,10 @@ mod tests {
     fn removal_clears_the_removed_signs() {
         let mut sdoc = hospital();
         sdoc.annotate_expr(&NodeSetExpr::path("//*").unwrap(), '-');
-        let all = sdoc.sign_counts().1;
+        let all = sdoc.sign_count('-');
         sdoc.delete_nodes(&sdoc.eval(&parse("//treatment").unwrap())).unwrap();
-        assert_eq!(sdoc.sign_counts(), (0, all - 4), "treatment, regular, med, bill");
+        let counts = (sdoc.sign_count('+'), sdoc.sign_count('-'));
+        assert_eq!(counts, (0, all - 4), "treatment, regular, med, bill");
         assert_eq!(
             sdoc.signed_nodes().count(),
             sdoc.doc().all_elements().filter(|&n| sdoc.sign_of(n).is_some()).count()

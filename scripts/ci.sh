@@ -133,36 +133,10 @@ for pol in data/*.pol examples/policies/*.pol; do
     esac
 done
 
-echo "== analyze: verified repair synthesis (--fix end-to-end) =="
-# Repair the flawed fixture in place (on a copy): the synthesizer must
-# clear the dead and shadowed rules, each edit verified by incremental
-# re-analysis and differential annotation on all three backends, and the
-# repaired file must then re-analyze clean under --deny warn.
-cp examples/policies/flawed_all5.pol target/ci_repair.pol
-cargo run --release -q -p xac-net --bin xmlac -- analyze \
-    --policy target/ci_repair.pol --schema data/hospital.dtd \
-    --doc data/figure2.xml --deny warn --fix > /dev/null
-cargo run --release -q -p xac-net --bin xmlac -- analyze \
-    --policy target/ci_repair.pol --schema data/hospital.dtd \
-    --deny warn > /dev/null
-# A --dry-run over the repairable fixture must reproduce the checked-in
-# golden diff (headers carry the path, so compare from the first hunk).
-dry=0
-cargo run --release -q -p xac-net --bin xmlac -- analyze \
-    --policy examples/policies/repairable.pol --schema data/hospital.dtd \
-    --doc data/figure2.xml --deny warn --fix-level info --dry-run \
-    --out target/ci_repairable_report.txt \
-    > target/ci_repairable.diff 2> /dev/null || dry=$?
-if [ "$dry" -ne 5 ]; then
-    echo "ci.sh: repairable dry-run exited $dry, expected 5 (file untouched)"
-    exit 1
-fi
-tail -n +3 target/ci_repairable.diff > target/ci_repairable.hunks
-tail -n +3 tests/golden/repairable_fix.diff > target/ci_repairable_golden.hunks
-if ! cmp -s target/ci_repairable.hunks target/ci_repairable_golden.hunks; then
-    echo "ci.sh: repairable dry-run diff diverges from tests/golden/repairable_fix.diff"
-    exit 1
-fi
+# The --fix repair of flawed_all5.pol and the --dry-run golden diff of
+# repairable.pol are tier-1 tests in tests/cli.rs
+# (analyze_fix_repairs_the_flawed_fixture_to_a_clean_policy,
+# analyze_dry_run_prints_the_golden_diff_and_leaves_the_policy).
 
 echo "== analyze: dynamic trigger-soundness audit on the paper instance =="
 cargo run --release -q -p xac-net --bin xmlac -- analyze \

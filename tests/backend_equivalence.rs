@@ -19,11 +19,16 @@ fn backends() -> Vec<Box<dyn Backend>> {
 }
 
 /// The backend's own accessible set as universal ids (each node's arena
-/// slot), read from its published snapshot's bitset, after checking it
-/// equals the Table 2 reference's.
+/// slot), read from its published snapshot over the live elements, after
+/// checking it equals the Table 2 reference's.
 fn accessible_ids(s: &System, b: &mut dyn Backend) -> BTreeSet<i64> {
     let snapshot = b.snapshot().unwrap();
-    let ids: BTreeSet<i64> = snapshot.accessible().ones().into_iter().map(i64::from).collect();
+    let (doc, accessible) = (snapshot.store().doc(), snapshot.accessible());
+    let ids: BTreeSet<i64> = doc
+        .all_elements()
+        .filter(|n| accessible.contains(n))
+        .map(xac_shrex::shred::id_of)
+        .collect();
     let reference: BTreeSet<i64> =
         s.reference_accessible().into_iter().map(xac_shrex::shred::id_of).collect();
     assert_eq!(ids, reference, "{}: accessible set vs Table 2", b.name());

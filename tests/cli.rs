@@ -153,6 +153,23 @@ fn shred_emits_ddl_and_inserts() {
     assert_eq!(text.matches("INSERT INTO").count(), 21, "one insert per element");
 }
 
+/// A closed stdout ends the output: `xmlac shred | head -0` exits 0
+/// and does not panic. The pipe's read end is dropped before the child
+/// starts, so its first write already fails.
+#[test]
+fn a_closed_stdout_ends_the_output_with_exit_0() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_xmlac"))
+        .args(["shred", "--schema", &data("hospital.dtd"), "--doc", &data("figure2.xml")])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("xmlac runs");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
 #[test]
 fn audit_reports_rule_statistics() {
     let out = xmlac(&[
@@ -338,6 +355,65 @@ fn analyze_json_output_with_dynamic_audit() {
     assert!(json.contains("\"dynamic\": true"), "{json}");
     assert!(json.contains("\"missed\": 0"), "{json}");
     assert!(json.contains("\"sound\": true"), "{json}");
+}
+
+/// A scratch directory for one test, emptied first.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// `--fix` repairs a copy of the flawed fixture in place — each edit
+/// verified by incremental re-analysis and differential annotation —
+/// and the repaired file re-analyzes clean under `--deny warn`.
+#[test]
+fn analyze_fix_repairs_the_flawed_fixture_to_a_clean_policy() {
+    let dir = scratch_dir("cli_fix_repair");
+    let copy = dir.join("repair.pol");
+    std::fs::copy(example("flawed_all5.pol"), &copy).expect("copy the fixture");
+    let copy = copy.to_str().expect("utf-8 path");
+    let (schema, doc) = (data("hospital.dtd"), data("figure2.xml"));
+    let fix = ["analyze", "--policy", copy, "--schema", &schema, "--doc", &doc, "--deny", "warn"];
+    let out = xmlac(&[&fix[..], &["--fix"]].concat());
+    assert!(out.status.success(), "{}\n{}", stderr(&out), stdout(&out));
+    let out = xmlac(&["analyze", "--policy", copy, "--schema", &schema, "--deny", "warn"]);
+    assert!(out.status.success(), "{}\n{}", stderr(&out), stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--dry-run` over the repairable fixture exits 5, leaves the file
+/// unchanged, and prints the checked-in golden diff (its two header
+/// lines carry the path, so the hunks are compared).
+#[test]
+fn analyze_dry_run_prints_the_golden_diff_and_leaves_the_policy() {
+    let dir = scratch_dir("cli_dry_run");
+    let policy = example("repairable.pol");
+    let before = std::fs::read(&policy).expect("fixture");
+    let report = dir.join("report.txt");
+    let out = xmlac(&[
+        "analyze",
+        "--policy",
+        &policy,
+        "--schema",
+        &data("hospital.dtd"),
+        "--doc",
+        &data("figure2.xml"),
+        "--deny",
+        "warn",
+        "--fix-level",
+        "info",
+        "--dry-run",
+        "--out",
+        report.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{}", stderr(&out));
+    assert_eq!(std::fs::read(&policy).expect("fixture"), before, "the dry run wrote the policy");
+    let hunks = |diff: &str| diff.split_inclusive('\n').skip(2).collect::<String>();
+    let golden = include_str!("golden/repairable_fix.diff");
+    assert_eq!(hunks(&stdout(&out)), hunks(golden), "dry-run diff vs tests/golden");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

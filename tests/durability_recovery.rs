@@ -615,7 +615,10 @@ fn a_reopen_under_a_changed_policy_serves_the_new_policy() {
         let dir = data_dir(&format!("changed_policy_{}", kind.cli_name()));
         let config = DurabilityConfig::new(&dir);
         let served = |engine: &ServeEngine| -> std::collections::BTreeSet<i64> {
-            engine.snapshot().accessible().ones().into_iter().map(i64::from).collect()
+            let snap = engine.snapshot();
+            let (doc, accessible) = (snap.store().doc(), snap.accessible());
+            let live = doc.all_elements().filter(|n| accessible.contains(n));
+            live.map(xac_shrex::shred::id_of).collect()
         };
         {
             let engine = ServeEngine::durable(Arc::new(system()), kind, &config).unwrap();

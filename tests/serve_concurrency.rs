@@ -267,6 +267,8 @@ fn reset_annotations_invalidates_epoch() {
             b.name()
         );
         // The stale snapshot still answers from its own frozen state.
-        assert_eq!(before.accessible_count(), before.accessible().len());
+        let accessible = before.accessible();
+        let live = before.store().doc().all_elements().filter(|n| accessible.contains(n));
+        assert_eq!(before.accessible_count(), live.count());
     }
 }
