@@ -603,8 +603,9 @@ fn ablation_optimizer() {
     }
 }
 
-/// Ablation 2: the native store's element-name index. Indexed evaluation
-/// vs a full-tree sweep for the 55-query workload.
+/// Ablation 2: the native store's element-name index, the document's
+/// per-name element lists. Indexed evaluation vs a full-tree sweep for
+/// the 55-query workload.
 fn ablation_name_index() {
     banner("Ablation 2 — element-name index in the native store");
     let queries = query_workload(&xmark_schema(), WORKLOAD_SIZE, 99);

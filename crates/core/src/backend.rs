@@ -11,10 +11,10 @@
 //!   a set of universal ids, then iterate every table, intersect, and run
 //!   one `UPDATE … WHERE id = k` per affected tuple);
 //! * the **native XML** backend parses the XML text to load, evaluates
-//!   paths directly on the tree (through the element-name index), and
-//!   annotates by upserting `sign` attributes — storing signs only for
-//!   nodes whose accessibility differs from the default, the paper's
-//!   space optimization.
+//!   paths directly on the tree (seeding `//name` from the document's
+//!   per-name element lists), and annotates by upserting `sign`
+//!   attributes — storing signs only for nodes whose accessibility
+//!   differs from the default, the paper's space optimization.
 //!
 //! Both keep the document half and the signs in one `Tree`: one sign
 //! column per arena slot, which the relational backends keep equal to
@@ -121,7 +121,7 @@ pub trait Backend {
     fn epoch(&self) -> u64;
 
     /// Publish an immutable [`AccessSnapshot`] of the current epoch:
-    /// the document (behind an element-name index) plus the accessible
+    /// the document and its sign column plus the accessible
     /// node set. The snapshot answers requests with no further backend
     /// involvement — the serving engine's read path.
     fn snapshot(&mut self) -> Result<AccessSnapshot>;
@@ -186,8 +186,9 @@ pub trait Backend {
 /// sign) and the relational one, an explicit sign on every live element
 /// (a copy of the tables' `s` cells). A clone (a checkpoint) copies
 /// pointers (a restore resets its baseline and footprint); the next write
-/// copies what it touches: the stored document's chunk pointers, then
-/// each arena, index and sign chunk it writes.
+/// copies what it touches: the stored document's chunk and name-list
+/// pointers, then each arena, index and sign chunk and name list it
+/// writes.
 #[derive(Clone)]
 pub(crate) struct Tree {
     sdoc: Arc<StoredDocument>,
@@ -279,7 +280,7 @@ impl Tree {
         let before = sdoc.doc().element_count();
         let roots = sdoc.delete_nodes(targets)?;
         if let Some(index) = index.as_mut().filter(|_| !roots.is_empty()) {
-            Arc::make_mut(index).remove_subtrees(&roots);
+            Arc::make_mut(index).remove_subtrees(sdoc.doc(), &roots);
         }
         self.index = index;
         Ok(before - sdoc.doc().element_count())
@@ -1616,18 +1617,22 @@ mod tests {
 
     /// Whether two snapshots publish one document and differ at most in
     /// their sign columns: the same columnar index, every arena chunk
-    /// shared and equal name indexes.
+    /// and every per-name element list shared.
     fn share_all_but_signs(a: &AccessSnapshot, b: &AccessSnapshot) -> bool {
         let (da, db) = (a.store().doc(), b.store().doc());
-        let (ia, ib) = (a.store().index(), b.store().index());
-        let names: BTreeSet<&str> = da.all_elements().filter_map(|n| da.name(n)).collect();
         std::ptr::eq(a.index(), b.index())
             && da.arena_len() == db.arena_len()
             && (0..da.arena_len())
                 .step_by(xac_xml::CHUNK)
                 .all(|slot| da.shares_chunk_of(db, NodeId::from_index(slot)))
-            && ia.entry_count() == ib.entry_count()
-            && names.iter().all(|name| ia.lookup(da, name).eq(ib.lookup(db, name)))
+            && unshared_lists(da, db).is_empty()
+    }
+
+    /// The name ids whose element lists two documents do not share.
+    fn unshared_lists(a: &Document, b: &Document) -> Vec<u32> {
+        let (la, lb) = (a.name_lists(), b.name_lists());
+        let shared = |id: usize| lb.get(id).is_some_and(|l| Arc::ptr_eq(&la[id], l));
+        (0..la.len()).filter(|&id| !shared(id)).map(|id| id as u32).collect()
     }
 
     /// The chunks of two per-slot structures with `len` chunks at most
@@ -1640,8 +1645,11 @@ mod tests {
     /// one sign write copies only the sign chunk it lands in, and one
     /// single-element insert only the chunks it touches: the arena
     /// chunks of its parent, of its previous sibling and of its own
-    /// slot, and at most its own slot's sign chunk. Every other sign
-    /// chunk stays shared with the snapshot and with the baseline.
+    /// slot, at most its own slot's sign chunk, and its name's element
+    /// list. Every other sign chunk stays shared with the snapshot and
+    /// with the baseline. Deleting the inserted element copies only that
+    /// list too, and after insert/delete pairs, each published, the list
+    /// holds exactly the live elements of the name.
     fn assert_writes_copy_only_their_chunks<B: Backend>(
         b: &mut B,
         tree: fn(&mut B) -> &mut Tree,
@@ -1687,6 +1695,35 @@ mod tests {
             let copied = unshared(column.len(), |c| column.shares(&other, c));
             assert!(tail.starts_with(&copied), "{name}: an insert copied sign chunks {copied:?}");
         }
+        let location = new.name_id_of("location").expect("an xmark name");
+        assert_eq!(unshared_lists(new, old), [location], "{name}: an insert's name lists");
+
+        // Delete the inserted element (its slot is the old width), then
+        // run insert/delete pairs with every write published.
+        let count = new.elements_named(location).len();
+        let delete = |b: &mut B, slot: usize| {
+            let at = Selection { nodes: vec![NodeId::from_index(slot)], accessible: true };
+            assert_eq!(b.delete_selected(&at).unwrap(), 1);
+            b.snapshot().unwrap()
+        };
+        let mut held = delete(b, width);
+        let (old, new) = (inserted.store().doc(), held.store().doc());
+        assert_eq!(unshared_lists(new, old), [location], "{name}: a delete's name lists");
+        for _ in 0..200 {
+            let slot = tree(b).doc().doc().arena_len();
+            assert_eq!(b.insert_selected(&at, "location", None).unwrap(), 1);
+            let _published = b.snapshot().unwrap();
+            held = delete(b, slot);
+        }
+        let doc = held.store().doc();
+        let live: Vec<u32> = doc
+            .all_elements()
+            .filter(|&n| doc.name_id(n) == Some(location))
+            .map(|n| n.index() as u32)
+            .collect();
+        assert_eq!(doc.elements_named(location), live, "{name}: the list is the live elements");
+        assert_eq!(live.len(), count - 1, "{name}: 200 pairs leave the list's length");
+        assert!(*held.index() == DocIndex::build(doc), "{name}: the published index");
     }
 
     /// An xmark system spanning several chunks, with a coverage policy.

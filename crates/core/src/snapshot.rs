@@ -1,8 +1,8 @@
 //! Epoch-stamped accessibility snapshots.
 //!
 //! An [`AccessSnapshot`] is the immutable artifact a backend publishes:
-//! the writer's stored document (tree, element-name index and sign
-//! column), the default sign of an unsigned element, and the columnar
+//! the writer's stored document (tree with its per-name element lists,
+//! and sign column), the default sign of an unsigned element, and the columnar
 //! index, stamped with the backend's annotation epoch. It shares all of
 //! them with the writer, whose next write copies only the chunks it
 //! touches. Because a snapshot never changes after construction, any
@@ -136,8 +136,7 @@ impl AccessSnapshot {
         Accessible { store: &self.store, default_sign: self.default_sign }
     }
 
-    /// The snapshot document behind its element-name index, with its
-    /// sign column.
+    /// The snapshot document, with its sign column.
     pub fn store(&self) -> &StoredDocument {
         &self.store
     }

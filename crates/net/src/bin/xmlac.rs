@@ -876,8 +876,7 @@ fn server_config(args: &Args) -> CliResult<ServerConfig> {
 }
 
 /// Run the TCP server over one engine until killed (or for
-/// `--linger-ms`, then drain gracefully — the mode the CI smoke test
-/// uses). `--addr-file` publishes the bound address, so scripts can
+/// `--linger-ms`, then drain gracefully). `--addr-file` publishes the bound address, so scripts can
 /// bind port 0 and scrape the real port.
 fn serve(args: &Args) -> CliResult<()> {
     let engine = build_engine(args)?;

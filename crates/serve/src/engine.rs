@@ -736,7 +736,7 @@ impl ServeEngine {
         self.metrics.current_epoch.store(snapshot.epoch(), Relaxed);
         self.metrics.epochs_published.fetch_add(1, Relaxed);
         // The old snapshot may be the last owner of its epoch's index
-        // chunks, name index and arena chunks: swap it out under the
+        // chunks, name lists and arena chunks: swap it out under the
         // lock, free it after the guard is gone, so readers never wait
         // on the release.
         let old = std::mem::replace(&mut *unpoison(self.published.write()), snapshot);

@@ -1,11 +1,12 @@
 //! Columnar document index: the VM's execution substrate.
 //!
 //! [`DocIndex`] lays a [`Document`] arena out as columns — per-slot name
-//! id, parent slot, string value — plus per-element-type node lists and
-//! CSR child adjacency. Scans and steps then run over contiguous `u32`
-//! arrays instead of chasing arena nodes, and masks are bitsets over
-//! arena slots, whose ascending order *is* the document (arena) order
-//! the interpreter produces.
+//! id, parent slot, string value — plus CSR child adjacency, and shares
+//! the document's own per-name element lists
+//! ([`Document::elements_named`]). Scans and steps then run over
+//! contiguous `u32` arrays instead of chasing arena nodes, and masks are
+//! bitsets over arena slots, whose ascending order *is* the document
+//! (arena) order the interpreter produces.
 //!
 //! Value postings answer `[c = "v"]` and `[. = "v"]` in O(log n +
 //! hits): one `key << 32 | slot` word per live element in its name's
@@ -21,9 +22,10 @@
 //! rebuilding it. A snapshot shares the index with the writer, so the
 //! index is copy-on-write in pieces: the per-slot columns sit in
 //! [`Chunks`] of [`CHUNK`] slots, aligned with the arena's own chunks,
-//! and each name's slot list and postings sit behind their own [`Arc`].
-//! Copying a shared index copies one pointer per chunk and per name; a
-//! patch then copies only the chunks and name lists it changes.
+//! and each name's postings sit behind their own [`Arc`], as its slot
+//! list does in the document. Copying a shared index copies one pointer
+//! per chunk and per name; a patch then copies only the chunks and
+//! postings it changes, and takes the document's current slot lists.
 
 use crate::bitset::Bitset;
 use std::sync::Arc;
@@ -48,9 +50,13 @@ pub struct DocIndex {
     /// The document's interned element names, shared with it: the index
     /// keys everything by the document's own name ids.
     name_table: Arc<NameTable>,
-    /// Slot list and value postings per name id; a name without live
-    /// elements has an empty list.
-    names: Vec<Arc<NameList>>,
+    /// The document's live element slots per name id, ascending: its
+    /// own lists ([`Document::name_lists`]), taken again by every patch.
+    slots: Vec<Arc<Vec<u32>>>,
+    /// Value postings per name id: one `value_key(name, value) << 32 |
+    /// slot` word per slot of the name, sorted — by key, then by slot;
+    /// 8 bytes per element.
+    postings: Vec<Arc<Vec<u64>>>,
 }
 
 /// The columns of [`CHUNK`] consecutive arena slots, indexed by the
@@ -74,16 +80,6 @@ struct Chunk {
     /// `child_list[child_start[o]..child_start[o + 1]]`, ascending.
     child_start: [u32; CHUNK + 1],
     child_list: Vec<u32>,
-}
-
-/// One element name's live slots and value postings.
-#[derive(Debug, Clone, Default)]
-struct NameList {
-    /// Live element slots, ascending (document order).
-    slots: Vec<u32>,
-    /// One `value_key(name, value) << 32 | slot` word per slot, sorted —
-    /// by key, then by slot; 8 bytes per element.
-    postings: Vec<u64>,
 }
 
 /// Posting key of an element with name id `name` and string value
@@ -239,19 +235,17 @@ impl DocIndex {
         let mut chunks: Chunks<Chunk> = Chunks::default();
         chunks.cover(n);
         let mut columns: Vec<&mut Chunk> = chunks.iter_mut().collect();
-        let mut names: Vec<NameList> = vec![NameList::default(); doc.name_id_count()];
+        let mut postings: Vec<Vec<u64>> = vec![Vec::new(); doc.name_id_count()];
         let mut element_count = 0;
         for id in doc.all_elements() {
             element_count += 1;
             let slot = id.index();
             let name = doc.name_id(id).expect("element has a name id");
             let value = columns[locate(slot).0].set_element(doc, slot, name);
-            let list = &mut names[name as usize];
-            list.slots.push(slot as u32);
-            list.postings.push(posting(name, value, slot as u32));
+            postings[name as usize].push(posting(name, value, slot as u32));
         }
-        for list in &mut names {
-            list.postings.sort_unstable();
+        for list in &mut postings {
+            list.sort_unstable();
         }
         build_children(&mut columns);
         DocIndex {
@@ -260,19 +254,20 @@ impl DocIndex {
             element_count,
             chunks,
             name_table: Arc::clone(doc.name_table()),
-            names: names.into_iter().map(Arc::new).collect(),
+            slots: doc.name_lists().to_vec(),
+            postings: postings.into_iter().map(Arc::new).collect(),
         }
     }
 
     /// Patch the index after elements were appended to `doc` (slots at
     /// or past the indexed width): new slots are the largest in the
-    /// arena, so they extend the element and per-name lists in order. A
-    /// text node appended under an already-indexed element refreshes
-    /// that element's value and moves its posting. New postings join
-    /// their name's list as an unsorted tail that is then merged in.
-    /// Copies only the tail chunks, the chunks of the new elements'
-    /// parents and of the revalued elements, and the touched names'
-    /// lists.
+    /// arena, so they extend the chunks' element lists in order. A text
+    /// node appended under an already-indexed element refreshes that
+    /// element's value and moves its posting. New postings join their
+    /// name's list as an unsorted tail that is then merged in. Copies
+    /// only the tail chunks, the chunks of the new elements' parents and
+    /// of the revalued elements, and the touched names' postings; the
+    /// slot lists are the document's.
     pub fn append(&mut self, doc: &Document) {
         let old = self.n;
         let n = doc.arena_len();
@@ -281,11 +276,12 @@ impl DocIndex {
         }
         self.n = n;
         self.chunks.cover(n);
-        // Names interned since the last patch get empty lists.
+        // Names interned since the last patch get empty postings.
         self.name_table = Arc::clone(doc.name_table());
-        self.names.resize_with(self.name_table.len(), Arc::default);
+        self.slots = doc.name_lists().to_vec();
+        self.postings.resize_with(self.name_table.len(), Arc::default);
         // Per touched name id: its postings' sorted prefix length.
-        let mut sorted: Vec<Option<usize>> = vec![None; self.names.len()];
+        let mut sorted: Vec<Option<usize>> = vec![None; self.postings.len()];
         let mut added: Vec<(u32, u32)> = Vec::new();
         let mut revalued: Vec<u32> = Vec::new();
         for slot in old..n {
@@ -296,9 +292,7 @@ impl DocIndex {
             if let Some(name) = doc.name_id(id) {
                 let value = self.chunks.at_mut(slot).0.set_element(doc, slot, name);
                 let key = posting(name, value, slot as u32);
-                let list = self.list_mut(name, &mut sorted);
-                list.slots.push(slot as u32);
-                list.postings.push(key);
+                self.postings_mut(name, &mut sorted).push(key);
                 self.element_count += 1;
                 if let Some(p) = doc.parent(id) {
                     added.push((p.index() as u32, slot as u32));
@@ -319,17 +313,17 @@ impl DocIndex {
             let (chunk, o) = self.chunks.at_mut(p as usize);
             chunk.span[o] = chunk.push_value(doc, NodeId::from_index(p as usize));
             let fresh = posting(name, chunk.value(o), p);
-            let list = self.list_mut(name, &mut sorted);
-            let prefix = sorted[name as usize].as_mut().expect("list_mut recorded it");
-            if let Ok(at) = list.postings[..*prefix].binary_search(&stale) {
-                list.postings.remove(at);
+            let list = self.postings_mut(name, &mut sorted);
+            let prefix = sorted[name as usize].as_mut().expect("postings_mut recorded it");
+            if let Ok(at) = list[..*prefix].binary_search(&stale) {
+                list.remove(at);
                 *prefix -= 1;
             }
-            list.postings.push(fresh);
+            list.push(fresh);
         }
         for (name, prefix) in sorted.iter().enumerate() {
             if let Some(prefix) = *prefix {
-                merge_tail(&mut Arc::make_mut(&mut self.names[name]).postings, prefix);
+                merge_tail(Arc::make_mut(&mut self.postings[name]), prefix);
             }
         }
         // New children join their parents' lists, chunk by chunk.
@@ -341,21 +335,21 @@ impl DocIndex {
         });
     }
 
-    /// Name `name`'s list, unshared, recording its sorted postings prefix
+    /// Name `name`'s postings, unshared, recording their sorted prefix
     /// on first touch.
-    fn list_mut(&mut self, name: u32, sorted: &mut [Option<usize>]) -> &mut NameList {
-        let list = Arc::make_mut(&mut self.names[name as usize]);
-        sorted[name as usize].get_or_insert(list.postings.len());
+    fn postings_mut(&mut self, name: u32, sorted: &mut [Option<usize>]) -> &mut Vec<u64> {
+        let list = Arc::make_mut(&mut self.postings[name as usize]);
+        sorted[name as usize].get_or_insert(list.len());
         list
     }
 
     /// Patch the index after the subtrees rooted at the element `roots`
-    /// were detached from the document: their slots leave every list and
-    /// their columns are cleared. The walk follows the index's own child
-    /// lists, so it needs no document. Copies only the chunks of the
-    /// removed slots and of the roots' parents, and the removed names'
-    /// lists.
-    pub fn remove_subtrees(&mut self, roots: &[NodeId]) {
+    /// were detached from `doc`: their slots leave the element lists and
+    /// postings, their columns are cleared, and the slot lists are taken
+    /// from `doc` again. The walk follows the index's own child lists.
+    /// Copies only the chunks of the removed slots and of the roots'
+    /// parents, and the removed names' postings.
+    pub fn remove_subtrees(&mut self, doc: &Document, roots: &[NodeId]) {
         let removed = self.subtree_slots(roots);
         let mut gone = Bitset::new(self.n);
         removed.iter().for_each(|&s| gone.set(s));
@@ -379,10 +373,9 @@ impl DocIndex {
             chunk.patch_children(gone, &[]);
         });
         for name in touched {
-            let list = Arc::make_mut(&mut self.names[name as usize]);
-            list.slots.retain(|&s| !gone(s));
-            list.postings.retain(|&e| !gone(e as u32));
+            Arc::make_mut(&mut self.postings[name as usize]).retain(|&e| !gone(e as u32));
         }
+        self.slots = doc.name_lists().to_vec();
         self.element_count -= removed.len();
     }
 
@@ -480,7 +473,7 @@ impl DocIndex {
 
     /// Live element slots of one name id, ascending.
     pub(crate) fn slots_of(&self, name: u32) -> &[u32] {
-        &self.names[name as usize].slots
+        &self.slots[name as usize]
     }
 
     /// All live element slots, ascending, as one run per chunk: the
@@ -520,7 +513,7 @@ impl DocIndex {
     /// ascending: a superset of the elements whose value equals `value`
     /// (hash collisions, NaN), so callers re-check every hit.
     pub(crate) fn probe(&self, name: u32, value: &str) -> impl Iterator<Item = u32> + '_ {
-        let postings = &self.names[name as usize].postings;
+        let postings = &self.postings[name as usize];
         let key = u64::from(value_key(name, value));
         let lo = postings.partition_point(|&e| e >> 32 < key);
         let hi = lo + postings[lo..].partition_point(|&e| e >> 32 == key);
@@ -532,18 +525,18 @@ impl DocIndex {
     /// element lists both count every live element.
     fn lists_valid(&self) -> bool {
         let runs: usize = self.element_runs().map(<[u32]>::len).sum();
-        let listed: usize = self.names.iter().map(|l| l.slots.len()).sum();
+        let listed: usize = self.slots.iter().map(|l| l.len()).sum();
+        let mut lists = self.slots.iter().zip(self.postings.iter()).enumerate();
         runs == self.element_count
             && listed == self.element_count
-            && self.names.iter().enumerate().all(|(name, list)| {
-                list.postings.len() == list.slots.len()
-                    && list.postings.is_sorted_by(|a, b| a < b)
-                    && list.slots.iter().all(|&s| {
-                        self.name_id_at(s) == name as u32
-                            && list
-                                .postings
-                                .binary_search(&posting(name as u32, self.value_of(s), s))
-                                .is_ok()
+            && self.slots.len() == self.postings.len()
+            && lists.all(|(name, (slots, postings))| {
+                let name = name as u32;
+                postings.len() == slots.len()
+                    && postings.is_sorted_by(|a, b| a < b)
+                    && slots.iter().all(|&s| {
+                        self.name_id_at(s) == name
+                            && postings.binary_search(&posting(name, self.value_of(s), s)).is_ok()
                     })
             })
     }
@@ -559,7 +552,7 @@ impl PartialEq for DocIndex {
     fn eq(&self, other: &DocIndex) -> bool {
         let (names, other_names) = (&self.name_table, &other.name_table);
         fn by_name(ix: &DocIndex) -> std::collections::BTreeMap<&str, &[u32]> {
-            (0..ix.names.len() as u32)
+            (0..ix.slots.len() as u32)
                 .map(|id| (ix.name_table.name(id), ix.slots_of(id)))
                 .filter(|(_, slots)| !slots.is_empty())
                 .collect()
@@ -612,6 +605,58 @@ mod tests {
         assert_eq!(ix.slots_of(c).len(), 3);
     }
 
+    /// Live slots named `name`, as the index lists them.
+    fn lookup(ix: &DocIndex, name: &str) -> Vec<u32> {
+        ix.name_of(name).map_or(Vec::new(), |id| ix.slots_of(id).to_vec())
+    }
+
+    #[test]
+    fn build_and_lookup() {
+        let d = Document::parse_str("<a><b/><c><b>x</b></c></a>").unwrap();
+        let ix = DocIndex::build(&d);
+        assert_eq!(lookup(&ix, "b").len(), 2);
+        assert_eq!(lookup(&ix, "a").len(), 1);
+        assert!(ix.name_of("zz").is_none() && lookup(&ix, "zz").is_empty());
+        let names = (0..d.name_id_count() as u32).filter(|&id| !ix.slots_of(id).is_empty());
+        assert_eq!(names.count(), 3);
+    }
+
+    #[test]
+    fn deleted_nodes_filtered() {
+        let mut d = Document::parse_str("<a><b/><c><b/></c></a>").unwrap();
+        let mut ix = DocIndex::build(&d);
+        let first = d.first_child_named(d.root(), "b").unwrap();
+        let c = d.first_child_named(d.root(), "c").unwrap();
+        d.remove_subtree(c).unwrap();
+        ix.remove_subtrees(&d, &[c]);
+        assert_eq!(lookup(&ix, "b"), [first.index() as u32], "b under c is gone");
+        assert!(lookup(&ix, "c").is_empty());
+        let runs: usize = ix.element_runs().map(<[u32]>::len).sum();
+        assert_eq!((ix.element_count(), runs), (2, 2), "no stale entries remain");
+    }
+
+    #[test]
+    fn insert_tracks_new_nodes() {
+        let mut d = Document::parse_str("<a/>").unwrap();
+        let mut ix = DocIndex::build(&d);
+        let root = d.root();
+        let b = d.add_element(root, "b");
+        ix.append(&d);
+        assert_eq!(lookup(&ix, "b"), [b.index() as u32]);
+        assert_eq!(ix.element_name(b.index()), ix.name_of("b"));
+    }
+
+    #[test]
+    fn document_order_preserved() {
+        let d = Document::parse_str("<a><b/><b/><b/></a>").unwrap();
+        let ix = DocIndex::build(&d);
+        let slots = lookup(&ix, "b");
+        assert_eq!(slots.len(), 3);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        let scan: Vec<u32> = d.children(d.root()).map(|n| n.index() as u32).collect();
+        assert_eq!(slots, scan);
+    }
+
     #[test]
     fn patches_match_a_fresh_build() {
         let mut d = doc();
@@ -619,7 +664,7 @@ mod tests {
         // Delete a subtree with a nested element, then a leaf.
         let b = d.first_child_named(d.root(), "b").unwrap();
         d.remove_subtree(b).unwrap();
-        ix.remove_subtrees(&[b]);
+        ix.remove_subtrees(&d, &[b]);
         assert_eq!(ix, DocIndex::build(&d), "after delete");
         // Insert under an old element, with a brand-new name and text.
         let dd = d.first_child_named(d.root(), "d").unwrap();
@@ -634,10 +679,8 @@ mod tests {
         assert_eq!(ix, DocIndex::build(&d), "after text append");
         // Deleting every `c` keeps the name's id with no slots.
         let cs: Vec<NodeId> = d.all_elements().filter(|&n| d.name(n) == Some("c")).collect();
-        for &c in &cs {
-            d.remove_subtree(c).unwrap();
-        }
-        ix.remove_subtrees(&cs);
+        d.remove_subtrees(&cs).unwrap();
+        ix.remove_subtrees(&d, &cs);
         assert_eq!(ix, DocIndex::build(&d), "after deleting a whole name");
         assert!(ix.slots_of(ix.name_of("c").unwrap()).is_empty());
     }
@@ -657,7 +700,7 @@ mod tests {
         d.add_text(b, "3");
         ix.append(&d);
         assert_eq!(ix.value_of(b.index() as u32), "xy13");
-        let postings: usize = ix.names.iter().map(|l| l.postings.len()).sum();
+        let postings: usize = ix.postings.iter().map(|l| l.len()).sum();
         assert_eq!(postings, ix.element_count(), "one posting per element");
         assert_eq!(ix, DocIndex::build(&d));
         let found: Vec<u32> = ix.probe(ix.name_of("c").unwrap(), "20").collect();
@@ -688,14 +731,18 @@ mod tests {
         assert_ne!(DocIndex::build(&d), DocIndex::build(&grown));
     }
 
-    /// Chunks and name lists of `ix` not shared with `base` (a chunk or
-    /// name past `base`'s counts is new, so not shared).
-    fn copied(ix: &DocIndex, base: &DocIndex) -> (usize, usize) {
+    /// Per-name lists of `ix` not shared with `base`, by name id (a
+    /// name past `base`'s count is new, so not shared).
+    fn unshared<T>(ix: &[Arc<T>], base: &[Arc<T>]) -> Vec<usize> {
+        let shared = |i: usize| base.get(i).is_some_and(|b| Arc::ptr_eq(&ix[i], b));
+        (0..ix.len()).filter(|&i| !shared(i)).collect()
+    }
+
+    /// Chunks of `ix` not shared with `base`, and the name ids whose
+    /// postings or slot list it does not share.
+    fn copied(ix: &DocIndex, base: &DocIndex) -> (usize, Vec<usize>, Vec<usize>) {
         let chunks = (0..ix.chunks.len()).filter(|&c| !ix.chunks.shares(&base.chunks, c));
-        let shared = |(i, a): &(usize, &Arc<NameList>)| {
-            base.names.get(*i).is_some_and(|b| Arc::ptr_eq(a, b))
-        };
-        (chunks.count(), ix.names.iter().enumerate().filter(|e| !shared(e)).count())
+        (chunks.count(), unshared(&ix.postings, &base.postings), unshared(&ix.slots, &base.slots))
     }
 
     #[test]
@@ -722,23 +769,23 @@ mod tests {
         let chunks = ix.chunks.len();
         let bound = bound.len();
         assert!(bound * 4 < chunks, "{bound} of {chunks} chunks is not a local write");
-        let (copied_chunks, copied_names) = copied(&ix, &published);
+        let mailbox = vec![ix.name_of("mailbox").unwrap() as usize];
+        let (copied_chunks, postings, slots) = copied(&ix, &published);
         assert!(copied_chunks <= bound, "insert copied {copied_chunks} chunks, bound {bound}");
-        assert_eq!(copied_names, 1, "the insert copies `mailbox` alone");
+        assert_eq!((&postings, &slots), (&mailbox, &mailbox), "the insert copies `mailbox` alone");
+        assert!(ix.slots.iter().zip(d.name_lists()).all(|(a, b)| Arc::ptr_eq(a, b)), "doc's lists");
         assert!(Arc::ptr_eq(&ix.name_table, &published.name_table), "no new name, no table copy");
 
         // Publish again, then delete the inserted children: the same
         // chunks and the same name are all the delete may copy.
         let inserted = d.clone();
         let published = Arc::clone(&ix);
-        for &k in &kids {
-            d.remove_subtree(k).unwrap();
-        }
-        Arc::make_mut(&mut ix).remove_subtrees(&kids);
+        d.remove_subtrees(&kids).unwrap();
+        Arc::make_mut(&mut ix).remove_subtrees(&d, &kids);
         assert_eq!(*ix, DocIndex::build(&d), "after the delete");
         assert_eq!(*published, DocIndex::build(&inserted), "the snapshot's index is unchanged");
-        let (copied_chunks, copied_names) = copied(&ix, &published);
+        let (copied_chunks, postings, slots) = copied(&ix, &published);
         assert!(copied_chunks <= bound, "delete copied {copied_chunks} chunks, bound {bound}");
-        assert_eq!(copied_names, 1, "the delete copies `mailbox` alone");
+        assert_eq!((&postings, &slots), (&mailbox, &mailbox), "the delete copies `mailbox` alone");
     }
 }

@@ -314,10 +314,8 @@ mod tests {
         // `c` and an old `p` by appending text.
         let ps: Vec<NodeId> =
             doc.all_elements().filter(|&n| doc.name(n) == Some("p")).step_by(3).collect();
-        for &p in &ps {
-            doc.remove_subtree(p).unwrap();
-        }
-        index.remove_subtrees(&ps);
+        doc.remove_subtrees(&ps).unwrap();
+        index.remove_subtrees(&doc, &ps);
         let root = doc.root();
         for v in ["7", "common", " 7 "] {
             let p = doc.add_element(root, "p");

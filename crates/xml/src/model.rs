@@ -21,6 +21,12 @@
 //! [`Arc`]s and copied only when a new name appears or an attribute is
 //! written.
 //!
+//! The document also keeps, per interned name, its live elements as an
+//! ascending slot list ([`Document::elements_named`]): the structural
+//! index a native store answers `//name` from, and the lists the
+//! columnar index shares. Each list sits behind its own [`Arc`], so a
+//! write copies only the lists of the names it adds or removes.
+//!
 //! Nodes are never physically removed from the arena; deletion marks the
 //! subtree as *detached* so that outstanding [`NodeId`]s can be detected as
 //! stale instead of silently aliasing new nodes. Documents subject to heavy
@@ -162,6 +168,9 @@ pub struct Document {
     /// The arena: every chunk but the last is full.
     chunks: Chunks<Chunk>,
     names: Arc<NameTable>,
+    /// Live element slots per interned name id, ascending: a pushed
+    /// element is always the largest slot yet.
+    named: Vec<Arc<Vec<u32>>>,
     attributes: Arc<Attributes>,
     root: NodeId,
     alive_count: usize,
@@ -179,6 +188,7 @@ impl Document {
     fn with_root(root_name: &str, names: Arc<NameTable>) -> Self {
         let mut doc = Document {
             chunks: Chunks::default(),
+            named: vec![Arc::default(); names.len()],
             names,
             attributes: Arc::default(),
             root: NodeId(0),
@@ -247,6 +257,7 @@ impl Document {
         let id = u32::try_from(names.names.len()).expect("under 2^32 element names");
         names.names.push(name.into());
         names.ids.insert(name.into(), id);
+        self.named.push(Arc::default());
         id
     }
 
@@ -277,6 +288,19 @@ impl Document {
     /// Number of interned element names (one past the largest id).
     pub fn name_id_count(&self) -> usize {
         self.names.len()
+    }
+
+    /// The live elements named by interned id `name_id`, as ascending
+    /// arena slots (document order for a document only appended to).
+    pub fn elements_named(&self, name_id: u32) -> &[u32] {
+        &self.named[name_id as usize]
+    }
+
+    /// Every name's [`Self::elements_named`] list, indexed by name id:
+    /// structures over the document share them instead of keeping
+    /// their own.
+    pub fn name_lists(&self) -> &[Arc<Vec<u32>>] {
+        &self.named
     }
 
     /// Append a new element named `name` as the last child of `parent`.
@@ -326,6 +350,7 @@ impl Document {
             chunk.text.push_str(text);
         } else {
             self.element_count += 1;
+            Arc::make_mut(&mut self.named[label as usize]).push(id.0);
         }
         chunk.nodes.push(node);
         self.alive_count += 1;
@@ -548,12 +573,44 @@ impl Document {
     /// Detach the subtree rooted at `id` from the document. The root cannot
     /// be removed. Returns the number of nodes detached.
     pub fn remove_subtree(&mut self, id: NodeId) -> Result<usize> {
-        if id == self.root {
+        let before = self.alive_count;
+        match self.remove_subtrees(&[id])?[..] {
+            [] => Err(Error::InvalidNode(format!("node {id} is not attached"))),
+            _ => Ok(before - self.alive_count),
+        }
+    }
+
+    /// Detach the subtrees rooted at `roots`, skipping a root no longer
+    /// live (removed before, or inside an earlier root's subtree), then
+    /// drop the removed elements from their names' lists in one pass
+    /// per name. Returns the detached roots in the given order. Fails,
+    /// changing nothing, if `roots` holds the document root.
+    pub fn remove_subtrees(&mut self, roots: &[NodeId]) -> Result<Vec<NodeId>> {
+        if roots.contains(&self.root) {
             return Err(Error::InvalidNode("cannot remove the document root".into()));
         }
-        if !self.is_alive(id) {
-            return Err(Error::InvalidNode(format!("node {id} is not attached")));
+        let mut detached = Vec::new();
+        // `(name id, slot)` of every removed element.
+        let mut gone: Vec<(u32, u32)> = Vec::new();
+        for &id in roots {
+            if self.is_alive(id) {
+                self.detach(id, &mut gone);
+                detached.push(id);
+            }
         }
+        gone.sort_unstable();
+        for run in gone.chunk_by(|a, b| a.0 == b.0) {
+            // Both ascending, and the removed slots a subset of the list.
+            let mut removed = run.iter().map(|&(_, s)| s).peekable();
+            let list = Arc::make_mut(&mut self.named[run[0].0 as usize]);
+            list.retain(|s| removed.next_if_eq(s).is_none());
+        }
+        Ok(detached)
+    }
+
+    /// Unlink the live non-root node `id` from its parent and clear the
+    /// flags of its subtree, recording each removed element in `gone`.
+    fn detach(&mut self, id: NodeId, gone: &mut Vec<(u32, u32)>) {
         let parent = self.parent(id).expect("non-root nodes have parents");
         let next = self.node(id).next_sibling;
         let prev = self.children(parent).take_while(|&c| c != id).last();
@@ -567,21 +624,21 @@ impl Document {
 
         // The detached subtree keeps its links, so the walk can read
         // them while it clears the flags.
-        let mut removed = 0;
-        let mut elements = 0;
         let mut cur = Some(id);
         while let Some(n) = cur {
             cur = self.preorder_next(id, n);
             let node = self.node_mut(n);
-            if node.is_alive() {
-                node.flags &= !ALIVE;
-                removed += 1;
-                elements += usize::from(node.is_element());
+            if !node.is_alive() {
+                continue;
+            }
+            node.flags &= !ALIVE;
+            let element = node.is_element().then_some(node.label);
+            self.alive_count -= 1;
+            if let Some(name) = element {
+                gone.push((name, n.0));
+                self.element_count -= 1;
             }
         }
-        self.alive_count -= removed;
-        self.element_count -= elements;
-        Ok(removed)
     }
 
     /// Rebuild the arena, dropping detached nodes. Returns a remapping table
@@ -801,6 +858,64 @@ mod tests {
     /// How many of the first `chunks` arena chunks `d` shares with `other`.
     fn shared(d: &Document, other: &Document, chunks: usize) -> usize {
         (0..chunks).filter(|&c| d.shares_chunk_of(other, NodeId::from_index(c * CHUNK))).count()
+    }
+
+    /// Each name's list equals a scan of the live elements so named.
+    fn assert_lists_are_scans(d: &Document, step: &str) {
+        assert_eq!(d.name_lists().len(), d.name_id_count(), "{step}: one list per name");
+        for id in 0..d.name_id_count() as u32 {
+            let scan: Vec<u32> =
+                d.all_elements().filter(|&n| d.name_id(n) == Some(id)).map(|n| n.0).collect();
+            assert_eq!(d.elements_named(id), scan, "{step}: `{}`", d.name_of_id(id));
+        }
+    }
+
+    #[test]
+    fn name_lists_match_a_scan_after_every_write() {
+        let mut d = Document::parse_str(&wide(3 * CHUNK).to_xml()).unwrap();
+        assert_lists_are_scans(&d, "parse");
+        let a = d.name_id_of("a").unwrap();
+        assert_eq!(d.elements_named(a).len(), CHUNK);
+        let clone = d.clone();
+        let kept: Vec<Vec<u32>> = clone.name_lists().iter().map(|l| l.to_vec()).collect();
+        let kids: Vec<NodeId> = d.children(d.root()).collect();
+        for round in 0..20 {
+            let parent = kids[round * 7];
+            let added = d.add_element(parent, if round % 2 == 0 { "a" } else { "new" });
+            d.add_element(added, "b");
+            assert_lists_are_scans(&d, "add_element");
+            // Nested roots, an already-removed one and a fresh one: each
+            // removed element leaves its list once.
+            let gone = [kids[round * 7 + 1], parent, kids[round * 7 + 1], added];
+            assert_eq!(d.remove_subtrees(&gone).unwrap(), [gone[0], gone[1]]);
+            assert_lists_are_scans(&d, "remove_subtrees");
+        }
+        assert!(d.remove_subtrees(&[kids[500], d.root()]).is_err());
+        assert!(d.is_alive(kids[500]), "a refused removal changes nothing");
+        d.compact();
+        assert_lists_are_scans(&d, "compact");
+        assert_lists_are_scans(&clone, "the clone");
+        let read: Vec<Vec<u32>> = clone.name_lists().iter().map(|l| l.to_vec()).collect();
+        assert_eq!(read, kept, "the clone keeps its own lists");
+    }
+
+    #[test]
+    fn a_write_copies_only_the_name_lists_it_changes() {
+        let mut d = wide(100);
+        let clone = d.clone();
+        let copied = |d: &Document| -> Vec<String> {
+            let shared = |id: usize| Arc::ptr_eq(&d.name_lists()[id], &clone.name_lists()[id]);
+            let unshared = (0..d.name_id_count()).filter(|&id| !shared(id));
+            unshared.map(|id| d.name_of_id(id as u32).to_string()).collect()
+        };
+        let first = d.children(d.root()).next().unwrap();
+        d.add_text(first, "text");
+        assert!(copied(&d).is_empty(), "a text node is in no list");
+        d.add_element(first, "b");
+        assert_eq!(copied(&d), ["b"], "an insert copies its name's list");
+        let mut d = clone.clone();
+        d.remove_subtree(first).unwrap();
+        assert_eq!(copied(&d), ["a"], "a delete copies its names' lists");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! # xac-xmlstore
 //!
 //! The native XML store substrate of the **xmlac** system — the role
-//! MonetDB/XQuery plays in the paper. It keeps a parsed document with an
-//! element-name index, evaluates the paper's XPath fragment (accelerated
-//! through the index), exposes the XQuery-lite node-set algebra the annotation query needs (`union` / `except`), and
-//! implements the paper's `xmlac:annotate()` update function: accessibility
+//! MonetDB/XQuery plays in the paper. It keeps a parsed document,
+//! evaluates the paper's XPath fragment (a leading `//name` step seeded
+//! from the document's own per-name element lists, its structural
+//! index), exposes the XQuery-lite node-set algebra the annotation query
+//! needs (`union` / `except`), and implements the paper's `xmlac:annotate()` update function: accessibility
 //! is materialized as a `sign` attribute on elements, inserted when absent
 //! and replaced when present. The attribute is backed by a per-slot byte
 //! column beside the node arena, the way MonetDB/XQuery keeps attributes
@@ -22,12 +23,10 @@
 //! ```
 
 pub mod cam;
-pub mod index;
 pub mod store;
 pub mod xquery;
 
 pub use cam::Cam;
-pub use index::NameIndex;
 pub use store::{sign_byte, SignChunk, SignColumn, StoredDocument, NO_SIGN, SIGN_ATTR};
 pub use xquery::NodeSetExpr;
 

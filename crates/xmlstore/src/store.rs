@@ -1,13 +1,12 @@
 //! The stored document and its operations.
 
-use crate::index::NameIndex;
 use crate::xquery::NodeSetExpr;
 use crate::Result;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 use xac_obs::metrics::Counter;
 use xac_xml::{locate, Chunks, Document, NodeId, CHUNK};
-use xac_xpath::{Axis, Path};
+use xac_xpath::{Axis, NodeTest, Path};
 
 /// Sign attributes written through `annotate_expr`, process-wide.
 fn sign_writes_total() -> &'static Arc<Counter> {
@@ -39,7 +38,7 @@ impl Default for SignChunk {
 /// A sign column: one byte per arena slot, in copy-on-write chunks.
 pub type SignColumn = Chunks<SignChunk>;
 
-/// A document plus its structural index and its sign column.
+/// A document plus its sign column.
 ///
 /// The `sign` attribute of each element lives in `signs`, one byte per
 /// arena slot ([`NO_SIGN`], `b'+'` or `b'-'`), not among the node's
@@ -52,20 +51,18 @@ pub type SignColumn = Chunks<SignChunk>;
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     doc: Document,
-    index: NameIndex,
     /// Per-slot sign, covering `doc.arena_len()` slots.
     signs: SignColumn,
 }
 
 impl StoredDocument {
-    /// Wrap a document, building its index. Any `sign` attributes of the
-    /// input move into the sign column (a non-`+` value reads as `-`) and
-    /// are stripped from the tree, so the column is the only copy.
+    /// Wrap a document. Any `sign` attributes of the input move into the
+    /// sign column (a non-`+` value reads as `-`) and are stripped from
+    /// the tree, so the column is the only copy.
     pub fn new(doc: Document) -> StoredDocument {
         let signed: Vec<NodeId> =
             doc.all_elements().filter(|&n| doc.attribute(n, SIGN_ATTR).is_some()).collect();
-        let index = NameIndex::build(&doc);
-        let mut sdoc = StoredDocument { doc, index, signs: Chunks::default() };
+        let mut sdoc = StoredDocument { doc, signs: Chunks::default() };
         sdoc.signs.cover(sdoc.doc.arena_len());
         for n in signed {
             let value = sdoc.doc.remove_attribute(n, SIGN_ATTR).unwrap_or_default();
@@ -81,41 +78,27 @@ impl StoredDocument {
         &self.doc
     }
 
-    /// The element-name index.
-    pub fn index(&self) -> &NameIndex {
-        &self.index
-    }
-
-    /// Evaluate an absolute path, using the name index to seed leading
-    /// `//name` steps instead of sweeping the tree.
+    /// Evaluate an absolute path. A leading `//name` step is seeded from
+    /// the document's list of the elements so named, filtered by the
+    /// step's predicates, instead of sweeping the tree; the reference
+    /// evaluator runs the rest.
     pub fn eval(&self, path: &Path) -> Vec<NodeId> {
         assert!(path.absolute, "store evaluation takes absolute paths");
-        let Some(first) = path.steps.first() else {
-            return Vec::new();
-        };
-        // Index fast path: a leading descendant step with a concrete name.
-        if first.axis == Axis::Descendant {
-            if let xac_xpath::ast::NodeTest::Name(n) = &first.test {
-                let mut current: BTreeSet<NodeId> = self
-                    .index
-                    .lookup(&self.doc, n)
-                    .filter(|&node| {
-                        first
-                            .predicates
-                            .iter()
-                            .all(|q| xac_xpath::eval::qualifier_holds(&self.doc, node, q))
-                    })
-                    .collect();
-                for step in &path.steps[1..] {
-                    current = apply_step(&self.doc, &current, step);
-                    if current.is_empty() {
-                        break;
-                    }
-                }
-                return current.into_iter().collect();
+        let doc = &self.doc;
+        match path.steps.split_first() {
+            Some((first, rest)) if first.axis == Axis::Descendant => {
+                let NodeTest::Name(name) = &first.test else {
+                    return xac_xpath::eval(doc, path);
+                };
+                let named = doc.name_id_of(name).map_or(&[][..], |id| doc.elements_named(id));
+                let holds = |node: &NodeId| {
+                    first.predicates.iter().all(|q| xac_xpath::eval::qualifier_holds(doc, *node, q))
+                };
+                let seed = named.iter().map(|&s| NodeId::from_index(s as usize)).filter(holds);
+                xac_xpath::eval_steps(doc, seed.collect(), rest)
             }
+            _ => xac_xpath::eval(doc, path),
         }
-        xac_xpath::eval(&self.doc, path)
     }
 
     /// Evaluate a node-set expression (the XQuery-lite algebra).
@@ -263,42 +246,29 @@ impl StoredDocument {
     }
 
     /// Delete the subtrees of `nodes` (an [`StoredDocument::eval`]
-    /// answer), clearing their signs; returns the roots of the detached
-    /// subtrees (the nodes not inside another one's subtree), in the
-    /// given order. The name index keeps stale entries (filtered
-    /// lazily); call [`StoredDocument::reindex`] after bulk deletions.
+    /// answer) in one [`Document::remove_subtrees`] call, clearing their
+    /// signs; returns the roots of the detached subtrees (the nodes not
+    /// inside another one's subtree), in the given order.
     pub fn delete_nodes(&mut self, nodes: &[NodeId]) -> Result<Vec<NodeId>> {
-        let mut roots = Vec::new();
-        for &node in nodes {
-            // A target inside an already-removed subtree is gone.
-            if self.doc.is_alive(node) {
-                let subtree: Vec<NodeId> = self.doc.subtree(node).collect();
-                self.unsign(&subtree);
-                self.doc.remove_subtree(node)?;
-                roots.push(node);
-            }
-        }
+        let roots = self.doc.remove_subtrees(nodes)?;
+        // A detached subtree keeps its links, so it can still be walked.
+        let removed: Vec<NodeId> = roots.iter().flat_map(|&r| self.doc.subtree(r)).collect();
+        self.unsign(&removed);
         Ok(roots)
     }
 
-    /// Insert a new element under `parent`, keeping the index current.
+    /// Insert a new element under `parent`.
     pub fn insert_element(&mut self, parent: NodeId, name: &str) -> NodeId {
         let node = self.doc.add_element(parent, name);
-        self.index.insert(&self.doc, node);
         self.signs.cover(self.doc.arena_len());
         node
     }
 
-    /// Insert a text child (no index entry — text nodes are values).
+    /// Insert a text child.
     pub fn insert_text(&mut self, parent: NodeId, value: &str) -> NodeId {
         let node = self.doc.add_text(parent, value);
         self.signs.cover(self.doc.arena_len());
         node
-    }
-
-    /// Rebuild the name index (after bulk structural updates).
-    pub fn reindex(&mut self) {
-        self.index.rebuild(&self.doc);
     }
 }
 
@@ -319,33 +289,6 @@ pub fn sign_byte(sign: char) -> u8 {
     } else {
         b'-'
     }
-}
-
-/// One non-leading location step (shared with the index fast path).
-fn apply_step(
-    doc: &Document,
-    current: &BTreeSet<NodeId>,
-    step: &xac_xpath::Step,
-) -> BTreeSet<NodeId> {
-    let mut out = BTreeSet::new();
-    let candidates: Box<dyn Iterator<Item = NodeId>> = match step.axis {
-        Axis::Child => Box::new(current.iter().flat_map(|&c| doc.children(c))),
-        Axis::Descendant => Box::new(current.iter().flat_map(|&c| doc.descendants(c))),
-    };
-    for node in candidates {
-        let Some(name) = doc.name(node) else { continue };
-        if !step.test.matches(name) {
-            continue;
-        }
-        if step
-            .predicates
-            .iter()
-            .all(|q| xac_xpath::eval::qualifier_holds(doc, node, q))
-        {
-            out.insert(node);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

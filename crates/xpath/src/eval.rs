@@ -16,33 +16,27 @@ pub fn eval(doc: &Document, path: &Path) -> Vec<NodeId> {
     assert!(path.absolute, "eval requires an absolute path, got `{path}`");
     // The virtual context "above" the root: a child step selects the root
     // itself, a descendant step selects every element.
-    let mut current: BTreeSet<NodeId> = BTreeSet::new();
-    let mut first = true;
-    for step in &path.steps {
-        current = if first {
-            first = false;
-            apply_first_step(doc, step)
-        } else {
-            apply_step(doc, &current, step)
-        };
-        if current.is_empty() {
-            break;
-        }
+    match path.steps.split_first() {
+        Some((first, rest)) => eval_steps(doc, apply_first_step(doc, first), rest),
+        None => Vec::new(),
     }
-    current.into_iter().collect()
 }
 
 /// Evaluate a relative path from a context node. The self path returns the
 /// context node itself.
 pub fn eval_from(doc: &Document, context: NodeId, path: &Path) -> Vec<NodeId> {
     assert!(!path.absolute, "eval_from requires a relative path, got `{path}`");
-    let mut current: BTreeSet<NodeId> = BTreeSet::new();
-    current.insert(context);
-    for step in &path.steps {
-        current = apply_step(doc, &current, step);
+    eval_steps(doc, BTreeSet::from([context]), &path.steps)
+}
+
+/// Apply `steps` in turn from the context set `current`: the selected
+/// element nodes in document order.
+pub fn eval_steps(doc: &Document, mut current: BTreeSet<NodeId>, steps: &[Step]) -> Vec<NodeId> {
+    for step in steps {
         if current.is_empty() {
             break;
         }
+        current = apply_step(doc, &current, step);
     }
     current.into_iter().collect()
 }

@@ -58,7 +58,7 @@ pub mod specialize;
 pub use ast::{Axis, CmpOp, NodeTest, Path, Qualifier, Step};
 pub use containment::{contained_in, disjoint, equivalent};
 pub use error::{Error, Result};
-pub use eval::{eval, eval_from};
+pub use eval::{eval, eval_from, eval_steps};
 pub use expand::expand;
 pub use oracle::{ContainmentOracle, OracleStats};
 pub use parser::{parse, parse_absolute};

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `xmlac` command-line interface against the
 //! checked-in hospital data files.
 
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Output, Stdio};
 
 fn data(file: &str) -> String {
     format!("{}/../../data/{file}", env!("CARGO_MANIFEST_DIR"))
@@ -320,19 +321,64 @@ fn analyze_flawed_fixture_exits_5_with_all_codes() {
     assert!(stderr(&out).contains("1 error(s)"), "{}", stderr(&out));
 }
 
+/// The checked-in policies that fail the analyzer gate on purpose, with
+/// the codes their JSON report must carry (each exits 5).
+const DIRTY_POLICIES: [(&str, &[&str]); 2] = [
+    ("flawed_all5.pol", &["XA001", "XA002", "XA003", "XA004", "XA005"]),
+    ("repairable.pol", &["XA001", "XA002", "XA003", "XA004"]),
+];
+
+/// Every checked-in policy, `data/*.pol` and `examples/policies/*.pol`,
+/// by directory listing, so a new fixture is gated without an edit here;
+/// each with whether it is on [`DIRTY_POLICIES`].
+fn checked_in_policies() -> Vec<(PathBuf, Option<&'static [&'static str]>)> {
+    let mut policies = Vec::new();
+    for dir in [data(""), example("")] {
+        for entry in std::fs::read_dir(&dir).expect("a fixture directory") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|e| e == "pol") {
+                let file = path.file_name().expect("a file name").to_str().expect("utf-8");
+                let dirty = DIRTY_POLICIES.iter().find(|(name, _)| *name == file);
+                let dirty = dirty.map(|(_, codes)| *codes);
+                policies.push((path, dirty));
+            }
+        }
+    }
+    policies.sort();
+    policies
+}
+
+fn analyze_under_deny_warn(policy: &Path, extra: &[&str]) -> Output {
+    let policy = policy.to_str().expect("utf-8 path");
+    let schema = data("hospital.dtd");
+    xmlac(&[&["analyze", "--policy", policy, "--schema", &schema, "--deny", "warn"], extra].concat())
+}
+
 #[test]
 fn analyze_clean_policies_exit_0_under_deny_warn() {
-    for policy in [data("hospital.pol"), example("clean_staff.pol")] {
-        let out = xmlac(&[
-            "analyze",
-            "--policy",
-            &policy,
-            "--schema",
-            &data("hospital.dtd"),
-            "--deny",
-            "warn",
-        ]);
-        assert!(out.status.success(), "{policy}: {}\n{}", stderr(&out), stdout(&out));
+    let policies = checked_in_policies().into_iter();
+    let clean: Vec<PathBuf> = policies.filter(|(_, dirty)| dirty.is_none()).map(|p| p.0).collect();
+    assert!(clean.len() >= 2, "hospital.pol and clean_staff.pol at least: {clean:?}");
+    for policy in clean {
+        let out = analyze_under_deny_warn(&policy, &[]);
+        assert!(out.status.success(), "{policy:?}: {}\n{}", stderr(&out), stdout(&out));
+    }
+}
+
+/// The allowlisted fixtures fail the gate with exit 5 and report their
+/// codes in JSON; none of them has gone missing.
+#[test]
+fn analyze_dirty_fixtures_exit_5_with_their_codes_in_json() {
+    let policies = checked_in_policies().into_iter();
+    let dirty: Vec<_> = policies.filter_map(|(policy, codes)| Some((policy, codes?))).collect();
+    assert_eq!(dirty.len(), DIRTY_POLICIES.len(), "every allowlisted fixture exists: {dirty:?}");
+    for (policy, codes) in dirty {
+        let out = analyze_under_deny_warn(&policy, &["--format", "json"]);
+        assert_eq!(out.status.code(), Some(5), "{policy:?}: {}", stderr(&out));
+        let json = stdout(&out);
+        for code in codes {
+            assert!(json.contains(code), "{policy:?} report is missing {code}: {json}");
+        }
     }
 }
 
@@ -355,11 +401,23 @@ fn analyze_json_output_with_dynamic_audit() {
     assert!(json.contains("\"dynamic\": true"), "{json}");
     assert!(json.contains("\"missed\": 0"), "{json}");
     assert!(json.contains("\"sound\": true"), "{json}");
+
+    // The same audit under the gate, written with `--out`.
+    let dir = scratch_dir("cli_audit_out");
+    let report = dir.join("analyze_hospital.json");
+    let out = analyze_under_deny_warn(
+        Path::new(&data("hospital.pol")),
+        &["--doc", &data("figure2.xml"), "--format", "json", "--out", report.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = std::fs::read_to_string(&report).expect("the --out report");
+    assert!(json.contains("\"missed\": 0") && json.contains("\"sound\": true"), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A scratch directory for one test, emptied first.
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -596,5 +654,74 @@ fn durable_serve_bench_boots_reopens_and_refuses_a_mismatched_backend() {
 
     let mismatch = run(&["--backend", "row"]);
     assert_eq!(mismatch.status.code(), Some(8), "{}", stderr(&mismatch));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A running `xmlac serve`, killed and reaped when dropped, so no exit
+/// from a test (a failed assert included) leaves it running.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The wire exit-code contract against a real server process: a read
+/// and a writer's delete exit 0; a reader's delete, scrape and analyze
+/// exit 7 (role refused); the admin plane serves a scrape with per-verb
+/// histograms and trace-id exemplars that `obs check` accepts, a
+/// verified policy repair, a `top` quantile table and the flight tail.
+#[test]
+fn serve_answers_clients_with_the_role_exit_codes_and_the_admin_plane() {
+    let dir = scratch_dir("cli_wire_plane");
+    let addr_file = dir.join("addr");
+    let (schema, policy, doc) = (data("hospital.dtd"), data("hospital.pol"), data("figure2.xml"));
+    let server = Command::new(env!("CARGO_BIN_EXE_xmlac"))
+        .args(["serve", "--schema", &schema, "--policy", &policy, "--doc", &doc])
+        .args(["--addr-file", addr_file.to_str().expect("utf-8 path")])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("xmlac serve starts");
+    let mut server = Server(server);
+    let mut addr = String::new();
+    for _ in 0..200 {
+        addr = std::fs::read_to_string(&addr_file).unwrap_or_default();
+        if addr.parse::<std::net::SocketAddr>().is_ok() {
+            break;
+        }
+        assert!(server.0.try_wait().expect("poll the server").is_none(), "the server exited");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    assert!(addr.parse::<std::net::SocketAddr>().is_ok(), "no address in {addr_file:?}: {addr:?}");
+    let client = |args: &[&str]| xmlac(&[&["client", "--addr", &addr], args].concat());
+
+    let read = client(&["--query", "//patient/name", "status"]);
+    assert_eq!(read.status.code(), Some(0), "read: {}", stderr(&read));
+    let write = client(&["--role", "writer", "--delete", "//regular"]);
+    assert_eq!(write.status.code(), Some(0), "writer delete: {}", stderr(&write));
+    for refused in [&["--delete", "//med"][..], &["scrape"], &["analyze"]] {
+        let out = client(&[&["--role", "reader"], refused].concat());
+        assert_eq!(out.status.code(), Some(7), "reader {refused:?}: {}", stderr(&out));
+    }
+
+    let scrape = dir.join("scrape.prom");
+    let out = client(&["--role", "admin", "scrape", "--scrape-out", scrape.to_str().unwrap()]);
+    assert!(out.status.success(), "admin scrape: {}", stderr(&out));
+    let exposition = std::fs::read_to_string(&scrape).expect("the scrape file");
+    assert!(exposition.contains("xac_net_request_us_bucket{verb="), "{exposition}");
+    assert!(exposition.contains("# {trace_id=\""), "{exposition}");
+    let check = xmlac(&["obs", "check", "--metrics", scrape.to_str().unwrap()]);
+    assert!(check.status.success(), "obs check: {}", stderr(&check));
+
+    let fix = client(&["--role", "admin", "--fix", "analyze"]);
+    assert!(stdout(&fix).contains("verified repair"), "{}\n{}", stdout(&fix), stderr(&fix));
+    let top = xmlac(&["top", "--addr", &addr, "--iterations", "1"]);
+    assert!(stdout(&top).contains("p999_us"), "{}\n{}", stdout(&top), stderr(&top));
+    let tail = client(&["--role", "admin", "tail", "--last", "8"]);
+    assert!(stdout(&tail).contains("flight records"), "{}\n{}", stdout(&tail), stderr(&tail));
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
